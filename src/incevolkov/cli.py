@@ -19,7 +19,8 @@ import sys
 import numpy as np
 
 from . import verification
-from .config import DEFAULT_SEED, RunConfig, load_config
+from .config import RunConfig, _parse_k_select, load_config
+from .constants import SAMPLING_SEED
 from .errors import InputError, OracleError, StructuralError, VerificationFailure
 from .families import FamilyKind, SolutionFamily
 from .modulation import (ModulationFunction, contrast, envelope_density,
@@ -173,21 +174,21 @@ def cmd_modes(cfg: RunConfig, n_points: int = 257) -> int:
         if not 1 <= k <= dec.dim:
             raise InputError(f"k_select entry {k} outside 1..{dec.dim}")
     xi = np.linspace(-np.pi, np.pi, n_points)
-    rows = []
-    for k in k_list:
-        mod = ModulationFunction.from_decomposition(dec, k)
-        poly = np.atleast_1d(mod.polynomial_part(xi)).astype(complex)
-        val = np.atleast_1d(mod.value(xi)).astype(complex)
-        dens = np.abs(val) ** 2
-        for j in range(n_points):
-            rows.append((k, float(xi[j]), float(poly[j].real), float(poly[j].imag),
-                         float(val[j].real), float(val[j].imag), float(dens[j])))
+    mods = [ModulationFunction.from_decomposition(dec, k) for k in k_list]
+    values = [np.atleast_1d(mod.value(xi)).astype(complex) for mod in mods]
+    densities = [np.abs(val) ** 2 for val in values]
     comments = [
         f"family {family.kind.value}, n = {family.n}, a = {format_number(a)}",
         "poly: finite trigonometric sum; mod = poly * exp(-(a/4) cos xi)",
         "density = |mod|^2 (unnormalized)",
     ]
     if cfg.output_format == "csv":
+        rows = []
+        for k, mod, val, dens in zip(k_list, mods, values, densities):
+            poly = np.atleast_1d(mod.polynomial_part(xi)).astype(complex)
+            for j in range(n_points):
+                rows.append((k, float(xi[j]), float(poly[j].real), float(poly[j].imag),
+                             float(val[j].real), float(val[j].imag), float(dens[j])))
         text = render_csv(
             ["k", "xi_rad", "poly_re", "poly_im", "mod_re", "mod_im", "density"],
             rows, header_comments=comments)
@@ -200,13 +201,8 @@ def cmd_modes(cfg: RunConfig, n_points: int = 257) -> int:
             "k_select": list(k_list),
             "xi_rad": xi,
             "modes": [
-                {
-                    "k": k,
-                    "eta": float(dec.etas[k - 1]),
-                    "density": np.abs(np.atleast_1d(
-                        ModulationFunction.from_decomposition(dec, k).value(xi))) ** 2,
-                }
-                for k in k_list
+                {"k": k, "eta": float(dec.etas[k - 1]), "density": dens}
+                for k, dens in zip(k_list, densities)
             ],
         }
         text = dumps_json(payload) + "\n"
@@ -357,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k-select", help="comma-separated k labels")
         p.add_argument("--format", choices=("json", "csv"), dest="output_format")
         p.add_argument("--out", dest="output_path", help="output file path")
-        p.add_argument("--seed", type=int, help=f"sampling seed (default {DEFAULT_SEED})")
+        p.add_argument("--seed", type=int, help=f"sampling seed (default {SAMPLING_SEED})")
 
     for name in ("params", "spectrum", "modes", "verify"):
         add_common(sub.add_parser(name))
@@ -379,7 +375,7 @@ def _config_from_args(args) -> RunConfig:
         "n": args.n,
         "a_override": args.a_override,
         "k_select": (None if args.k_select is None
-                     else tuple(int(t) for t in args.k_select.split(","))),
+                     else _parse_k_select(args.k_select)),
         "output_format": args.output_format,
         "output_path": args.output_path,
         "seed": args.seed,

@@ -21,12 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .constants import PARTICLE_MASSES
+from .constants import PARTICLE_MASSES, SAMPLING_SEED
 from .errors import InputError
 from .families import FamilyKind, parse_family_kind
 from .physparams import LaserInput, PlasmaInput, WaveConfig, coupling_parameter
-
-DEFAULT_SEED = 0x1CE
 
 
 def _parse_float(v: str) -> float:
@@ -80,7 +78,7 @@ class RunConfig:
     k_select: Optional[tuple] = None
     output_format: str = "json"
     output_path: Optional[str] = None
-    seed: int = DEFAULT_SEED
+    seed: int = SAMPLING_SEED
 
     def __post_init__(self):
         if self.output_format not in ("json", "csv"):

@@ -1,4 +1,4 @@
-"""Physical constants, CODATA 2018, SI units.
+"""Physical constants, CODATA 2018, SI units, and the default sampling seed.
 
 All spectral computation elsewhere in the package is done in dimensionless
 units (hbar = c = 1, k_p = 1); these constants appear only at the
@@ -21,3 +21,5 @@ PARTICLE_MASSES = {
     "electron": ELECTRON_MASS,
     "proton": PROTON_MASS,
 }
+
+SAMPLING_SEED = 0x1CE          # default seed for all pseudo-random sample points

@@ -3,9 +3,9 @@
 The operators are not symmetric, but every bond has super_ * sub > 0 for
 a > 0, so a diagonal similarity turns them into real symmetric tridiagonal
 matrices.  The primary solver is LAPACK's symmetric tridiagonal eigensolver
-(scipy.linalg.eigh_tridiagonal); an independent Sturm-sequence bisection
-oracle lives in `sturm_bisection_oracle` and shares no numerical machinery
-with the primary path.
+(scipy.linalg.eigh_tridiagonal).  `sturm_bisection_oracle` and the dense
+check's Newton polish (verification module) share no numerical machinery
+with it; both run the LAPACK-free leading-minor recurrence `minor_ratios`.
 
 Conventions fixed here and recorded in every output:
   * eigenvalues sorted ascending, k labels 1-based in that order;
@@ -36,6 +36,7 @@ __all__ = [
     "SpectralDecomposition",
     "symmetrize",
     "solve_spectrum",
+    "minor_ratios",
     "sturm_bisection_oracle",
 ]
 
@@ -136,15 +137,31 @@ def solve_spectrum(T: TridiagonalOperator) -> SpectralDecomposition:
         k_labels=np.arange(1, T.dim + 1), scale=scale)
 
 
+def minor_ratios(d, b, x):
+    """Yield q_i = p_i / p_{i-1}, the leading-minor ratios of T - x I, by row.
+
+    T has diagonal d and bond products b = super * sub: q_0 = d_0 - x and
+    q_i = d_i - x - b_{i-1} / q_{i-1}, vectorized over shifts x.  Ratios are
+    yielded unclamped; as a divisor, one below pivmin (scaled by max |b|) in
+    magnitude becomes -pivmin, as in LAPACK dstebz.
+    """
+    pivmin = max(float(np.abs(b).max(initial=0.0)), 1.0) * np.finfo(float).tiny * 1e4
+    q = d[0] - x
+    yield q
+    for i in range(1, len(d)):
+        q = np.where(np.abs(q) < pivmin, -pivmin, q)
+        q = d[i] - x - b[i - 1] / q
+        yield q
+
+
 def sturm_bisection_oracle(diag: np.ndarray, offdiag: np.ndarray,
                            tol: float = 1e-11,
                            max_iterations: int = 250) -> np.ndarray:
     """All eigenvalues of a symmetric tridiagonal matrix by Sturm bisection.
 
-    Counts eigenvalues below x through the signs of the leading principal
-    minors (computed as the recurrence q_i = d_i - x - e_{i-1}^2 / q_{i-1})
-    and bisects each index on a Gershgorin-bounded interval until its
-    bracket is narrower than tol.  Independent of LAPACK by construction.
+    Counts eigenvalues below x as negative `minor_ratios` (with b = e^2) and
+    bisects each index on a Gershgorin-bounded interval until its bracket
+    is narrower than tol.  Independent of LAPACK by construction.
     """
     if tol <= 0:
         raise InputError("tol must be positive")
@@ -171,16 +188,12 @@ def sturm_bisection_oracle(diag: np.ndarray, offdiag: np.ndarray,
     hi = np.full(nd, hi_bound + 1e-3 * span)
 
     e2 = e * e
-    pivmin = max(float(np.max(e2)), 1.0) * np.finfo(float).tiny * 1e4
     ks = np.arange(nd)
 
     for _ in range(max_iterations):
         mid = 0.5 * (lo + hi)
-        q = d[0] - mid
-        count = (q < 0).astype(np.int64)
-        for i in range(1, nd):
-            q = np.where(np.abs(q) < pivmin, -pivmin, q)
-            q = d[i] - mid - e2[i - 1] / q
+        count = np.zeros(nd, dtype=np.int64)
+        for q in minor_ratios(d, e2, mid):
             count += q < 0
         move_down = count >= ks + 1
         hi = np.where(move_down, mid, hi)

@@ -1,6 +1,6 @@
 """Independent verification layer.
 
-Three checks, none sharing numerical machinery with the primary eigensolver:
+Four checks, none sharing numerical machinery with the primary eigensolver:
 
   * ode_residual: plugs an (eta, coefficient vector) pair back into the
     original modulation ODE.  Derivatives of the finite trigonometric sum
@@ -10,6 +10,9 @@ Three checks, none sharing numerical machinery with the primary eigensolver:
   * dense_oracle_crosscheck: embeds the tridiagonal operator in a dense
     matrix and solves it with the general nonsymmetric dense eigensolver;
     confirms realness and agreement of the spectrum.
+  * sturm_crosscheck: Sturm bisection on the symmetrized matrix.  It and
+    the dense check's Newton polish share one LAPACK-free recurrence,
+    `spectra.minor_ratios`.
   * pde_residual_fd: assembles the full spacetime wave
     Psi(t,x,y) = modulation(xi) * exp{+i [p - (k.p) k] . x}, xi = k.x,
     applies second-order central differences to the gauge-covariant wave
@@ -33,12 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import SAMPLING_SEED
 from .errors import InputError, StructuralError
 from .families import ALL_KINDS, FamilyKind, SolutionFamily
 from .modulation import eval_polynomial_part
 from .operators import TridiagonalOperator, build_operator
 from .physparams import DeBroglieMomentum
-from .spectra import (SpectralDecomposition, solve_spectrum,
+from .spectra import (SpectralDecomposition, minor_ratios, solve_spectrum,
                       sturm_bisection_oracle, symmetrize)
 
 __all__ = [
@@ -51,7 +55,6 @@ __all__ = [
     "DEFAULT_GRID_A_VALUES", "DEFAULT_GRID_N_MAX",
 ]
 
-SAMPLING_SEED = 0x1CE          # fixed seed for all pseudo-random sample points
 ODE_RESIDUAL_TOL = 1e-9        # times (1 + |eta| + a * dim)
 DENSE_IMAG_TOL = 1e-10
 ORACLE_AGREEMENT_TOL = 1e-9
@@ -63,6 +66,9 @@ DEFAULT_GRID_N_MAX = 25
 # residuals within this factor of tolerance are re-evaluated with
 # compensated summation before a verdict
 _RECHECK_MARGIN = 10.0
+# ODE residual sample points: equidistant plus seeded random, in z = xi/2
+_N_EQUIDISTANT = 256
+_N_RANDOM = 32
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +100,10 @@ def _basis_and_derivatives(family: SolutionFamily, z: np.ndarray):
     return B, Bp, Bpp
 
 
-def _sample_points(n_equidistant: int, n_random: int, seed: int) -> np.ndarray:
-    z_eq = np.linspace(0.0, 2.0 * np.pi, n_equidistant, endpoint=False)
+def _sample_points(seed: int) -> np.ndarray:
+    z_eq = np.linspace(0.0, 2.0 * np.pi, _N_EQUIDISTANT, endpoint=False)
     rng = np.random.default_rng(seed)
-    z_rand = rng.uniform(0.0, 2.0 * np.pi, size=n_random)
+    z_rand = rng.uniform(0.0, 2.0 * np.pi, size=_N_RANDOM)
     return np.concatenate([z_eq, z_rand])
 
 
@@ -134,85 +140,72 @@ def _residual_values_batch(family: SolutionFamily, a: float, etas: np.ndarray,
     return fpp + a * sin2z * coupling + (etas[None, :] - q * a * cos2z) * f
 
 
-def _residual_values(family: SolutionFamily, a: float, eta: float,
-                     c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return _residual_values_batch(family, a, np.array([eta]),
-                                  np.asarray(c)[:, None], z)[:, 0]
-
-
 def _residual_values_compensated(family: SolutionFamily, a: float, eta: float,
                                  c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Same residual, termwise with math.fsum per sample point."""
+    """Same residual for one mode, each sample's terms summed exactly by math.fsum."""
     B, Bp, Bpp = _basis_and_derivatives(family, z)
     q = family.q
     s = family.spin_sign
-    sin2z = np.sin(2.0 * z)
-    cos2z = np.cos(2.0 * z)
+    sin2z = np.sin(2.0 * z)[:, None]
+    cos2z = np.cos(2.0 * z)[:, None]
+    terms = c * (Bpp + a * sin2z * (Bp + 1j * s * B) + (eta - q * a * cos2z) * B)
     out = np.empty(len(z), dtype=complex)
-    for i in range(len(z)):
-        terms = c * (Bpp[i] + a * sin2z[i] * (Bp[i] + 1j * s * B[i])
-                     + (eta - q * a * cos2z[i]) * B[i])
-        out[i] = complex(math.fsum(terms.real), math.fsum(terms.imag))
+    out.real = [math.fsum(row) for row in terms.real.tolist()]
+    out.imag = [math.fsum(row) for row in terms.imag.tolist()]
     return out
 
 
-def ode_residual(family: SolutionFamily, a: float, eta: float,
-                 coefficients: np.ndarray, n_equidistant: int = 256,
-                 n_random: int = 32, seed: int = SAMPLING_SEED,
-                 k_index: int = 0, tol: float = ODE_RESIDUAL_TOL,
-                 compensated: bool = False) -> ResidualReport:
-    """Max |ODE left side| over equidistant plus seeded random z samples.
-
-    A failing report is data, not an exception.  When the plain evaluation
-    lands within 10x of tolerance the case is re-evaluated with compensated
-    summation before the verdict (large-a exponentials stress cancellation).
-    """
-    if n_equidistant < 256:
-        raise InputError("need at least 256 equidistant samples")
-    c = np.asarray(coefficients, dtype=float)
-    if len(c) != family.dim:
-        raise InputError("coefficient length does not match family dimension")
-    z = _sample_points(n_equidistant, n_random, seed)
-    scale = 1.0 + abs(eta) + a * family.dim
-    values = (_residual_values_compensated if compensated
-              else _residual_values)(family, a, eta, c, z)
-    max_residual = float(np.max(np.abs(values)))
-    used_compensated = compensated
-    if not compensated and tol * scale <= max_residual < _RECHECK_MARGIN * tol * scale:
-        values = _residual_values_compensated(family, a, eta, c, z)
-        max_residual = float(np.max(np.abs(values)))
-        used_compensated = True
-    return ResidualReport(
-        family=family, a=a, eta=eta, k_index=k_index,
-        max_residual=max_residual, sample_count=len(z), scale=scale,
-        tol=tol, passed=max_residual < tol * scale, seed=seed,
-        compensated=used_compensated)
-
-
 def _batch_residual_maxima(family: SolutionFamily, a: float, etas: np.ndarray,
-                           vectors: np.ndarray, seed: int,
-                           tol: float = ODE_RESIDUAL_TOL) -> np.ndarray:
-    """Per-mode max |residual|, with compensated re-evaluation of any mode
-    that lands within the recheck margin of tolerance."""
-    z = _sample_points(256, 32, seed)
+                           vectors: np.ndarray, seed: int):
+    """The residual policy: per-mode (maxima, scales, rechecked).
+
+    A mode passes when its max |residual| over the sample points is below
+    ODE_RESIDUAL_TOL * scale, scale = 1 + |eta| + a * dim.  Modes within the
+    recheck margin above that are re-evaluated with compensated summation
+    (large-a exponentials stress cancellation).
+    """
+    z = _sample_points(seed)
     values = _residual_values_batch(family, a, etas, vectors, z)
     maxima = np.max(np.abs(values), axis=0)
-    scale = 1.0 + np.abs(etas) + a * family.dim
-    recheck = (maxima >= tol * scale) & (maxima < _RECHECK_MARGIN * tol * scale)
-    for i in np.nonzero(recheck)[0]:
+    scales = 1.0 + np.abs(etas) + a * family.dim
+    limit = ODE_RESIDUAL_TOL * scales
+    rechecked = (maxima >= limit) & (maxima < _RECHECK_MARGIN * limit)
+    for i in np.nonzero(rechecked)[0]:
         comp = _residual_values_compensated(family, a, float(etas[i]),
                                             vectors[:, i], z)
         maxima[i] = float(np.max(np.abs(comp)))
-    return maxima
+    return maxima, scales, rechecked
+
+
+def ode_residual(family: SolutionFamily, a: float, eta: float,
+                 coefficients: np.ndarray, seed: int = SAMPLING_SEED,
+                 k_index: int = 0) -> ResidualReport:
+    """Max |ODE left side| of one eigenpair under `_batch_residual_maxima`.
+
+    Samples 256 equidistant plus 32 seeded random z points.  A failing
+    report is data, not an exception.
+    """
+    c = np.asarray(coefficients, dtype=float)
+    if len(c) != family.dim:
+        raise InputError("coefficient length does not match family dimension")
+    maxima, scales, rechecked = _batch_residual_maxima(
+        family, a, np.array([eta]), c[:, None], seed)
+    max_residual, scale = float(maxima[0]), float(scales[0])
+    return ResidualReport(
+        family=family, a=a, eta=eta, k_index=k_index,
+        max_residual=max_residual, sample_count=_N_EQUIDISTANT + _N_RANDOM,
+        scale=scale, tol=ODE_RESIDUAL_TOL,
+        passed=max_residual < ODE_RESIDUAL_TOL * scale, seed=seed,
+        compensated=bool(rechecked[0]))
 
 
 def attach_residuals(decomposition: SpectralDecomposition,
                      seed: int = SAMPLING_SEED) -> SpectralDecomposition:
     """Compute the ODE residual of every eigenpair and attach the column."""
-    res = _batch_residual_maxima(decomposition.family, decomposition.a,
-                                 decomposition.etas, decomposition.vectors,
-                                 seed)
-    return decomposition.with_residuals(res)
+    maxima, _, _ = _batch_residual_maxima(
+        decomposition.family, decomposition.a, decomposition.etas,
+        decomposition.vectors, seed)
+    return decomposition.with_residuals(maxima)
 
 
 # ---------------------------------------------------------------------------
@@ -221,41 +214,32 @@ def attach_residuals(decomposition: SpectralDecomposition,
 
 def _charpoly_newton_polish(T: TridiagonalOperator, w: np.ndarray,
                             steps: int = 3) -> np.ndarray:
-    """Sharpen eigenvalue estimates by Newton iteration on det(T - lam I).
+    """Sharpen all eigenvalue estimates at once by Newton on det(T - lam I).
 
-    The leading principal minors of a tridiagonal matrix obey
-    p_i = (d_{i-1} - lam) p_{i-1} - b_{i-2} p_{i-2} with b = super * sub;
-    the ratios q_i = p_i / p_{i-1} and u_i = p_i' / p_i are recursed instead
-    of the minors themselves to avoid overflow, and the Newton update is
-    lam -= 1/u_n.  Removes the conditioning error the general dense solver
-    picks up on strongly skewed operators; no LAPACK involved.
+    From the ratios q_i = p_i / p_{i-1} of `spectra.minor_ratios`, u_i = p_i'/p_i
+    is u_i = (-1 + (d_i - lam) u_{i-1} - b_{i-1} u_{i-2} / q_{i-1}) / q_i and
+    the update is lam -= 1/u_n.  An estimate whose u_n is zero or not finite,
+    or whose step exceeds 1 (a root jump), keeps its value from then on.
+    Removes the conditioning error the general dense solver picks up on
+    strongly skewed operators; no LAPACK involved.
     """
     d = T.diag
-    b = T.super_ * T.sub if T.dim > 1 else np.empty(0)
-    scale = float(np.max(np.abs(d)) + 2.0 * np.max(np.sqrt(np.abs(b)), initial=0.0))
-    pivmin = max(scale, 1.0) * 1e-300
-    out = w.copy()
-    for j, lam0 in enumerate(w):
-        lam = float(lam0)
+    b = T.super_ * T.sub
+    lam = w.copy()
+    active = np.ones(len(lam), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(steps):
-            q = d[0] - lam
-            if abs(q) < pivmin:
-                q = pivmin
-            u_prev, u = 0.0, -1.0 / q
-            for i in range(1, T.dim):
-                q_next = (d[i] - lam) - b[i - 1] / q
-                if abs(q_next) < pivmin:
-                    q_next = pivmin
-                u_next = (-1.0 + (d[i] - lam) * u - b[i - 1] * u_prev / q) / q_next
-                q, u_prev, u = q_next, u, u_next
-            if u == 0.0 or not math.isfinite(u):
-                break
+            ratios = minor_ratios(d, b, lam)
+            q_prev = next(ratios)
+            u_prev, u = 0.0, -1.0 / q_prev
+            for i, q in enumerate(ratios, start=1):
+                u_prev, u = u, (-1.0 + (d[i] - lam) * u
+                                - b[i - 1] * u_prev / q_prev) / q
+                q_prev = q
             step = 1.0 / u
-            if not math.isfinite(step) or abs(step) > 1.0:
-                break       # keep the raw value rather than jump roots
-            lam -= step
-        out[j] = lam
-    return out
+            active &= np.isfinite(u) & (np.abs(step) <= 1.0)
+            lam = np.where(active, lam - step, lam)
+    return lam
 
 
 def dense_oracle_crosscheck(T: TridiagonalOperator,
@@ -501,7 +485,7 @@ class VerificationReport:
 
 def run_point(kind: FamilyKind, n: int, a: float, n_m: float = 0.7685453911282961,
               seed: int = SAMPLING_SEED, eta_shift: float = 0.0) -> PointReport:
-    """Run all three checks for one grid point.
+    """Run all four checks for one grid point.
 
     eta_shift is a fault-injection knob used by the test suite to confirm
     that corrupted eigenvalues are caught; it must stay 0.0 in normal use.
@@ -510,22 +494,21 @@ def run_point(kind: FamilyKind, n: int, a: float, n_m: float = 0.768545391128296
     T = build_operator(family, a)
     dec = solve_spectrum(T)
 
-    maxima = _batch_residual_maxima(family, a, dec.etas + eta_shift,
-                                    dec.vectors, seed)
-    scales = 1.0 + np.abs(dec.etas + eta_shift) + a * family.dim
+    shifted = dec.etas + eta_shift
+    maxima, scales, _ = _batch_residual_maxima(family, a, shifted,
+                                               dec.vectors, seed)
     worst = float(np.max(maxima))
     worst_over_scale = float(np.max(maxima / scales))
     ode_ok = bool(np.all(maxima < ODE_RESIDUAL_TOL * scales))
 
-    dense_disc = dense_oracle_crosscheck(T, dec.etas + eta_shift)
-    sturm_disc = sturm_crosscheck(T, dec.etas + eta_shift)
+    dense_disc = dense_oracle_crosscheck(T, shifted)
+    sturm_disc = sturm_crosscheck(T, shifted)
 
     # spacetime check on the highest non-evanescent mode; rounding enters
     # like eps * e^(a/4) / h^2 while truncation shrinks like h^2, and some
     # small-(n, a) modes have tiny truncation constants, so the order
     # estimate needs a step well above the noise floor
     notes = []
-    shifted = dec.etas + eta_shift
     propagating = np.nonzero(shifted >= 0.0)[0]
     if len(propagating) == 0:
         # e.g. the one-dimensional sin-type operator at strong coupling:

@@ -124,6 +124,18 @@ class TestModes:
                            "--n", "2", "--a", "5", "--k-select", "9")
         assert code == 1
 
+    def test_malformed_k_select(self, capsys):
+        code, out, err = run(capsys, "modes", "--family", "kg-cos-even",
+                             "--n", "2", "--a", "5", "--k-select", "1,x")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_empty_k_select_token_as_in_config(self, capsys):
+        code, out, _ = run(capsys, "modes", "--family", "kg-cos-even",
+                           "--n", "2", "--a", "5", "--k-select", "1,,2")
+        assert code == 0
+        assert json.loads(out)["k_select"] == [1, 2]
+
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "modes", "--family", "kg-cos-even",
                            "--n", "2", "--a", "5", "--k-select", "2")

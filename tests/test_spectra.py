@@ -7,8 +7,8 @@ from incevolkov.errors import InputError, OracleError, StructuralError
 from incevolkov.families import ALL_KINDS, FamilyKind, SolutionFamily
 from incevolkov.operators import (TridiagonalOperator, build_dirac_operator,
                                   build_kg_operator, build_operator)
-from incevolkov.spectra import (solve_spectrum, sturm_bisection_oracle,
-                                symmetrize)
+from incevolkov.spectra import (minor_ratios, solve_spectrum,
+                                sturm_bisection_oracle, symmetrize)
 
 
 def _dense_similarity(T, scale):
@@ -121,6 +121,25 @@ class TestSolveSpectrum:
         assert np.array_equal(dec.vector(2), dec.vectors[:, 1])
         with pytest.raises(InputError):
             dec.vector(7)
+
+
+class TestMinorRatios:
+    @pytest.mark.parametrize("a", [0.5, 3.0, 14.0])
+    def test_negative_count_brackets_closed_form(self, a):
+        T = build_dirac_operator(1, a)
+        root = np.sqrt(4.0 + a * a)
+        shifts = np.array([2.0 - root - 1.0, 2.0, 2.0 + root + 1.0])
+        count = sum(q < 0 for q in minor_ratios(T.diag, T.super_ * T.sub, shifts))
+        assert list(count) == [0, 1, 2]
+
+    def test_zero_pivot_at_free_limit(self):
+        T = build_dirac_operator(3, 0.0)
+        x = T.diag[2]
+        ratios = [q[0] for q in
+                  minor_ratios(T.diag, T.super_ * T.sub, np.array([x]))]
+        assert ratios[2] == 0.0
+        assert np.all(np.isfinite(ratios))
+        assert ratios[3:] == list(T.diag[3:] - x)
 
 
 class TestSturmOracle:

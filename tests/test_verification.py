@@ -9,7 +9,11 @@ from incevolkov.operators import (TridiagonalOperator, build_dirac_operator,
                                   build_kg_operator, build_operator)
 from incevolkov.physparams import DeBroglieMomentum
 from incevolkov.spectra import solve_spectrum
-from incevolkov.verification import (attach_residuals, dense_oracle_crosscheck,
+from incevolkov.verification import (SAMPLING_SEED, _charpoly_newton_polish,
+                                     _residual_values_batch,
+                                     _residual_values_compensated,
+                                     _sample_points, attach_residuals,
+                                     dense_oracle_crosscheck,
                                      momentum_for_mode, ode_residual,
                                      pde_residual_fd, run_point,
                                      sturm_crosscheck, vacuum_null_momentum)
@@ -20,6 +24,29 @@ N_M = 0.7685453911282961
 def _solved(kind, n, a):
     fam = SolutionFamily(kind, n)
     return fam, solve_spectrum(build_operator(fam, a))
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _scalar_newton_polish(T, w, steps=3):
+    """Per-eigenvalue loop form of the Newton polish on det(T - lam I)."""
+    d, b = T.diag, T.super_ * T.sub
+    pivmin = max(np.max(np.abs(b), initial=0.0), 1.0) * np.finfo(float).tiny * 1e4
+    out = w.copy()
+    for j, lam in enumerate(w):
+        lam = float(lam)
+        for _ in range(steps):
+            q = d[0] - lam
+            u_prev, u = 0.0, -1.0 / q
+            for i in range(1, T.dim):
+                q_div = -pivmin if abs(q) < pivmin else q
+                q_next = (d[i] - lam) - b[i - 1] / q_div
+                u_next = (-1.0 + (d[i] - lam) * u - b[i - 1] * u_prev / q) / q_next
+                q, u_prev, u = q_next, u, u_next
+            if u == 0.0 or not np.isfinite(u) or abs(1.0 / u) > 1.0:
+                break
+            lam -= 1.0 / u
+        out[j] = lam
+    return out
 
 
 class TestOdeResidual:
@@ -58,12 +85,28 @@ class TestOdeResidual:
             assert not rep.passed
 
     def test_compensated_agrees(self):
-        fam, dec = _solved(FamilyKind.DIRAC_PLUS, 10, 20.0)
-        eta, c = float(dec.etas[0]), dec.vectors[:, 0]
-        plain = ode_residual(fam, 20.0, eta, c)
-        comp = ode_residual(fam, 20.0, eta, c, compensated=True)
-        assert comp.compensated
-        assert plain.passed and comp.passed
+        z = _sample_points(SAMPLING_SEED)
+        for kind in (FamilyKind.DIRAC_PLUS, FamilyKind.KG_SIN_ODD):
+            fam, dec = _solved(kind, 10, 20.0)
+            plain = _residual_values_batch(fam, 20.0, dec.etas, dec.vectors, z)
+            for i in range(dec.dim):
+                eta = float(dec.etas[i])
+                comp = _residual_values_compensated(fam, 20.0, eta,
+                                                    dec.vectors[:, i], z)
+                scale = 1.0 + abs(eta) + 20.0 * fam.dim
+                assert np.max(np.abs(comp - plain[:, i])) < 1e-9 * scale
+
+    def test_recheck_reported(self):
+        # mode 78 of this operator lands within the recheck margin
+        fam, dec = _solved(FamilyKind.DIRAC_PLUS, 39, 14.0)
+        eta, c = float(dec.etas[77]), dec.vectors[:, 77]
+        rep = ode_residual(fam, 14.0, eta, c, k_index=78)
+        comp = _residual_values_compensated(fam, 14.0, eta, c,
+                                            _sample_points(SAMPLING_SEED))
+        assert rep.compensated
+        assert rep.max_residual == np.max(np.abs(comp))
+        assert not ode_residual(fam, 14.0, float(dec.etas[0]),
+                                dec.vectors[:, 0]).compensated
 
     def test_coefficient_length_checked(self):
         fam = SolutionFamily(FamilyKind.DIRAC_PLUS, 2)
@@ -85,7 +128,20 @@ class TestDenseCrosscheck:
 
     def test_free_limit_exact(self):
         T = build_dirac_operator(5, 0.0)
-        assert dense_oracle_crosscheck(T) < 1e-13
+        assert dense_oracle_crosscheck(T) == 0.0
+
+    def test_exact_dense_eigenvalue_kept(self):
+        # dim 1: the raw dense value is exact, a zero pivot freezes the polish
+        T = build_kg_operator("kg-sin-odd", 1, 1.0)
+        assert dense_oracle_crosscheck(T) == 0.0
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("a", [0.0, 14.0])
+    def test_polish_matches_scalar_reference(self, kind, a):
+        T = build_operator(SolutionFamily(kind, 12), a)
+        w = np.sort(np.linalg.eigvals(T.to_dense()).real)
+        assert np.array_equal(_charpoly_newton_polish(T, w),
+                              _scalar_newton_polish(T, w))
 
     def test_strong_coupling_stress(self):
         T = build_kg_operator(FamilyKind.KG_COS_EVEN, 5, 50.0)

@@ -10,9 +10,8 @@ from .constants import ELECTRON_MASS, PROTON_MASS
 from .errors import (InputError, OracleError, OverdenseError, StructuralError,
                      VerificationFailure)
 from .families import ALL_KINDS, FamilyKind, SolutionFamily, parse_family_kind
-from .modulation import (DensityProfile, ModulationFunction, contrast,
-                         envelope_density, eval_polynomial_part,
-                         harmonic_strengths, sample_density)
+from .modulation import (ModulationFunction, contrast, envelope_density,
+                         eval_polynomial_part, harmonic_strengths)
 from .operators import (TridiagonalOperator, boundary_couplings,
                         build_dirac_operator, build_extended_operator,
                         build_kg_operator, build_operator)

@@ -7,8 +7,9 @@ Commands:
     figure    regenerate the plot-ready data tables (1, 2 or 3)
     verify    run the independent verification checks
 
-Exit codes: 0 success, 1 input error, 2 verification failure,
-3 internal/structural error.
+Exit codes: 0 success, 1 input error, 2 verification failure (for
+spectrum and modes: the output is written in full, and some emitted
+eigenpair failed its ODE residual), 3 internal/structural error.
 """
 
 from __future__ import annotations
@@ -111,10 +112,20 @@ def cmd_params(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _solved_decomposition(cfg: RunConfig):
+    """(family, a, decomposition with residuals, per-eigenpair verdicts)."""
     family = SolutionFamily(cfg.family_kind(), cfg.require_n())
     a = cfg.resolve_a()
     dec = solve_spectrum(build_operator(family, a))
-    return family, a, verification.attach_residuals(dec, seed=cfg.seed)
+    return (family, a, *verification.attach_residuals(dec, seed=cfg.seed))
+
+
+def _fail_on_residuals(family, a, failing: list) -> None:
+    """After the output is written: exit 2 if any emitted k failed its residual."""
+    if failing:
+        labels = ", ".join(str(k) for k in failing)
+        raise VerificationFailure(
+            f"ODE residual failed for {family.kind.value} n={family.n} "
+            f"a={format_number(a)}: k = {labels}")
 
 
 def _spectrum_rows(dec):
@@ -127,7 +138,7 @@ def _spectrum_rows(dec):
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    family, a, dec = _solved_decomposition(cfg)
+    family, a, dec, passed = _solved_decomposition(cfg)
     if cfg.output_format == "csv":
         text = render_csv(
             ["k", "eta", "ode_residual", "classification", "k_dot_p_over_kp2"],
@@ -160,6 +171,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         }
         text = dumps_json(payload) + "\n"
     _emit(cfg, text)
+    _fail_on_residuals(family, a, [int(k) for k in dec.k_labels[~passed]])
     return 0
 
 
@@ -168,7 +180,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_modes(cfg: RunConfig, n_points: int = 257) -> int:
-    family, a, dec = _solved_decomposition(cfg)
+    family, a, dec, passed = _solved_decomposition(cfg)
     k_list = cfg.k_select or tuple(range(1, dec.dim + 1))
     for k in k_list:
         if not 1 <= k <= dec.dim:
@@ -207,6 +219,7 @@ def cmd_modes(cfg: RunConfig, n_points: int = 257) -> int:
         }
         text = dumps_json(payload) + "\n"
     _emit(cfg, text)
+    _fail_on_residuals(family, a, [k for k in k_list if not passed[k - 1]])
     return 0
 
 
@@ -229,7 +242,7 @@ def cmd_figure(cfg: RunConfig, which: int) -> int:
     if which == 1:
         xi = np.linspace(-np.pi, np.pi, FIGURE1_POINTS)
         cols = ["xi_rad"] + [f"density_a{int(a)}" for a in FIGURE1_A_VALUES]
-        dens = [envelope_density(a, xi, "peak-one") for a in FIGURE1_A_VALUES]
+        dens = [envelope_density(a, xi) for a in FIGURE1_A_VALUES]
         rows = [(float(xi[i]), *(float(d[i]) for d in dens))
                 for i in range(len(xi))]
         comments = [

@@ -18,6 +18,7 @@ warnings.  Exactly one of (laser + plasma inputs) or the direct override
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -63,6 +64,7 @@ KNOWN_KEYS = {
     "output.path": ("output_path", str),
     "seed": ("seed", _parse_int),
 }
+_KEY_OF = {attr: key for key, (attr, _) in KNOWN_KEYS.items()}
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,10 @@ class RunConfig:
     seed: int = SAMPLING_SEED
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InputError(f"{_KEY_OF[f.name]} must be finite, got {value!r}")
         if self.output_format not in ("json", "csv"):
             raise InputError(
                 f"output format must be json or csv, got {self.output_format!r}")

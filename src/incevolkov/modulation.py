@@ -14,19 +14,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0e
 
 from .errors import InputError
 from .families import FamilyKind, SolutionFamily
 from .spectra import SpectralDecomposition
 
 __all__ = [
-    "ModulationFunction", "DensityProfile",
-    "eval_polynomial_part", "envelope_density", "contrast",
-    "harmonic_strengths", "sample_density",
+    "ModulationFunction", "eval_polynomial_part", "envelope_density",
+    "contrast", "harmonic_strengths",
 ]
-
-_NORMALIZATIONS = ("peak-one", "unit-integral")
 
 
 def eval_polynomial_part(family: SolutionFamily, coefficients: np.ndarray,
@@ -87,22 +83,14 @@ class ModulationFunction:
         return np.abs(self.value(xi)) ** 2
 
 
-def envelope_density(a: float, xi, normalization: str = "peak-one"):
-    """Squared envelope exp[-(a/2) cos xi], normalized.
+def envelope_density(a: float, xi):
+    """Squared envelope exp[-(a/2) cos xi] divided by its maximum exp[a/2].
 
-    peak-one: divided by the maximum exp[a/2], so the value is exactly 1 at
-    xi = +-pi.  unit-integral: divided by the exact integral over one
-    period, 2 pi I0(a/2), evaluated overflow-free via the scaled Bessel
-    function.
+    The value is exactly 1 at xi = +-pi.
     """
     if a < 0:
         raise InputError(f"coupling parameter a must be >= 0, got {a}")
-    if normalization not in _NORMALIZATIONS:
-        raise InputError(f"normalization must be one of {_NORMALIZATIONS}")
-    shifted = np.exp(-(a / 2.0) * (np.cos(xi) + 1.0))
-    if normalization == "peak-one":
-        return shifted
-    return shifted / (2.0 * np.pi * i0e(a / 2.0))
+    return np.exp(-(a / 2.0) * (np.cos(xi) + 1.0))
 
 
 def contrast(a: float) -> tuple[float, float]:
@@ -131,36 +119,3 @@ def harmonic_strengths(decomposition: SpectralDecomposition) -> list[tuple[int, 
         for r, c in zip(harmonics, v):
             rows.append((int(k), float(r), float(c * c)))
     return rows
-
-
-@dataclass(frozen=True)
-class DensityProfile:
-    """Sampled density on a phase grid."""
-
-    xi: np.ndarray
-    values: np.ndarray
-    normalization: str
-
-    def __post_init__(self):
-        self.xi.setflags(write=False)
-        self.values.setflags(write=False)
-
-
-def sample_density(mod: ModulationFunction, n_points: int,
-                   normalization: str = "peak-one") -> DensityProfile:
-    """|value|^2 on an equidistant grid over [-pi, pi]."""
-    if n_points < 2:
-        raise InputError(f"n_points must be >= 2, got {n_points}")
-    if normalization not in _NORMALIZATIONS:
-        raise InputError(f"normalization must be one of {_NORMALIZATIONS}")
-    xi = np.linspace(-np.pi, np.pi, n_points)
-    values = mod.density(xi)
-    if normalization == "peak-one":
-        peak = float(np.max(values))
-        if peak > 0:
-            values = values / peak
-    else:
-        integral = float(np.trapezoid(values, xi))
-        if integral > 0:
-            values = values / integral
-    return DensityProfile(xi=xi, values=values, normalization=normalization)

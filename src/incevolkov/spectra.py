@@ -104,7 +104,11 @@ def symmetrize(T: TridiagonalOperator):
     scale = np.ones(dim)
     off = np.zeros(max(dim - 1, 0))
     for i in range(dim - 1):
-        p = T.super_[i] * T.sub[i]
+        p = float(T.super_[i]) * float(T.sub[i])     # overflows to inf silently
+        if p == np.inf:
+            raise InputError(
+                f"bond {i}: super*sub overflows at a = {T.a!r}; "
+                "the coupling is too large for double precision")
         if p > 0.0:
             off[i] = np.sqrt(p)
             scale[i + 1] = scale[i] * np.sqrt(T.super_[i] / T.sub[i])

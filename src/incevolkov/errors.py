@@ -23,7 +23,14 @@ class StructuralError(RuntimeError):
 
 class OracleError(RuntimeError):
     """An independent oracle failed to converge within its iteration
-    budget.  Treated as a test failure, never silently ignored."""
+    budget.  Treated as a test failure, never silently ignored.
+
+    `index` is the position of the failing matrix in a batch, when known.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class VerificationFailure(RuntimeError):

@@ -124,6 +124,10 @@ class PlasmaInput:
     def __post_init__(self):
         if self.plasma_energy_ev <= 0:
             raise InputError("plasma energy must be positive")
+        if not 0.0 < self.k_p < math.inf:
+            raise InputError(
+                f"plasma energy {self.plasma_energy_ev!r} eV gives a plasma "
+                f"wavenumber k_p = {self.k_p!r} 1/m, outside double range")
         if self.electron_density_cm3 is not None:
             implied = self.omega_p_from_density(self.electron_density_cm3)
             if not math.isclose(implied, self.omega_p,
@@ -180,7 +184,13 @@ def coupling_parameter(laser: LaserInput, plasma: PlasmaInput) -> float:
     """
     _require_underdense(plasma, laser)
     eps_a0 = E_CHARGE * laser.vector_potential / (HBAR * C_LIGHT)   # 1/m
-    return 4.0 * eps_a0 / plasma.k_p
+    a = 4.0 * eps_a0 / plasma.k_p
+    if not math.isfinite(a):
+        raise InputError(
+            f"coupling a overflows double range at intensity "
+            f"{laser.intensity_w_cm2!r} W/cm^2 and plasma energy "
+            f"{plasma.plasma_energy_ev!r} eV")
+    return a
 
 
 def intensity_parameter(laser: LaserInput, particle_mass_kg: float) -> float:

@@ -5,7 +5,9 @@ a > 0, so a diagonal similarity turns them into real symmetric tridiagonal
 matrices.  The primary solver is LAPACK's symmetric tridiagonal eigensolver
 (scipy.linalg.eigh_tridiagonal).  `sturm_bisection_oracle` and the dense
 check's Newton polish (verification module) share no numerical machinery
-with it; both run the LAPACK-free leading-minor recurrence `minor_ratios`.
+with it; both run the LAPACK-free leading-minor recurrence `minor_ratios`,
+over stacks of equal-dimension matrices, and the oracle bisects each matrix
+to a tolerance relative to its Gershgorin bounds.
 
 Conventions fixed here and recorded in every output:
   * eigenvalues sorted ascending, k labels 1-based in that order;
@@ -42,6 +44,9 @@ __all__ = [
 
 # distinctness threshold for the gap diagnostic, relative to spectral spread
 RELATIVE_GAP_THRESHOLD = 1e-8
+# a Sturm bracket need not be narrower than this many ulps of its matrix's
+# largest Gershgorin bound: near one ulp, bisection cannot shrink it further
+_STURM_TOL_ULPS = 8
 
 
 @dataclass(frozen=True)
@@ -144,65 +149,88 @@ def solve_spectrum(T: TridiagonalOperator) -> SpectralDecomposition:
 def minor_ratios(d, b, x):
     """Yield q_i = p_i / p_{i-1}, the leading-minor ratios of T - x I, by row.
 
-    T has diagonal d and bond products b = super * sub: q_0 = d_0 - x and
-    q_i = d_i - x - b_{i-1} / q_{i-1}, vectorized over shifts x.  Ratios are
-    yielded unclamped; as a divisor, one below pivmin (scaled by max |b|) in
-    magnitude becomes -pivmin, as in LAPACK dstebz.
+    A stack of B equal-dimension matrices T with diagonals d, shape
+    (B, dim), and bond products b = super * sub, shape (B, dim - 1), is
+    shifted by x, shape (B, m): q_0 = d_0 - x and q_i = d_i - x - b_{i-1} /
+    q_{i-1}, each of shape (B, m).  Every element sees the arithmetic of a
+    lone matrix, so a matrix gets the same bits in any stack.  Ratios are
+    yielded unclamped; as a divisor, one below its matrix's pivmin (scaled
+    by that matrix's max |b|) in magnitude becomes -pivmin, as in LAPACK
+    dstebz.
     """
-    pivmin = max(float(np.abs(b).max(initial=0.0)), 1.0) * np.finfo(float).tiny * 1e4
-    q = d[0] - x
+    shape = x.shape
+    pivmin = (np.maximum(np.abs(b).max(axis=1, initial=0.0), 1.0)
+              * np.finfo(float).tiny * 1e4)
+    pivmin = np.broadcast_to(pivmin[:, None], shape)
+    neg_pivmin = -pivmin
+    # every matrix's row coefficients spread over its shifts, so that each
+    # step combines arrays of one shape: broadcasting a (B, 1) column
+    # against (B, m) costs about as much as the arithmetic itself
+    d_rows = np.repeat(d.T, shape[1], axis=1).reshape(-1, *shape)
+    b_rows = np.repeat(b.T, shape[1], axis=1).reshape(-1, *shape)
+    q = d_rows[0] - x
     yield q
-    for i in range(1, len(d)):
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        q = d[i] - x - b[i - 1] / q
+    for i in range(1, len(d_rows)):
+        q = np.where(np.abs(q) < pivmin, neg_pivmin, q)
+        q = d_rows[i] - x - b_rows[i - 1] / q
         yield q
 
 
 def sturm_bisection_oracle(diag: np.ndarray, offdiag: np.ndarray,
                            tol: float = 1e-11,
                            max_iterations: int = 250) -> np.ndarray:
-    """All eigenvalues of a symmetric tridiagonal matrix by Sturm bisection.
+    """All eigenvalues of stacked symmetric tridiagonal matrices by Sturm bisection.
 
-    Counts eigenvalues below x as negative `minor_ratios` (with b = e^2) and
-    bisects each index on a Gershgorin-bounded interval until its bracket
-    is narrower than tol.  Independent of LAPACK by construction.
+    diag has shape (B, dim) and offdiag (B, dim - 1); the result has shape
+    (B, dim).  Counts eigenvalues below x as negative `minor_ratios` (with
+    b = e^2) and bisects each index on a Gershgorin-bounded interval.  A
+    matrix stops at the first iteration at which its widest bracket is
+    narrower than its own tolerance, max(tol, 8 eps max|Gershgorin bound|)
+    (relative, as in LAPACK dstebz), and leaves the batch there, so it gets
+    the bits it gets alone.  Independent of LAPACK by construction.
     """
     if tol <= 0:
         raise InputError("tol must be positive")
     d = np.asarray(diag, dtype=float)
     e = np.asarray(offdiag, dtype=float)
-    nd = len(d)
-    if nd == 0:
-        return np.empty(0)
-    if nd == 1:
+    batch, nd = d.shape
+    if nd <= 1:
         return d.copy()
-    if len(e) != nd - 1:
-        raise InputError("offdiag must have length dim - 1")
+    if e.shape != (batch, nd - 1):
+        raise InputError("offdiag must have shape (B, dim - 1)")
 
     eabs = np.abs(e)
-    radius = np.zeros(nd)
-    radius[0] = eabs[0]
-    radius[-1] = eabs[-1]
-    if nd > 2:
-        radius[1:-1] = eabs[:-1] + eabs[1:]
-    lo_bound = float(np.min(d - radius))
-    hi_bound = float(np.max(d + radius))
-    span = max(hi_bound - lo_bound, 1.0)
-    lo = np.full(nd, lo_bound - 1e-3 * span)
-    hi = np.full(nd, hi_bound + 1e-3 * span)
+    radius = np.pad(eabs, ((0, 0), (1, 0))) + np.pad(eabs, ((0, 0), (0, 1)))
+    lo_bound = np.min(d - radius, axis=1)
+    hi_bound = np.max(d + radius, axis=1)
+    span = np.maximum(hi_bound - lo_bound, 1.0)
+    tols = np.maximum(tol, _STURM_TOL_ULPS * np.finfo(float).eps
+                      * np.maximum(np.abs(lo_bound), np.abs(hi_bound)))
+    lo = np.repeat((lo_bound - 1e-3 * span)[:, None], nd, axis=1)
+    hi = np.repeat((hi_bound + 1e-3 * span)[:, None], nd, axis=1)
 
     e2 = e * e
-    ks = np.arange(nd)
+    ks = np.arange(1, nd + 1)
+    out = np.empty_like(d)
+    live = np.arange(batch)             # stack rows of the matrices still bisecting
 
     for _ in range(max_iterations):
         mid = 0.5 * (lo + hi)
-        count = np.zeros(nd, dtype=np.int64)
+        count = np.zeros(mid.shape, dtype=np.int64)
         for q in minor_ratios(d, e2, mid):
             count += q < 0
-        move_down = count >= ks + 1
+        move_down = count >= ks
         hi = np.where(move_down, mid, hi)
         lo = np.where(move_down, lo, mid)
-        if float(np.max(hi - lo)) < tol:
-            return 0.5 * (lo + hi)
+        done = np.max(hi - lo, axis=1) < tols
+        if done.any():
+            out[live[done]] = 0.5 * (lo[done] + hi[done])
+            keep = ~done
+            if not keep.any():
+                return out
+            live, d, e2, tols, lo, hi = (
+                arr[keep] for arr in (live, d, e2, tols, lo, hi))
     raise OracleError(
-        f"Sturm bisection did not reach tol {tol} in {max_iterations} iterations")
+        f"Sturm bisection did not reach tol {tols[0]:.3g} in {max_iterations} "
+        f"iterations (widest bracket {np.max(hi[0] - lo[0]):.3g})",
+        index=int(live[0]))

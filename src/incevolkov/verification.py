@@ -11,15 +11,20 @@ Four checks, none sharing numerical machinery with the primary eigensolver:
   * dense_oracle_crosscheck: embeds the tridiagonal operator in a dense
     matrix and solves it with the general nonsymmetric dense eigensolver;
     confirms realness and agreement of the spectrum.
-  * sturm_crosscheck: Sturm bisection on the symmetrized matrix.  It and
-    the dense check's Newton polish share one LAPACK-free recurrence,
-    `spectra.minor_ratios`.
+  * sturm_crosscheck: Sturm bisection on the symmetrized matrix, to a
+    relative tolerance.  It and the dense check's Newton polish share one
+    LAPACK-free recurrence, `spectra.minor_ratios`.
   * pde_residual_fd: assembles the full spacetime wave
     Psi(t,x,y) = modulation(xi) * exp{+i [p - (k.p) k] . x}, xi = k.x,
     applies second-order central differences to the gauge-covariant wave
     operator, and checks O(h^2) convergence of the residual.  This is the
     end-to-end test that the reduction chain from the wave equation to the
     tridiagonal eigenproblem is consistent, including every sign choice.
+
+The dense and Sturm checks take a sequence of equal-dimension operators
+and run over the whole stack at once, with each operator getting the bits
+it gets alone; `run_grid` groups its points by dimension for them, and
+`run_point` is the same path with a group of one.
 
 Sign conventions verified by the PDE check (electron, charge coupling
 eps_c * A0 = -a/4 in the dimensionless units hbar = c = 1, k_p = 1):
@@ -38,11 +43,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import SAMPLING_SEED
-from .errors import InputError, StructuralError
+from .errors import InputError, OracleError, StructuralError
 from .families import ALL_KINDS, FamilyKind, SolutionFamily
 from .modulation import eval_polynomial_part
 from .operators import TridiagonalOperator, build_operator
 from .physparams import DeBroglieMomentum
+from .serialize import format_number
 from .spectra import (SpectralDecomposition, minor_ratios, solve_spectrum,
                       sturm_bisection_oracle, symmetrize)
 
@@ -63,6 +69,7 @@ STURM_TOL = 1e-11
 PDE_ORDER_BAND = (1.8, 2.2)
 DEFAULT_GRID_A_VALUES = (0.0, 0.5, 1.0, 5.0, 14.0, 20.0)
 DEFAULT_GRID_N_MAX = 25
+DEFAULT_GRID_N_M = 0.7685453911282961   # refractive index of the spacetime check
 
 # ODE residual sample points: equidistant plus seeded random, in z = xi/2
 _N_EQUIDISTANT = 256
@@ -209,29 +216,31 @@ def attach_residuals(decomposition: SpectralDecomposition,
 # dense and Sturm cross-checks
 # ---------------------------------------------------------------------------
 
-def _charpoly_newton_polish(T: TridiagonalOperator, w: np.ndarray,
+def _charpoly_newton_polish(d: np.ndarray, b: np.ndarray, w: np.ndarray,
                             steps: int = 3) -> np.ndarray:
-    """Sharpen all eigenvalue estimates at once by Newton on det(T - lam I).
+    """Sharpen all eigenvalue estimates of a stack at once by Newton on det(T - lam I).
 
-    From the ratios q_i = p_i / p_{i-1} of `spectra.minor_ratios`, u_i = p_i'/p_i
-    is u_i = (-1 + (d_i - lam) u_{i-1} - b_{i-1} u_{i-2} / q_{i-1}) / q_i and
-    the update is lam -= 1/u_n.  An estimate whose u_n is zero or not finite,
-    or whose step exceeds 1 (a root jump), keeps its value from then on.
+    d (B, dim) and b = super * sub (B, dim - 1) describe B equal-dimension
+    operators; w (B, dim) holds their estimates.  From the ratios
+    q_i = p_i / p_{i-1} of `spectra.minor_ratios`, u_i = p_i'/p_i is
+    u_i = (-1 + (d_i - lam) u_{i-1} - b_{i-1} u_{i-2} / q_{i-1}) / q_i and the
+    update is lam -= 1/u_n.  An estimate whose u_n is zero or not finite, or
+    whose step exceeds 1 (a root jump), keeps its value from then on.
     Removes the conditioning error the general dense solver picks up on
     strongly skewed operators; no LAPACK involved.
     """
-    d = T.diag
-    b = T.super_ * T.sub
+    d_rows = d.T[:, :, None]
+    b_rows = b.T[:, :, None]
     lam = w.copy()
-    active = np.ones(len(lam), dtype=bool)
+    active = np.ones(lam.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(steps):
             ratios = minor_ratios(d, b, lam)
             q_prev = next(ratios)
             u_prev, u = 0.0, -1.0 / q_prev
             for i, q in enumerate(ratios, start=1):
-                u_prev, u = u, (-1.0 + (d[i] - lam) * u
-                                - b[i - 1] * u_prev / q_prev) / q
+                u_prev, u = u, (-1.0 + (d_rows[i] - lam) * u
+                                - b_rows[i - 1] * u_prev / q_prev) / q
                 q_prev = q
             step = 1.0 / u
             active &= np.isfinite(u) & (np.abs(step) <= 1.0)
@@ -239,38 +248,58 @@ def _charpoly_newton_polish(T: TridiagonalOperator, w: np.ndarray,
     return lam
 
 
-def dense_oracle_crosscheck(T: TridiagonalOperator,
-                            etas: np.ndarray | None = None) -> float:
-    """Max |sorted dense eigenvalues - etas|; raises on complex spectrum.
+def _describe(T: TridiagonalOperator) -> str:
+    return f"{T.family.kind.value} n={T.family.n} a={format_number(T.a)}"
 
-    The dense path (general nonsymmetric eigensolver on the embedded
-    matrix, plus a characteristic-polynomial Newton polish) shares nothing
-    with the symmetrize-then-tridiagonal route.  Realness is asserted on
-    the raw dense eigenvalues, before polishing.
+
+def _equal_dim_etas(operators, etas) -> np.ndarray:
+    """The (B, dim) eigenvalues to judge: etas, or the primary solver's."""
+    if len({T.dim for T in operators}) != 1:
+        raise InputError("batched cross-checks need operators of one dimension")
+    if etas is None:
+        etas = [solve_spectrum(T).etas for T in operators]
+    return np.asarray(etas, dtype=float)
+
+
+def dense_oracle_crosscheck(operators, etas=None) -> np.ndarray:
+    """Per operator, max |sorted dense eigenvalues - etas|; raises on a complex spectrum.
+
+    operators is a sequence of equal-dimension operators and etas the
+    matching sequence of eigenvalue arrays (default: the primary solver's).
+    The dense path (general nonsymmetric eigensolver on each embedded
+    matrix, plus a characteristic-polynomial Newton polish run over the
+    whole stack) shares nothing with the symmetrize-then-tridiagonal route.
+    Realness is asserted on the raw dense eigenvalues, before polishing.
     """
-    if T.dim > 200:
+    if operators[0].dim > 200:
         raise InputError("dense cross-check limited to dim <= 200")
-    if etas is None:
-        etas = solve_spectrum(T).etas
-    w = np.linalg.eigvals(T.to_dense())
-    max_imag = float(np.max(np.abs(w.imag))) if T.dim else 0.0
-    if max_imag > DENSE_IMAG_TOL:
-        raise StructuralError(
-            f"dense eigenvalues have imaginary parts up to {max_imag:.3e} "
-            f"(> {DENSE_IMAG_TOL}); recurrence or symmetrization is wrong")
-    polished = _charpoly_newton_polish(T, np.sort(w.real))
-    return float(np.max(np.abs(np.sort(polished) - etas)))
+    etas = _equal_dim_etas(operators, etas)
+    w = np.linalg.eigvals(np.stack([T.to_dense() for T in operators]))
+    for T, max_imag in zip(operators, np.max(np.abs(w.imag), axis=1)):
+        if max_imag > DENSE_IMAG_TOL:
+            raise StructuralError(
+                f"{_describe(T)}: dense eigenvalues have imaginary parts up to "
+                f"{max_imag:.3e} (> {DENSE_IMAG_TOL}); recurrence or "
+                "symmetrization is wrong")
+    d = np.stack([T.diag for T in operators])
+    b = np.stack([T.super_ * T.sub for T in operators])
+    polished = _charpoly_newton_polish(d, b, np.sort(w.real, axis=1))
+    return np.max(np.abs(np.sort(polished, axis=1) - etas), axis=1)
 
 
-def sturm_crosscheck(T: TridiagonalOperator,
-                     etas: np.ndarray | None = None,
-                     tol: float = STURM_TOL) -> float:
-    """Max discrepancy between the Sturm bisection oracle and etas."""
-    if etas is None:
-        etas = solve_spectrum(T).etas
-    diag, off, _ = symmetrize(T)
-    oracle = sturm_bisection_oracle(diag, off, tol=tol)
-    return float(np.max(np.abs(oracle - etas)))
+def sturm_crosscheck(operators, etas=None, tol: float = STURM_TOL) -> np.ndarray:
+    """Per operator, max discrepancy between the Sturm bisection oracle and etas.
+
+    One `sturm_bisection_oracle` call bisects the symmetrized matrices of
+    all the equal-dimension operators together.
+    """
+    etas = _equal_dim_etas(operators, etas)
+    diags, offs, _ = zip(*(symmetrize(T) for T in operators))
+    try:
+        oracle = sturm_bisection_oracle(np.stack(diags), np.stack(offs), tol=tol)
+    except OracleError as exc:
+        raise OracleError(f"{_describe(operators[exc.index])}: {exc}") from exc
+    return np.max(np.abs(oracle - etas), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +444,11 @@ def pde_residual_fd(family: SolutionFamily, coefficients: np.ndarray,
             res = res - 1j * s * (a / 4.0) * np.sin(xi) * p0v
         return float(np.max(np.abs(res)))
 
-    r_h = max_residual(h)
-    r_half = max_residual(h / 2.0)
+    # past a ~ 2800, e^(a/4) leaves double range: the residual comes out
+    # non-finite and fails the order band, which is the report, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        r_h = max_residual(h)
+        r_half = max_residual(h / 2.0)
     order = math.log2(r_h / r_half) if r_half > 0 else math.inf
     return PdeResidualReport(
         family=family, a=a, eta=momentum.eta, k_index=momentum.k_index,
@@ -480,73 +512,91 @@ class VerificationReport:
         }
 
 
-def run_point(kind: FamilyKind, n: int, a: float, n_m: float = 0.7685453911282961,
-              seed: int = SAMPLING_SEED, eta_shift: float = 0.0) -> PointReport:
-    """Run all four checks for one grid point.
-
-    eta_shift is a fault-injection knob used by the test suite to confirm
-    that corrupted eigenvalues are caught; it must stay 0.0 in normal use.
-    """
-    family = SolutionFamily(kind, n)
-    T = build_operator(family, a)
-    dec = solve_spectrum(T)
-
-    shifted = dec.etas + eta_shift
-    maxima, scales, passed = _batch_residual_maxima(family, a, shifted,
-                                                    dec.vectors, seed)
-    worst = float(np.max(maxima))
-    worst_over_scale = float(np.max(maxima / scales))
-    ode_ok = bool(np.all(passed))
-
-    dense_disc = dense_oracle_crosscheck(T, shifted)
-    sturm_disc = sturm_crosscheck(T, shifted)
-
+def _pde_check(family: SolutionFamily, a: float, etas: np.ndarray,
+               vectors: np.ndarray, n_m: float, seed: int):
+    """(order, residual, passed, notes) of the spacetime check of one point."""
     # spacetime check on the highest non-evanescent mode; rounding enters
     # like eps * e^(a/4) / h^2 while truncation shrinks like h^2, and some
     # small-(n, a) modes have tiny truncation constants, so the order
     # estimate needs a step well above the noise floor
-    notes = []
-    propagating = np.nonzero(shifted >= 0.0)[0]
+    propagating = np.nonzero(etas >= 0.0)[0]
     if len(propagating) == 0:
         # e.g. the one-dimensional sin-type operator at strong coupling:
         # every eta is negative, no real momentum carries the mode
-        pde_order = math.nan
-        pde_res = math.nan
-        pde_ok = True
-        notes.append("all modes evanescent (eta < 0): spacetime check not applicable")
-    else:
-        top = int(propagating[-1])
-        mom = momentum_for_mode(family, float(shifted[top]), n_m,
-                                k_index=top + 1)
-        pde_h = 5e-3 if a <= 25.0 else 1e-2
-        pde = pde_residual_fd(family, dec.vectors[:, top], mom, n_m, a,
-                              h=pde_h, seed=seed)
-        pde_order = pde.observed_order
-        pde_res = pde.max_residual
-        pde_ok = pde.converged_second_order or pde.max_residual_half < 1e-12
+        return (math.nan, math.nan, True,
+                ["all modes evanescent (eta < 0): spacetime check not applicable"])
+    top = int(propagating[-1])
+    mom = momentum_for_mode(family, float(etas[top]), n_m, k_index=top + 1)
+    pde_h = 5e-3 if a <= 25.0 else 1e-2
+    pde = pde_residual_fd(family, vectors[:, top], mom, n_m, a, h=pde_h, seed=seed)
+    return (pde.observed_order, pde.max_residual,
+            pde.converged_second_order or pde.max_residual_half < 1e-12, [])
 
-    if a == 0.0:
-        notes.append("a=0: spectrum degenerates to the squared basis frequencies")
-    return PointReport(
-        kind=kind.value, n=n, a=a, dim=family.dim,
-        max_ode_residual=worst, max_ode_residual_over_scale=worst_over_scale,
-        ode_passed=ode_ok,
-        dense_discrepancy=dense_disc,
-        dense_passed=dense_disc < ORACLE_AGREEMENT_TOL,
-        sturm_discrepancy=sturm_disc,
-        sturm_passed=sturm_disc < ORACLE_AGREEMENT_TOL,
-        pde_order=pde_order, pde_residual=pde_res,
-        pde_passed=pde_ok,
-        min_relative_gap=dec.min_relative_gap, note="; ".join(notes))
+
+def _check_group(points, n_m: float, seed: int, eta_shift: float) -> list:
+    """PointReports of (kind, n, a) points whose operators share one dimension.
+
+    Each point is built, solved and judged by its ODE residual; the dense
+    and Sturm cross-checks then run once over the whole group, and the
+    spacetime check per point.
+    """
+    families = [SolutionFamily(kind, n) for kind, n, _ in points]
+    ops = [build_operator(fam, a) for fam, (_, _, a) in zip(families, points)]
+    decs = [solve_spectrum(T) for T in ops]
+    shifted = [dec.etas + eta_shift for dec in decs]
+    odes = [_batch_residual_maxima(fam, a, etas, dec.vectors, seed)
+            for fam, (_, _, a), etas, dec in zip(families, points, shifted, decs)]
+    dense = dense_oracle_crosscheck(ops, shifted)
+    sturm = sturm_crosscheck(ops, shifted)
+
+    reports = []
+    for fam, (kind, n, a), dec, etas, (maxima, scales, passed), dense_disc, sturm_disc \
+            in zip(families, points, decs, shifted, odes, dense, sturm):
+        pde_order, pde_res, pde_ok, notes = _pde_check(fam, a, etas, dec.vectors,
+                                                       n_m, seed)
+        if a == 0.0:
+            notes.append("a=0: spectrum degenerates to the squared basis frequencies")
+        reports.append(PointReport(
+            kind=kind.value, n=n, a=a, dim=fam.dim,
+            max_ode_residual=float(np.max(maxima)),
+            max_ode_residual_over_scale=float(np.max(maxima / scales)),
+            ode_passed=bool(np.all(passed)),
+            dense_discrepancy=float(dense_disc),
+            dense_passed=bool(dense_disc < ORACLE_AGREEMENT_TOL),
+            sturm_discrepancy=float(sturm_disc),
+            sturm_passed=bool(sturm_disc < ORACLE_AGREEMENT_TOL),
+            pde_order=pde_order, pde_residual=pde_res, pde_passed=pde_ok,
+            min_relative_gap=dec.min_relative_gap, note="; ".join(notes)))
+    return reports
+
+
+def run_point(kind: FamilyKind, n: int, a: float, n_m: float = DEFAULT_GRID_N_M,
+              seed: int = SAMPLING_SEED, eta_shift: float = 0.0) -> PointReport:
+    """Run all four checks for one grid point: the grid's path, with a group of one.
+
+    eta_shift is a fault-injection knob used by the test suite to confirm
+    that corrupted eigenvalues are caught; it must stay 0.0 in normal use.
+    """
+    return _check_group([(kind, n, a)], n_m, seed, eta_shift)[0]
 
 
 def run_grid(kinds=ALL_KINDS, n_max: int = DEFAULT_GRID_N_MAX,
              a_values=DEFAULT_GRID_A_VALUES,
              seed: int = SAMPLING_SEED) -> VerificationReport:
-    """Run every check over the shipped grid, deterministically ordered."""
-    points = []
-    for kind in sorted(kinds, key=lambda k: k.value):
-        for n in range(1, n_max + 1):
-            for a in a_values:
-                points.append(run_point(kind, n, float(a), seed=seed))
-    return VerificationReport(points=tuple(points), seed=seed)
+    """Run every check over the shipped grid, deterministically ordered.
+
+    Points are checked in groups of one operator dimension, so that the
+    dense and Sturm cross-checks run once per group; a group's arrays are
+    dropped before the next.  The reports keep the grid order.
+    """
+    points = [(kind, n, float(a)) for kind in sorted(kinds, key=lambda k: k.value)
+              for n in range(1, n_max + 1) for a in a_values]
+    groups = {}
+    for index, (kind, n, _) in enumerate(points):
+        groups.setdefault(SolutionFamily(kind, n).dim, []).append(index)
+    reports = [None] * len(points)
+    for indices in groups.values():
+        group = _check_group([points[i] for i in indices], DEFAULT_GRID_N_M, seed, 0.0)
+        for i, report in zip(indices, group):
+            reports[i] = report
+    return VerificationReport(points=tuple(reports), seed=seed)

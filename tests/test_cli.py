@@ -228,6 +228,19 @@ class TestVerify:
         assert code == 2
         assert "FAIL dirac-plus n=3" in err
 
+    def test_huge_coupling_fails_not_structural(self, capsys):
+        # the relative Sturm tolerance converges at eigenvalues near 1e150;
+        # the absolute oracle agreement gate then fails the point
+        code, out, err = run(capsys, "verify", "--family", "dirac",
+                             "--n", "3", "--a", "1e150")
+        assert code == 2
+        point = json.loads(out)["points"][0]
+        assert not point["sturm"]["passed"]
+        assert point["sturm"]["discrepancy"] < 1e-14 * 1e150
+        assert err.splitlines() == [
+            "FAIL dirac-plus n=3 a=9.9999999999999998e+149",
+            "verification failure: 1 of 1 grid points failed"]
+
     def test_structural_error_exit_code(self, capsys, monkeypatch):
         from incevolkov.errors import StructuralError
 
@@ -317,6 +330,20 @@ class TestNonFiniteInput:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: bond 0: super*sub overflows at a = 1e+300")
+
+    @pytest.mark.parametrize("intensity,plasma,message", [
+        ("1e308", "1", "error: coupling a overflows double range at intensity 1e+308"),
+        ("1e8", "1e-308", "error: plasma energy 1e-308 eV gives a plasma "
+                          "wavenumber k_p = 0.0 1/m"),
+    ])
+    def test_derived_quantity_out_of_range(self, capsys, intensity, plasma, message):
+        code, out, err = run(capsys, "params", "--photon-energy-ev", "1.563",
+                             "--intensity-w-cm2", intensity,
+                             "--plasma-energy-ev", plasma)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(message)
 
 
 def test_cli_import_leaves_out_scipy_special():

@@ -129,35 +129,49 @@ class TestMinorRatios:
         T = build_dirac_operator(1, a)
         root = np.sqrt(4.0 + a * a)
         shifts = np.array([2.0 - root - 1.0, 2.0, 2.0 + root + 1.0])
-        count = sum(q < 0 for q in minor_ratios(T.diag, T.super_ * T.sub, shifts))
-        assert list(count) == [0, 1, 2]
+        count = sum(q < 0 for q in minor_ratios(T.diag[None], (T.super_ * T.sub)[None],
+                                                shifts[None]))
+        assert count.tolist() == [[0, 1, 2]]
 
     def test_zero_pivot_at_free_limit(self):
         T = build_dirac_operator(3, 0.0)
         x = T.diag[2]
-        ratios = [q[0] for q in
-                  minor_ratios(T.diag, T.super_ * T.sub, np.array([x]))]
+        ratios = [q[0, 0] for q in
+                  minor_ratios(T.diag[None], (T.super_ * T.sub)[None], np.array([[x]]))]
         assert ratios[2] == 0.0
         assert np.all(np.isfinite(ratios))
         assert ratios[3:] == list(T.diag[3:] - x)
 
 
+    def test_stack_keeps_each_pivmin(self):
+        # an exact zero pivot is clamped to -pivmin of its own matrix, which
+        # scales with that matrix's max |b| and not with the stack's
+        d = np.zeros((2, 2))
+        b = np.array([[1.0], [1e4]])
+        x = np.zeros((2, 1))
+        stacked = list(minor_ratios(d, b, x))[1][:, 0]
+        alone = [list(minor_ratios(d[i:i + 1], b[i:i + 1], x[i:i + 1]))[1][0, 0]
+                 for i in range(2)]
+        assert stacked.tolist() == alone
+        assert alone[0] == 1.0 / (np.finfo(float).tiny * 1e4)
+
+
 class TestSturmOracle:
     def test_diagonal_case(self):
-        w = sturm_bisection_oracle(np.array([0.0, 4.0]), np.array([0.0]))
-        assert np.allclose(w, [0.0, 4.0], atol=1e-11)
+        w = sturm_bisection_oracle(np.array([[0.0, 4.0]]), np.array([[0.0]]))
+        assert np.allclose(w, [[0.0, 4.0]], atol=1e-11)
 
     def test_closed_form_2x2(self):
         T = build_dirac_operator(1, 3.0)
         d, e, _ = symmetrize(T)
-        w = sturm_bisection_oracle(d, e, tol=1e-12)
+        w = sturm_bisection_oracle(d[None], e[None], tol=1e-12)[0]
         assert np.allclose(w, [2 - np.sqrt(13), 2 + np.sqrt(13)], atol=1e-11)
 
     def test_against_primary_solver_stress(self):
         T = build_dirac_operator(25, 20.0)
         dec = solve_spectrum(T)
         d, e, _ = symmetrize(T)
-        w = sturm_bisection_oracle(d, e, tol=1e-12)
+        w = sturm_bisection_oracle(d[None], e[None], tol=1e-12)[0]
         assert np.max(np.abs(w - dec.etas)) < 1e-10
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -167,18 +181,39 @@ class TestSturmOracle:
         T = build_operator(SolutionFamily(kind, 25), a)
         dec = solve_spectrum(T)
         d, e, _ = symmetrize(T)
-        w = sturm_bisection_oracle(d, e, tol=1e-12)
+        w = sturm_bisection_oracle(d[None], e[None], tol=1e-12)[0]
         assert np.max(np.abs(w - dec.etas)) < 1e-10
+
+    def test_stack_matches_each_alone(self):
+        # one dimension, brackets that close after 42, 45 and 51 iterations
+        # (the last under the relative tolerance): every matrix leaves the
+        # stack with the bits it gets alone
+        ops = [build_operator(SolutionFamily(kind, 3), a)
+               for kind in (FamilyKind.DIRAC_PLUS, FamilyKind.DIRAC_MINUS)
+               for a in (0.0, 20.0, 1e6)]
+        d, e = (np.stack(parts) for parts in zip(*(symmetrize(T)[:2] for T in ops)))
+        stacked = sturm_bisection_oracle(d, e)
+        for i in range(len(ops)):
+            assert np.array_equal(stacked[i],
+                                  sturm_bisection_oracle(d[i:i + 1], e[i:i + 1])[0]), i
+
+    def test_relative_tolerance_at_huge_coupling(self):
+        # eigenvalues near 1e150: an absolute 1e-11 bracket is below one ulp
+        T = build_dirac_operator(3, 1e150)
+        d, e, _ = symmetrize(T)
+        w = sturm_bisection_oracle(d[None], e[None])[0]
+        dense = np.sort(np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)))
+        assert np.max(np.abs(w - dense)) < 1e-14 * np.max(np.abs(dense))
 
     def test_iteration_budget(self):
         T = build_dirac_operator(5, 10.0)
         d, e, _ = symmetrize(T)
         with pytest.raises(OracleError):
-            sturm_bisection_oracle(d, e, tol=1e-12, max_iterations=3)
+            sturm_bisection_oracle(d[None], e[None], tol=1e-12, max_iterations=3)
 
     def test_bad_tol(self):
         with pytest.raises(InputError):
-            sturm_bisection_oracle(np.array([1.0]), np.array([]), tol=0.0)
+            sturm_bisection_oracle(np.array([[1.0]]), np.zeros((1, 0)), tol=0.0)
 
 
 class TestGapDiagnostics:

@@ -1,10 +1,13 @@
 """The oracle layer: ODE residuals, dense/Sturm cross-checks, spacetime FD."""
 
+import functools
+
 import numpy as np
 import pytest
 
+import incevolkov.spectra as spectra
 import incevolkov.verification as verification
-from incevolkov.errors import InputError, StructuralError
+from incevolkov.errors import InputError, OracleError, StructuralError
 from incevolkov.families import ALL_KINDS, FamilyKind, SolutionFamily
 from incevolkov.operators import (TridiagonalOperator, build_dirac_operator,
                                   build_kg_operator, build_operator)
@@ -16,7 +19,7 @@ from incevolkov.verification import (SAMPLING_SEED, _charpoly_newton_polish,
                                      _sample_points, attach_residuals,
                                      dense_oracle_crosscheck,
                                      momentum_for_mode, ode_residual,
-                                     pde_residual_fd, run_point,
+                                     pde_residual_fd, run_grid, run_point,
                                      sturm_crosscheck, vacuum_null_momentum)
 
 N_M = 0.7685453911282961
@@ -147,47 +150,85 @@ class TestOdeResidual:
 class TestDenseCrosscheck:
     def test_reference_case(self):
         T = build_dirac_operator(20, 14.0)
-        assert dense_oracle_crosscheck(T) < 1e-9
+        assert dense_oracle_crosscheck([T])[0] < 1e-9
 
     def test_free_limit_exact(self):
         T = build_dirac_operator(5, 0.0)
-        assert dense_oracle_crosscheck(T) == 0.0
+        assert dense_oracle_crosscheck([T])[0] == 0.0
 
     def test_exact_dense_eigenvalue_kept(self):
         # dim 1: the raw dense value is exact, a zero pivot freezes the polish
         T = build_kg_operator("kg-sin-odd", 1, 1.0)
-        assert dense_oracle_crosscheck(T) == 0.0
+        assert dense_oracle_crosscheck([T])[0] == 0.0
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("a", [0.0, 14.0])
     def test_polish_matches_scalar_reference(self, kind, a):
         T = build_operator(SolutionFamily(kind, 12), a)
         w = np.sort(np.linalg.eigvals(T.to_dense()).real)
-        assert np.array_equal(_charpoly_newton_polish(T, w),
-                              _scalar_newton_polish(T, w))
+        polished = _charpoly_newton_polish(T.diag[None], (T.super_ * T.sub)[None], w[None])
+        assert np.array_equal(polished[0], _scalar_newton_polish(T, w))
+
+    def test_polish_stack_matches_each_alone(self):
+        ops = [build_operator(SolutionFamily(kind, 6), a)
+               for kind in (FamilyKind.DIRAC_PLUS, FamilyKind.DIRAC_MINUS)
+               for a in (0.0, 20.0)]
+        d = np.stack([T.diag for T in ops])
+        b = np.stack([T.super_ * T.sub for T in ops])
+        w = np.sort(np.linalg.eigvals(np.stack([T.to_dense() for T in ops])).real,
+                    axis=1)
+        stacked = _charpoly_newton_polish(d, b, w)
+        for i in range(len(ops)):
+            assert np.array_equal(
+                stacked[i], _charpoly_newton_polish(d[i:i + 1], b[i:i + 1],
+                                                    w[i:i + 1])[0]), i
 
     def test_strong_coupling_stress(self):
         T = build_kg_operator(FamilyKind.KG_COS_EVEN, 5, 50.0)
-        assert dense_oracle_crosscheck(T) < 1e-8
+        assert dense_oracle_crosscheck([T])[0] < 1e-8
 
     def test_dimension_cap(self):
         T = build_dirac_operator(101, 1.0)     # dim 202
         with pytest.raises(InputError):
-            dense_oracle_crosscheck(T)
+            dense_oracle_crosscheck([T])
 
     def test_complex_spectrum_flagged(self):
         fam = SolutionFamily(FamilyKind.DIRAC_PLUS, 1)
         T = TridiagonalOperator(family=fam, a=1.0, diag=np.zeros(2),
                                 super_=np.array([1.0]), sub=np.array([-1.0]))
         with pytest.raises(StructuralError):
-            dense_oracle_crosscheck(T, etas=np.array([0.0, 0.0]))
+            dense_oracle_crosscheck([T], etas=[np.array([0.0, 0.0])])
+
+    def test_complex_spectrum_names_its_operator(self):
+        fam = SolutionFamily(FamilyKind.DIRAC_PLUS, 1)
+        bad = TridiagonalOperator(family=fam, a=2.5, diag=np.zeros(2),
+                                  super_=np.array([1.0]), sub=np.array([-1.0]))
+        with pytest.raises(StructuralError, match=r"^dirac-plus n=1 a=2\.5: dense "
+                           r"eigenvalues have imaginary parts up to 1\.000e\+00"):
+            dense_oracle_crosscheck([build_dirac_operator(1, 1.0), bad],
+                                    etas=[np.zeros(2), np.zeros(2)])
+
+    def test_operators_must_share_dimension(self):
+        with pytest.raises(InputError):
+            dense_oracle_crosscheck([build_dirac_operator(1, 1.0),
+                                     build_dirac_operator(2, 1.0)])
 
 
 class TestSturmCrosscheck:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_agreement(self, kind):
         T = build_operator(SolutionFamily(kind, 12), 14.0)
-        assert sturm_crosscheck(T) < 1e-10
+        assert sturm_crosscheck([T])[0] < 1e-10
+
+    def test_budget_failure_names_its_operator(self, monkeypatch):
+        # a = 0.5 closes its brackets after 42 iterations, a = 20 after 45
+        monkeypatch.setattr(verification, "sturm_bisection_oracle",
+                            functools.partial(spectra.sturm_bisection_oracle,
+                                              max_iterations=44))
+        ops = [build_dirac_operator(3, 0.5), build_dirac_operator(3, 20.0)]
+        with pytest.raises(OracleError, match=r"^dirac-plus n=3 a=20: Sturm bisection "
+                           r"did not reach tol 1e-11 in 44 iterations"):
+            sturm_crosscheck(ops)
 
 
 class TestMomentumBuilders:
@@ -311,3 +352,17 @@ class TestRunPoint:
         p1 = run_point(FamilyKind.KG_COS_EVEN, 5, 14.0)
         p2 = run_point(FamilyKind.KG_COS_EVEN, 5, 14.0)
         assert p1 == p2
+
+
+def test_grid_matches_points():
+    # groups of one dimension mix kinds and couplings; each report must be
+    # the one its point gets alone, in grid order (repr: exact, NaN-safe)
+    ns, a_values = (1, 2, 7, 25), (0.0, 14.0)
+    grid = run_grid(n_max=max(ns), a_values=a_values)
+    kinds = sorted(ALL_KINDS, key=lambda k: k.value)
+    expected = [(kind.value, n, a) for kind in kinds
+                for n in range(1, max(ns) + 1) for a in a_values]
+    assert [(p.kind, p.n, p.a) for p in grid.points] == expected
+    for p in grid.points:
+        if p.n in ns:
+            assert repr(p) == repr(run_point(FamilyKind(p.kind), p.n, p.a))

@@ -8,8 +8,9 @@ Commands:
     verify    run the independent verification checks
 
 Exit codes: 0 success, 1 input error, 2 verification failure (for
-spectrum and modes: the output is written in full, and some emitted
-eigenpair failed its ODE residual), 3 internal/structural error.
+spectrum, modes and figures 2 and 3: the output is written in full, and
+some emitted eigenpair failed its ODE residual), 3 internal/structural
+error.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ FIGURE1_A_VALUES = (14.0, 20.0)
 FIGURE_DEFAULT_N = 20
 FIGURE_DEFAULT_A = 14.0
 FIGURE1_POINTS = 513
+MODES_POINTS = 257
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,21 +113,29 @@ def cmd_params(cfg: RunConfig) -> int:
 # spectrum
 # ---------------------------------------------------------------------------
 
+def _solve_checked(family: SolutionFamily, a: float, seed: int):
+    """(decomposition with residuals, per-eigenpair verdicts) of family at a."""
+    dec = solve_spectrum(build_operator(family, a))
+    return verification.attach_residuals(dec, seed=seed)
+
+
 def _solved_decomposition(cfg: RunConfig):
     """(family, a, decomposition with residuals, per-eigenpair verdicts)."""
     family = SolutionFamily(cfg.family_kind(), cfg.require_n())
     a = cfg.resolve_a()
-    dec = solve_spectrum(build_operator(family, a))
-    return (family, a, *verification.attach_residuals(dec, seed=cfg.seed))
+    return (family, a, *_solve_checked(family, a, cfg.seed))
 
 
-def _fail_on_residuals(family, a, failing: list) -> None:
-    """After the output is written: exit 2 if any emitted k failed its residual."""
-    if failing:
-        labels = ", ".join(str(k) for k in failing)
-        raise VerificationFailure(
-            f"ODE residual failed for {family.kind.value} n={family.n} "
-            f"a={format_number(a)}: k = {labels}")
+def _fail_on_residuals(failures) -> None:
+    """After the output is written: exit 2 if any emitted k failed its residual.
+
+    failures holds one (decomposition, failing k labels) pair per solved family.
+    """
+    parts = [f"{dec.family.kind.value} n={dec.family.n} a={format_number(dec.a)}: "
+             f"k = {', '.join(str(k) for k in failing)}"
+             for dec, failing in failures if failing]
+    if parts:
+        raise VerificationFailure("ODE residual failed for " + "; ".join(parts))
 
 
 def _spectrum_rows(dec):
@@ -171,7 +181,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         }
         text = dumps_json(payload) + "\n"
     _emit(cfg, text)
-    _fail_on_residuals(family, a, [int(k) for k in dec.k_labels[~passed]])
+    _fail_on_residuals([(dec, [int(k) for k in dec.k_labels[~passed]])])
     return 0
 
 
@@ -179,13 +189,13 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 # modes
 # ---------------------------------------------------------------------------
 
-def cmd_modes(cfg: RunConfig, n_points: int = 257) -> int:
+def cmd_modes(cfg: RunConfig) -> int:
     family, a, dec, passed = _solved_decomposition(cfg)
     k_list = cfg.k_select or tuple(range(1, dec.dim + 1))
     for k in k_list:
         if not 1 <= k <= dec.dim:
             raise InputError(f"k_select entry {k} outside 1..{dec.dim}")
-    xi = np.linspace(-np.pi, np.pi, n_points)
+    xi = np.linspace(-np.pi, np.pi, MODES_POINTS)
     mods = [ModulationFunction.from_decomposition(dec, k) for k in k_list]
     values = [np.atleast_1d(mod.value(xi)).astype(complex) for mod in mods]
     densities = [np.abs(val) ** 2 for val in values]
@@ -198,7 +208,7 @@ def cmd_modes(cfg: RunConfig, n_points: int = 257) -> int:
         rows = []
         for k, mod, val, dens in zip(k_list, mods, values, densities):
             poly = np.atleast_1d(mod.polynomial_part(xi)).astype(complex)
-            for j in range(n_points):
+            for j in range(MODES_POINTS):
                 rows.append((k, float(xi[j]), float(poly[j].real), float(poly[j].imag),
                              float(val[j].real), float(val[j].imag), float(dens[j])))
         text = render_csv(
@@ -219,7 +229,7 @@ def cmd_modes(cfg: RunConfig, n_points: int = 257) -> int:
         }
         text = dumps_json(payload) + "\n"
     _emit(cfg, text)
-    _fail_on_residuals(family, a, [k for k in k_list if not passed[k - 1]])
+    _fail_on_residuals([(dec, [k for k in k_list if not passed[k - 1]])])
     return 0
 
 
@@ -227,18 +237,24 @@ def cmd_modes(cfg: RunConfig, n_points: int = 257) -> int:
 # figure data
 # ---------------------------------------------------------------------------
 
-def _figure_family_pair(cfg: RunConfig):
+def _figure_spectra(cfg: RunConfig):
+    """(n, a, [(label, decomposition)], failures) of the spin-1/2 / spin-0
+    figure pair; failures as for `_fail_on_residuals`."""
     n = cfg.n if cfg.n is not None else FIGURE_DEFAULT_N
     if cfg.a_override is None and not cfg.has_laser_plasma:
         a = FIGURE_DEFAULT_A
     else:
         a = cfg.resolve_a()
-    dirac = SolutionFamily(FamilyKind.DIRAC_PLUS, n)
-    kg = SolutionFamily(FamilyKind.KG_COS_EVEN, n)
-    return n, a, dirac, kg
+    solved, failures = [], []
+    for label, kind in (("dirac", FamilyKind.DIRAC_PLUS), ("kg", FamilyKind.KG_COS_EVEN)):
+        dec, passed = _solve_checked(SolutionFamily(kind, n), a, cfg.seed)
+        solved.append((label, dec))
+        failures.append((dec, [int(k) for k in dec.k_labels[~passed]]))
+    return n, a, solved, failures
 
 
 def cmd_figure(cfg: RunConfig, which: int) -> int:
+    failures = []
     if which == 1:
         xi = np.linspace(-np.pi, np.pi, FIGURE1_POINTS)
         cols = ["xi_rad"] + [f"density_a{int(a)}" for a in FIGURE1_A_VALUES]
@@ -253,31 +269,30 @@ def cmd_figure(cfg: RunConfig, which: int) -> int:
         ]
         text = render_csv(cols, rows, header_comments=comments)
     elif which == 2:
-        n, a, dirac, kg = _figure_family_pair(cfg)
+        n, a, solved, failures = _figure_spectra(cfg)
         rows = []
-        for fam, label in ((dirac, "dirac"), (kg, "kg")):
-            dec = solve_spectrum(build_operator(fam, a))
+        for label, dec in solved:
             for i in range(dec.dim):
                 lm = eta_to_longitudinal(float(dec.etas[i]))
                 gap = (float(dec.etas[i + 1] - dec.etas[i])
                        if label == "dirac" and i + 1 < dec.dim else None)
                 rows.append((label, int(dec.k_labels[i]), float(dec.etas[i]),
                              lm.k_dot_p, gap))
+        dirac, kg = (dec.family.kind.value for _, dec in solved)
         text = render_csv(
             ["particle", "k", "eta", "k_dot_p_over_kp2", "gap_to_next"],
             rows,
             header_comments=[
-                f"spin-1/2 ({dirac.kind.value}) vs spin-0 ({kg.kind.value}) "
+                f"spin-1/2 ({dirac}) vs spin-0 ({kg}) "
                 f"spectra, n = {n}, a = {format_number(a)}",
                 "gap_to_next: adjacent eta spacing of the spin-1/2 ladder, the "
                 "report-only pairing metric (alternating wide/narrow gaps mark "
                 "the near-degenerate pairs in the upper half)",
             ])
     elif which == 3:
-        n, a, dirac, kg = _figure_family_pair(cfg)
+        n, a, solved, failures = _figure_spectra(cfg)
         rows = []
-        for fam, label in ((dirac, "dirac"), (kg, "kg")):
-            dec = solve_spectrum(build_operator(fam, a))
+        for label, dec in solved:
             for k, r, strength in harmonic_strengths(dec):
                 rows.append((label, k, r, strength))
         text = render_csv(
@@ -292,6 +307,7 @@ def cmd_figure(cfg: RunConfig, which: int) -> int:
     else:
         raise InputError(f"figure must be 1, 2 or 3, got {which}")
     _emit(cfg, text)
+    _fail_on_residuals(failures)
     return 0
 
 

@@ -17,16 +17,22 @@ tridiagonal eigenproblem whose eigenvalues eta quantize the longitudinal
 momentum parameter, while q fixes the transverse momentum px = (q+1)/2 in
 units of the plasma wavenumber k_p.
 
-Family table (n >= 1):
+Family table (n >= 1).  `_ROWS` below holds these facts once; every
+property of `SolutionFamily`, the operator entries and the basis evaluator
+read them from there:
 
-    kind          q       basis in xi           window          dim   px/k_p
-    ------------  ------  --------------------  --------------  ----  ------
-    dirac-plus    2n - 1  exp(-i r xi)          r = -n+1 .. n   2n    n
-    dirac-minus   2n - 1  exp(-i r xi)          r = -n .. n-1   2n    n
-    kg-cos-even   2n      cos(r xi)             r = 0 .. n      n+1   n + 1/2
-    kg-cos-odd    2n - 1  cos((r+1/2) xi)       r = 0 .. n-1    n     n
-    kg-sin-odd    2n - 1  sin((r+1/2) xi)       r = 0 .. n-1    n     n
-    kg-sin-even   2n      sin(r xi)             r = 1 .. n      n     n + 1/2
+    kind          q       s    basis in xi           window          dim   px/k_p
+    ------------  ------  ---  --------------------  --------------  ----  ------
+    dirac-plus    2n - 1  +1   exp(-i r xi)          r = -n+1 .. n   2n    n
+    dirac-minus   2n - 1  -1   exp(-i r xi)          r = -n .. n-1   2n    n
+    kg-cos-even   2n       0   cos(r xi)             r = 0 .. n      n+1   n + 1/2
+    kg-cos-odd    2n - 1   0   cos((r+1/2) xi)       r = 0 .. n-1    n     n
+    kg-sin-odd    2n - 1   0   sin((r+1/2) xi)       r = 0 .. n-1    n     n
+    kg-sin-even   2n       0   sin(r xi)             r = 1 .. n      n     n + 1/2
+
+In z = xi/2 each basis function is exp(-i nu z), cos(nu z) or sin(nu z)
+with the z-frequency nu = 2 (r + shift), where the harmonic shift is 1/2
+for the two odd classes and 0 otherwise.
 
 The dirac-minus family solves the s = -1 equation; its window is the mirror
 image of the dirac-plus window (complex conjugation plus z -> -z maps one
@@ -40,6 +46,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +63,24 @@ class FamilyKind(str, Enum):
     KG_SIN_EVEN = "kg-sin-even"
 
 
-_DIRAC_KINDS = (FamilyKind.DIRAC_PLUS, FamilyKind.DIRAC_MINUS)
-_ODD_KINDS = (FamilyKind.KG_COS_ODD, FamilyKind.KG_SIN_ODD)
+class _Row(NamedTuple):
+    q_minus_2n: int          # q = 2n + q_minus_2n
+    spin_sign: int           # s of the i s f term; 0 for spin 0
+    basis: str               # "exp": exp(-i nu z); "cos"/"sin": cos(nu z)/sin(nu z)
+    bottom: tuple            # window bottom r0 = bottom[0] * n + bottom[1]
+    top: int                 # window top r1 = n + top
+    shift: float             # harmonic of xi carried by index r is r + shift
+
+
+_ROWS = {
+    #                            q-2n   s  basis  bottom   top  shift
+    FamilyKind.DIRAC_PLUS:  _Row(-1,  +1, "exp", (-1, 1),  0, 0.0),
+    FamilyKind.DIRAC_MINUS: _Row(-1,  -1, "exp", (-1, 0), -1, 0.0),
+    FamilyKind.KG_COS_EVEN: _Row( 0,   0, "cos", ( 0, 0),  0, 0.0),
+    FamilyKind.KG_COS_ODD:  _Row(-1,   0, "cos", ( 0, 0), -1, 0.5),
+    FamilyKind.KG_SIN_ODD:  _Row(-1,   0, "sin", ( 0, 0), -1, 0.5),
+    FamilyKind.KG_SIN_EVEN: _Row( 0,   0, "sin", ( 0, 1),  0, 0.0),
+}
 
 # accepted spellings on the CLI / in config files
 FAMILY_ALIASES = {
@@ -87,56 +111,82 @@ class SolutionFamily:
             raise InputError(f"quantum number n must be >= 1, got {self.n}")
 
     @property
+    def _row(self) -> _Row:
+        return _ROWS[self.kind]
+
+    @property
     def is_dirac(self) -> bool:
-        return self.kind in _DIRAC_KINDS
+        return self._row.spin_sign != 0
 
     @property
     def spin_sign(self) -> int:
         """Sign s of the i*s*f term: +1, -1, or 0 for the spin-0 families."""
-        if self.kind is FamilyKind.DIRAC_PLUS:
-            return +1
-        if self.kind is FamilyKind.DIRAC_MINUS:
-            return -1
-        return 0
+        return self._row.spin_sign
 
     @property
     def q(self) -> int:
         """Integer parameter of the modulation ODE (truncation condition)."""
-        if self.kind in (FamilyKind.KG_COS_EVEN, FamilyKind.KG_SIN_EVEN):
-            return 2 * self.n
-        return 2 * self.n - 1
+        return 2 * self.n + self._row.q_minus_2n
+
+    @property
+    def window(self) -> tuple[int, int]:
+        """First and last index r of the basis window."""
+        row = self._row
+        return row.bottom[0] * self.n + row.bottom[1], self.n + row.top
 
     @property
     def dim(self) -> int:
-        if self.is_dirac:
-            return 2 * self.n
-        if self.kind is FamilyKind.KG_COS_EVEN:
-            return self.n + 1
-        return self.n
+        r0, r1 = self.window
+        return r1 - r0 + 1
 
     @property
     def r_indices(self) -> np.ndarray:
         """Integer basis window (Fourier index for dirac kinds, harmonic
         counter for the spin-0 kinds)."""
-        n = self.n
-        if self.kind is FamilyKind.DIRAC_PLUS:
-            return np.arange(-n + 1, n + 1)
-        if self.kind is FamilyKind.DIRAC_MINUS:
-            return np.arange(-n, n)
-        if self.kind is FamilyKind.KG_COS_EVEN:
-            return np.arange(0, n + 1)
-        if self.kind is FamilyKind.KG_SIN_EVEN:
-            return np.arange(1, n + 1)
-        return np.arange(0, n)          # odd classes
+        r0, r1 = self.window
+        return np.arange(r0, r1 + 1)
 
     @property
     def xi_harmonics(self) -> np.ndarray:
         """Harmonic of xi carried by each basis function (half-integers for
         the odd spin-0 classes)."""
-        r = self.r_indices
-        if self.kind in _ODD_KINDS:
-            return r + 0.5
-        return r.astype(float)
+        return self.r_indices + self._row.shift
+
+    def z_frequencies(self, r: np.ndarray) -> np.ndarray:
+        """nu = 2 (r + shift): the frequency in z = xi/2 of index r (also
+        outside the window, for the operator's closure rows)."""
+        return 2.0 * (r + self._row.shift)
+
+    @cached_property
+    def nu(self) -> np.ndarray:
+        """z-frequencies of the window, 2 * xi_harmonics; computed once, read-only."""
+        nu = self.z_frequencies(self.r_indices)
+        nu.setflags(write=False)
+        return nu
+
+    def basis(self, z: np.ndarray, derivatives: int = 0) -> list:
+        """[B, B', ...]: the basis functions at the samples z = xi/2 (one row
+        per sample) and their first `derivatives` (at most 2) z-derivatives.
+
+        The derivatives are exact: B' = -i nu B, -nu sin(nu z) or
+        nu cos(nu z), and B'' = -nu^2 B for every basis.
+        """
+        nu = self.nu
+        arg = np.multiply.outer(z, nu)
+        fn = self._row.basis
+        if fn == "exp":
+            B = np.exp(-1j * arg)
+        else:
+            B = np.cos(arg) if fn == "cos" else np.sin(arg)
+        out = [B]
+        if derivatives >= 1:
+            if fn == "exp":
+                out.append((-1j * nu) * B)
+            else:
+                out.append(-nu * np.sin(arg) if fn == "cos" else nu * np.cos(arg))
+        if derivatives >= 2:
+            out.append(-(nu * nu) * B)
+        return out
 
     @property
     def px_over_kp(self) -> float:
@@ -147,21 +197,15 @@ class SolutionFamily:
     def xi_period(self) -> float:
         """Period of the modulation function in xi (4*pi for the
         antiperiodic half-integer-harmonic classes)."""
-        return 4.0 * np.pi if self.kind in _ODD_KINDS else 2.0 * np.pi
+        return 4.0 * np.pi if self._row.shift else 2.0 * np.pi
 
     @property
     def basis_label(self) -> str:
-        r0, r1 = self.r_indices[0], self.r_indices[-1]
-        if self.is_dirac:
-            return f"exp(-i r xi), r = {r0}..{r1}"
-        fn = "cos" if "cos" in self.kind.value else "sin"
-        if self.kind in _ODD_KINDS:
-            return f"{fn}((r+1/2) xi), r = {r0}..{r1}"
-        return f"{fn}(r xi), r = {r0}..{r1}"
-
-    def describe(self) -> str:
-        return (f"{self.kind.value}(n={self.n}): q={self.q}, dim={self.dim}, "
-                f"basis {self.basis_label}, px = {self.px_over_kp} k_p")
+        r0, r1 = self.window
+        arg = "(r+1/2) xi" if self._row.shift else "r xi"
+        fn = self._row.basis
+        label = f"exp(-i {arg})" if fn == "exp" else f"{fn}({arg})"
+        return f"{label}, r = {r0}..{r1}"
 
 
 ALL_KINDS = tuple(FamilyKind)

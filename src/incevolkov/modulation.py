@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .families import FamilyKind, SolutionFamily
+from .families import SolutionFamily
 from .spectra import SpectralDecomposition
 
 __all__ = [
@@ -37,14 +37,7 @@ def eval_polynomial_part(family: SolutionFamily, coefficients: np.ndarray,
         raise InputError(
             f"coefficient vector has length {len(c)}, family dim is {family.dim}")
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    h = family.xi_harmonics
-    arg = np.multiply.outer(xi_arr, h)
-    if family.is_dirac:
-        values = np.exp(-1j * arg) @ c.astype(complex)
-    elif family.kind in (FamilyKind.KG_COS_EVEN, FamilyKind.KG_COS_ODD):
-        values = np.cos(arg) @ c
-    else:
-        values = np.sin(arg) @ c
+    values = family.basis(xi_arr / 2.0)[0] @ c
     return values if np.ndim(xi) else values[0]
 
 

@@ -1,41 +1,34 @@
 """Finite tridiagonal operators for the modulation equations.
 
-Projecting the spin-1/2 modulation equation
+All six families solve one ODE,
 
-    f'' + a sin(2z) (f' + i s f) + (eta - q a cos(2z)) f = 0
+    f'' + a sin(2z) (f' + i s f) + (eta - q a cos(2z)) f = 0,
 
-onto the Fourier basis f = sum_r D_r exp(-2 i r z) turns it into the
-three-term recurrence  eta D_m = T[m,m] D_m + T[m,m+1] D_{m+1}
-+ T[m,m-1] D_{m-1}  with
-
-    T[m,m]   = 4 m^2
-    T[m,m+1] = (a/2) (q + 2m + 2 - s)
-    T[m,m-1] = (a/2) (q + 2 - 2m + s)        (s = +1 or -1).
-
-The coupling from the row just above the window top r1 into the window,
-T[r1+1, r1] = (a/2)(q - 2 r1 + s), and from the row just below the bottom
-r0, T[r0-1, r0] = (a/2)(q + 2 r0 - s), vanish identically when q = 2n - 1
-and the window is r = -n+1..n (s = +1) or r = -n..n-1 (s = -1).  That is
-the closure that truncates the infinite recurrence to a finite eigenproblem.
-
-For the spin-0 equation (s term absent) the same projection onto the four
-trigonometric parity bases in z gives, writing nu for the z-frequency of a
-basis function (nu = 2r for integer harmonics of xi, nu = 2r + 1 for
-half-integer ones):
+with s = +1 or -1 for the spin-1/2 families and s = 0 (the classical Ince
+equation) for the spin-0 ones.  Projecting it onto the family basis,
+exp(-i nu z), cos(nu z) or sin(nu z) with nu = 2 (r + shift) the
+z-frequency of window index r (the families module's table), turns it into
+the three-term recurrence  eta D_r = T[r,r] D_r + T[r,r+1] D_{r+1}
++ T[r,r-1] D_{r-1}  with one formula for every family:
 
     T[r,r]   = nu^2
-    T[r,r+1] = (a/2) (q + nu + 2)
-    T[r,r-1] = (a/2) (q + 2 - nu)
+    T[r,r+1] = (a/2) (q + nu + 2 - s)
+    T[r,r-1] = (a/2) (q + 2 - nu + s)
 
-with three boundary amendments forced by cos(-x) = cos(x), sin(-x) = -sin(x):
+The spin-0 bases fold at r = 0 through cos(-x) = cos(x), sin(-x) = -sin(x),
+which amends three entries:
 
     kg-cos-even : T[1,0] = q a              (constant mode couples doubly)
     kg-cos-odd  : T[0,0] = 1 + (a/2)(q+1)   (r=0 lowering folds onto itself)
     kg-sin-odd  : T[0,0] = 1 - (a/2)(q+1)   (same fold, odd parity sign)
     kg-sin-even : no amendment              (no r=0 basis function)
 
-Upper closure T[N+1, N] = (a/2)(q - nu(N)) = 0 fixes q = 2n (even classes,
-window top nu = 2n) and q = 2n - 1 (odd classes, window top nu = 2n - 1).
+The coupling from the row just above the window top into the window,
+T[r1+1, r1] = (a/2)(q - nu(r1) + s), vanishes identically for the q of
+each family, and for the dirac kinds so does the coupling from the row
+just below the bottom, T[r0-1, r0] = (a/2)(q + nu(r0) - s).  That is the
+closure that truncates the infinite recurrence to a finite eigenproblem;
+the spin-0 windows end below through the fold itself.
 
 Every recurrence above is validated against the original ODE by the residual
 oracle in the verification module; the oracle, not the algebra, is the
@@ -91,53 +84,30 @@ class TridiagonalOperator:
         return T
 
 
-def _dirac_entries(q: int, s: int, a: float):
-    diag = lambda m: 4.0 * m * m
-    sup = lambda m: 0.5 * a * (q + 2 * m + 2 - s)    # T[m, m+1]
-    sub = lambda m: 0.5 * a * (q + 2 - 2 * m + s)    # T[m, m-1]
+def _entries(family: SolutionFamily, a: float, r: np.ndarray):
+    """Arrays T[r,r], T[r,r+1] and T[r,r-1] at the indices r: the module
+    docstring's formula, with the three spin-0 folds at r = 0."""
+    q, s = family.q, family.spin_sign
+    nu = family.z_frequencies(r)
+    diag = nu * nu
+    sup = 0.5 * a * (q + nu + 2 - s)
+    sub = 0.5 * a * (q + 2 - nu + s)
+    if family.kind is FamilyKind.KG_COS_EVEN:
+        sub[r == 1] = a * q
+    elif family.kind is FamilyKind.KG_COS_ODD:
+        diag[r == 0] += 0.5 * a * (q + 1)
+    elif family.kind is FamilyKind.KG_SIN_ODD:
+        diag[r == 0] -= 0.5 * a * (q + 1)
     return diag, sup, sub
-
-
-def _kg_entries(kind: FamilyKind, q: int, a: float):
-    odd = kind in (FamilyKind.KG_COS_ODD, FamilyKind.KG_SIN_ODD)
-    nu = (lambda r: 2 * r + 1) if odd else (lambda r: 2 * r)
-
-    def diag(r):
-        d = float(nu(r)) ** 2
-        if r == 0 and kind is FamilyKind.KG_COS_ODD:
-            d += 0.5 * a * (q + 1)
-        elif r == 0 and kind is FamilyKind.KG_SIN_ODD:
-            d -= 0.5 * a * (q + 1)
-        return d
-
-    def sup(r):
-        return 0.5 * a * (q + nu(r) + 2)
-
-    def sub(r):
-        if r == 1 and kind is FamilyKind.KG_COS_EVEN:
-            return a * q
-        return 0.5 * a * (q + 2 - nu(r))
-
-    return diag, sup, sub
-
-
-def _entry_functions(family: SolutionFamily, a: float):
-    if family.is_dirac:
-        return _dirac_entries(family.q, family.spin_sign, a)
-    return _kg_entries(family.kind, family.q, a)
 
 
 def build_operator(family: SolutionFamily, a: float) -> TridiagonalOperator:
     """Build the finite operator of `family` at coupling a >= 0."""
     if a < 0:
         raise InputError(f"coupling parameter a must be >= 0, got {a}")
-    diag_f, sup_f, sub_f = _entry_functions(family, a)
-    rs = family.r_indices
-    diag = np.array([diag_f(r) for r in rs], dtype=float)
-    super_ = np.array([sup_f(r) for r in rs[:-1]], dtype=float)
-    sub = np.array([sub_f(r) for r in rs[1:]], dtype=float)
+    diag, sup, sub = _entries(family, a, family.r_indices)
     return TridiagonalOperator(family=family, a=float(a), diag=diag,
-                               super_=super_, sub=sub)
+                               super_=sup[:-1], sub=sub[1:])
 
 
 def build_dirac_operator(n: int, a: float, sign: int = +1) -> TridiagonalOperator:
@@ -149,11 +119,10 @@ def build_dirac_operator(n: int, a: float, sign: int = +1) -> TridiagonalOperato
 
 
 def build_kg_operator(kind: FamilyKind | str, n: int, a: float) -> TridiagonalOperator:
-    if isinstance(kind, str):
-        kind = FamilyKind(kind)
-    if kind in (FamilyKind.DIRAC_PLUS, FamilyKind.DIRAC_MINUS):
-        raise InputError(f"{kind.value} is not a spin-0 family")
-    return build_operator(SolutionFamily(kind, n), a)
+    family = SolutionFamily(FamilyKind(kind), n)
+    if family.is_dirac:
+        raise InputError(f"{family.kind.value} is not a spin-0 family")
+    return build_operator(family, a)
 
 
 def boundary_couplings(family: SolutionFamily, a: float) -> dict:
@@ -162,11 +131,10 @@ def boundary_couplings(family: SolutionFamily, a: float) -> dict:
     These must vanish identically; a nonzero value means the window/q
     combination does not truncate the recurrence.
     """
-    diag_f, sup_f, sub_f = _entry_functions(family, a)
-    rs = family.r_indices
-    out = {"above": sub_f(rs[-1] + 1)}
+    r0, r1 = family.window
+    out = {"above": _entries(family, a, np.array([r1 + 1]))[2][0]}
     if family.is_dirac:
-        out["below"] = sup_f(rs[0] - 1)
+        out["below"] = _entries(family, a, np.array([r0 - 1]))[1][0]
     # spin-0 windows terminate below through the basis itself (folding at
     # r = 0, or sin(0) = 0), not through a vanishing coupling
     return out
@@ -182,17 +150,12 @@ def build_extended_operator(family: SolutionFamily, a: float, extra: int = 3):
     """
     if extra < 1:
         raise InputError("extra must be >= 1")
-    diag_f, sup_f, sub_f = _entry_functions(family, a)
-    rs = family.r_indices
-    lo = rs[0] - extra if family.is_dirac else rs[0]
-    hi = rs[-1] + extra
-    rs_ext = np.arange(lo, hi + 1)
-    dim = len(rs_ext)
-    T = np.zeros((dim, dim))
-    for i, r in enumerate(rs_ext):
-        T[i, i] = diag_f(r)
-        if i + 1 < dim:
-            T[i, i + 1] = sup_f(r)
-            T[i + 1, i] = sub_f(r + 1)
-    i0 = int(np.searchsorted(rs_ext, rs[0]))
-    return T, slice(i0, i0 + family.dim)
+    r0, r1 = family.window
+    lo = r0 - extra if family.is_dirac else r0
+    rs_ext = np.arange(lo, r1 + extra + 1)
+    diag, sup, sub = _entries(family, a, rs_ext)
+    T = np.diag(diag)
+    i = np.arange(len(rs_ext) - 1)
+    T[i, i + 1] = sup[:-1]
+    T[i + 1, i] = sub[1:]
+    return T, slice(r0 - lo, r0 - lo + family.dim)

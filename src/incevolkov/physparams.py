@@ -279,11 +279,7 @@ class WaveConfig:
 
 def quantized_transverse_momentum(kind: FamilyKind | str, n: int) -> float:
     """px in units of hbar*k_p: (q + 1)/2 for the family's q(n)."""
-    if isinstance(kind, str):
-        kind = FamilyKind(kind)
-    if n < 1:
-        raise InputError(f"quantum number n must be >= 1, got {n}")
-    return SolutionFamily(kind, n).px_over_kp
+    return SolutionFamily(FamilyKind(kind), n).px_over_kp
 
 
 class LongitudinalMomentum(NamedTuple):

@@ -7,7 +7,9 @@ Four checks, none sharing numerical machinery with the primary eigensolver:
     are themselves exact finite sums, so the residual is evaluated
     analytically, never by numerical differentiation, in one batched
     product per operator.  This is the ground truth for every recurrence
-    in the operators module.
+    in the operators module: it shares the families module's basis
+    evaluator with the modulation module, so its independence is the ODE's
+    from the recurrence.  `benchmarks/oracle.py` restates the family table.
   * dense_oracle_crosscheck: embeds the tridiagonal operator in a dense
     matrix and solves it with the general nonsymmetric dense eigensolver;
     confirms realness and agreement of the spectrum.
@@ -76,35 +78,6 @@ _N_EQUIDISTANT = 256
 _N_RANDOM = 32
 
 
-# ---------------------------------------------------------------------------
-# basis evaluation with exact derivatives (independent of the modulation
-# module's value-only evaluator, by design)
-# ---------------------------------------------------------------------------
-
-def _basis_and_derivatives(family: SolutionFamily, z: np.ndarray):
-    """Matrices B, B', B'' of the family basis in z = xi/2 at the samples.
-
-    Dirac kinds: columns exp(-2 i r z).  Spin-0 kinds: cos(nu z) or
-    sin(nu z) with nu = 2r or 2r + 1.
-    """
-    if family.is_dirac:
-        r = family.r_indices.astype(float)
-        B = np.exp(-2j * np.multiply.outer(z, r))
-        Bp = (-2j * r) * B
-        Bpp = (-4.0 * r * r) * B
-        return B, Bp, Bpp
-    nu = 2.0 * family.xi_harmonics
-    arg = np.multiply.outer(z, nu)
-    if family.kind in (FamilyKind.KG_COS_EVEN, FamilyKind.KG_COS_ODD):
-        B = np.cos(arg)
-        Bp = -nu * np.sin(arg)
-    else:
-        B = np.sin(arg)
-        Bp = nu * np.cos(arg)
-    Bpp = -(nu * nu) * B
-    return B, Bp, Bpp
-
-
 def _sample_points(seed: int) -> np.ndarray:
     z_eq = np.linspace(0.0, 2.0 * np.pi, _N_EQUIDISTANT, endpoint=False)
     rng = np.random.default_rng(seed)
@@ -131,10 +104,10 @@ class ResidualReport:
 def _residual_values_batch(family: SolutionFamily, a: float, etas: np.ndarray,
                            vectors: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Residual values, shape (samples, modes); one basis build for all modes."""
-    B, Bp, Bpp = _basis_and_derivatives(family, z)
+    B, Bp, Bpp = family.basis(z, derivatives=2)
     q = family.q
     s = family.spin_sign
-    V = vectors.astype(complex) if family.is_dirac else vectors
+    V = vectors.astype(B.dtype, copy=False)     # cast once, not per product
     f = B @ V
     fp = Bp @ V
     fpp = Bpp @ V
@@ -151,7 +124,7 @@ def _residual_values_compensated(family: SolutionFamily, a: float, eta: float,
     Not part of the verdict: the exact-summation reference against which
     the rounding error of `_residual_values_batch` is measured.
     """
-    B, Bp, Bpp = _basis_and_derivatives(family, z)
+    B, Bp, Bpp = family.basis(z, derivatives=2)
     q = family.q
     s = family.spin_sign
     sin2z = np.sin(2.0 * z)[:, None]
@@ -418,11 +391,14 @@ def pde_residual_fd(family: SolutionFamily, coefficients: np.ndarray,
     eps_a0 = -a / 4.0                    # electron sign convention
     s = family.spin_sign
 
-    def psi(t, x, y):
+    # Psi = modulation(xi) * phase(t, x, y) with xi = k.x; an x step leaves
+    # xi alone, so the x stencil reuses the center's modulation mod0
+    def modulation(t, y):
         xi = kvec[0] * t - kvec[2] * y
-        mod = eval_polynomial_part(family, c, xi) * np.exp(-(a / 4.0) * np.cos(xi))
-        phase = np.exp(1j * (ptil[0] * t - ptil[1] * x - ptil[2] * y))
-        return mod * phase
+        return eval_polynomial_part(family, c, xi) * np.exp(-(a / 4.0) * np.cos(xi))
+
+    def phase(t, x, y):
+        return np.exp(1j * (ptil[0] * t - ptil[1] * x - ptil[2] * y))
 
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, 2.0 * np.pi, size=(n_points, 3))
@@ -430,12 +406,15 @@ def pde_residual_fd(family: SolutionFamily, coefficients: np.ndarray,
     xi = kvec[0] * t - kvec[2] * y
     cos_xi = np.cos(xi)
 
-    def max_residual(step: float) -> float:
-        p0v = psi(t, x, y)
-        dtt = (psi(t + step, x, y) - 2.0 * p0v + psi(t - step, x, y)) / step ** 2
-        dxx = (psi(t, x + step, y) - 2.0 * p0v + psi(t, x - step, y)) / step ** 2
-        dyy = (psi(t, x, y + step) - 2.0 * p0v + psi(t, x, y - step)) / step ** 2
-        dx1 = (psi(t, x + step, y) - psi(t, x - step, y)) / (2.0 * step)
+    def max_residual(step: float, mod0: np.ndarray, p0v: np.ndarray) -> float:
+        dtt = (modulation(t + step, y) * phase(t + step, x, y) - 2.0 * p0v
+               + modulation(t - step, y) * phase(t - step, x, y)) / step ** 2
+        psi_xp = mod0 * phase(t, x + step, y)
+        psi_xm = mod0 * phase(t, x - step, y)
+        dxx = (psi_xp - 2.0 * p0v + psi_xm) / step ** 2
+        dyy = (modulation(t, y + step) * phase(t, x, y + step) - 2.0 * p0v
+               + modulation(t, y - step) * phase(t, x, y - step)) / step ** 2
+        dx1 = (psi_xp - psi_xm) / (2.0 * step)
         res = (-(dtt - dxx - dyy)
                - 2j * eps_a0 * cos_xi * dx1
                - (a * a / 16.0) * cos_xi ** 2 * p0v
@@ -447,8 +426,10 @@ def pde_residual_fd(family: SolutionFamily, coefficients: np.ndarray,
     # past a ~ 2800, e^(a/4) leaves double range: the residual comes out
     # non-finite and fails the order band, which is the report, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        r_h = max_residual(h)
-        r_half = max_residual(h / 2.0)
+        mod0 = modulation(t, y)
+        p0v = mod0 * phase(t, x, y)
+        r_h = max_residual(h, mod0, p0v)
+        r_half = max_residual(h / 2.0, mod0, p0v)
     order = math.log2(r_h / r_half) if r_half > 0 else math.inf
     return PdeResidualReport(
         family=family, a=a, eta=momentum.eta, k_index=momentum.k_index,

@@ -193,6 +193,29 @@ class TestFigures:
         assert len(totals) == 40 + 21
         assert all(abs(t - 1.0) < 1e-12 for t in totals.values())
 
+    @pytest.mark.parametrize("which", ["2", "3"])
+    def test_shipped_config_passes(self, capsys, tmp_path, which):
+        config = Path(__file__).resolve().parents[1] / "configs" / f"figure{which}.cfg"
+        out_path = tmp_path / f"figure{which}.csv"
+        code, out, err = run(capsys, "figure", which, "--config", str(config),
+                             "--out", str(out_path))
+        assert code == 0
+        assert err == ""
+        assert out == f"wrote {out_path}\n"
+
+    @pytest.mark.parametrize("which,rows", [("2", 200 + 101), ("3", 200 * 200 + 101 * 101)])
+    def test_failing_residuals_exit_two(self, capsys, which, rows):
+        # the table is written in full, then one line names every failing k
+        code, out, err = run(capsys, "figure", which, "--n", "100", "--a", "14")
+        assert code == 2
+        data = [l for l in out.splitlines() if l and not l.startswith("#")]
+        assert len(data) == 1 + rows
+        assert err.splitlines() == [
+            "verification failure: ODE residual failed for dirac-plus n=100 a=14: "
+            "k = 153, 154, 155, 156, 157, 158, 159, 160, 161, 162, 163, 164, 165, "
+            "166, 185, 186, 187, 188, 189, 191; kg-cos-even n=100 a=14: "
+            "k = 77, 78, 79, 80, 81, 82, 83, 93, 94, 95"]
+
     def test_invalid_figure(self, capsys):
         code, _, _ = run(capsys, "figure", "4")
         assert code == 1

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from incevolkov.errors import InputError
 from incevolkov.families import ALL_KINDS, FamilyKind, SolutionFamily
@@ -10,6 +12,43 @@ from incevolkov.operators import (boundary_couplings, build_dirac_operator,
                                   build_operator)
 
 ALL_FAMILY_CASES = [(kind, n) for kind in ALL_KINDS for n in (1, 2, 3, 7, 25)]
+
+
+def _reference_entries(family, a):
+    """Per-row entry functions (diag, super, sub) of T, written out per kind.
+
+    The reference the one vectorized formula of the operators module must
+    equal bit for bit.
+    """
+    q, kind = family.q, family.kind
+    if family.is_dirac:
+        s = family.spin_sign
+        return (lambda m: 4.0 * m * m,
+                lambda m: 0.5 * a * (q + 2 * m + 2 - s),
+                lambda m: 0.5 * a * (q + 2 - 2 * m + s))
+    odd = kind in (FamilyKind.KG_COS_ODD, FamilyKind.KG_SIN_ODD)
+    nu = (lambda r: 2 * r + 1) if odd else (lambda r: 2 * r)
+
+    def diag(r):
+        d = float(nu(r)) ** 2
+        if r == 0 and kind is FamilyKind.KG_COS_ODD:
+            d += 0.5 * a * (q + 1)
+        elif r == 0 and kind is FamilyKind.KG_SIN_ODD:
+            d -= 0.5 * a * (q + 1)
+        return d
+
+    def sub(r):
+        if r == 1 and kind is FamilyKind.KG_COS_EVEN:
+            return a * q
+        return 0.5 * a * (q + 2 - nu(r))
+
+    return diag, lambda r: 0.5 * a * (q + nu(r) + 2), sub
+
+
+def _bitwise_equal(x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return (x.shape == y.shape and np.array_equal(x, y)
+            and np.array_equal(np.signbit(x), np.signbit(y)))
 
 
 class TestFamilyStructure:
@@ -135,6 +174,92 @@ class TestGenericInvariants:
         T = build_dirac_operator(2, 1.0)
         with pytest.raises(ValueError):
             T.diag[0] = 99.0
+
+
+class TestEntryFormula:
+    """The one vectorized entry formula against the per-row reference and
+    the structural properties every family's operator must have."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_matches_per_row_reference(self, kind):
+        for n in (1, 2, 3, 7, 25, 60, 200):
+            fam = SolutionFamily(kind, n)
+            rs = fam.r_indices
+            for a in (0.0, 0.5, 14.0, 50.0, 1e150):
+                diag_f, sup_f, sub_f = _reference_entries(fam, a)
+                T = build_operator(fam, a)
+                assert _bitwise_equal(T.diag, [diag_f(r) for r in rs]), (n, a)
+                assert _bitwise_equal(T.super_, [sup_f(r) for r in rs[:-1]]), (n, a)
+                assert _bitwise_equal(T.sub, [sub_f(r) for r in rs[1:]]), (n, a)
+                expected = {"above": sub_f(rs[-1] + 1)}
+                if fam.is_dirac:
+                    expected["below"] = sup_f(rs[0] - 1)
+                got = boundary_couplings(fam, a)
+                assert got.keys() == expected.keys()
+                assert all(_bitwise_equal(got[k], expected[k]) for k in got)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_extended_operator_matches_reference(self, kind):
+        fam = SolutionFamily(kind, 4)
+        diag_f, sup_f, sub_f = _reference_entries(fam, 14.0)
+        T_ext, win = build_extended_operator(fam, 14.0, extra=2)
+        rs = np.arange(fam.r_indices[0] - (2 if fam.is_dirac else 0),
+                       fam.r_indices[-1] + 3)
+        expected = np.diag([diag_f(r) for r in rs])
+        for i, r in enumerate(rs[:-1]):
+            expected[i, i + 1] = sup_f(r)
+            expected[i + 1, i] = sub_f(r + 1)
+        assert _bitwise_equal(T_ext, expected)
+        assert list(rs[win]) == list(fam.r_indices)
+
+    @given(kind=st.sampled_from(ALL_KINDS), n=st.integers(1, 60),
+           a=st.floats(0.0, 200.0))
+    def test_properties(self, kind, n, a):
+        fam = SolutionFamily(kind, n)
+        T = build_operator(fam, a)
+        assert all(v == 0.0 for v in boundary_couplings(fam, a).values())
+        # below about 1e-154 the bond product (a/2)^2 underflows to zero
+        if a > 1e-150:
+            assert np.all(T.super_ * T.sub > 0.0)
+        T0 = build_operator(fam, 0.0)
+        assert np.array_equal(T0.diag, fam.nu ** 2)
+        assert np.all(T0.super_ == 0.0) and np.all(T0.sub == 0.0)
+        plus = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, n), a)
+        minus = build_operator(SolutionFamily(FamilyKind.DIRAC_MINUS, n), a)
+        assert np.array_equal(minus.diag, plus.diag[::-1])
+        assert np.array_equal(minus.super_, plus.sub[::-1])
+        assert np.array_equal(minus.sub, plus.super_[::-1])
+
+
+class TestFamilyBasis:
+    # the basis of each kind at n = 3, written out by hand
+    EXPECTED = {
+        FamilyKind.DIRAC_PLUS: lambda xi: np.exp(-1j * np.multiply.outer(xi, [-2, -1, 0, 1, 2, 3])),
+        FamilyKind.DIRAC_MINUS: lambda xi: np.exp(-1j * np.multiply.outer(xi, [-3, -2, -1, 0, 1, 2])),
+        FamilyKind.KG_COS_EVEN: lambda xi: np.cos(np.multiply.outer(xi, [0, 1, 2, 3])),
+        FamilyKind.KG_COS_ODD: lambda xi: np.cos(np.multiply.outer(xi, [0.5, 1.5, 2.5])),
+        FamilyKind.KG_SIN_ODD: lambda xi: np.sin(np.multiply.outer(xi, [0.5, 1.5, 2.5])),
+        FamilyKind.KG_SIN_EVEN: lambda xi: np.sin(np.multiply.outer(xi, [1, 2, 3])),
+    }
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_values_are_the_family_basis(self, kind):
+        xi = np.linspace(-2.0 * np.pi, 2.0 * np.pi, 41)
+        B, = SolutionFamily(kind, 3).basis(xi / 2.0)
+        np.testing.assert_allclose(B, self.EXPECTED[kind](xi), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_derivatives_match_central_differences(self, kind):
+        fam = SolutionFamily(kind, 3)
+        z = np.linspace(0.0, 2.0 * np.pi, 29)
+        B, Bp, Bpp = fam.basis(z, derivatives=2)
+        h = 1e-4
+        Bm, Bc, Bq = (fam.basis(z + dz)[0] for dz in (-h, 0.0, h))
+        assert np.array_equal(Bc, B)
+        np.testing.assert_allclose(Bp, (Bq - Bm) / (2.0 * h), rtol=0, atol=1e-6)
+        np.testing.assert_allclose(Bpp, (Bq - 2.0 * B + Bm) / h ** 2, rtol=0, atol=1e-5)
+        assert len(fam.basis(z)) == 1
+        assert np.array_equal(fam.basis(z, derivatives=1)[1], Bp)
 
 
 class TestClosure:

@@ -42,6 +42,24 @@ def _escape(s: str) -> str:
     return "".join(out)
 
 
+def _float_parts(row: np.ndarray) -> list:
+    """Strings of a 1-D float array, as `format_number` renders each item."""
+    values = row.tolist()
+    if np.isfinite(row).all():
+        return list(map("%.17g".__mod__, values))
+    return [format_number(x) for x in values]
+
+
+def _list_json(parts: list, indent: int) -> str:
+    """A JSON array of rendered items: inline when every item is short."""
+    if not parts:
+        return "[]"
+    if len(parts) <= 400 and all(len(p) < 24 and "\n" not in p for p in parts):
+        return "[" + ", ".join(parts) + "]"
+    inner = " " * (indent + 2)
+    return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + " " * indent + "]"
+
+
 def dumps_json(obj, indent: int = 0) -> str:
     pad = " " * indent
     inner = " " * (indent + 2)
@@ -52,6 +70,12 @@ def dumps_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (bool, np.bool_, int, np.integer, float, np.floating)):
         return format_number(obj)
     if isinstance(obj, np.ndarray):
+        if obj.ndim == 0:
+            return dumps_json(obj.item(), indent)
+        if obj.dtype == np.float64:
+            if obj.ndim == 1:
+                return _list_json(_float_parts(obj), indent)
+            return _list_json([dumps_json(row, indent + 2) for row in obj], indent)
         obj = obj.tolist()
     if isinstance(obj, dict):
         if not obj:
@@ -60,12 +84,7 @@ def dumps_json(obj, indent: int = 0) -> str:
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        parts = [dumps_json(v, indent + 2) for v in obj]
-        if all(len(p) < 24 and "\n" not in p for p in parts) and len(parts) <= 400:
-            return "[" + ", ".join(parts) + "]"
-        return "[\n" + ",\n".join(inner + p for p in parts) + f"\n{pad}]"
+        return _list_json([dumps_json(v, indent + 2) for v in obj], indent)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

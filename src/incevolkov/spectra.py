@@ -2,12 +2,14 @@
 
 The operators are not symmetric, but every bond has super_ * sub > 0 for
 a > 0, so a diagonal similarity turns them into real symmetric tridiagonal
-matrices.  The primary solver is LAPACK's symmetric tridiagonal eigensolver
-(scipy.linalg.eigh_tridiagonal).  `sturm_bisection_oracle` and the dense
-check's Newton polish (verification module) share no numerical machinery
-with it; both run the LAPACK-free leading-minor recurrence `minor_ratios`,
-over stacks of equal-dimension matrices, and the oracle bisects each matrix
-to a tolerance relative to its Gershgorin bounds.
+matrices.  The primary solver is LAPACK's dense symmetric eigensolver
+(numpy.linalg.eigh, dsyevd) on the symmetrized matrix; the dense check
+(verification module) runs the general nonsymmetric one (dgeev) on the
+unsymmetrized T.  `sturm_bisection_oracle` and the dense check's Newton
+polish share no numerical machinery with either; both run the LAPACK-free
+leading-minor recurrence `minor_ratios`, over stacks of equal-dimension
+matrices, and the oracle bisects each matrix to a tolerance relative to
+its Gershgorin bounds.
 
 Conventions fixed here and recorded in every output:
   * eigenvalues sorted ascending, k labels 1-based in that order;
@@ -28,7 +30,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError, OracleError, StructuralError
 from .operators import TridiagonalOperator
@@ -120,6 +121,10 @@ def symmetrize(T: TridiagonalOperator):
         elif T.super_[i] == 0.0 and T.sub[i] == 0.0:
             off[i] = 0.0
             scale[i + 1] = scale[i]
+        elif p == 0.0 and np.sign(T.super_[i]) == np.sign(T.sub[i]):
+            raise InputError(
+                f"bond {i}: super*sub underflows at a = {T.a!r}; "
+                "the coupling is too small for double precision")
         else:
             raise StructuralError(
                 f"bond {i}: super*sub = {p!r} <= 0 at a = {T.a}; "
@@ -130,17 +135,13 @@ def symmetrize(T: TridiagonalOperator):
 def solve_spectrum(T: TridiagonalOperator) -> SpectralDecomposition:
     """Full eigendecomposition, ascending eigenvalues, normalized vectors."""
     diag, off, scale = symmetrize(T)
-    if T.dim == 1:
-        etas = diag.copy()
-        vectors = np.ones((1, 1))
-    else:
-        etas, y = scipy.linalg.eigh_tridiagonal(diag, off)
-        vectors = y / scale[:, None]
-        vectors = vectors / np.linalg.norm(vectors, axis=0)
-    for k in range(vectors.shape[1]):
-        j = int(np.argmax(np.abs(vectors[:, k])))
-        if vectors[j, k] < 0:
-            vectors[:, k] = -vectors[:, k]
+    etas, y = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    # Fortran order: the summation order of the ODE residual, and so the
+    # last bits of every reported residual, follows the vectors' layout
+    vectors = np.asfortranarray(y) / scale[:, None]
+    vectors = vectors / np.linalg.norm(vectors, axis=0)
+    largest = np.argmax(np.abs(vectors), axis=0)
+    vectors *= np.where(vectors[largest, np.arange(T.dim)] < 0, -1.0, 1.0)
     return SpectralDecomposition(
         family=T.family, a=T.a, etas=etas, vectors=vectors,
         k_labels=np.arange(1, T.dim + 1), scale=scale)

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import incevolkov
+import incevolkov.cli as cli
 import incevolkov.verification as verification
 from incevolkov.cli import main
+from incevolkov.operators import TridiagonalOperator
 
 FIG2_ARGS = ["--photon-energy-ev", "1.563", "--intensity-w-cm2", "1e8",
              "--plasma-energy-ev", "1.0"]
@@ -354,6 +356,28 @@ class TestNonFiniteInput:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: bond 0: super*sub overflows at a = 1e+300")
 
+    def test_underflowing_coupling(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--family", "kg-cos-even",
+                             "--n", "2", "--a", "1e-200")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: bond 0: super*sub underflows at a = 1e-200")
+
+    def test_sign_flip_still_structural(self, capsys, monkeypatch):
+        def sign_flipped(family, a):
+            return TridiagonalOperator(family=family, a=a, diag=np.zeros(2),
+                                       super_=np.array([1e-200]),
+                                       sub=np.array([-1e-200]))
+
+        monkeypatch.setattr(cli, "build_operator", sign_flipped)
+        code, out, err = run(capsys, "spectrum", "--family", "dirac",
+                             "--n", "1", "--a", "1")
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("structural error: bond 0: super*sub = -0.0 <= 0")
+
     @pytest.mark.parametrize("intensity,plasma,message", [
         ("1e308", "1", "error: coupling a overflows double range at intensity 1e+308"),
         ("1e8", "1e-308", "error: plasma energy 1e-308 eV gives a plasma "
@@ -374,10 +398,11 @@ def test_cli_import_leaves_out_scipy_special():
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, incevolkov.cli; print('scipy.special' in sys.modules)"],
+         "import sys, incevolkov.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 class TestConfigHandling:

@@ -59,6 +59,20 @@ class TestSymmetrize:
         with pytest.raises(StructuralError):
             symmetrize(T)
 
+    def test_underflowing_bond_is_input_error(self):
+        fam = SolutionFamily(FamilyKind.DIRAC_PLUS, 1)
+        for sign in (1.0, -1.0):
+            T = TridiagonalOperator(family=fam, a=1e-200, diag=np.zeros(2),
+                                    super_=np.array([sign * 1e-200]),
+                                    sub=np.array([sign * 1e-200]))
+            with pytest.raises(InputError, match=r"^bond 0: super\*sub underflows "
+                                                 r"at a = 1e-200"):
+                symmetrize(T)
+        T = TridiagonalOperator(family=fam, a=1e-200, diag=np.zeros(2),
+                                super_=np.array([1e-200]), sub=np.array([-1e-200]))
+        with pytest.raises(StructuralError):
+            symmetrize(T)
+
 
 class TestSolveSpectrum:
     def test_free_limit(self):
@@ -92,6 +106,11 @@ class TestSolveSpectrum:
         assert dec.dim == fam.dim
         assert len(dec.etas) == fam.dim
         assert dec.vectors.shape == (fam.dim, fam.dim)
+
+    def test_vectors_fortran_ordered(self):
+        # the ODE residual's summation order, and so its last bits, follows this layout
+        dec = solve_spectrum(build_dirac_operator(9, 14.0))
+        assert dec.vectors.flags.f_contiguous
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_normalization_and_sign(self, kind):

@@ -437,7 +437,7 @@ def main(argv=None) -> int:
     except (StructuralError, OracleError) as exc:
         print(f"structural error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:          # e.g. a missing config, --out naming a directory
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -87,6 +87,8 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise InputError(f"{_KEY_OF[f.name]} must be finite, got {value!r}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.output_format not in ("json", "csv"):
             raise InputError(
                 f"output format must be json or csv, got {self.output_format!r}")

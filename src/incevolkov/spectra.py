@@ -26,6 +26,7 @@ reported diagnostic (`min_relative_gap`), not a construction invariant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -36,6 +37,7 @@ from .operators import TridiagonalOperator
 
 __all__ = [
     "RELATIVE_GAP_THRESHOLD",
+    "MAX_SOLVE_DIM",
     "SpectralDecomposition",
     "symmetrize",
     "solve_spectrum",
@@ -45,6 +47,11 @@ __all__ = [
 
 # distinctness threshold for the gap diagnostic, relative to spectral spread
 RELATIVE_GAP_THRESHOLD = 1e-8
+# the dense solve holds about 6 dim x dim float64 arrays at its peak (RSS
+# measured at 5.1-5.5 dim^2 doubles for dim 1000-3000); the cap keeps that
+# under 1 GiB
+_SOLVE_MEMORY_BYTES = 2 ** 30
+MAX_SOLVE_DIM = math.isqrt(_SOLVE_MEMORY_BYTES // (6 * 8))      # 4729
 # a Sturm bracket need not be narrower than this many ulps of its matrix's
 # largest Gershgorin bound: near one ulp, bisection cannot shrink it further
 _STURM_TOL_ULPS = 8
@@ -133,7 +140,16 @@ def symmetrize(T: TridiagonalOperator):
 
 
 def solve_spectrum(T: TridiagonalOperator) -> SpectralDecomposition:
-    """Full eigendecomposition, ascending eigenvalues, normalized vectors."""
+    """Full eigendecomposition, ascending eigenvalues, normalized vectors.
+
+    Refuses dim > MAX_SOLVE_DIM (4729) as a range limit, before allocating:
+    the dense solve peaks at about 6 dim^2 doubles, which the cap keeps
+    under 1 GiB.
+    """
+    if T.dim > MAX_SOLVE_DIM:
+        raise InputError(
+            f"n = {T.family.n} gives dimension {T.dim}, past the range limit "
+            f"of the dense solver (dim <= {MAX_SOLVE_DIM}, under 1 GiB)")
     diag, off, scale = symmetrize(T)
     etas, y = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     # Fortran order: the summation order of the ODE residual, and so the

@@ -39,15 +39,16 @@ spatial reflection and give identical spectra and densities.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .constants import SAMPLING_SEED
 from .errors import InputError, OracleError, StructuralError
 from .families import ALL_KINDS, FamilyKind, SolutionFamily
-from .modulation import eval_polynomial_part
 from .operators import TridiagonalOperator, build_operator
 from .physparams import DeBroglieMomentum
 from .serialize import format_number
@@ -56,10 +57,10 @@ from .spectra import (SpectralDecomposition, minor_ratios, solve_spectrum,
 
 __all__ = [
     "SAMPLING_SEED", "ODE_RESIDUAL_TOL", "DENSE_IMAG_TOL", "ORACLE_AGREEMENT_TOL",
-    "ResidualReport", "ode_residual", "attach_residuals",
+    "seeded_angles", "ResidualReport", "ode_residual", "attach_residuals",
     "dense_oracle_crosscheck", "sturm_crosscheck",
     "momentum_for_mode", "vacuum_null_momentum",
-    "PdeResidualReport", "pde_residual_fd",
+    "PdeStencil", "pde_stencil", "PdeResidualReport", "pde_residual_fd",
     "PointReport", "VerificationReport", "run_point", "run_grid",
     "DEFAULT_GRID_A_VALUES", "DEFAULT_GRID_N_MAX",
 ]
@@ -77,12 +78,105 @@ DEFAULT_GRID_N_M = 0.7685453911282961   # refractive index of the spacetime chec
 _N_EQUIDISTANT = 256
 _N_RANDOM = 32
 
+# numpy's SeedSequence hash constants and PCG64 multiplier
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+@functools.lru_cache(maxsize=32)
+def seeded_angles(seed: int, count: int) -> np.ndarray:
+    """`count` angles in [0, 2 pi): numpy.random.default_rng(seed).uniform(0, 2 pi, count).
+
+    A pure-Python copy of numpy's stream, bit for bit, so that no command
+    imports numpy.random.  The steps are numpy's (O'Neill, "PCG: A Family of
+    Simple Fast Space-Efficient Statistically Good Algorithms for Random
+    Number Generation", HMC-CS-2014-0905):
+
+      * SeedSequence: the seed's 32-bit words (least significant first) are
+        hashed into a pool of 4 words and mixed; 8 words drawn from the pool
+        form the 128-bit PCG64 state seed and stream increment;
+      * PCG64: s <- s * M + inc mod 2^128, output XSL-RR (hi ^ lo, rotated
+        right by the top 6 bits of s);
+      * double u = (u64 >> 11) * 2^-53, angle = 0 + 2 pi * u.
+
+    The angles are a pure function of (seed, count), so they are cached;
+    the array is read-only.
+    """
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
+    words = [seed & _MASK32]
+    while seed >> 32 * len(words):
+        words.append((seed >> 32 * len(words)) & _MASK32)
+
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = (hash_const * 0x931E8875) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return r ^ (r >> 16)
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in words[4:]:
+        for i_dst in range(4):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    hash_const = 0x8B51F9DD
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = (hash_const * 0x58F38DED) & _MASK32
+        value = (value * hash_const) & _MASK32
+        state.append(value ^ (value >> 16))
+    seed_hi, seed_lo, inc_hi, inc_lo = (state[i] | state[i + 1] << 32
+                                        for i in range(0, 8, 2))
+    inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+    s = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULTIPLIER + inc) & _MASK128
+
+    angles = []
+    for _ in range(count):
+        s = (s * _PCG64_MULTIPLIER + inc) & _MASK128
+        rot = s >> 122
+        x = ((s >> 64) ^ s) & _MASK64
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        angles.append(2.0 * math.pi * ((x >> 11) * 2.0 ** -53))
+    out = np.array(angles)
+    out.setflags(write=False)
+    return out
+
 
 def _sample_points(seed: int) -> np.ndarray:
     z_eq = np.linspace(0.0, 2.0 * np.pi, _N_EQUIDISTANT, endpoint=False)
-    rng = np.random.default_rng(seed)
-    z_rand = rng.uniform(0.0, 2.0 * np.pi, size=_N_RANDOM)
-    return np.concatenate([z_eq, z_rand])
+    return np.concatenate([z_eq, seeded_angles(seed, _N_RANDOM)])
+
+
+class _OdeSamples(NamedTuple):
+    """What every ODE residual of one family reads at the seeded sample points.
+
+    None of it depends on a, so one build serves every coupling.
+    """
+
+    family: SolutionFamily
+    basis: list            # [B, B', B''], one row per sample point
+    sin2z: np.ndarray      # sin(2z), cos(2z) as columns
+    cos2z: np.ndarray
+
+
+def _ode_samples(family: SolutionFamily, seed: int) -> _OdeSamples:
+    z = _sample_points(seed)
+    return _OdeSamples(family, family.basis(z, derivatives=2),
+                       np.sin(2.0 * z)[:, None], np.cos(2.0 * z)[:, None])
 
 
 @dataclass(frozen=True)
@@ -101,20 +195,19 @@ class ResidualReport:
     seed: int
 
 
-def _residual_values_batch(family: SolutionFamily, a: float, etas: np.ndarray,
-                           vectors: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Residual values, shape (samples, modes); one basis build for all modes."""
-    B, Bp, Bpp = family.basis(z, derivatives=2)
-    q = family.q
-    s = family.spin_sign
+def _residual_values_batch(samples: _OdeSamples, a: float, etas: np.ndarray,
+                           vectors: np.ndarray) -> np.ndarray:
+    """Residual values, shape (samples, modes), from one prebuilt basis."""
+    B, Bp, Bpp = samples.basis
+    q = samples.family.q
+    s = samples.family.spin_sign
     V = vectors.astype(B.dtype, copy=False)     # cast once, not per product
     f = B @ V
     fp = Bp @ V
     fpp = Bpp @ V
-    sin2z = np.sin(2.0 * z)[:, None]
-    cos2z = np.cos(2.0 * z)[:, None]
     coupling = fp + 1j * s * f if s != 0 else fp
-    return fpp + a * sin2z * coupling + (etas[None, :] - q * a * cos2z) * f
+    return (fpp + a * samples.sin2z * coupling
+            + (etas[None, :] - q * a * samples.cos2z) * f)
 
 
 def _residual_values_compensated(family: SolutionFamily, a: float, eta: float,
@@ -136,8 +229,8 @@ def _residual_values_compensated(family: SolutionFamily, a: float, eta: float,
     return out
 
 
-def _batch_residual_maxima(family: SolutionFamily, a: float, etas: np.ndarray,
-                           vectors: np.ndarray, seed: int):
+def _batch_residual_maxima(samples: _OdeSamples, a: float, etas: np.ndarray,
+                           vectors: np.ndarray):
     """The residual policy: per-mode (maxima, scales, passed).
 
     A mode passes when its max |residual| over the sample points is below
@@ -146,10 +239,9 @@ def _batch_residual_maxima(family: SolutionFamily, a: float, etas: np.ndarray,
     `_residual_values_compensated` for all six kinds at n <= 60, a <= 50),
     more than five orders of magnitude under the tolerance.
     """
-    z = _sample_points(seed)
-    values = _residual_values_batch(family, a, etas, vectors, z)
+    values = _residual_values_batch(samples, a, etas, vectors)
     maxima = np.max(np.abs(values), axis=0)
-    scales = 1.0 + np.abs(etas) + a * family.dim
+    scales = 1.0 + np.abs(etas) + a * samples.family.dim
     return maxima, scales, maxima < ODE_RESIDUAL_TOL * scales
 
 
@@ -165,7 +257,7 @@ def ode_residual(family: SolutionFamily, a: float, eta: float,
     if len(c) != family.dim:
         raise InputError("coefficient length does not match family dimension")
     maxima, scales, passed = _batch_residual_maxima(
-        family, a, np.array([eta]), c[:, None], seed)
+        _ode_samples(family, seed), a, np.array([eta]), c[:, None])
     return ResidualReport(
         family=family, a=a, eta=eta, k_index=k_index,
         max_residual=float(maxima[0]), sample_count=_N_EQUIDISTANT + _N_RANDOM,
@@ -180,8 +272,8 @@ def attach_residuals(decomposition: SpectralDecomposition,
     passed[i] is the verdict of `_batch_residual_maxima` for etas[i].
     """
     maxima, _, passed = _batch_residual_maxima(
-        decomposition.family, decomposition.a, decomposition.etas,
-        decomposition.vectors, seed)
+        _ode_samples(decomposition.family, seed), decomposition.a,
+        decomposition.etas, decomposition.vectors)
     return decomposition.with_residuals(maxima), passed
 
 
@@ -345,22 +437,70 @@ class PdeResidualReport:
         return lo <= self.observed_order <= hi
 
 
-def pde_residual_fd(family: SolutionFamily, coefficients: np.ndarray,
-                    momentum: DeBroglieMomentum, n_m: float, a: float,
-                    h: float = 1e-3, n_points: int = 64,
-                    seed: int = SAMPLING_SEED) -> PdeResidualReport:
-    """Central-difference residual of the covariant wave equation.
+@dataclass(frozen=True, eq=False)
+class PdeStencil:
+    """The part of `pde_residual_fd` that depends on neither a nor the mode.
 
-    Units hbar = c = 1, k_p = 1.  Builds Psi(t,x,y) from the modulation and
-    the de Broglie phase, evaluates the gauge-covariant operator with
-    second-order stencils in (ct, x, y) at h and h/2 over seeded random
-    points in one wave period, and reports the observed convergence order.
-    Off-shell or inconsistent momenta are precondition errors.
+    The seeded points (t, x, y) in one wave period and, at the points and
+    at each of their t and y shifts by +-h and +-h/2, the family's basis at
+    z = xi/2 and cos xi (`samples`, keyed by the (t shift, y shift) pair).
+    One stencil serves every coupling and mode of its family at this
+    refractive index, step and seed.
     """
+
+    family: SolutionFamily
+    h: float
+    n_points: int
+    seed: int
+    kvec: np.ndarray             # (t, x, y) components of k, k^2 = 1
+    t: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    sin_xi: np.ndarray           # at the unshifted points
+    samples: dict
+
+
+def pde_stencil(family: SolutionFamily, n_m: float, h: float = 1e-3,
+                n_points: int = 64, seed: int = SAMPLING_SEED) -> PdeStencil:
+    """Points and modulation bases of the spacetime check at steps h and h/2."""
     if h <= 0:
         raise InputError("step h must be positive")
     if not 0.0 < n_m < 1.0:
         raise InputError(f"refractive index must lie in (0, 1), got {n_m}")
+    lam = math.sqrt(1.0 - n_m * n_m)
+    k0 = 1.0 / lam                       # k^2 = k0^2 (1 - n_m^2) = 1
+    kvec = np.array([k0, 0.0, k0 * n_m])
+    pts = seeded_angles(seed, 3 * n_points).reshape(n_points, 3)
+    t, x, y = pts[:, 0], pts[:, 1], pts[:, 2]
+
+    # Psi = modulation(xi) * phase(t, x, y) with xi = k.x; an x step leaves
+    # xi alone, so only the t and y shifts need their own samples
+    def sample(ts, ys):
+        xi = kvec[0] * ts - kvec[2] * ys
+        return family.basis(xi / 2.0)[0], np.cos(xi)
+
+    samples = {(0.0, 0.0): sample(t, y)}
+    for step in (h, h / 2.0):
+        samples[step, 0.0] = sample(t + step, y)
+        samples[-step, 0.0] = sample(t - step, y)
+        samples[0.0, step] = sample(t, y + step)
+        samples[0.0, -step] = sample(t, y - step)
+    return PdeStencil(family=family, h=h, n_points=n_points, seed=seed,
+                      kvec=kvec, t=t, x=x, y=y,
+                      sin_xi=np.sin(kvec[0] * t - kvec[2] * y), samples=samples)
+
+
+def pde_residual_fd(stencil: PdeStencil, coefficients: np.ndarray,
+                    momentum: DeBroglieMomentum, a: float) -> PdeResidualReport:
+    """Central-difference residual of the covariant wave equation.
+
+    Units hbar = c = 1, k_p = 1.  Builds Psi(t,x,y) from the modulation and
+    the de Broglie phase, evaluates the gauge-covariant operator with
+    second-order stencils in (ct, x, y) at h and h/2 over the seeded points
+    of `stencil` (see `pde_stencil`), and reports the observed convergence
+    order.  Off-shell or inconsistent momenta are precondition errors.
+    """
+    family = stencil.family
     c = np.asarray(coefficients)
     if len(c) != family.dim:
         raise InputError("coefficient length does not match family dimension")
@@ -371,9 +511,7 @@ def pde_residual_fd(family: SolutionFamily, coefficients: np.ndarray,
             f"momentum off the dressed mass shell: p^2 = {momentum.p_squared!r}"
             f" vs kappa_star_sq = {momentum.kappa_star_sq!r}")
 
-    lam = math.sqrt(1.0 - n_m * n_m)
-    k0 = 1.0 / lam                       # k^2 = k0^2 (1 - n_m^2) = 1
-    kvec = np.array([k0, 0.0, k0 * n_m])          # (t, x, y) components
+    kvec = stencil.kvec
     p = np.array([momentum.p0, momentum.px, momentum.py])
     k_dot_p = kvec[0] * p[0] - kvec[2] * p[2]
     eta_implied = 4.0 * k_dot_p * k_dot_p
@@ -390,43 +528,38 @@ def pde_residual_fd(family: SolutionFamily, coefficients: np.ndarray,
     kappa_sq = momentum.kappa_star_sq - a * a / 16.0
     eps_a0 = -a / 4.0                    # electron sign convention
     s = family.spin_sign
+    t, x, y = stencil.t, stencil.x, stencil.y
+    cos_xi = stencil.samples[0.0, 0.0][1]
 
-    # Psi = modulation(xi) * phase(t, x, y) with xi = k.x; an x step leaves
-    # xi alone, so the x stencil reuses the center's modulation mod0
-    def modulation(t, y):
-        xi = kvec[0] * t - kvec[2] * y
-        return eval_polynomial_part(family, c, xi) * np.exp(-(a / 4.0) * np.cos(xi))
+    def modulation(t_shift, y_shift):
+        basis, cos_shifted = stencil.samples[t_shift, y_shift]
+        return (basis @ c) * np.exp(-(a / 4.0) * cos_shifted)
 
     def phase(t, x, y):
         return np.exp(1j * (ptil[0] * t - ptil[1] * x - ptil[2] * y))
 
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(0.0, 2.0 * np.pi, size=(n_points, 3))
-    t, x, y = pts[:, 0], pts[:, 1], pts[:, 2]
-    xi = kvec[0] * t - kvec[2] * y
-    cos_xi = np.cos(xi)
-
     def max_residual(step: float, mod0: np.ndarray, p0v: np.ndarray) -> float:
-        dtt = (modulation(t + step, y) * phase(t + step, x, y) - 2.0 * p0v
-               + modulation(t - step, y) * phase(t - step, x, y)) / step ** 2
+        dtt = (modulation(step, 0.0) * phase(t + step, x, y) - 2.0 * p0v
+               + modulation(-step, 0.0) * phase(t - step, x, y)) / step ** 2
         psi_xp = mod0 * phase(t, x + step, y)
         psi_xm = mod0 * phase(t, x - step, y)
         dxx = (psi_xp - 2.0 * p0v + psi_xm) / step ** 2
-        dyy = (modulation(t, y + step) * phase(t, x, y + step) - 2.0 * p0v
-               + modulation(t, y - step) * phase(t, x, y - step)) / step ** 2
+        dyy = (modulation(0.0, step) * phase(t, x, y + step) - 2.0 * p0v
+               + modulation(0.0, -step) * phase(t, x, y - step)) / step ** 2
         dx1 = (psi_xp - psi_xm) / (2.0 * step)
         res = (-(dtt - dxx - dyy)
                - 2j * eps_a0 * cos_xi * dx1
                - (a * a / 16.0) * cos_xi ** 2 * p0v
                - kappa_sq * p0v)
         if s != 0:
-            res = res - 1j * s * (a / 4.0) * np.sin(xi) * p0v
+            res = res - 1j * s * (a / 4.0) * stencil.sin_xi * p0v
         return float(np.max(np.abs(res)))
 
     # past a ~ 2800, e^(a/4) leaves double range: the residual comes out
     # non-finite and fails the order band, which is the report, not a warning
+    h = stencil.h
     with np.errstate(over="ignore", invalid="ignore"):
-        mod0 = modulation(t, y)
+        mod0 = modulation(0.0, 0.0)
         p0v = mod0 * phase(t, x, y)
         r_h = max_residual(h, mod0, p0v)
         r_half = max_residual(h / 2.0, mod0, p0v)
@@ -434,7 +567,7 @@ def pde_residual_fd(family: SolutionFamily, coefficients: np.ndarray,
     return PdeResidualReport(
         family=family, a=a, eta=momentum.eta, k_index=momentum.k_index,
         h=h, max_residual=r_h, max_residual_half=r_half,
-        observed_order=order, n_points=n_points, seed=seed)
+        observed_order=order, n_points=stencil.n_points, seed=stencil.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +626,13 @@ class VerificationReport:
         }
 
 
-def _pde_check(family: SolutionFamily, a: float, etas: np.ndarray,
+def _pde_check(stencils: dict, family: SolutionFamily, a: float, etas: np.ndarray,
                vectors: np.ndarray, n_m: float, seed: int):
-    """(order, residual, passed, notes) of the spacetime check of one point."""
+    """(order, residual, passed, notes) of the spacetime check of one point.
+
+    stencils maps (family, h) to its `pde_stencil`; a missing one is built
+    and added, for the other couplings of the family that use the same h.
+    """
     # spacetime check on the highest non-evanescent mode; rounding enters
     # like eps * e^(a/4) / h^2 while truncation shrinks like h^2, and some
     # small-(n, a) modes have tiny truncation constants, so the order
@@ -509,7 +646,9 @@ def _pde_check(family: SolutionFamily, a: float, etas: np.ndarray,
     top = int(propagating[-1])
     mom = momentum_for_mode(family, float(etas[top]), n_m, k_index=top + 1)
     pde_h = 5e-3 if a <= 25.0 else 1e-2
-    pde = pde_residual_fd(family, vectors[:, top], mom, n_m, a, h=pde_h, seed=seed)
+    if (family, pde_h) not in stencils:
+        stencils[family, pde_h] = pde_stencil(family, n_m, pde_h, seed=seed)
+    pde = pde_residual_fd(stencils[family, pde_h], vectors[:, top], mom, a)
     return (pde.observed_order, pde.max_residual,
             pde.converged_second_order or pde.max_residual_half < 1e-12, [])
 
@@ -519,22 +658,26 @@ def _check_group(points, n_m: float, seed: int, eta_shift: float) -> list:
 
     Each point is built, solved and judged by its ODE residual; the dense
     and Sturm cross-checks then run once over the whole group, and the
-    spacetime check per point.
+    spacetime check per point.  A family's bases do not depend on a: its
+    ODE samples are built once and its PDE stencils once per step, and
+    both are dropped with the group.
     """
     families = [SolutionFamily(kind, n) for kind, n, _ in points]
     ops = [build_operator(fam, a) for fam, (_, _, a) in zip(families, points)]
     decs = [solve_spectrum(T) for T in ops]
     shifted = [dec.etas + eta_shift for dec in decs]
-    odes = [_batch_residual_maxima(fam, a, etas, dec.vectors, seed)
+    samples = {fam: _ode_samples(fam, seed) for fam in dict.fromkeys(families)}
+    odes = [_batch_residual_maxima(samples[fam], a, etas, dec.vectors)
             for fam, (_, _, a), etas, dec in zip(families, points, shifted, decs)]
     dense = dense_oracle_crosscheck(ops, shifted)
     sturm = sturm_crosscheck(ops, shifted)
 
+    stencils = {}
     reports = []
     for fam, (kind, n, a), dec, etas, (maxima, scales, passed), dense_disc, sturm_disc \
             in zip(families, points, decs, shifted, odes, dense, sturm):
-        pde_order, pde_res, pde_ok, notes = _pde_check(fam, a, etas, dec.vectors,
-                                                       n_m, seed)
+        pde_order, pde_res, pde_ok, notes = _pde_check(stencils, fam, a, etas,
+                                                       dec.vectors, n_m, seed)
         if a == 0.0:
             notes.append("a=0: spectrum degenerates to the squared basis frequencies")
         reports.append(PointReport(

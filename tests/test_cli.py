@@ -393,6 +393,112 @@ class TestNonFiniteInput:
         assert err.startswith(message)
 
 
+class TestInputLimits:
+    def test_negative_seed_flag(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--family", "dirac", "--n", "3",
+                             "--a", "1", "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: seed must be >= 0")
+
+    def test_negative_seed_config(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family = dirac\nn = 3\na = 1\nseed = -1\n")
+        code, out, err = run(capsys, "spectrum", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: seed must be >= 0")
+
+    def test_out_is_a_directory(self, capsys, tmp_path):
+        code, out, err = run(capsys, "spectrum", "--family", "dirac", "--n", "3",
+                             "--a", "1", "--out", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
+    def test_dimension_past_range_limit(self, capsys):
+        from incevolkov.spectra import MAX_SOLVE_DIM
+
+        # kg-cos-even has dim n + 1: the first dimension above the cap
+        code, out, err = run(capsys, "spectrum", "--family", "kg-cos-even",
+                             "--n", str(MAX_SOLVE_DIM), "--a", "1")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "range limit" in err
+
+
+def _modules_after(code: str) -> list:
+    """incevolkov and numpy.random modules loaded by `code` in a fresh interpreter."""
+    src = str(Path(incevolkov.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import json, sys\n{code}\n"
+         "print(json.dumps(sorted(m for m in sys.modules "
+         "if m.startswith(('incevolkov', 'numpy.random')))))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_package_import_loads_no_submodule():
+    assert _modules_after("import incevolkov") == ["incevolkov"]
+
+
+# every name the package exported when it imported its modules eagerly
+EAGER_EXPORTS = """
+    ELECTRON_MASS PROTON_MASS InputError OracleError OverdenseError
+    StructuralError VerificationFailure ALL_KINDS FamilyKind SolutionFamily
+    parse_family_kind ModulationFunction contrast envelope_density
+    eval_polynomial_part harmonic_strengths TridiagonalOperator
+    boundary_couplings build_dirac_operator build_extended_operator
+    build_kg_operator build_operator DeBroglieMomentum DerivedQuantities
+    Dispersion LaserInput LongitudinalMomentum PlasmaInput WaveConfig
+    coupling_parameter coupling_to_mu0_ratio dispersion
+    electron_density_from_plasma_energy eta_to_longitudinal
+    field_amplitude_from_intensity intensity_parameter
+    quantized_transverse_momentum refractive_index wavenumber_from
+    RELATIVE_GAP_THRESHOLD SpectralDecomposition solve_spectrum
+    sturm_bisection_oracle symmetrize GammaSet SpinEigensystem
+    build_majorana_gammas spin_interaction_matrix ODE_RESIDUAL_TOL
+    SAMPLING_SEED PdeResidualReport ResidualReport VerificationReport
+    attach_residuals dense_oracle_crosscheck momentum_for_mode ode_residual
+    pde_residual_fd run_grid run_point sturm_crosscheck vacuum_null_momentum
+""".split()
+
+
+def test_package_exports_resolve():
+    from incevolkov import spinalg, verification
+
+    assert set(EAGER_EXPORTS) <= set(incevolkov.__all__)
+    for name in EAGER_EXPORTS:
+        assert getattr(incevolkov, name) is not None
+    assert incevolkov.run_grid is verification.run_grid
+    assert incevolkov.GammaSet is spinalg.GammaSet
+    assert "solve_spectrum" in dir(incevolkov)
+    with pytest.raises(AttributeError):
+        incevolkov.no_such_name
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--family", "dirac", "--n", "3", "--a", "1"],
+    ["verify", "--family", "dirac", "--n", "3", "--a", "14"],
+])
+def test_commands_leave_out_numpy_random_and_spinalg(argv):
+    loaded = _modules_after(
+        "import contextlib, io\n"
+        "from incevolkov.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0")
+    assert "incevolkov.verification" in loaded
+    assert "incevolkov.spinalg" not in loaded
+    assert not [m for m in loaded if m.startswith("numpy.random")]
+
+
 def test_cli_import_leaves_out_scipy_special():
     src = str(Path(incevolkov.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}

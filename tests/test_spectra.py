@@ -7,7 +7,8 @@ from incevolkov.errors import InputError, OracleError, StructuralError
 from incevolkov.families import ALL_KINDS, FamilyKind, SolutionFamily
 from incevolkov.operators import (TridiagonalOperator, build_dirac_operator,
                                   build_kg_operator, build_operator)
-from incevolkov.spectra import (minor_ratios, solve_spectrum,
+import incevolkov.spectra as spectra
+from incevolkov.spectra import (MAX_SOLVE_DIM, minor_ratios, solve_spectrum,
                                 sturm_bisection_oracle, symmetrize)
 
 
@@ -140,6 +141,18 @@ class TestSolveSpectrum:
         assert np.array_equal(dec.vector(2), dec.vectors[:, 1])
         with pytest.raises(InputError):
             dec.vector(7)
+
+    def test_dimension_cap_checked_first(self, monkeypatch):
+        # the first dimension above the cap: refused before symmetrize or
+        # the dense matrix allocate anything of size dim
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_spectrum went past its dimension cap")
+
+        monkeypatch.setattr(spectra, "symmetrize", refuse)
+        T = build_operator(SolutionFamily(FamilyKind.KG_COS_EVEN, MAX_SOLVE_DIM), 1.0)
+        assert T.dim == MAX_SOLVE_DIM + 1
+        with pytest.raises(InputError, match="range limit"):
+            solve_spectrum(T)
 
 
 class TestMinorRatios:

@@ -14,12 +14,13 @@ from incevolkov.operators import (TridiagonalOperator, build_dirac_operator,
 from incevolkov.physparams import DeBroglieMomentum
 from incevolkov.spectra import solve_spectrum
 from incevolkov.verification import (SAMPLING_SEED, _charpoly_newton_polish,
-                                     _residual_values_batch,
+                                     _ode_samples, _residual_values_batch,
                                      _residual_values_compensated,
                                      _sample_points, attach_residuals,
                                      dense_oracle_crosscheck,
                                      momentum_for_mode, ode_residual,
-                                     pde_residual_fd, run_grid, run_point,
+                                     pde_residual_fd, pde_stencil, run_grid,
+                                     run_point, seeded_angles,
                                      sturm_crosscheck, vacuum_null_momentum)
 
 N_M = 0.7685453911282961
@@ -94,7 +95,8 @@ class TestOdeResidual:
         for kind in ALL_KINDS:
             for a in (14.0, 20.0):
                 fam, dec = _solved(kind, 25, a)
-                plain = _residual_values_batch(fam, a, dec.etas, dec.vectors, z)
+                plain = _residual_values_batch(_ode_samples(fam, SAMPLING_SEED),
+                                               a, dec.etas, dec.vectors)
                 for i in range(dec.dim):
                     eta = float(dec.etas[i])
                     comp = _residual_values_compensated(fam, a, eta,
@@ -110,17 +112,17 @@ class TestOdeResidual:
             raise AssertionError("exact re-summation called")
 
         monkeypatch.setattr(verification, "_residual_values_compensated", refuse)
-        z = _sample_points(SAMPLING_SEED)
         fam, dec = _solved(FamilyKind.DIRAC_PLUS, 39, 14.0)
+        samples = _ode_samples(fam, SAMPLING_SEED)
         eta, c = float(dec.etas[77]), dec.vectors[:, 77]
         plain = np.max(np.abs(_residual_values_batch(
-            fam, 14.0, np.array([eta]), c[:, None], z)))
+            samples, 14.0, np.array([eta]), c[:, None])))
         rep = ode_residual(fam, 14.0, eta, c, k_index=78)
         assert rep.max_residual == plain
         assert rep.passed == (plain < rep.tol * rep.scale)
         # the all-modes batch sums in another order than the one-mode batch
-        batch = np.max(np.abs(_residual_values_batch(fam, 14.0, dec.etas,
-                                                     dec.vectors, z)), axis=0)
+        batch = np.max(np.abs(_residual_values_batch(samples, 14.0, dec.etas,
+                                                     dec.vectors)), axis=0)
         dec2, passed = attach_residuals(dec)
         assert np.array_equal(dec2.residuals, batch)
         assert passed[77] == (batch[77] < rep.tol * rep.scale)
@@ -255,7 +257,7 @@ class TestPdeResidual:
     def test_kg_second_order_convergence(self):
         fam, dec = _solved(FamilyKind.KG_COS_EVEN, 2, 5.0)
         mom = momentum_for_mode(fam, float(dec.etas[-1]), N_M, k_index=dec.dim)
-        rep = pde_residual_fd(fam, dec.vectors[:, -1], mom, N_M, 5.0)
+        rep = pde_residual_fd(pde_stencil(fam, N_M), dec.vectors[:, -1], mom, 5.0)
         assert rep.converged_second_order
         assert abs(rep.observed_order - 2.0) <= 0.2
 
@@ -263,15 +265,15 @@ class TestPdeResidual:
         for kind in (FamilyKind.DIRAC_PLUS, FamilyKind.DIRAC_MINUS):
             fam, dec = _solved(kind, 2, 5.0)
             mom = momentum_for_mode(fam, float(dec.etas[-1]), N_M, k_index=dec.dim)
-            rep = pde_residual_fd(fam, dec.vectors[:, -1].astype(complex),
-                                  mom, N_M, 5.0)
+            rep = pde_residual_fd(pde_stencil(fam, N_M),
+                                  dec.vectors[:, -1].astype(complex), mom, 5.0)
             assert abs(rep.observed_order - 2.0) <= 0.2, kind
 
     def test_negative_control_does_not_converge(self):
         fam, dec = _solved(FamilyKind.KG_COS_EVEN, 2, 5.0)
         eta_bad = float(dec.etas[-1]) + 0.01 * (1 + abs(float(dec.etas[-1])))
         mom = momentum_for_mode(fam, eta_bad, N_M, k_index=dec.dim)
-        rep = pde_residual_fd(fam, dec.vectors[:, -1], mom, N_M, 5.0)
+        rep = pde_residual_fd(pde_stencil(fam, N_M), dec.vectors[:, -1], mom, 5.0)
         assert rep.observed_order < 1.0
         assert rep.max_residual_half > 1e-6
 
@@ -280,7 +282,8 @@ class TestPdeResidual:
         _, dec_plus = _solved(FamilyKind.DIRAC_PLUS, 2, 5.0)
         fam_minus = SolutionFamily(FamilyKind.DIRAC_MINUS, 2)
         mom = momentum_for_mode(fam_minus, float(dec_plus.etas[-1]), N_M)
-        rep = pde_residual_fd(fam_minus, dec_plus.vectors[:, -1], mom, N_M, 5.0)
+        rep = pde_residual_fd(pde_stencil(fam_minus, N_M), dec_plus.vectors[:, -1],
+                              mom, 5.0)
         assert rep.max_residual_half > 1e-3
 
     def test_vacuum_exact_cancellation(self):
@@ -291,7 +294,7 @@ class TestPdeResidual:
         c = np.array([0.0, 1.0])               # single harmonic exp(-i xi)
         mom = vacuum_null_momentum(1, N_M)
         for h in (1e-2, 2e-2, 4e-2):
-            rep = pde_residual_fd(fam, c, mom, N_M, 0.0, h=h)
+            rep = pde_residual_fd(pde_stencil(fam, N_M, h=h), c, mom, 0.0)
             assert rep.max_residual < 1e-10
 
     def test_off_shell_rejected(self):
@@ -302,7 +305,7 @@ class TestPdeResidual:
                                 k_index=good.k_index,
                                 kappa_star_sq=good.kappa_star_sq + 1.0)
         with pytest.raises(InputError):
-            pde_residual_fd(fam, dec.vectors[:, -1], bad, N_M, 5.0)
+            pde_residual_fd(pde_stencil(fam, N_M), dec.vectors[:, -1], bad, 5.0)
 
     def test_pz_rejected(self):
         fam, dec = _solved(FamilyKind.KG_COS_EVEN, 2, 5.0)
@@ -312,7 +315,7 @@ class TestPdeResidual:
                                 k_index=good.k_index,
                                 kappa_star_sq=good.kappa_star_sq - 0.25)
         with pytest.raises(InputError):
-            pde_residual_fd(fam, dec.vectors[:, -1], bad, N_M, 5.0)
+            pde_residual_fd(pde_stencil(fam, N_M), dec.vectors[:, -1], bad, 5.0)
 
     def test_px_quantization_enforced(self):
         fam, dec = _solved(FamilyKind.KG_COS_EVEN, 2, 5.0)
@@ -323,7 +326,7 @@ class TestPdeResidual:
                                 q=fam.q, n=2, k_index=0,
                                 kappa_star_sq=p0 * p0 - 1.0)
         with pytest.raises(InputError):
-            pde_residual_fd(fam, dec.vectors[:, -1], bad, N_M, 5.0)
+            pde_residual_fd(pde_stencil(fam, N_M), dec.vectors[:, -1], bad, 5.0)
 
 
 class TestRunPoint:
@@ -355,9 +358,11 @@ class TestRunPoint:
 
 
 def test_grid_matches_points():
-    # groups of one dimension mix kinds and couplings; each report must be
-    # the one its point gets alone, in grid order (repr: exact, NaN-safe)
-    ns, a_values = (1, 2, 7, 25), (0.0, 14.0)
+    # groups of one dimension mix kinds and couplings, and a family's bases
+    # serve all its couplings (a = 14 and 50 take different PDE steps);
+    # each report must be the one its point gets alone, in grid order
+    # (repr: exact, NaN-safe)
+    ns, a_values = (1, 2, 7, 25), (0.0, 14.0, 50.0)
     grid = run_grid(n_max=max(ns), a_values=a_values)
     kinds = sorted(ALL_KINDS, key=lambda k: k.value)
     expected = [(kind.value, n, a) for kind in kinds
@@ -366,3 +371,44 @@ def test_grid_matches_points():
     for p in grid.points:
         if p.n in ns:
             assert repr(p) == repr(run_point(FamilyKind(p.kind), p.n, p.a))
+
+
+def test_grid_builds_each_basis_once(monkeypatch):
+    # one ODE sample basis per family and one PDE stencil per (family, h)
+    built = {"ode": [], "pde": []}
+    ode_samples, stencil = verification._ode_samples, verification.pde_stencil
+
+    def count_ode(family, seed):
+        built["ode"].append(family)
+        return ode_samples(family, seed)
+
+    def count_pde(family, n_m, h, **kwargs):
+        built["pde"].append((family, h))
+        return stencil(family, n_m, h, **kwargs)
+
+    monkeypatch.setattr(verification, "_ode_samples", count_ode)
+    monkeypatch.setattr(verification, "pde_stencil", count_pde)
+    run_grid(n_max=3, a_values=(0.5, 14.0, 20.0, 50.0))
+    families = {SolutionFamily(kind, n) for kind in ALL_KINDS for n in (1, 2, 3)}
+    assert sorted(map(repr, built["ode"])) == sorted(map(repr, families))
+    assert len(built["pde"]) == len(set(built["pde"]))
+    assert {h for _, h in built["pde"]} == {5e-3, 1e-2}
+
+
+class TestSeededAngles:
+    @pytest.mark.parametrize("seed", [0, 1, 0x1CE, 2**32 - 1, 2**32,
+                                      2**64 + 5, 2**127 + 3])
+    @pytest.mark.parametrize("shape", [32, (64, 3)])
+    def test_numpy_stream_bit_for_bit(self, seed, shape):
+        expected = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=shape)
+        got = seeded_angles(seed, expected.size).reshape(shape)
+        assert np.array_equal(got, expected)
+
+    def test_cached_and_read_only(self):
+        angles = seeded_angles(SAMPLING_SEED, 32)
+        assert seeded_angles(SAMPLING_SEED, 32) is angles
+        assert not angles.flags.writeable
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InputError, match="seed must be >= 0"):
+            seeded_angles(-1, 32)

@@ -27,6 +27,8 @@ def format_number(x) -> str:
 
 
 def _escape(s: str) -> str:
+    if s.isprintable() and '"' not in s and "\\" not in s:
+        return s
     out = []
     for ch in s:
         if ch == '"':
@@ -51,11 +53,13 @@ def _float_parts(row: np.ndarray) -> list:
 
 
 def _list_json(parts: list, indent: int) -> str:
-    """A JSON array of rendered items: inline when every item is short."""
+    """A JSON array of rendered items: inline when every item is short and one line."""
     if not parts:
         return "[]"
-    if len(parts) <= 400 and all(len(p) < 24 and "\n" not in p for p in parts):
-        return "[" + ", ".join(parts) + "]"
+    if len(parts) <= 400 and max(map(len, parts)) < 24:
+        line = ", ".join(parts)
+        if "\n" not in line:
+            return "[" + line + "]"
     inner = " " * (indent + 2)
     return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + " " * indent + "]"
 

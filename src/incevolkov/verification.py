@@ -15,7 +15,10 @@ Four checks, none sharing numerical machinery with the primary eigensolver:
     confirms realness and agreement of the spectrum.
   * sturm_crosscheck: Sturm bisection on the symmetrized matrix, to a
     relative tolerance.  It and the dense check's Newton polish share one
-    LAPACK-free recurrence, `spectra.minor_ratios`.
+    LAPACK-free recurrence, `spectra.minor_ratios`.  The etas it judges
+    guide the bisection: one recurrence pass checks every predicted
+    decision, and each decision is still taken from its own count, so a
+    wrong eta changes the oracle's time and never its bits.
   * pde_residual_fd: assembles the full spacetime wave
     Psi(t,x,y) = modulation(xi) * exp{+i [p - (k.p) k] . x}, xi = k.x,
     applies second-order central differences to the gauge-covariant wave
@@ -356,12 +359,16 @@ def sturm_crosscheck(operators, etas=None, tol: float = STURM_TOL) -> np.ndarray
     """Per operator, max discrepancy between the Sturm bisection oracle and etas.
 
     One `sturm_bisection_oracle` call bisects the symmetrized matrices of
-    all the equal-dimension operators together.
+    all the equal-dimension operators together, guided by the etas it
+    judges: they set how much of the bisection runs in one guided pass,
+    never the oracle's bits, so the check stays independent of the
+    primary solver.
     """
     etas = _equal_dim_etas(operators, etas)
     diags, offs, _ = zip(*(symmetrize(T) for T in operators))
     try:
-        oracle = sturm_bisection_oracle(np.stack(diags), np.stack(offs), tol=tol)
+        oracle = sturm_bisection_oracle(np.stack(diags), np.stack(offs), tol=tol,
+                                        guesses=etas)
     except OracleError as exc:
         raise OracleError(f"{_describe(operators[exc.index])}: {exc}") from exc
     return np.max(np.abs(oracle - etas), axis=1)

@@ -12,6 +12,23 @@ from hypothesis.extra import numpy as hnp
 from incevolkov.serialize import _escape, dumps_json, format_number, render_csv
 
 
+def reference_escape(s):
+    """The character-by-character escaper, without the fast path for clean strings."""
+    out = []
+    for ch in s:
+        if ch == '"':
+            out.append('\\"')
+        elif ch == "\\":
+            out.append("\\\\")
+        elif ch == "\n":
+            out.append("\\n")
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
 def reference_dumps_json(obj, indent=0):
     """The item-by-item writer that the float-array path replaced."""
     pad = " " * indent
@@ -19,7 +36,7 @@ def reference_dumps_json(obj, indent=0):
     if obj is None:
         return "null"
     if isinstance(obj, str):
-        return f'"{_escape(obj)}"'
+        return f'"{reference_escape(obj)}"'
     if isinstance(obj, (bool, np.bool_, int, np.integer, float, np.floating)):
         return format_number(obj)
     if isinstance(obj, np.ndarray):
@@ -27,7 +44,7 @@ def reference_dumps_json(obj, indent=0):
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f'{inner}"{_escape(str(k))}": {reference_dumps_json(v, indent + 2)}'
+        items = [f'{inner}"{reference_escape(str(k))}": {reference_dumps_json(v, indent + 2)}'
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
@@ -88,6 +105,16 @@ class TestJson:
     def test_determinism(self):
         payload = {"b": [1.0, 2.0], "a": {"x": 3.0}}
         assert dumps_json(payload) == dumps_json(payload)
+
+    @pytest.mark.parametrize("text", ["dirac-plus", "", 'say "hi"', "a\\b", "two\nlines",
+                                      "tab\there", "\x7f\u00e9\u2028", "\x00"])
+    def test_escape_examples(self, text):
+        assert _escape(text) == reference_escape(text)
+        assert json.loads(f'"{_escape(text)}"') == text
+
+    @given(st.text())
+    def test_escape_matches_reference(self, text):
+        assert _escape(text) == reference_escape(text)
 
     def test_unsupported_type(self):
         with pytest.raises(TypeError):

@@ -1,7 +1,12 @@
 """Primary eigensolver, symmetrization and the Sturm bisection oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from incevolkov.errors import InputError, OracleError, StructuralError
 from incevolkov.families import ALL_KINDS, FamilyKind, SolutionFamily
@@ -10,6 +15,118 @@ from incevolkov.operators import (TridiagonalOperator, build_dirac_operator,
 import incevolkov.spectra as spectra
 from incevolkov.spectra import (MAX_SOLVE_DIM, minor_ratios, solve_spectrum,
                                 sturm_bisection_oracle, symmetrize)
+from incevolkov.verification import DEFAULT_GRID_A_VALUES, STURM_TOL
+
+
+def lockstep_reference(diag, offdiag, tol=1e-11, max_iterations=250):
+    """Plain Sturm bisection, every matrix from level 0 in one lockstep loop.
+
+    The oracle as it was before its guided pass: the reference that the
+    guided oracle must match bit for bit, errors included.
+    """
+    d, e = np.asarray(diag, dtype=float), np.asarray(offdiag, dtype=float)
+    batch, nd = d.shape
+    if nd <= 1:
+        return d.copy()
+    eabs = np.abs(e)
+    radius = np.pad(eabs, ((0, 0), (1, 0))) + np.pad(eabs, ((0, 0), (0, 1)))
+    lo_bound = np.min(d - radius, axis=1)
+    hi_bound = np.max(d + radius, axis=1)
+    span = np.maximum(hi_bound - lo_bound, 1.0)
+    tols = np.maximum(tol, 8 * np.finfo(float).eps
+                      * np.maximum(np.abs(lo_bound), np.abs(hi_bound)))
+    lo = np.repeat((lo_bound - 1e-3 * span)[:, None], nd, axis=1)
+    hi = np.repeat((hi_bound + 1e-3 * span)[:, None], nd, axis=1)
+    e2 = e * e
+    ks = np.arange(1, nd + 1)
+    out = np.empty_like(d)
+    live = np.arange(batch)
+    for _ in range(max_iterations):
+        mid = 0.5 * (lo + hi)
+        count = np.zeros(mid.shape, dtype=np.int64)
+        for q in minor_ratios(d, e2, mid):
+            count += q < 0
+        move_down = count >= ks
+        hi = np.where(move_down, mid, hi)
+        lo = np.where(move_down, lo, mid)
+        done = np.max(hi - lo, axis=1) < tols
+        if done.any():
+            out[live[done]] = 0.5 * (lo[done] + hi[done])
+            keep = ~done
+            if not keep.any():
+                return out
+            live, d, e2, tols, lo, hi = (
+                arr[keep] for arr in (live, d, e2, tols, lo, hi))
+    raise OracleError(
+        f"Sturm bisection did not reach tol {tols[0]:.3g} in {max_iterations} "
+        f"iterations (widest bracket {np.max(hi[0] - lo[0]):.3g})",
+        index=int(live[0]))
+
+
+@pytest.fixture(scope="module")
+def grid_stacks():
+    """(diag, offdiag, etas, lockstep result) per dimension of the 900-point grid."""
+    groups = {}
+    for kind in ALL_KINDS:
+        for n in range(1, 26):
+            for a in DEFAULT_GRID_A_VALUES:
+                T = build_operator(SolutionFamily(kind, n), float(a))
+                d, e, _ = symmetrize(T)
+                groups.setdefault(T.dim, []).append((d, e, solve_spectrum(T).etas))
+    stacks = []
+    for rows in groups.values():
+        d, e, etas = (np.stack(part) for part in zip(*rows))
+        stacks.append((d, e, etas, lockstep_reference(d, e, tol=STURM_TOL)))
+    return stacks
+
+
+# guess sets for the oracle, from the etas of the primary solver
+GUESSES = {
+    "etas": lambda etas, rng: etas,
+    "shifted": lambda etas, rng: etas + 1e-6,
+    "zeros": lambda etas, rng: np.zeros_like(etas),
+    "nan": lambda etas, rng: np.full_like(etas, np.nan),
+    "reversed": lambda etas, rng: etas[:, ::-1],
+    "random": lambda etas, rng: rng.normal(scale=50.0, size=etas.shape),
+    "none": lambda etas, rng: None,
+}
+
+
+def _bisection_outcome(oracle, *args, **kwargs):
+    try:
+        return oracle(*args, **kwargs)
+    except OracleError as exc:
+        return str(exc), exc.index
+
+
+def loop_symmetrize(T):
+    """Bond-by-bond symmetrization: the reference for `symmetrize`."""
+    scale = np.ones(T.dim)
+    off = np.zeros(max(T.dim - 1, 0))
+    for i in range(T.dim - 1):
+        p = float(T.super_[i]) * float(T.sub[i])
+        if p == np.inf:
+            raise InputError(f"bond {i}: super*sub overflows at a = {T.a!r}; "
+                             "the coupling is too large for double precision")
+        if p > 0.0:
+            off[i] = np.sqrt(p)
+            scale[i + 1] = scale[i] * np.sqrt(T.super_[i] / T.sub[i])
+        elif T.super_[i] == 0.0 and T.sub[i] == 0.0:
+            scale[i + 1] = scale[i]
+        elif p == 0.0 and np.sign(T.super_[i]) == np.sign(T.sub[i]):
+            raise InputError(f"bond {i}: super*sub underflows at a = {T.a!r}; "
+                             "the coupling is too small for double precision")
+        else:
+            raise StructuralError(f"bond {i}: super*sub = {p!r} <= 0 at a = {T.a}; "
+                                  "operator is not symmetrizable (wrong recurrence?)")
+    return T.diag.copy(), off, scale
+
+
+def _symmetrize_outcome(fn, T):
+    try:
+        return fn(T)
+    except (InputError, StructuralError) as exc:
+        return type(exc), str(exc)
 
 
 def _dense_similarity(T, scale):
@@ -75,6 +192,42 @@ class TestSymmetrize:
             symmetrize(T)
 
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_matches_loop_reference(self, kind):
+        for n in (1, 2, 7, 25, 200):
+            for a in (*DEFAULT_GRID_A_VALUES, 1e-160, 1e150, 1e160):
+                T = build_operator(SolutionFamily(kind, n), a)
+                got, expected = (_symmetrize_outcome(fn, T)
+                                 for fn in (symmetrize, loop_symmetrize))
+                if isinstance(expected[0], type):
+                    assert got == expected
+                else:
+                    assert all(np.array_equal(x, y) for x, y in zip(got, expected))
+
+    @pytest.mark.parametrize("bonds, error, bond", [
+        ([(1.0, 2.0), (0.0, 0.0), (1.0, -1.0), (1e200, 1e200)], StructuralError, 2),
+        ([(1.0, 2.0), (1e200, 1e200), (1.0, -1.0)], InputError, 1),
+        ([(1e-200, 1e-200), (1e200, 1e200)], InputError, 0),
+        ([(2.0, 1.0), (0.0, 1.0)], StructuralError, 1),
+        ([(2.0, 1.0), (np.nan, 1.0)], StructuralError, 1),
+    ])
+    def test_first_offending_bond_named(self, bonds, error, bond):
+        sup, sub = (np.array(part) for part in zip(*bonds))
+        T = TridiagonalOperator(family=SolutionFamily(FamilyKind.DIRAC_PLUS, 1), a=1.0,
+                                diag=np.zeros(len(bonds) + 1), super_=sup, sub=sub)
+        with pytest.raises(error, match=rf"^bond {bond}: ") as info:
+            symmetrize(T)
+        assert _symmetrize_outcome(loop_symmetrize, T) == (error, str(info.value))
+
+    def test_zero_bond_keeps_scale(self):
+        T = TridiagonalOperator(family=SolutionFamily(FamilyKind.DIRAC_PLUS, 1), a=1.0,
+                                diag=np.zeros(4), super_=np.array([4.0, 0.0, 9.0]),
+                                sub=np.array([1.0, -0.0, 1.0]))
+        d, e, scale = symmetrize(T)
+        assert scale.tolist() == [1.0, 2.0, 2.0, 6.0]
+        assert e.tolist() == [2.0, 0.0, 3.0] and not np.signbit(e[1])
+
+
 class TestSolveSpectrum:
     def test_free_limit(self):
         dec = solve_spectrum(build_dirac_operator(1, 0.0))
@@ -121,6 +274,17 @@ class TestSolveSpectrum:
         for k in range(dec.dim):
             j = np.argmax(np.abs(dec.vectors[:, k]))
             assert dec.vectors[j, k] > 0.0
+
+    def test_unit_norm_where_column_norms_overflow(self):
+        # dirac n = 516 is the smallest n at which some back-transformed
+        # columns' squares overflow; they once came out all zero
+        T = build_dirac_operator(516, 1.0)
+        _, _, scale = symmetrize(T)
+        assert 1.0 / scale.min() > 1e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = solve_spectrum(T)
+        assert np.allclose(np.linalg.norm(dec.vectors, axis=0), 1.0, atol=1e-12)
 
     def test_weighted_orthogonality(self):
         dec = solve_spectrum(build_dirac_operator(12, 14.0))
@@ -174,6 +338,26 @@ class TestMinorRatios:
         assert np.all(np.isfinite(ratios))
         assert ratios[3:] == list(T.diag[3:] - x)
 
+
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 9)),
+                      elements=st.floats(-1e6, 1e6, width=64)),
+           st.floats(0.0, 1e6, width=64))
+    def test_counts_at_infinity(self, d, bond):
+        # every eigenvalue lies below +inf and none below -inf
+        b = np.full((d.shape[0], d.shape[1] - 1), bond)
+        x = np.array([[-np.inf, np.inf]] * d.shape[0])
+        count = sum(q < 0 for q in minor_ratios(d, b, x))
+        assert np.array_equal(count, np.array([[0, d.shape[1]]] * d.shape[0]))
+
+    def test_nan_ratio_does_not_hide_a_zero_pivot(self):
+        # the zero pivot of the first matrix is clamped next to a NaN ratio
+        d = np.array([[0.0, 0.0], [np.nan, 0.0]])
+        b = np.ones((2, 1))
+        x = np.zeros((2, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = list(minor_ratios(d, b, x))[1][0, 0]
+        assert stacked == 1.0 / (np.finfo(float).tiny * 1e4)
 
     def test_stack_keeps_each_pivmin(self):
         # an exact zero pivot is clamped to -pivmin of its own matrix, which
@@ -236,6 +420,79 @@ class TestSturmOracle:
         w = sturm_bisection_oracle(d[None], e[None])[0]
         dense = np.sort(np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)))
         assert np.max(np.abs(w - dense)) < 1e-14 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("guesses", GUESSES)
+    def test_guided_matches_lockstep_on_grid(self, grid_stacks, guesses):
+        # every operator of the shipped grid, stacked by dimension as
+        # verify --all stacks them; wrong guesses cost time, never bits
+        rng = np.random.default_rng(11)
+        for d, e, etas, reference in grid_stacks:
+            got = sturm_bisection_oracle(d, e, tol=STURM_TOL,
+                                         guesses=GUESSES[guesses](etas, rng))
+            assert np.array_equal(got, reference), d.shape
+
+    @given(st.data())
+    def test_result_does_not_depend_on_guesses(self, data):
+        batch = data.draw(st.integers(1, 3))
+        dim = data.draw(st.integers(2, 7))
+        values = st.floats(-1e3, 1e3, width=64)
+        d = data.draw(hnp.arrays(np.float64, (batch, dim), elements=values))
+        e = data.draw(hnp.arrays(np.float64, (batch, dim - 1),
+                                 elements=st.floats(-30.0, 30.0, width=64)))
+        guesses = data.draw(hnp.arrays(np.float64, (batch, dim),
+                                       elements=st.floats(width=64)))
+        reference = lockstep_reference(d, e)
+        assert np.array_equal(sturm_bisection_oracle(d, e), reference)
+        assert np.array_equal(sturm_bisection_oracle(d, e, guesses=guesses), reference)
+        exact = np.linalg.eigvalsh(np.diag(d[0]) + np.diag(e[0], 1) + np.diag(e[0], -1))
+        assert np.array_equal(sturm_bisection_oracle(d[:1], e[:1], guesses=exact[None]),
+                              reference[:1])
+
+    def test_one_step_before_judging(self):
+        # a tol wider than the starting bracket: plain bisection still
+        # halves once, so the two eigenvalues come out apart
+        d, e = np.array([[0.0, 0.1]]), np.array([[0.0]])
+        reference = lockstep_reference(d, e, tol=10.0)
+        assert reference[0, 0] < reference[0, 1]
+        for guesses in (None, np.array([[0.0, 0.1]])):
+            assert np.array_equal(
+                sturm_bisection_oracle(d, e, tol=10.0, guesses=guesses), reference)
+
+    def test_guided_past_64_levels(self):
+        # entries near 1e-20 under an absolute tol of 1e-40: 106 levels,
+        # more than the guided pass first allocates for
+        rng = np.random.default_rng(5)
+        d, e = rng.normal(size=(3, 6)) * 1e-20, rng.normal(size=(3, 5)) * 1e-20
+        reference = lockstep_reference(d, e, tol=1e-40)
+        exact = np.stack([np.linalg.eigvalsh(np.diag(d[i]) + np.diag(e[i], 1)
+                                             + np.diag(e[i], -1)) for i in range(3)])
+        for guesses in (exact, None, np.zeros_like(d)):
+            assert np.array_equal(
+                sturm_bisection_oracle(d, e, tol=1e-40, guesses=guesses), reference)
+
+    @pytest.mark.parametrize("max_iterations", [0, 3, 44])
+    @pytest.mark.parametrize("guesses", ["etas", "zeros", "none"])
+    def test_budget_error_matches_lockstep(self, max_iterations, guesses):
+        # brackets that close after 42, 45 and 51 iterations: at a budget of
+        # 44 some matrices finish and the first that does not is named
+        ops = [build_operator(SolutionFamily(kind, 3), a)
+               for kind in (FamilyKind.DIRAC_PLUS, FamilyKind.DIRAC_MINUS)
+               for a in (0.0, 20.0, 1e6)]
+        d, e = (np.stack(parts) for parts in zip(*(symmetrize(T)[:2] for T in ops)))
+        etas = np.stack([solve_spectrum(T).etas for T in ops])
+        expected = _bisection_outcome(lockstep_reference, d, e,
+                                      max_iterations=max_iterations)
+        got = _bisection_outcome(
+            sturm_bisection_oracle, d, e, max_iterations=max_iterations,
+            guesses=GUESSES[guesses](etas, None))
+        assert isinstance(expected, tuple) and got == expected
+        if max_iterations == 44:
+            assert expected[1] > 0
+
+    def test_guesses_shape_checked(self):
+        with pytest.raises(InputError, match="guesses"):
+            sturm_bisection_oracle(np.zeros((1, 3)), np.ones((1, 2)),
+                                   guesses=np.zeros((1, 2)))
 
     def test_iteration_budget(self):
         T = build_dirac_operator(5, 10.0)

@@ -22,23 +22,17 @@ _EXPORTS = {name: module for module, names in (
     ("families", "ALL_KINDS FamilyKind SolutionFamily parse_family_kind"),
     ("modulation", "ModulationFunction contrast envelope_density "
                    "eval_polynomial_part harmonic_strengths"),
-    ("operators", "TridiagonalOperator boundary_couplings build_dirac_operator "
-                  "build_extended_operator build_kg_operator build_operator"),
-    ("physparams", "DeBroglieMomentum DerivedQuantities Dispersion LaserInput "
+    ("operators", "TridiagonalOperator build_operator"),
+    ("physparams", "DeBroglieMomentum DerivedQuantities LaserInput "
                    "LongitudinalMomentum PlasmaInput WaveConfig coupling_parameter "
-                   "coupling_to_mu0_ratio dispersion "
-                   "electron_density_from_plasma_energy eta_to_longitudinal "
-                   "field_amplitude_from_intensity intensity_parameter "
-                   "quantized_transverse_momentum refractive_index wavenumber_from"),
-    ("spectra", "RELATIVE_GAP_THRESHOLD SpectralDecomposition solve_spectrum "
-                "sturm_bisection_oracle symmetrize"),
-    ("spinalg", "GammaSet SpinEigensystem build_majorana_gammas "
-                "spin_interaction_matrix"),
+                   "eta_to_longitudinal field_amplitude_from_intensity "
+                   "intensity_parameter refractive_index"),
+    ("spectra", "SpectralDecomposition solve_spectrum sturm_bisection_oracle "
+                "symmetrize"),
     ("verification", "ODE_RESIDUAL_TOL SAMPLING_SEED PdeResidualReport "
-                     "ResidualReport VerificationReport attach_residuals "
-                     "dense_oracle_crosscheck momentum_for_mode ode_residual "
-                     "pde_residual_fd pde_stencil PdeStencil run_grid run_point "
-                     "sturm_crosscheck vacuum_null_momentum"),
+                     "VerificationReport attach_residuals dense_oracle_crosscheck "
+                     "momentum_for_mode pde_residual_fd pde_stencil PdeStencil "
+                     "run_grid run_point sturm_crosscheck"),
 ) for name in names.split()}
 
 __all__ = list(_EXPORTS)

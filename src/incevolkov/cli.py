@@ -352,7 +352,8 @@ def cmd_verify(cfg: RunConfig, run_all: bool) -> int:
     _emit(cfg, dumps_json(payload) + "\n")
     if not report.all_passed:
         for p in report.failures():
-            print(f"FAIL {p.kind} n={p.n} a={format_number(p.a)}", file=sys.stderr)
+            print(f"FAIL {p.kind} n={p.n} a={format_number(p.a)}: "
+                  f"{', '.join(p.failed_checks)}", file=sys.stderr)
         raise VerificationFailure(
             f"{len(report.failures())} of {len(report.points)} grid points failed")
     print(f"verify: all {len(report.points)} grid points passed", file=sys.stderr)

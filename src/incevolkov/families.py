@@ -115,10 +115,6 @@ class SolutionFamily:
         return _ROWS[self.kind]
 
     @property
-    def is_dirac(self) -> bool:
-        return self._row.spin_sign != 0
-
-    @property
     def spin_sign(self) -> int:
         """Sign s of the i*s*f term: +1, -1, or 0 for the spin-0 families."""
         return self._row.spin_sign
@@ -192,12 +188,6 @@ class SolutionFamily:
     def px_over_kp(self) -> float:
         """Quantized transverse momentum (q+1)/2 in units of hbar*k_p."""
         return 0.5 * (self.q + 1)
-
-    @property
-    def xi_period(self) -> float:
-        """Period of the modulation function in xi (4*pi for the
-        antiperiodic half-integer-harmonic classes)."""
-        return 4.0 * np.pi if self._row.shift else 2.0 * np.pi
 
     @property
     def basis_label(self) -> str:

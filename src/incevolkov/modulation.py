@@ -59,10 +59,6 @@ class ModulationFunction:
                    k_index=k_label,
                    coefficients=decomposition.vector(k_label))
 
-    @property
-    def period(self) -> float:
-        return self.family.xi_period
-
     def polynomial_part(self, xi):
         return eval_polynomial_part(self.family, self.coefficients, xi)
 
@@ -71,9 +67,6 @@ class ModulationFunction:
 
     def value(self, xi):
         return self.polynomial_part(xi) * self.envelope(xi)
-
-    def density(self, xi):
-        return np.abs(self.value(xi)) ** 2
 
 
 def envelope_density(a: float, xi):

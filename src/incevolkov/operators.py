@@ -44,14 +44,7 @@ import numpy as np
 from .errors import InputError
 from .families import FamilyKind, SolutionFamily
 
-__all__ = [
-    "TridiagonalOperator",
-    "build_operator",
-    "build_dirac_operator",
-    "build_kg_operator",
-    "boundary_couplings",
-    "build_extended_operator",
-]
+__all__ = ["TridiagonalOperator", "build_operator"]
 
 
 @dataclass(frozen=True)
@@ -108,54 +101,3 @@ def build_operator(family: SolutionFamily, a: float) -> TridiagonalOperator:
     diag, sup, sub = _entries(family, a, family.r_indices)
     return TridiagonalOperator(family=family, a=float(a), diag=diag,
                                super_=sup[:-1], sub=sub[1:])
-
-
-def build_dirac_operator(n: int, a: float, sign: int = +1) -> TridiagonalOperator:
-    """Spin-1/2 operator; sign = +1 is the +i f branch, -1 the -i f branch."""
-    if sign not in (+1, -1):
-        raise InputError("sign must be +1 or -1")
-    kind = FamilyKind.DIRAC_PLUS if sign > 0 else FamilyKind.DIRAC_MINUS
-    return build_operator(SolutionFamily(kind, n), a)
-
-
-def build_kg_operator(kind: FamilyKind | str, n: int, a: float) -> TridiagonalOperator:
-    family = SolutionFamily(FamilyKind(kind), n)
-    if family.is_dirac:
-        raise InputError(f"{family.kind.value} is not a spin-0 family")
-    return build_operator(family, a)
-
-
-def boundary_couplings(family: SolutionFamily, a: float) -> dict:
-    """Couplings from the first rows outside the window back into it.
-
-    These must vanish identically; a nonzero value means the window/q
-    combination does not truncate the recurrence.
-    """
-    r0, r1 = family.window
-    out = {"above": _entries(family, a, np.array([r1 + 1]))[2][0]}
-    if family.is_dirac:
-        out["below"] = _entries(family, a, np.array([r0 - 1]))[1][0]
-    # spin-0 windows terminate below through the basis itself (folding at
-    # r = 0, or sin(0) = 0), not through a vanishing coupling
-    return out
-
-
-def build_extended_operator(family: SolutionFamily, a: float, extra: int = 3):
-    """Rebuild the operator on a window extended by `extra` indices.
-
-    Returns (T_ext, window_slice) where window_slice selects the original
-    rows inside the extended matrix.  Used by the closure test: the rows
-    added above (and below, for the dirac kinds) must not couple back into
-    the original window.
-    """
-    if extra < 1:
-        raise InputError("extra must be >= 1")
-    r0, r1 = family.window
-    lo = r0 - extra if family.is_dirac else r0
-    rs_ext = np.arange(lo, r1 + extra + 1)
-    diag, sup, sub = _entries(family, a, rs_ext)
-    T = np.diag(diag)
-    i = np.arange(len(rs_ext) - 1)
-    T[i, i + 1] = sup[:-1]
-    T[i + 1, i] = sub[1:]
-    return T, slice(r0 - lo, r0 - lo + family.dim)

@@ -25,15 +25,12 @@ from typing import NamedTuple, Optional
 
 from .constants import (C_LIGHT, E_CHARGE, ELECTRON_MASS, EPSILON_0, EV, HBAR)
 from .errors import InputError, OverdenseError
-from .families import FamilyKind, SolutionFamily
 
 __all__ = [
     "LaserInput", "PlasmaInput", "WaveConfig", "DerivedQuantities",
-    "DeBroglieMomentum", "LongitudinalMomentum", "Dispersion",
+    "DeBroglieMomentum", "LongitudinalMomentum",
     "field_amplitude_from_intensity", "refractive_index",
-    "coupling_parameter", "intensity_parameter", "coupling_to_mu0_ratio",
-    "dispersion", "wavenumber_from", "quantized_transverse_momentum",
-    "eta_to_longitudinal", "electron_density_from_plasma_energy",
+    "coupling_parameter", "intensity_parameter", "eta_to_longitudinal",
 ]
 
 # tolerance for a user-supplied (plasma energy, electron density) pair
@@ -48,15 +45,18 @@ def field_amplitude_from_intensity(intensity_w_cm2: float) -> float:
     return math.sqrt(2.0 * intensity_si / (EPSILON_0 * C_LIGHT))
 
 
+def _require_underdense(plasma_energy_ev: float, photon_energy_ev: float) -> None:
+    if plasma_energy_ev >= photon_energy_ev:
+        raise OverdenseError(
+            f"underdense condition omega_p < omega violated: plasma energy "
+            f"{plasma_energy_ev} eV >= photon energy {photon_energy_ev} eV")
+
+
 def refractive_index(plasma_energy_ev: float, photon_energy_ev: float) -> float:
     """Drude index n_m = sqrt(1 - (omega_p/omega)^2), real only when underdense."""
     if plasma_energy_ev <= 0 or photon_energy_ev <= 0:
         raise InputError("energies must be positive")
-    if plasma_energy_ev >= photon_energy_ev:
-        raise OverdenseError(
-            f"underdense condition omega_p < omega violated: "
-            f"plasma energy {plasma_energy_ev} eV >= photon energy "
-            f"{photon_energy_ev} eV (wave evanescent)")
+    _require_underdense(plasma_energy_ev, photon_energy_ev)
     x = plasma_energy_ev / photon_energy_ev
     return math.sqrt(1.0 - x * x)
 
@@ -68,12 +68,6 @@ def refractive_index(plasma_energy_ev: float, photon_energy_ev: float) -> float:
 # the consistency tolerance (1e-10) is tighter than that gap.
 _E_STATC = 10.0 * C_LIGHT * E_CHARGE
 _M_E_GRAM = ELECTRON_MASS * 1e3
-
-
-def electron_density_from_plasma_energy(plasma_energy_ev: float) -> float:
-    """Free-electron density (cm^-3) whose plasma frequency is hbar*omega_p."""
-    omega_p = plasma_energy_ev * EV / HBAR
-    return omega_p * omega_p * _M_E_GRAM / (4.0 * math.pi * _E_STATC * _E_STATC)
 
 
 @dataclass(frozen=True)
@@ -145,12 +139,6 @@ class PlasmaInput:
             raise InputError("electron density must be positive")
         return math.sqrt(4.0 * math.pi * n_e_cm3 * _E_STATC * _E_STATC / _M_E_GRAM)
 
-    @classmethod
-    def from_density(cls, n_e_cm3: float) -> "PlasmaInput":
-        omega_p = cls.omega_p_from_density(n_e_cm3)
-        return cls(plasma_energy_ev=omega_p * HBAR / EV,
-                   electron_density_cm3=n_e_cm3)
-
     @property
     def omega_p(self) -> float:
         return self.plasma_energy_ev * EV / HBAR
@@ -182,7 +170,7 @@ def coupling_parameter(laser: LaserInput, plasma: PlasmaInput) -> float:
     Mass never enters: a is the work done by the peak electric force over a
     plasma wavelength in units of the plasma quantum energy.
     """
-    _require_underdense(plasma, laser)
+    _require_underdense(plasma.plasma_energy_ev, laser.photon_energy_ev)
     eps_a0 = E_CHARGE * laser.vector_potential / (HBAR * C_LIGHT)   # 1/m
     a = 4.0 * eps_a0 / plasma.k_p
     if not math.isfinite(a):
@@ -201,50 +189,6 @@ def intensity_parameter(laser: LaserInput, particle_mass_kg: float) -> float:
             / (particle_mass_kg * C_LIGHT * laser.omega0))
 
 
-def coupling_to_mu0_ratio(particle_mass_kg: float, plasma: PlasmaInput) -> float:
-    """Exact ratio a / mu0 = 4 m c^2 / (hbar omega_p)."""
-    if particle_mass_kg <= 0:
-        raise InputError("particle mass must be positive")
-    return 4.0 * particle_mass_kg * C_LIGHT * C_LIGHT / (HBAR * plasma.omega_p)
-
-
-class Dispersion(NamedTuple):
-    omega: float
-    v_ph: float
-    v_gr: float
-
-
-def dispersion(k_y: float, plasma: PlasmaInput) -> Dispersion:
-    """omega(k_y) = sqrt(omega_p^2 + (c k_y)^2) with phase/group velocities.
-
-    At k_y = 0 the wave sits at cutoff: omega = omega_p, the phase velocity
-    is reported infinite and the group velocity zero.
-    """
-    if k_y < 0:
-        raise InputError("k_y must be >= 0")
-    omega = math.sqrt(plasma.omega_p ** 2 + (C_LIGHT * k_y) ** 2)
-    if k_y == 0:
-        return Dispersion(omega=omega, v_ph=math.inf, v_gr=0.0)
-    return Dispersion(omega=omega, v_ph=omega / k_y,
-                      v_gr=C_LIGHT * C_LIGHT * k_y / omega)
-
-
-def wavenumber_from(omega: float, plasma: PlasmaInput) -> float:
-    """Invert the dispersion relation: k_y = sqrt(omega^2 - omega_p^2) / c."""
-    if omega < plasma.omega_p:
-        raise InputError(
-            f"omega = {omega} rad/s below the plasma cutoff {plasma.omega_p} rad/s")
-    return math.sqrt(omega * omega - plasma.omega_p ** 2) / C_LIGHT
-
-
-def _require_underdense(plasma: PlasmaInput, laser: LaserInput) -> None:
-    if plasma.plasma_energy_ev >= laser.photon_energy_ev:
-        raise OverdenseError(
-            f"underdense condition omega_p < omega violated: plasma energy "
-            f"{plasma.plasma_energy_ev} eV >= photon energy "
-            f"{laser.photon_energy_ev} eV")
-
-
 @dataclass(frozen=True)
 class WaveConfig:
     """A laser/plasma pair plus the test particle's mass."""
@@ -256,7 +200,7 @@ class WaveConfig:
     def __post_init__(self):
         if self.particle_mass_kg <= 0:
             raise InputError("particle mass must be positive")
-        _require_underdense(self.plasma, self.laser)
+        _require_underdense(self.plasma.plasma_energy_ev, self.laser.photon_energy_ev)
 
     def derived(self) -> DerivedQuantities:
         laser, plasma, mass = self.laser, self.plasma, self.particle_mass_kg
@@ -275,11 +219,6 @@ class WaveConfig:
             v_ph=C_LIGHT / n_m,
             v_gr=C_LIGHT * n_m,
         )
-
-
-def quantized_transverse_momentum(kind: FamilyKind | str, n: int) -> float:
-    """px in units of hbar*k_p: (q + 1)/2 for the family's q(n)."""
-    return SolutionFamily(FamilyKind(kind), n).px_over_kp
 
 
 class LongitudinalMomentum(NamedTuple):

@@ -23,7 +23,7 @@ High-lying eigenvalues of the dirac kinds pair up with splittings that
 shrink exponentially along the spectrum (checked once at 60-digit precision:
 down to ~1e-16 absolute at n = 20, a = 14, and far smaller beyond).  The
 eigenvalues are mathematically simple, but double precision cannot resolve
-the tightest pairs, so distinctness above `RELATIVE_GAP_THRESHOLD` is a
+the tightest pairs, so distinctness (a gap above 1e-8 of the spread) is a
 reported diagnostic (`min_relative_gap`), not a construction invariant.
 """
 
@@ -39,7 +39,6 @@ from .errors import InputError, OracleError, StructuralError
 from .operators import TridiagonalOperator
 
 __all__ = [
-    "RELATIVE_GAP_THRESHOLD",
     "MAX_SOLVE_DIM",
     "SpectralDecomposition",
     "symmetrize",
@@ -48,8 +47,6 @@ __all__ = [
     "sturm_bisection_oracle",
 ]
 
-# distinctness threshold for the gap diagnostic, relative to spectral spread
-RELATIVE_GAP_THRESHOLD = 1e-8
 # the dense solve holds about 6 dim x dim float64 arrays at its peak (RSS
 # measured at 5.1-5.5 dim^2 doubles for dim 1000-3000); the cap keeps that
 # under 1 GiB
@@ -98,9 +95,6 @@ class SpectralDecomposition:
         if self.dim < 2 or self.spread == 0.0:
             return float("inf")
         return float(np.min(np.diff(self.etas)) / self.spread)
-
-    def gaps_pass(self, threshold: float = RELATIVE_GAP_THRESHOLD) -> bool:
-        return self.min_relative_gap > threshold
 
     def vector(self, k_label: int) -> np.ndarray:
         if not 1 <= k_label <= self.dim:

@@ -2,14 +2,15 @@
 
 Four checks, none sharing numerical machinery with the primary eigensolver:
 
-  * ode_residual: plugs an (eta, coefficient vector) pair back into the
-    original modulation ODE.  Derivatives of the finite trigonometric sum
-    are themselves exact finite sums, so the residual is evaluated
-    analytically, never by numerical differentiation, in one batched
-    product per operator.  This is the ground truth for every recurrence
-    in the operators module: it shares the families module's basis
-    evaluator with the modulation module, so its independence is the ODE's
-    from the recurrence.  `benchmarks/oracle.py` restates the family table.
+  * ODE residual (`attach_residuals`, `_batch_residual_maxima`): plugs
+    every (eta, coefficient vector) pair of an operator back into the
+    original modulation ODE at once.  Derivatives of the finite
+    trigonometric sum are themselves exact finite sums, so the residual is
+    evaluated analytically, never by numerical differentiation, in one
+    batched product per operator.  This is the ground truth for every
+    recurrence in the operators module: it shares the families module's
+    basis evaluator with the modulation module, so its independence is the
+    ODE's from the recurrence.  `benchmarks/oracle.py` restates the family table.
   * dense_oracle_crosscheck: embeds the tridiagonal operator in a dense
     matrix and solves it with the general nonsymmetric dense eigensolver;
     confirms realness and agreement of the spectrum.
@@ -60,9 +61,8 @@ from .spectra import (SpectralDecomposition, minor_ratios, solve_spectrum,
 
 __all__ = [
     "SAMPLING_SEED", "ODE_RESIDUAL_TOL", "DENSE_IMAG_TOL", "ORACLE_AGREEMENT_TOL",
-    "seeded_angles", "ResidualReport", "ode_residual", "attach_residuals",
-    "dense_oracle_crosscheck", "sturm_crosscheck",
-    "momentum_for_mode", "vacuum_null_momentum",
+    "seeded_angles", "attach_residuals",
+    "dense_oracle_crosscheck", "sturm_crosscheck", "momentum_for_mode",
     "PdeStencil", "pde_stencil", "PdeResidualReport", "pde_residual_fd",
     "PointReport", "VerificationReport", "run_point", "run_grid",
     "DEFAULT_GRID_A_VALUES", "DEFAULT_GRID_N_MAX",
@@ -70,6 +70,7 @@ __all__ = [
 
 ODE_RESIDUAL_TOL = 1e-9        # times (1 + |eta| + a * dim)
 DENSE_IMAG_TOL = 1e-10
+DENSE_MAX_DIM = 200            # range limit of the dense cross-check
 ORACLE_AGREEMENT_TOL = 1e-9
 STURM_TOL = 1e-11
 PDE_ORDER_BAND = (1.8, 2.2)
@@ -182,22 +183,6 @@ def _ode_samples(family: SolutionFamily, seed: int) -> _OdeSamples:
                        np.sin(2.0 * z)[:, None], np.cos(2.0 * z)[:, None])
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """Outcome of one analytic ODE residual evaluation."""
-
-    family: SolutionFamily
-    a: float
-    eta: float
-    k_index: int
-    max_residual: float
-    sample_count: int
-    scale: float           # 1 + |eta| + a * dim
-    tol: float
-    passed: bool
-    seed: int
-
-
 def _residual_values_batch(samples: _OdeSamples, a: float, etas: np.ndarray,
                            vectors: np.ndarray) -> np.ndarray:
     """Residual values, shape (samples, modes), from one prebuilt basis."""
@@ -246,26 +231,6 @@ def _batch_residual_maxima(samples: _OdeSamples, a: float, etas: np.ndarray,
     maxima = np.max(np.abs(values), axis=0)
     scales = 1.0 + np.abs(etas) + a * samples.family.dim
     return maxima, scales, maxima < ODE_RESIDUAL_TOL * scales
-
-
-def ode_residual(family: SolutionFamily, a: float, eta: float,
-                 coefficients: np.ndarray, seed: int = SAMPLING_SEED,
-                 k_index: int = 0) -> ResidualReport:
-    """Max |ODE left side| of one eigenpair under `_batch_residual_maxima`.
-
-    Samples 256 equidistant plus 32 seeded random z points.  A failing
-    report is data, not an exception.
-    """
-    c = np.asarray(coefficients, dtype=float)
-    if len(c) != family.dim:
-        raise InputError("coefficient length does not match family dimension")
-    maxima, scales, passed = _batch_residual_maxima(
-        _ode_samples(family, seed), a, np.array([eta]), c[:, None])
-    return ResidualReport(
-        family=family, a=a, eta=eta, k_index=k_index,
-        max_residual=float(maxima[0]), sample_count=_N_EQUIDISTANT + _N_RANDOM,
-        scale=float(scales[0]), tol=ODE_RESIDUAL_TOL, passed=bool(passed[0]),
-        seed=seed)
 
 
 def attach_residuals(decomposition: SpectralDecomposition,
@@ -339,8 +304,11 @@ def dense_oracle_crosscheck(operators, etas=None) -> np.ndarray:
     whole stack) shares nothing with the symmetrize-then-tridiagonal route.
     Realness is asserted on the raw dense eigenvalues, before polishing.
     """
-    if operators[0].dim > 200:
-        raise InputError("dense cross-check limited to dim <= 200")
+    family, dim = operators[0].family, operators[0].dim
+    if dim > DENSE_MAX_DIM:
+        raise InputError(
+            f"{family.kind.value} n = {family.n} gives dimension {dim}, past "
+            f"the range limit of the dense cross-check (dim <= {DENSE_MAX_DIM})")
     etas = _equal_dim_etas(operators, etas)
     w = np.linalg.eigvals(np.stack([T.to_dense() for T in operators]))
     for T, max_imag in zip(operators, np.max(np.abs(w.imag), axis=1)):
@@ -400,25 +368,6 @@ def momentum_for_mode(family: SolutionFamily, eta: float, n_m: float,
     return DeBroglieMomentum(
         p0=p0, px=px, py=0.0, pz=0.0, eta=eta, q=family.q, n=family.n,
         k_index=k_index, kappa_star_sq=p0 * p0 - px * px)
-
-
-def vacuum_null_momentum(r: int, n_m: float) -> DeBroglieMomentum:
-    """Massless on-shell momentum for the a = 0 exact-cancellation check.
-
-    Built so the total plane-wave vector of exp(-i r xi) exp(+i p~.x) is
-    null and aligned with the x axis; the time and x stencils of the free
-    wave operator then cancel identically at any step size, leaving pure
-    rounding noise.
-    """
-    if r < 1:
-        raise InputError("harmonic r must be >= 1")
-    if not 0.0 < n_m < 1.0:
-        raise InputError(f"refractive index must lie in (0, 1), got {n_m}")
-    lam = math.sqrt(1.0 - n_m * n_m)
-    return DeBroglieMomentum(
-        p0=r * (1.0 + n_m * n_m) / lam, px=-r * lam, py=2.0 * r * n_m / lam,
-        pz=0.0, eta=4.0 * r * r, q=2 * r - 1, n=r, k_index=0,
-        kappa_star_sq=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -603,9 +552,15 @@ class PointReport:
     note: str = ""
 
     @property
+    def failed_checks(self) -> list:
+        """Names of the checks this point failed, in the order ode, dense, sturm, pde."""
+        verdicts = (("ode", self.ode_passed), ("dense", self.dense_passed),
+                    ("sturm", self.sturm_passed), ("pde", self.pde_passed))
+        return [name for name, passed in verdicts if not passed]
+
+    @property
     def passed(self) -> bool:
-        return (self.ode_passed and self.dense_passed
-                and self.sturm_passed and self.pde_passed)
+        return not self.failed_checks
 
 
 @dataclass(frozen=True)
@@ -634,7 +589,7 @@ class VerificationReport:
 
 
 def _pde_check(stencils: dict, family: SolutionFamily, a: float, etas: np.ndarray,
-               vectors: np.ndarray, n_m: float, seed: int):
+               vectors: np.ndarray, seed: int):
     """(order, residual, passed, notes) of the spacetime check of one point.
 
     stencils maps (family, h) to its `pde_stencil`; a missing one is built
@@ -651,16 +606,17 @@ def _pde_check(stencils: dict, family: SolutionFamily, a: float, etas: np.ndarra
         return (math.nan, math.nan, True,
                 ["all modes evanescent (eta < 0): spacetime check not applicable"])
     top = int(propagating[-1])
-    mom = momentum_for_mode(family, float(etas[top]), n_m, k_index=top + 1)
+    mom = momentum_for_mode(family, float(etas[top]), DEFAULT_GRID_N_M, k_index=top + 1)
     pde_h = 5e-3 if a <= 25.0 else 1e-2
     if (family, pde_h) not in stencils:
-        stencils[family, pde_h] = pde_stencil(family, n_m, pde_h, seed=seed)
+        stencils[family, pde_h] = pde_stencil(family, DEFAULT_GRID_N_M, pde_h,
+                                              seed=seed)
     pde = pde_residual_fd(stencils[family, pde_h], vectors[:, top], mom, a)
     return (pde.observed_order, pde.max_residual,
             pde.converged_second_order or pde.max_residual_half < 1e-12, [])
 
 
-def _check_group(points, n_m: float, seed: int, eta_shift: float) -> list:
+def _check_group(points, seed: int, eta_shift: float = 0.0) -> list:
     """PointReports of (kind, n, a) points whose operators share one dimension.
 
     Each point is built, solved and judged by its ODE residual; the dense
@@ -684,7 +640,7 @@ def _check_group(points, n_m: float, seed: int, eta_shift: float) -> list:
     for fam, (kind, n, a), dec, etas, (maxima, scales, passed), dense_disc, sturm_disc \
             in zip(families, points, decs, shifted, odes, dense, sturm):
         pde_order, pde_res, pde_ok, notes = _pde_check(stencils, fam, a, etas,
-                                                       dec.vectors, n_m, seed)
+                                                       dec.vectors, seed)
         if a == 0.0:
             notes.append("a=0: spectrum degenerates to the squared basis frequencies")
         reports.append(PointReport(
@@ -701,14 +657,15 @@ def _check_group(points, n_m: float, seed: int, eta_shift: float) -> list:
     return reports
 
 
-def run_point(kind: FamilyKind, n: int, a: float, n_m: float = DEFAULT_GRID_N_M,
-              seed: int = SAMPLING_SEED, eta_shift: float = 0.0) -> PointReport:
+def run_point(kind: FamilyKind, n: int, a: float, seed: int = SAMPLING_SEED,
+              eta_shift: float = 0.0) -> PointReport:
     """Run all four checks for one grid point: the grid's path, with a group of one.
 
-    eta_shift is a fault-injection knob used by the test suite to confirm
-    that corrupted eigenvalues are caught; it must stay 0.0 in normal use.
+    eta_shift is a fault-injection knob: the negative control of
+    `benchmarks/worker.py` and the test suite use it to confirm that
+    corrupted eigenvalues are caught.  It must stay 0.0 in normal use.
     """
-    return _check_group([(kind, n, a)], n_m, seed, eta_shift)[0]
+    return _check_group([(kind, n, a)], seed, eta_shift)[0]
 
 
 def run_grid(kinds=ALL_KINDS, n_max: int = DEFAULT_GRID_N_MAX,
@@ -727,7 +684,7 @@ def run_grid(kinds=ALL_KINDS, n_max: int = DEFAULT_GRID_N_MAX,
         groups.setdefault(SolutionFamily(kind, n).dim, []).append(index)
     reports = [None] * len(points)
     for indices in groups.values():
-        group = _check_group([points[i] for i in indices], DEFAULT_GRID_N_M, seed, 0.0)
+        group = _check_group([points[i] for i in indices], seed)
         for i, report in zip(indices, group):
             reports[i] = report
     return VerificationReport(points=tuple(reports), seed=seed)

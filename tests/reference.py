@@ -1,7 +1,7 @@
-"""Gamma-matrix algebra and the spin-field interaction eigenproblem.
+"""Reference physics the tests check and the commands do not run.
 
-The spin coupling of the second-order spinor wave equation reduces to the
-4x4 algebraic eigenproblem
+Spin-1/2 algebra.  The spin coupling of the second-order spinor wave
+equation reduces to the 4x4 algebraic eigenproblem
 
     (gamma.k)(gamma.e_x) u = k0 lambda u,
 
@@ -16,18 +16,31 @@ The Majorana representation (all four matrices purely imaginary) makes M a
 real matrix.  Basis within each degenerate eigenspace is fixed by
 Gram-Schmidt on the columns of the spectral projector, in column order, for
 reproducibility.
+
+This algebra is why the spin-1/2 families carry s = +1 or -1 and why the
+spin eigenvalue of `params` is lambda = sqrt(1 - n_m^2); the package states
+those results and does not build the gamma matrices.
+
+Plasma relations.  The Drude dispersion omega(k_y) and its inverse, the
+electron density of a plasma energy, and the exact ratio a / mu0: each
+checks a relation behind a number `params` reports.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, StructuralError
+from incevolkov.constants import C_LIGHT, EV, HBAR
+from incevolkov.errors import InputError, StructuralError
+from incevolkov.physparams import _E_STATC, _M_E_GRAM, PlasmaInput
 
-__all__ = ["GammaSet", "SpinEigensystem", "build_majorana_gammas",
-           "spin_interaction_matrix"]
+# ---------------------------------------------------------------------------
+# spin-1/2 algebra: gamma matrices and the 4x4 spin-field eigenproblem
+# ---------------------------------------------------------------------------
 
 _METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -138,3 +151,49 @@ def spin_interaction_matrix(n_m: float,
     eigenvalues = np.array([lam, lam, -lam, -lam])
     return SpinEigensystem(n_m=n_m, lam=lam, matrix=M,
                            eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+
+
+# ---------------------------------------------------------------------------
+# plasma relations the commands do not use: dispersion, density, a / mu0
+# ---------------------------------------------------------------------------
+
+def electron_density_from_plasma_energy(plasma_energy_ev: float) -> float:
+    """Free-electron density (cm^-3) whose plasma frequency is hbar*omega_p."""
+    omega_p = plasma_energy_ev * EV / HBAR
+    return omega_p * omega_p * _M_E_GRAM / (4.0 * math.pi * _E_STATC * _E_STATC)
+
+
+def coupling_to_mu0_ratio(particle_mass_kg: float, plasma: PlasmaInput) -> float:
+    """Exact ratio a / mu0 = 4 m c^2 / (hbar omega_p)."""
+    if particle_mass_kg <= 0:
+        raise InputError("particle mass must be positive")
+    return 4.0 * particle_mass_kg * C_LIGHT * C_LIGHT / (HBAR * plasma.omega_p)
+
+
+class Dispersion(NamedTuple):
+    omega: float
+    v_ph: float
+    v_gr: float
+
+
+def dispersion(k_y: float, plasma: PlasmaInput) -> Dispersion:
+    """omega(k_y) = sqrt(omega_p^2 + (c k_y)^2) with phase/group velocities.
+
+    At k_y = 0 the wave sits at cutoff: omega = omega_p, the phase velocity
+    is reported infinite and the group velocity zero.
+    """
+    if k_y < 0:
+        raise InputError("k_y must be >= 0")
+    omega = math.sqrt(plasma.omega_p ** 2 + (C_LIGHT * k_y) ** 2)
+    if k_y == 0:
+        return Dispersion(omega=omega, v_ph=math.inf, v_gr=0.0)
+    return Dispersion(omega=omega, v_ph=omega / k_y,
+                      v_gr=C_LIGHT * C_LIGHT * k_y / omega)
+
+
+def wavenumber_from(omega: float, plasma: PlasmaInput) -> float:
+    """Invert the dispersion relation: k_y = sqrt(omega^2 - omega_p^2) / c."""
+    if omega < plasma.omega_p:
+        raise InputError(
+            f"omega = {omega} rad/s below the plasma cutoff {plasma.omega_p} rad/s")
+    return math.sqrt(omega * omega - plasma.omega_p ** 2) / C_LIGHT

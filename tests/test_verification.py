@@ -1,6 +1,7 @@
 """The oracle layer: ODE residuals, dense/Sturm cross-checks, spacetime FD."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -9,19 +10,19 @@ import incevolkov.spectra as spectra
 import incevolkov.verification as verification
 from incevolkov.errors import InputError, OracleError, StructuralError
 from incevolkov.families import ALL_KINDS, FamilyKind, SolutionFamily
-from incevolkov.operators import (TridiagonalOperator, build_dirac_operator,
-                                  build_kg_operator, build_operator)
+from incevolkov.operators import TridiagonalOperator, build_operator
 from incevolkov.physparams import DeBroglieMomentum
 from incevolkov.spectra import solve_spectrum
-from incevolkov.verification import (SAMPLING_SEED, _charpoly_newton_polish,
-                                     _ode_samples, _residual_values_batch,
+from incevolkov.verification import (ODE_RESIDUAL_TOL, SAMPLING_SEED,
+                                     _batch_residual_maxima,
+                                     _charpoly_newton_polish, _ode_samples,
+                                     _residual_values_batch,
                                      _residual_values_compensated,
                                      _sample_points, attach_residuals,
                                      dense_oracle_crosscheck,
-                                     momentum_for_mode, ode_residual,
-                                     pde_residual_fd, pde_stencil, run_grid,
-                                     run_point, seeded_angles,
-                                     sturm_crosscheck, vacuum_null_momentum)
+                                     momentum_for_mode, pde_residual_fd,
+                                     pde_stencil, run_grid, run_point,
+                                     seeded_angles, sturm_crosscheck)
 
 N_M = 0.7685453911282961
 
@@ -29,6 +30,33 @@ N_M = 0.7685453911282961
 def _solved(kind, n, a):
     fam = SolutionFamily(kind, n)
     return fam, solve_spectrum(build_operator(fam, a))
+
+
+def _one_mode(fam, a, eta, c):
+    """(max |residual|, scale, passed) of one eigenpair under the residual policy."""
+    maxima, scales, passed = _batch_residual_maxima(
+        _ode_samples(fam, SAMPLING_SEED), a, np.array([eta]),
+        np.asarray(c, dtype=float)[:, None])
+    return float(maxima[0]), float(scales[0]), bool(passed[0])
+
+
+def vacuum_null_momentum(r, n_m):
+    """Massless on-shell momentum for the a = 0 exact-cancellation check.
+
+    Built so the total plane-wave vector of exp(-i r xi) exp(+i p~.x) is
+    null and aligned with the x axis; the time and x stencils of the free
+    wave operator then cancel identically at any step size, leaving pure
+    rounding noise.
+    """
+    if r < 1:
+        raise InputError("harmonic r must be >= 1")
+    if not 0.0 < n_m < 1.0:
+        raise InputError(f"refractive index must lie in (0, 1), got {n_m}")
+    lam = math.sqrt(1.0 - n_m * n_m)
+    return DeBroglieMomentum(
+        p0=r * (1.0 + n_m * n_m) / lam, px=-r * lam, py=2.0 * r * n_m / lam,
+        pz=0.0, eta=4.0 * r * r, q=2 * r - 1, n=r, k_index=0,
+        kappa_star_sq=0.0)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -60,24 +88,25 @@ class TestOdeResidual:
     def test_eigenpairs_pass(self, kind, a):
         fam, dec = _solved(kind, 6, a)
         for i in range(dec.dim):
-            rep = ode_residual(fam, a, float(dec.etas[i]), dec.vectors[:, i],
-                               k_index=i + 1)
-            assert rep.passed, (kind, a, i, rep.max_residual, rep.scale)
+            maximum, scale, passed = _one_mode(fam, a, float(dec.etas[i]),
+                                               dec.vectors[:, i])
+            assert passed, (kind, a, i, maximum, scale)
 
     def test_report_fields(self):
         fam, dec = _solved(FamilyKind.DIRAC_PLUS, 2, 5.0)
-        rep = ode_residual(fam, 5.0, float(dec.etas[0]), dec.vectors[:, 0])
-        assert rep.sample_count == 288
-        assert rep.scale == 1.0 + abs(rep.eta) + 5.0 * fam.dim
-        assert rep.seed == 0x1CE
+        eta = float(dec.etas[0])
+        _, scale, _ = _one_mode(fam, 5.0, eta, dec.vectors[:, 0])
+        assert len(_sample_points(SAMPLING_SEED)) == 288
+        assert scale == 1.0 + abs(eta) + 5.0 * fam.dim
+        assert SAMPLING_SEED == 0x1CE
 
     def test_perturbed_eigenvalue_detected(self):
         fam, dec = _solved(FamilyKind.DIRAC_PLUS, 3, 5.0)
         eta, c = float(dec.etas[2]), dec.vectors[:, 2]
-        clean = ode_residual(fam, 5.0, eta, c)
-        bad = ode_residual(fam, 5.0, eta + 0.01, c)
-        assert not bad.passed
-        assert bad.max_residual - clean.max_residual >= 0.005 * np.min(np.abs(c))
+        clean, _, _ = _one_mode(fam, 5.0, eta, c)
+        bad, _, bad_passed = _one_mode(fam, 5.0, eta + 0.01, c)
+        assert not bad_passed
+        assert bad - clean >= 0.005 * np.min(np.abs(c))
 
     def test_random_vectors_all_fail(self):
         fam, dec = _solved(FamilyKind.KG_COS_EVEN, 4, 5.0)
@@ -86,8 +115,7 @@ class TestOdeResidual:
         for _ in range(100):
             v = rng.normal(size=fam.dim)
             v /= np.linalg.norm(v)
-            rep = ode_residual(fam, 5.0, eta, v)
-            assert not rep.passed
+            assert not _one_mode(fam, 5.0, eta, v)[2]
 
     def test_compensated_agrees(self):
         # the batch's rounding error sits far below the 1e-9 tolerance
@@ -117,20 +145,15 @@ class TestOdeResidual:
         eta, c = float(dec.etas[77]), dec.vectors[:, 77]
         plain = np.max(np.abs(_residual_values_batch(
             samples, 14.0, np.array([eta]), c[:, None])))
-        rep = ode_residual(fam, 14.0, eta, c, k_index=78)
-        assert rep.max_residual == plain
-        assert rep.passed == (plain < rep.tol * rep.scale)
+        maximum, scale, passed = _one_mode(fam, 14.0, eta, c)
+        assert maximum == plain
+        assert passed == (plain < ODE_RESIDUAL_TOL * scale)
         # the all-modes batch sums in another order than the one-mode batch
         batch = np.max(np.abs(_residual_values_batch(samples, 14.0, dec.etas,
                                                      dec.vectors)), axis=0)
         dec2, passed = attach_residuals(dec)
         assert np.array_equal(dec2.residuals, batch)
-        assert passed[77] == (batch[77] < rep.tol * rep.scale)
-
-    def test_coefficient_length_checked(self):
-        fam = SolutionFamily(FamilyKind.DIRAC_PLUS, 2)
-        with pytest.raises(InputError):
-            ode_residual(fam, 1.0, 0.0, np.ones(3))
+        assert passed[77] == (batch[77] < ODE_RESIDUAL_TOL * scale)
 
     def test_attach_residuals(self):
         fam, dec = _solved(FamilyKind.KG_SIN_ODD, 5, 14.0)
@@ -151,16 +174,16 @@ class TestOdeResidual:
 
 class TestDenseCrosscheck:
     def test_reference_case(self):
-        T = build_dirac_operator(20, 14.0)
+        T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 20), 14.0)
         assert dense_oracle_crosscheck([T])[0] < 1e-9
 
     def test_free_limit_exact(self):
-        T = build_dirac_operator(5, 0.0)
+        T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 5), 0.0)
         assert dense_oracle_crosscheck([T])[0] == 0.0
 
     def test_exact_dense_eigenvalue_kept(self):
         # dim 1: the raw dense value is exact, a zero pivot freezes the polish
-        T = build_kg_operator("kg-sin-odd", 1, 1.0)
+        T = build_operator(SolutionFamily(FamilyKind.KG_SIN_ODD, 1), 1.0)
         assert dense_oracle_crosscheck([T])[0] == 0.0
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -186,12 +209,12 @@ class TestDenseCrosscheck:
                                                     w[i:i + 1])[0]), i
 
     def test_strong_coupling_stress(self):
-        T = build_kg_operator(FamilyKind.KG_COS_EVEN, 5, 50.0)
+        T = build_operator(SolutionFamily(FamilyKind.KG_COS_EVEN, 5), 50.0)
         assert dense_oracle_crosscheck([T])[0] < 1e-8
 
     def test_dimension_cap(self):
-        T = build_dirac_operator(101, 1.0)     # dim 202
-        with pytest.raises(InputError):
+        T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 101), 1.0)     # dim 202
+        with pytest.raises(InputError, match="range limit"):
             dense_oracle_crosscheck([T])
 
     def test_complex_spectrum_flagged(self):
@@ -205,15 +228,16 @@ class TestDenseCrosscheck:
         fam = SolutionFamily(FamilyKind.DIRAC_PLUS, 1)
         bad = TridiagonalOperator(family=fam, a=2.5, diag=np.zeros(2),
                                   super_=np.array([1.0]), sub=np.array([-1.0]))
+        good = build_operator(fam, 1.0)
         with pytest.raises(StructuralError, match=r"^dirac-plus n=1 a=2\.5: dense "
                            r"eigenvalues have imaginary parts up to 1\.000e\+00"):
-            dense_oracle_crosscheck([build_dirac_operator(1, 1.0), bad],
-                                    etas=[np.zeros(2), np.zeros(2)])
+            dense_oracle_crosscheck([good, bad], etas=[np.zeros(2), np.zeros(2)])
 
     def test_operators_must_share_dimension(self):
         with pytest.raises(InputError):
-            dense_oracle_crosscheck([build_dirac_operator(1, 1.0),
-                                     build_dirac_operator(2, 1.0)])
+            dense_oracle_crosscheck(
+                [build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, n), 1.0)
+                 for n in (1, 2)])
 
 
 class TestSturmCrosscheck:
@@ -227,7 +251,8 @@ class TestSturmCrosscheck:
         monkeypatch.setattr(verification, "sturm_bisection_oracle",
                             functools.partial(spectra.sturm_bisection_oracle,
                                               max_iterations=44))
-        ops = [build_dirac_operator(3, 0.5), build_dirac_operator(3, 20.0)]
+        fam = SolutionFamily(FamilyKind.DIRAC_PLUS, 3)
+        ops = [build_operator(fam, 0.5), build_operator(fam, 20.0)]
         with pytest.raises(OracleError, match=r"^dirac-plus n=3 a=20: Sturm bisection "
                            r"did not reach tol 1e-11 in 44 iterations"):
             sturm_crosscheck(ops)

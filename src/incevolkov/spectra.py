@@ -44,6 +44,7 @@ __all__ = [
     "symmetrize",
     "solve_spectrum",
     "minor_ratios",
+    "gershgorin_bounds",
     "sturm_bisection_oracle",
 ]
 
@@ -279,6 +280,17 @@ def _last_move(mids, moved, start):
                     np.take_along_axis(mids, last[:, None], axis=1)[:, 0], start)
 
 
+def gershgorin_bounds(d: np.ndarray, e: np.ndarray):
+    """(lo, hi), shape (B,) each: the Gershgorin bounds of stacked symmetric tridiagonals.
+
+    d has shape (B, dim) and e (B, dim - 1).  Every eigenvalue lies in
+    [lo, hi], and max(|lo|, |hi|) is the matrix's infinity norm.
+    """
+    eabs = np.abs(e)
+    radius = np.pad(eabs, ((0, 0), (1, 0))) + np.pad(eabs, ((0, 0), (0, 1)))
+    return np.min(d - radius, axis=1), np.max(d + radius, axis=1)
+
+
 def sturm_bisection_oracle(diag: np.ndarray, offdiag: np.ndarray,
                            tol: float = 1e-11, max_iterations: int = 250,
                            guesses: Optional[np.ndarray] = None) -> np.ndarray:
@@ -310,10 +322,7 @@ def sturm_bisection_oracle(diag: np.ndarray, offdiag: np.ndarray,
     if e.shape != (batch, nd - 1):
         raise InputError("offdiag must have shape (B, dim - 1)")
 
-    eabs = np.abs(e)
-    radius = np.pad(eabs, ((0, 0), (1, 0))) + np.pad(eabs, ((0, 0), (0, 1)))
-    lo_bound = np.min(d - radius, axis=1)
-    hi_bound = np.max(d + radius, axis=1)
+    lo_bound, hi_bound = gershgorin_bounds(d, e)
     span = np.maximum(hi_bound - lo_bound, 1.0)
     tols = np.maximum(tol, _STURM_TOL_ULPS * np.finfo(float).eps
                       * np.maximum(np.abs(lo_bound), np.abs(hi_bound)))

@@ -194,15 +194,16 @@ def test_criterion_09_pde_end_to_end():
         dec = solve_spectrum(build_operator(fam, 5.0))
         eta = float(dec.etas[-1])
         mom = momentum_for_mode(fam, eta, N_M_REF, k_index=dec.dim)
-        rep = pde_residual_fd(pde_stencil(fam, N_M_REF), dec.vectors[:, -1],
-                              mom, 5.0)
+        [rep] = pde_residual_fd([pde_stencil(fam, N_M_REF)], [dec.vectors[:, -1]],
+                                [mom], [5.0])
         orders[kind.value] = rep.observed_order
     # negative control: same coefficients, shifted eigenvalue
     fam = SolutionFamily(FamilyKind.KG_COS_EVEN, 2)
     dec = solve_spectrum(build_operator(fam, 5.0))
     eta_bad = float(dec.etas[-1]) + 0.01 * (1.0 + abs(float(dec.etas[-1])))
     mom = momentum_for_mode(fam, eta_bad, N_M_REF)
-    bad = pde_residual_fd(pde_stencil(fam, N_M_REF), dec.vectors[:, -1], mom, 5.0)
+    [bad] = pde_residual_fd([pde_stencil(fam, N_M_REF)], [dec.vectors[:, -1]],
+                            [mom], [5.0])
     ok = (all(abs(o - 2.0) <= 0.2 for o in orders.values())
           and bad.observed_order < 1.0 and bad.max_residual_half > 1e-6)
     report(9, ok, f"observed orders {orders['kg-cos-even']:.3f} (spin-0), "

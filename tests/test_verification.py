@@ -282,7 +282,8 @@ class TestPdeResidual:
     def test_kg_second_order_convergence(self):
         fam, dec = _solved(FamilyKind.KG_COS_EVEN, 2, 5.0)
         mom = momentum_for_mode(fam, float(dec.etas[-1]), N_M, k_index=dec.dim)
-        rep = pde_residual_fd(pde_stencil(fam, N_M), dec.vectors[:, -1], mom, 5.0)
+        [rep] = pde_residual_fd([pde_stencil(fam, N_M)], [dec.vectors[:, -1]],
+                                [mom], [5.0])
         assert rep.converged_second_order
         assert abs(rep.observed_order - 2.0) <= 0.2
 
@@ -290,15 +291,17 @@ class TestPdeResidual:
         for kind in (FamilyKind.DIRAC_PLUS, FamilyKind.DIRAC_MINUS):
             fam, dec = _solved(kind, 2, 5.0)
             mom = momentum_for_mode(fam, float(dec.etas[-1]), N_M, k_index=dec.dim)
-            rep = pde_residual_fd(pde_stencil(fam, N_M),
-                                  dec.vectors[:, -1].astype(complex), mom, 5.0)
+            [rep] = pde_residual_fd([pde_stencil(fam, N_M)],
+                                    [dec.vectors[:, -1].astype(complex)], [mom],
+                                    [5.0])
             assert abs(rep.observed_order - 2.0) <= 0.2, kind
 
     def test_negative_control_does_not_converge(self):
         fam, dec = _solved(FamilyKind.KG_COS_EVEN, 2, 5.0)
         eta_bad = float(dec.etas[-1]) + 0.01 * (1 + abs(float(dec.etas[-1])))
         mom = momentum_for_mode(fam, eta_bad, N_M, k_index=dec.dim)
-        rep = pde_residual_fd(pde_stencil(fam, N_M), dec.vectors[:, -1], mom, 5.0)
+        [rep] = pde_residual_fd([pde_stencil(fam, N_M)], [dec.vectors[:, -1]],
+                                [mom], [5.0])
         assert rep.observed_order < 1.0
         assert rep.max_residual_half > 1e-6
 
@@ -307,8 +310,8 @@ class TestPdeResidual:
         _, dec_plus = _solved(FamilyKind.DIRAC_PLUS, 2, 5.0)
         fam_minus = SolutionFamily(FamilyKind.DIRAC_MINUS, 2)
         mom = momentum_for_mode(fam_minus, float(dec_plus.etas[-1]), N_M)
-        rep = pde_residual_fd(pde_stencil(fam_minus, N_M), dec_plus.vectors[:, -1],
-                              mom, 5.0)
+        [rep] = pde_residual_fd([pde_stencil(fam_minus, N_M)],
+                                [dec_plus.vectors[:, -1]], [mom], [5.0])
         assert rep.max_residual_half > 1e-3
 
     def test_vacuum_exact_cancellation(self):
@@ -319,7 +322,7 @@ class TestPdeResidual:
         c = np.array([0.0, 1.0])               # single harmonic exp(-i xi)
         mom = vacuum_null_momentum(1, N_M)
         for h in (1e-2, 2e-2, 4e-2):
-            rep = pde_residual_fd(pde_stencil(fam, N_M, h=h), c, mom, 0.0)
+            [rep] = pde_residual_fd([pde_stencil(fam, N_M, h=h)], [c], [mom], [0.0])
             assert rep.max_residual < 1e-10
 
     def test_off_shell_rejected(self):
@@ -330,7 +333,8 @@ class TestPdeResidual:
                                 k_index=good.k_index,
                                 kappa_star_sq=good.kappa_star_sq + 1.0)
         with pytest.raises(InputError):
-            pde_residual_fd(pde_stencil(fam, N_M), dec.vectors[:, -1], bad, 5.0)
+            pde_residual_fd([pde_stencil(fam, N_M)], [dec.vectors[:, -1]], [bad],
+                            [5.0])
 
     def test_pz_rejected(self):
         fam, dec = _solved(FamilyKind.KG_COS_EVEN, 2, 5.0)
@@ -340,7 +344,8 @@ class TestPdeResidual:
                                 k_index=good.k_index,
                                 kappa_star_sq=good.kappa_star_sq - 0.25)
         with pytest.raises(InputError):
-            pde_residual_fd(pde_stencil(fam, N_M), dec.vectors[:, -1], bad, 5.0)
+            pde_residual_fd([pde_stencil(fam, N_M)], [dec.vectors[:, -1]], [bad],
+                            [5.0])
 
     def test_px_quantization_enforced(self):
         fam, dec = _solved(FamilyKind.KG_COS_EVEN, 2, 5.0)
@@ -351,7 +356,44 @@ class TestPdeResidual:
                                 q=fam.q, n=2, k_index=0,
                                 kappa_star_sq=p0 * p0 - 1.0)
         with pytest.raises(InputError):
-            pde_residual_fd(pde_stencil(fam, N_M), dec.vectors[:, -1], bad, 5.0)
+            pde_residual_fd([pde_stencil(fam, N_M)], [dec.vectors[:, -1]], [bad],
+                            [5.0])
+
+    @staticmethod
+    def _top_mode_point(kind, n, a):
+        """(stencil, coefficients, momentum, a) of the check `verify` runs."""
+        fam, dec = _solved(kind, n, a)
+        top = int(np.nonzero(dec.etas >= 0.0)[0][-1])
+        mom = momentum_for_mode(fam, float(dec.etas[top]), N_M, k_index=top + 1)
+        h = 5e-3 if a <= 25.0 else 1e-2
+        return pde_stencil(fam, N_M, h), dec.vectors[:, top], mom, a
+
+    def test_batch_matches_batches_of_one(self):
+        # one dimension group: complex-basis dirac families, real-basis KG
+        # families, both steps, and a complex vector on a real basis; each
+        # point must get the report it gets alone (repr: exact, NaN-safe)
+        points = [self._top_mode_point(kind, n, a)
+                  for kind, n in ((FamilyKind.DIRAC_PLUS, 3), (FamilyKind.DIRAC_MINUS, 3),
+                                  (FamilyKind.KG_COS_EVEN, 5), (FamilyKind.KG_SIN_ODD, 6))
+                  for a in (14.0, 50.0)]
+        stencil, c, mom, a = points[4]
+        assert stencil.basis.dtype == float and a == 14.0
+        points.append((stencil, c * np.exp(0.7j), mom, a))
+        batches = {}
+        for point in points:
+            key = np.result_type(point[0].basis, point[1]), point[0].h
+            batches.setdefault(key, []).append(point)
+        assert len(batches) == 4
+        for batch in batches.values():
+            for point, rep in zip(batch, pde_residual_fd(*zip(*batch)), strict=True):
+                assert repr(rep) == repr(pde_residual_fd(*zip(point))[0])
+
+    @pytest.mark.parametrize("other", [(FamilyKind.DIRAC_PLUS, 3, 14.0),
+                                       (FamilyKind.KG_SIN_ODD, 6, 50.0)])
+    def test_mixed_dtype_or_step_rejected(self, other):
+        kg = self._top_mode_point(FamilyKind.KG_COS_EVEN, 5, 14.0)
+        with pytest.raises(InputError, match="one step"):
+            pde_residual_fd(*zip(kg, self._top_mode_point(*other)))
 
 
 class TestRunPoint:
@@ -376,6 +418,14 @@ class TestRunPoint:
         assert not p.sturm_passed
         assert not p.passed
 
+    def test_agreement_gate_scales_with_the_eigenvalues(self):
+        # at a = 1e150 the oracles agree to a few ulps of eigenvalues near
+        # 5e150 and pass; a shift of 1e138 (2e-13 of them) still fails
+        p = run_point(FamilyKind.DIRAC_PLUS, 3, 1e150)
+        assert p.dense_passed and p.sturm_passed and p.dense_discrepancy > 1e135
+        shifted = run_point(FamilyKind.DIRAC_PLUS, 3, 1e150, eta_shift=1e138)
+        assert not shifted.dense_passed and not shifted.sturm_passed
+
     def test_determinism(self):
         p1 = run_point(FamilyKind.KG_COS_EVEN, 5, 14.0)
         p2 = run_point(FamilyKind.KG_COS_EVEN, 5, 14.0)
@@ -399,7 +449,7 @@ def test_grid_matches_points():
 
 
 def test_grid_builds_each_basis_once(monkeypatch):
-    # one ODE sample basis per family and one PDE stencil per (family, h)
+    # one ODE sample basis per family and one PDE stencil per (family, h),
     built = {"ode": [], "pde": []}
     ode_samples, stencil = verification._ode_samples, verification.pde_stencil
 
@@ -411,13 +461,27 @@ def test_grid_builds_each_basis_once(monkeypatch):
         built["pde"].append((family, h))
         return stencil(family, n_m, h, **kwargs)
 
+    # and one spacetime batch per (dimension group, result dtype, h)
+    residual = verification.pde_residual_fd
+    batches = []
+
+    def count_batches(stencils, coefficients, momenta, couplings):
+        batches.append((stencils[0].family.dim,
+                        np.result_type(stencils[0].basis, coefficients[0]),
+                        stencils[0].h))
+        return residual(stencils, coefficients, momenta, couplings)
+
     monkeypatch.setattr(verification, "_ode_samples", count_ode)
     monkeypatch.setattr(verification, "pde_stencil", count_pde)
+    monkeypatch.setattr(verification, "pde_residual_fd", count_batches)
     run_grid(n_max=3, a_values=(0.5, 14.0, 20.0, 50.0))
     families = {SolutionFamily(kind, n) for kind in ALL_KINDS for n in (1, 2, 3)}
     assert sorted(map(repr, built["ode"])) == sorted(map(repr, families))
     assert len(built["pde"]) == len(set(built["pde"]))
     assert {h for _, h in built["pde"]} == {5e-3, 1e-2}
+    assert len(batches) == len(set(batches))
+    assert {dtype for _, dtype, _ in batches} == {np.dtype(float), np.dtype(complex)}
+    assert {h for _, _, h in batches} == {5e-3, 1e-2}
 
 
 class TestSeededAngles:

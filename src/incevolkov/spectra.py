@@ -44,6 +44,7 @@ __all__ = [
     "symmetrize",
     "solve_spectrum",
     "minor_ratios",
+    "sturm_counts",
     "gershgorin_bounds",
     "sturm_bisection_oracle",
 ]
@@ -175,6 +176,15 @@ def solve_spectrum(T: TridiagonalOperator) -> SpectralDecomposition:
         k_labels=np.arange(1, T.dim + 1), scale=scale)
 
 
+def _pivmin(b):
+    """(B, 1): each matrix's smallest pivot magnitude, tiny * 1e4 * max(1, max |b|).
+
+    As in LAPACK dstebz, a ratio below it in magnitude is taken as -pivmin.
+    """
+    return (np.maximum(np.abs(b).max(axis=1, initial=0.0), 1.0)
+            * np.finfo(float).tiny * 1e4)[:, None]
+
+
 def minor_ratios(d, b, x):
     """Yield q_i = p_i / p_{i-1}, the leading-minor ratios of T - x I, by row.
 
@@ -184,12 +194,11 @@ def minor_ratios(d, b, x):
     q_{i-1}, each of shape (B, m).  Every element sees the arithmetic of a
     lone matrix, so a matrix gets the same bits in any stack and at any m.
     Ratios are yielded unclamped; as a divisor, one below its matrix's
-    pivmin (scaled by that matrix's max |b|) in magnitude becomes -pivmin,
-    as in LAPACK dstebz.  A matrix's row coefficients broadcast over its
-    shifts, so the working memory is a few (B, m) arrays at any dim.
+    `_pivmin` in magnitude becomes -pivmin, as in LAPACK dstebz.  A
+    matrix's row coefficients broadcast over its shifts, so the working
+    memory is a few (B, m) arrays at any dim.
     """
-    pivmin = (np.maximum(np.abs(b).max(axis=1, initial=0.0), 1.0)
-              * np.finfo(float).tiny * 1e4)[:, None]
+    pivmin = _pivmin(b)
     neg_pivmin = -pivmin
     largest_pivmin = pivmin.max()
     q = d[:, :1] - x
@@ -205,22 +214,27 @@ def minor_ratios(d, b, x):
         yield q
 
 
-def _sturm_moves_down(d, b, x, ks):
-    """Whether at least ks[j] eigenvalues lie below each shift x[:, j].
+def sturm_counts(d, b, x):
+    """The number of eigenvalues below each shift x[:, j], shape (B, m).
 
-    x has shape (B, m) and ks (m,).  Counts the negative `minor_ratios` in
-    column slices of at most _COUNT_SLICE shifts, so the counts and the
-    recurrence's temporaries stay a few small arrays at any m.
+    d, b and x are as in `minor_ratios`.  A ratio counts as negative when
+    q < 0 or |q| < pivmin, that is q < pivmin: the pivot dstebz clamps to
+    -pivmin counts, so an exact zero pivot cannot hide an eigenvalue and
+    the count is monotone in the shift (Kahan, "Accurate eigenvalues of a
+    symmetric tri-diagonal matrix", 1966).  Runs in column slices of at
+    most _COUNT_SLICE shifts, so the recurrence's temporaries stay a few
+    small arrays at any m.
     """
-    moves_down = np.empty(x.shape, dtype=bool)
+    pivmin = _pivmin(b)
+    counts = np.empty(x.shape, dtype=np.intp)
     width = max(1, _COUNT_SLICE // len(x))
     for start in range(0, x.shape[1], width):
         cols = slice(start, start + width)
         count = np.zeros(x[:, cols].shape, dtype=np.intp)
         for q in minor_ratios(d, b, x[:, cols]):
-            count += q < 0
-        moves_down[:, cols] = count >= ks[cols]
-    return moves_down
+            count += q < pivmin
+        counts[:, cols] = count
+    return counts
 
 
 def _guided_start(d, b, tols, lo, hi, guesses, max_iterations):
@@ -229,7 +243,7 @@ def _guided_start(d, b, tols, lo, hi, guesses, max_iterations):
     Simulates the bisection of every index j with the decision guesses[:, j]
     < mid, from the brackets lo, hi to each matrix's stop level (at most
     max_iterations), then counts at every predicted midpoint, all levels in
-    one `_sturm_moves_down` call.  A matrix's real path follows its
+    one `sturm_counts` call.  A matrix's real path follows its
     predicted one up to and including the first level at which a count
     disagrees; returns the brackets (lo, hi) there, with every decision
     taken from its count, and that level.  A matrix whose counts agree
@@ -263,8 +277,8 @@ def _guided_start(d, b, tols, lo, hi, guesses, max_iterations):
     if levels == 0:
         return lo, hi, np.zeros(batch, dtype=np.intp)
     mids = mids[:, :levels]                     # (B, levels, dim), rows contiguous
-    down = _sturm_moves_down(d, b, mids.reshape(batch, -1),
-                             np.tile(np.arange(1, nd + 1), levels)).reshape(mids.shape)
+    down = (sturm_counts(d, b, mids.reshape(batch, -1))
+            >= np.tile(np.arange(1, nd + 1), levels)).reshape(mids.shape)
     wrong = (down != predicted[:, :levels]).any(axis=2)
     wrong &= np.arange(levels) < stop[:, None]
     level = np.where(wrong.any(axis=1), wrong.argmax(axis=1) + 1, stop)
@@ -297,7 +311,7 @@ def sturm_bisection_oracle(diag: np.ndarray, offdiag: np.ndarray,
     """All eigenvalues of stacked symmetric tridiagonal matrices by Sturm bisection.
 
     diag has shape (B, dim) and offdiag (B, dim - 1); the result has shape
-    (B, dim).  Counts eigenvalues below x as negative `minor_ratios` (with
+    (B, dim).  Counts eigenvalues below x with `sturm_counts` (with
     b = e^2) and bisects each index on a Gershgorin-bounded interval.  A
     matrix stops at the first iteration at which its widest bracket is
     narrower than its own tolerance, max(tol, 8 eps max|Gershgorin bound|)
@@ -350,7 +364,7 @@ def sturm_bisection_oracle(diag: np.ndarray, offdiag: np.ndarray,
             live, d, e2, tols, lo, hi, level = (
                 arr[keep] for arr in (live, d, e2, tols, lo, hi, level))
         mid = 0.5 * (lo + hi)
-        move_down = _sturm_moves_down(d, e2, mid, ks)
+        move_down = sturm_counts(d, e2, mid) >= ks
         hi = np.where(move_down, mid, hi)
         lo = np.where(move_down, lo, mid)
         level += 1

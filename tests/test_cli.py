@@ -267,6 +267,17 @@ class TestVerify:
             "FAIL dirac-plus n=3 a=9.9999999999999998e+149: pde",
             "verification failure: 1 of 1 grid points failed"]
 
+    def test_zero_pivot_coupling_fails_only_pde(self, capsys):
+        # a Sturm count at a shift that makes a pivot exactly 0 once missed
+        # an eigenvalue here (sturm discrepancy 4e20); the oracles pass, and
+        # e^(a/4) overflows in the spacetime check
+        code, _, err = run(capsys, "verify", "--family", "kg-cos-even",
+                           "--n", "2", "--a", "1e20")
+        assert code == 2
+        assert err.splitlines() == [
+            "FAIL kg-cos-even n=2 a=1e+20: pde",
+            "verification failure: 1 of 1 grid points failed"]
+
     def test_structural_error_exit_code(self, capsys, monkeypatch):
         from incevolkov.errors import StructuralError
 

@@ -37,6 +37,10 @@ def lockstep_reference(diag, offdiag, tol=1e-11, max_iterations=250):
     lo = np.repeat((lo_bound - 1e-3 * span)[:, None], nd, axis=1)
     hi = np.repeat((hi_bound + 1e-3 * span)[:, None], nd, axis=1)
     e2 = e * e
+    # a ratio counts as negative below pivmin, as LAPACK dstebz counts the
+    # pivot it clamps to -pivmin
+    pivmin = (np.maximum(np.abs(e2).max(axis=1, initial=0.0), 1.0)
+              * np.finfo(float).tiny * 1e4)[:, None]
     ks = np.arange(1, nd + 1)
     out = np.empty_like(d)
     live = np.arange(batch)
@@ -44,7 +48,7 @@ def lockstep_reference(diag, offdiag, tol=1e-11, max_iterations=250):
         mid = 0.5 * (lo + hi)
         count = np.zeros(mid.shape, dtype=np.int64)
         for q in minor_ratios(d, e2, mid):
-            count += q < 0
+            count += q < pivmin
         move_down = count >= ks
         hi = np.where(move_down, mid, hi)
         lo = np.where(move_down, lo, mid)
@@ -54,8 +58,8 @@ def lockstep_reference(diag, offdiag, tol=1e-11, max_iterations=250):
             keep = ~done
             if not keep.any():
                 return out
-            live, d, e2, tols, lo, hi = (
-                arr[keep] for arr in (live, d, e2, tols, lo, hi))
+            live, d, e2, pivmin, tols, lo, hi = (
+                arr[keep] for arr in (live, d, e2, pivmin, tols, lo, hi))
     raise OracleError(
         f"Sturm bisection did not reach tol {tols[0]:.3g} in {max_iterations} "
         f"iterations (widest bracket {np.max(hi[0] - lo[0]):.3g})",
@@ -492,6 +496,17 @@ class TestSturmOracle:
         with pytest.raises(InputError, match="guesses"):
             sturm_bisection_oracle(np.zeros((1, 3)), np.ones((1, 2)),
                                    guesses=np.zeros((1, 2)))
+
+    def test_zero_pivot_counts_its_eigenvalue(self):
+        # at the first midpoint, 0, the leading pivot is exactly 0: counted
+        # as negative (as dstebz counts it), the eigenvalue -1e20 stays in
+        # its bracket; counted as positive, the bracket lost it (4.4e4)
+        d, e = np.array([[0.0, 4.0]]), np.array([[1e20]])
+        w = sturm_bisection_oracle(d, e)[0]
+        exact = np.array([2.0 - np.hypot(2.0, 1e20), 2.0 + np.hypot(2.0, 1e20)])
+        gate = 16 * np.finfo(float).eps * (4.0 + 1e20)
+        assert np.max(np.abs(w - exact)) < gate
+        assert np.array_equal(w, lockstep_reference(d, e)[0])
 
     def test_iteration_budget(self):
         T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 5), 10.0)

@@ -75,7 +75,7 @@ def _scalar_newton_polish(T, w, steps=3):
                 q_next = (d[i] - lam) - b[i - 1] / q_div
                 u_next = (-1.0 + (d[i] - lam) * u - b[i - 1] * u_prev / q) / q_next
                 q, u_prev, u = q_next, u, u_next
-            if u == 0.0 or not np.isfinite(u) or abs(1.0 / u) > 1.0:
+            if u == 0.0 or not np.isfinite(u) or abs(1.0 / u) > max(1.0, 1e-9 * abs(lam)):
                 break
             lam -= 1.0 / u
         out[j] = lam
@@ -187,7 +187,7 @@ class TestDenseCrosscheck:
         assert dense_oracle_crosscheck([T])[0] == 0.0
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    @pytest.mark.parametrize("a", [0.0, 14.0])
+    @pytest.mark.parametrize("a", [0.0, 14.0, 1e10])
     def test_polish_matches_scalar_reference(self, kind, a):
         T = build_operator(SolutionFamily(kind, 12), a)
         w = np.sort(np.linalg.eigvals(T.to_dense()).real)
@@ -207,6 +207,14 @@ class TestDenseCrosscheck:
             assert np.array_equal(
                 stacked[i], _charpoly_newton_polish(d[i:i + 1], b[i:i + 1],
                                                     w[i:i + 1])[0]), i
+
+    def test_polish_step_cap_scales_with_the_eigenvalue(self):
+        # eigenvalues up to 4e10, raw dense errors up to 1.66: under an
+        # absolute step cap of 1 the polish left them as they were and the
+        # point failed dense at 1.66
+        p = run_point(FamilyKind.DIRAC_PLUS, 25, 1e10)
+        assert p.dense_discrepancy < 1e-3
+        assert p.failed_checks == ["pde"]
 
     def test_strong_coupling_stress(self):
         T = build_operator(SolutionFamily(FamilyKind.KG_COS_EVEN, 5), 50.0)

@@ -5,14 +5,14 @@ a > 0, so a diagonal similarity turns them into real symmetric tridiagonal
 matrices.  The primary solver is LAPACK's dense symmetric eigensolver
 (numpy.linalg.eigh, dsyevd) on the symmetrized matrix; the dense check
 (verification module) runs the general nonsymmetric one (dgeev) on the
-unsymmetrized T.  `sturm_bisection_oracle` and the dense check's Newton
-polish share no numerical machinery with either; both run the LAPACK-free
-leading-minor recurrence `minor_ratios`, over stacks of equal-dimension
-matrices, and the oracle bisects each matrix to a tolerance relative to
-its Gershgorin bounds.  Given estimates of the eigenvalues, the oracle
-counts at every midpoint of their predicted bisection paths in one pass
-and bisects on from the first wrong prediction; its result does not
-depend on the estimates.
+unsymmetrized T.  The Sturm code and the dense check's Newton polish
+share no numerical machinery with either; they run the LAPACK-free
+leading-minor recurrence `minor_ratios` over stacks of equal-dimension
+matrices.  `sturm_counts` counts the eigenvalues below each shift as
+LAPACK dstebz does, monotone in the shift; `certified_radii` encloses
+each of a matrix's eigenvalue estimates with two counts, and
+`sturm_bisection_oracle` bisects each matrix to a tolerance relative to
+its Gershgorin bounds.
 
 Conventions fixed here and recorded in every output:
   * eigenvalues sorted ascending, k labels 1-based in that order;
@@ -45,6 +45,7 @@ __all__ = [
     "solve_spectrum",
     "minor_ratios",
     "sturm_counts",
+    "certified_radii",
     "gershgorin_bounds",
     "sturm_bisection_oracle",
 ]
@@ -59,6 +60,10 @@ MAX_SOLVE_DIM = math.isqrt(_SOLVE_MEMORY_BYTES // (6 * 8))      # 4729
 _STURM_TOL_ULPS = 8
 # shifts per Sturm counting slice: 128 KiB per float64 temporary
 _COUNT_SLICE = 2 ** 14
+# the radii, in ulps of a matrix's largest Gershgorin bound, at which
+# `certified_radii` tries to enclose each eigenvalue; the widest is the
+# primary solver's share of the verification's agreement gate
+_CERTIFY_ULPS = (1, 2, 4, 8)
 
 
 @dataclass(frozen=True)
@@ -177,10 +182,7 @@ def solve_spectrum(T: TridiagonalOperator) -> SpectralDecomposition:
 
 
 def _pivmin(b):
-    """(B, 1): each matrix's smallest pivot magnitude, tiny * 1e4 * max(1, max |b|).
-
-    As in LAPACK dstebz, a ratio below it in magnitude is taken as -pivmin.
-    """
+    """(B, 1): each matrix's pivmin, tiny * 1e4 * max(1, max |b|), as in LAPACK dstebz."""
     return (np.maximum(np.abs(b).max(axis=1, initial=0.0), 1.0)
             * np.finfo(float).tiny * 1e4)[:, None]
 
@@ -237,63 +239,6 @@ def sturm_counts(d, b, x):
     return counts
 
 
-def _guided_start(d, b, tols, lo, hi, guesses, max_iterations):
-    """Bisection state after the verified prefix of each matrix's guessed path.
-
-    Simulates the bisection of every index j with the decision guesses[:, j]
-    < mid, from the brackets lo, hi to each matrix's stop level (at most
-    max_iterations), then counts at every predicted midpoint, all levels in
-    one `sturm_counts` call.  A matrix's real path follows its
-    predicted one up to and including the first level at which a count
-    disagrees; returns the brackets (lo, hi) there, with every decision
-    taken from its count, and that level.  A matrix whose counts agree
-    everywhere ends at its stop level, with the brackets plain bisection
-    reaches there.
-    """
-    guesses = np.asarray(guesses, dtype=float)
-    if guesses.shape != d.shape:
-        raise InputError("guesses must have the shape (B, dim) of diag")
-    batch, nd = d.shape
-    # one buffer, not a list of small arrays that fragment the heap; a
-    # double-precision bisection closes in about 50 levels
-    mids = np.empty((batch, min(max_iterations, 64), nd))
-    predicted = np.empty(mids.shape, dtype=bool)
-    stop = np.full(batch, max_iterations)       # levels on each predicted path
-    pending = np.ones(batch, dtype=bool)
-    path_lo, path_hi = lo, hi
-    levels = 0
-    while levels < max_iterations and pending.any():
-        if levels == mids.shape[1]:
-            mids, predicted = (np.concatenate((arr, np.empty_like(arr)), axis=1)
-                               for arr in (mids, predicted))
-        mid = mids[:, levels] = 0.5 * (path_lo + path_hi)
-        down = predicted[:, levels] = guesses < mid
-        path_hi = np.where(down, mid, path_hi)
-        path_lo = np.where(down, path_lo, mid)
-        levels += 1
-        finished = pending & (np.max(path_hi - path_lo, axis=1) < tols)
-        stop[finished] = levels
-        pending &= ~finished
-    if levels == 0:
-        return lo, hi, np.zeros(batch, dtype=np.intp)
-    mids = mids[:, :levels]                     # (B, levels, dim), rows contiguous
-    down = (sturm_counts(d, b, mids.reshape(batch, -1))
-            >= np.tile(np.arange(1, nd + 1), levels)).reshape(mids.shape)
-    wrong = (down != predicted[:, :levels]).any(axis=2)
-    wrong &= np.arange(levels) < stop[:, None]
-    level = np.where(wrong.any(axis=1), wrong.argmax(axis=1) + 1, stop)
-    taken = (np.arange(levels) < level[:, None])[:, :, None]
-    return (_last_move(mids, taken & ~down, lo),
-            _last_move(mids, taken & down, hi), level)
-
-
-def _last_move(mids, moved, start):
-    """A bracket bound: the midpoint of the last level that moved it, or its start."""
-    last = moved.shape[1] - 1 - np.argmax(moved[:, ::-1], axis=1)
-    return np.where(moved.any(axis=1),
-                    np.take_along_axis(mids, last[:, None], axis=1)[:, 0], start)
-
-
 def gershgorin_bounds(d: np.ndarray, e: np.ndarray):
     """(lo, hi), shape (B,) each: the Gershgorin bounds of stacked symmetric tridiagonals.
 
@@ -305,9 +250,32 @@ def gershgorin_bounds(d: np.ndarray, e: np.ndarray):
     return np.min(d - radius, axis=1), np.max(d + radius, axis=1)
 
 
+def certified_radii(d, b, etas):
+    """Per matrix, the smallest radius within which Sturm counts enclose every eta, or inf.
+
+    d and b are as in `minor_ratios`, and etas, shape (B, dim), are sorted
+    estimates of the eigenvalues.  For each radius r = c eps B, with c in
+    _CERTIFY_ULPS and B = max|Gershgorin bound|, all in one `sturm_counts`
+    pass: when count(eta_k - r) <= k - 1 and count(eta_k + r) >= k, the
+    k-th eigenvalue lies in [eta_k - r, eta_k + r], since the count is
+    monotone in its shift.  A matrix gets the smallest r that holds for
+    every k, or inf if none does (a wrong or NaN eta).
+    """
+    batch, nd = d.shape
+    lo, hi = gershgorin_bounds(d, np.sqrt(b))
+    radii = (np.maximum(np.abs(lo), np.abs(hi))[:, None]
+             * (np.array(_CERTIFY_ULPS) * np.finfo(float).eps))        # (B, L)
+    sides = np.array([-1.0, 1.0])[:, None]      # eta - r and eta + r
+    shifts = etas[:, None, None, :] + sides * radii[:, :, None, None]   # (B, L, 2, dim)
+    counts = sturm_counts(d, b, shifts.reshape(batch, -1)).reshape(shifts.shape)
+    ks = np.arange(1, nd + 1)
+    enclosed = ((counts[:, :, 0] < ks) & (counts[:, :, 1] >= ks)).all(axis=2)
+    first = np.argmax(enclosed, axis=1)
+    return np.where(enclosed.any(axis=1), radii[np.arange(batch), first], np.inf)
+
+
 def sturm_bisection_oracle(diag: np.ndarray, offdiag: np.ndarray,
-                           tol: float = 1e-11, max_iterations: int = 250,
-                           guesses: Optional[np.ndarray] = None) -> np.ndarray:
+                           tol: float = 1e-11, max_iterations: int = 250) -> np.ndarray:
     """All eigenvalues of stacked symmetric tridiagonal matrices by Sturm bisection.
 
     diag has shape (B, dim) and offdiag (B, dim - 1); the result has shape
@@ -317,14 +285,6 @@ def sturm_bisection_oracle(diag: np.ndarray, offdiag: np.ndarray,
     narrower than its own tolerance, max(tol, 8 eps max|Gershgorin bound|)
     (relative, as in LAPACK dstebz), and leaves the batch there, so it gets
     the bits it gets alone.  Independent of LAPACK by construction.
-
-    guesses, shape (B, dim), are estimates of the sorted eigenvalues.  They
-    let a guided pass check the whole predicted bisection path of every
-    index in one recurrence pass (`_guided_start`); the lockstep loop then
-    finishes only the matrices with a wrong prediction, from the first
-    one.  Every decision is still taken from a count at the midpoint plain
-    bisection reaches, so guesses change the time, never the result: it is
-    bit-identical for any guesses, wrong or NaN ones included.
     """
     if tol <= 0:
         raise InputError("tol must be positive")
@@ -345,8 +305,6 @@ def sturm_bisection_oracle(diag: np.ndarray, offdiag: np.ndarray,
 
     e2 = e * e
     level = np.zeros(batch, dtype=np.intp)      # bisection steps taken, per matrix
-    if guesses is not None:
-        lo, hi, level = _guided_start(d, e2, tols, lo, hi, guesses, max_iterations)
     ks = np.arange(1, nd + 1)
     out = np.empty_like(d)
     live = np.arange(batch)             # stack rows of the matrices still bisecting

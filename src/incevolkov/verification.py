@@ -14,12 +14,11 @@ Four checks, none sharing numerical machinery with the primary eigensolver:
   * dense_oracle_crosscheck: embeds the tridiagonal operator in a dense
     matrix and solves it with the general nonsymmetric dense eigensolver;
     confirms realness and agreement of the spectrum.
-  * sturm_crosscheck: Sturm bisection on the symmetrized matrix, to a
-    relative tolerance.  It and the dense check's Newton polish share one
-    LAPACK-free recurrence, `spectra.minor_ratios`.  The etas it judges
-    guide the bisection: one recurrence pass checks every predicted
-    decision, and each decision is still taken from its own count, so a
-    wrong eta changes the oracle's time and never its bits.
+  * sturm_crosscheck: Sturm counts on the symmetrized matrix.  Two counts
+    per eta certify that an eigenvalue lies within a few ulps of it; an
+    operator with an eta that no count certifies is bisected to a relative
+    tolerance instead.  It and the dense check's Newton polish share one
+    LAPACK-free recurrence, `spectra.minor_ratios`.
   * pde_residual_fd: assembles the full spacetime wave
     Psi(t,x,y) = modulation(xi) * exp{+i [p - (k.p) k] . x}, xi = k.x,
     applies second-order central differences to the gauge-covariant wave
@@ -58,8 +57,9 @@ from .families import ALL_KINDS, FamilyKind, SolutionFamily
 from .operators import TridiagonalOperator, build_operator
 from .physparams import DeBroglieMomentum
 from .serialize import format_number
-from .spectra import (SpectralDecomposition, gershgorin_bounds, minor_ratios,
-                      solve_spectrum, sturm_bisection_oracle, symmetrize)
+from .spectra import (SpectralDecomposition, certified_radii, gershgorin_bounds,
+                      minor_ratios, solve_spectrum, sturm_bisection_oracle,
+                      symmetrize)
 
 __all__ = [
     "SAMPLING_SEED", "ODE_RESIDUAL_TOL", "DENSE_IMAG_TOL", "ORACLE_AGREEMENT_TOL",
@@ -329,22 +329,34 @@ def dense_oracle_crosscheck(operators, etas=None) -> np.ndarray:
 
 
 def sturm_crosscheck(operators, etas=None, tol: float = STURM_TOL) -> np.ndarray:
-    """Per operator, max discrepancy between the Sturm bisection oracle and etas.
+    """Per operator, a bound on |eigenvalue - eta| by Sturm counts, or the bisection's.
 
-    One `sturm_bisection_oracle` call bisects the symmetrized matrices of
-    all the equal-dimension operators together, guided by the etas it
-    judges: they set how much of the bisection runs in one guided pass,
-    never the oracle's bits, so the check stays independent of the
-    primary solver.
+    The operators share one dimension; etas default to the primary
+    solver's.  Diagonals and bond products super * sub are stacked once (a
+    bond that cannot be symmetrized raises `symmetrize`'s error).  Each
+    operator reports the smallest radius, at most 8 eps B, within which two
+    Sturm counts per eta enclose every eigenvalue (`spectra.certified_radii`).
+    An operator that no radius certifies (a wrong eta, or dim 1, whose
+    eigenvalue is its entry) is bisected by `spectra.sturm_bisection_oracle`
+    instead and reports max |oracle - etas|.
     """
     etas = _equal_dim_etas(operators, etas)
-    diags, offs, _ = zip(*(symmetrize(T) for T in operators))
-    try:
-        oracle = sturm_bisection_oracle(np.stack(diags), np.stack(offs), tol=tol,
-                                        guesses=etas)
-    except OracleError as exc:
-        raise OracleError(f"{_describe(operators[exc.index])}: {exc}") from exc
-    return np.max(np.abs(oracle - etas), axis=1)
+    d = np.stack([T.diag for T in operators])
+    with np.errstate(over="ignore"):
+        b = np.stack([T.super_ * T.sub for T in operators])
+    for row in np.flatnonzero(~((b > 0.0) & (b < np.inf)).all(axis=1)):
+        symmetrize(operators[row])      # passes zero bonds, raises on bad ones
+    radii = np.full(len(operators), np.inf)
+    if d.shape[1] > 1:
+        radii = certified_radii(d, b, etas)
+    rows = np.flatnonzero(np.isinf(radii))
+    if len(rows):
+        try:
+            oracle = sturm_bisection_oracle(d[rows], np.sqrt(b[rows]), tol=tol)
+        except OracleError as exc:
+            raise OracleError(f"{_describe(operators[rows[exc.index]])}: {exc}") from exc
+        radii[rows] = np.max(np.abs(oracle - etas[rows]), axis=1)
+    return radii
 
 
 def _agreement_gates(operators) -> np.ndarray:
@@ -355,8 +367,10 @@ def _agreement_gates(operators) -> np.ndarray:
     theorem a symmetric perturbation E moves no eigenvalue by more than
     ||E||_2.  The primary solver is backward stable, so its etas are exact
     for some S + E with ||E||_2 a small multiple of eps ||S||_2 (8 eps B is
-    allowed), and the Sturm oracle closes each bracket below 8 eps B (its
-    own tolerance, `spectra.sturm_bisection_oracle`); two correct answers
+    allowed), and the Sturm check encloses each eigenvalue within 8 eps B
+    of an eta it certifies (the widest radius of `spectra.certified_radii`)
+    or closes each bisection bracket below 8 eps B (the oracle's own
+    tolerance, `spectra.sturm_bisection_oracle`); two correct answers
     differ by less than c eps B with c = 8 + 8 = 16.  The dense check's
     Newton-polished values are judged by the same gate.  On the shipped
     grid eps B is at most 5.9e-13 (kg-cos-even n = 25, a = 20), so the gate

@@ -12,16 +12,17 @@ from incevolkov.errors import InputError, OracleError, StructuralError
 from incevolkov.families import ALL_KINDS, FamilyKind, SolutionFamily
 from incevolkov.operators import TridiagonalOperator, build_operator
 import incevolkov.spectra as spectra
-from incevolkov.spectra import (MAX_SOLVE_DIM, minor_ratios, solve_spectrum,
-                                sturm_bisection_oracle, symmetrize)
+from incevolkov.spectra import (MAX_SOLVE_DIM, certified_radii, gershgorin_bounds,
+                                minor_ratios, solve_spectrum, sturm_bisection_oracle,
+                                sturm_counts, symmetrize)
 from incevolkov.verification import DEFAULT_GRID_A_VALUES, STURM_TOL
 
 
 def lockstep_reference(diag, offdiag, tol=1e-11, max_iterations=250):
     """Plain Sturm bisection, every matrix from level 0 in one lockstep loop.
 
-    The oracle as it was before its guided pass: the reference that the
-    guided oracle must match bit for bit, errors included.
+    The reference that the oracle, whose matrices leave the stack one by
+    one, must match bit for bit, errors included.
     """
     d, e = np.asarray(diag, dtype=float), np.asarray(offdiag, dtype=float)
     batch, nd = d.shape
@@ -83,16 +84,13 @@ def grid_stacks():
     return stacks
 
 
-# guess sets for the oracle, from the etas of the primary solver
-GUESSES = {
-    "etas": lambda etas, rng: etas,
-    "shifted": lambda etas, rng: etas + 1e-6,
-    "zeros": lambda etas, rng: np.zeros_like(etas),
-    "nan": lambda etas, rng: np.full_like(etas, np.nan),
-    "reversed": lambda etas, rng: etas[:, ::-1],
-    "random": lambda etas, rng: rng.normal(scale=50.0, size=etas.shape),
-    "none": lambda etas, rng: None,
-}
+EPS = np.finfo(float).eps
+
+
+def _bound(d, e):
+    """Per matrix, B = max|Gershgorin bound|."""
+    lo, hi = gershgorin_bounds(d, e)
+    return np.maximum(np.abs(lo), np.abs(hi))
 
 
 def _bisection_outcome(oracle, *args, **kwargs):
@@ -424,32 +422,22 @@ class TestSturmOracle:
         dense = np.sort(np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)))
         assert np.max(np.abs(w - dense)) < 1e-14 * np.max(np.abs(dense))
 
-    @pytest.mark.parametrize("guesses", GUESSES)
-    def test_guided_matches_lockstep_on_grid(self, grid_stacks, guesses):
+    def test_matches_lockstep_on_grid(self, grid_stacks):
         # every operator of the shipped grid, stacked by dimension as
-        # verify --all stacks them; wrong guesses cost time, never bits
-        rng = np.random.default_rng(11)
-        for d, e, etas, reference in grid_stacks:
-            got = sturm_bisection_oracle(d, e, tol=STURM_TOL,
-                                         guesses=GUESSES[guesses](etas, rng))
-            assert np.array_equal(got, reference), d.shape
+        # verify --all stacks them
+        for d, e, _, reference in grid_stacks:
+            assert np.array_equal(sturm_bisection_oracle(d, e, tol=STURM_TOL),
+                                  reference), d.shape
 
     @given(st.data())
-    def test_result_does_not_depend_on_guesses(self, data):
+    def test_matches_lockstep_on_random_stacks(self, data):
         batch = data.draw(st.integers(1, 3))
         dim = data.draw(st.integers(2, 7))
         values = st.floats(-1e3, 1e3, width=64)
         d = data.draw(hnp.arrays(np.float64, (batch, dim), elements=values))
         e = data.draw(hnp.arrays(np.float64, (batch, dim - 1),
                                  elements=st.floats(-30.0, 30.0, width=64)))
-        guesses = data.draw(hnp.arrays(np.float64, (batch, dim),
-                                       elements=st.floats(width=64)))
-        reference = lockstep_reference(d, e)
-        assert np.array_equal(sturm_bisection_oracle(d, e), reference)
-        assert np.array_equal(sturm_bisection_oracle(d, e, guesses=guesses), reference)
-        exact = np.linalg.eigvalsh(np.diag(d[0]) + np.diag(e[0], 1) + np.diag(e[0], -1))
-        assert np.array_equal(sturm_bisection_oracle(d[:1], e[:1], guesses=exact[None]),
-                              reference[:1])
+        assert np.array_equal(sturm_bisection_oracle(d, e), lockstep_reference(d, e))
 
     def test_one_step_before_judging(self):
         # a tol wider than the starting bracket: plain bisection still
@@ -457,45 +445,30 @@ class TestSturmOracle:
         d, e = np.array([[0.0, 0.1]]), np.array([[0.0]])
         reference = lockstep_reference(d, e, tol=10.0)
         assert reference[0, 0] < reference[0, 1]
-        for guesses in (None, np.array([[0.0, 0.1]])):
-            assert np.array_equal(
-                sturm_bisection_oracle(d, e, tol=10.0, guesses=guesses), reference)
+        assert np.array_equal(sturm_bisection_oracle(d, e, tol=10.0), reference)
 
-    def test_guided_past_64_levels(self):
-        # entries near 1e-20 under an absolute tol of 1e-40: 106 levels,
-        # more than the guided pass first allocates for
+    def test_deep_bisection_matches_lockstep(self):
+        # entries near 1e-20 under an absolute tol of 1e-40: 106 levels
         rng = np.random.default_rng(5)
         d, e = rng.normal(size=(3, 6)) * 1e-20, rng.normal(size=(3, 5)) * 1e-20
-        reference = lockstep_reference(d, e, tol=1e-40)
-        exact = np.stack([np.linalg.eigvalsh(np.diag(d[i]) + np.diag(e[i], 1)
-                                             + np.diag(e[i], -1)) for i in range(3)])
-        for guesses in (exact, None, np.zeros_like(d)):
-            assert np.array_equal(
-                sturm_bisection_oracle(d, e, tol=1e-40, guesses=guesses), reference)
+        assert np.array_equal(sturm_bisection_oracle(d, e, tol=1e-40),
+                              lockstep_reference(d, e, tol=1e-40))
 
     @pytest.mark.parametrize("max_iterations", [0, 3, 44])
-    @pytest.mark.parametrize("guesses", ["etas", "zeros", "none"])
-    def test_budget_error_matches_lockstep(self, max_iterations, guesses):
+    def test_budget_error_matches_lockstep(self, max_iterations):
         # brackets that close after 42, 45 and 51 iterations: at a budget of
         # 44 some matrices finish and the first that does not is named
         ops = [build_operator(SolutionFamily(kind, 3), a)
                for kind in (FamilyKind.DIRAC_PLUS, FamilyKind.DIRAC_MINUS)
                for a in (0.0, 20.0, 1e6)]
         d, e = (np.stack(parts) for parts in zip(*(symmetrize(T)[:2] for T in ops)))
-        etas = np.stack([solve_spectrum(T).etas for T in ops])
         expected = _bisection_outcome(lockstep_reference, d, e,
                                       max_iterations=max_iterations)
-        got = _bisection_outcome(
-            sturm_bisection_oracle, d, e, max_iterations=max_iterations,
-            guesses=GUESSES[guesses](etas, None))
+        got = _bisection_outcome(sturm_bisection_oracle, d, e,
+                                 max_iterations=max_iterations)
         assert isinstance(expected, tuple) and got == expected
         if max_iterations == 44:
             assert expected[1] > 0
-
-    def test_guesses_shape_checked(self):
-        with pytest.raises(InputError, match="guesses"):
-            sturm_bisection_oracle(np.zeros((1, 3)), np.ones((1, 2)),
-                                   guesses=np.zeros((1, 2)))
 
     def test_zero_pivot_counts_its_eigenvalue(self):
         # at the first midpoint, 0, the leading pivot is exactly 0: counted
@@ -517,6 +490,73 @@ class TestSturmOracle:
     def test_bad_tol(self):
         with pytest.raises(InputError):
             sturm_bisection_oracle(np.array([[1.0]]), np.zeros((1, 0)), tol=0.0)
+
+
+# integer diagonals and small bonds: shifts at 0 and at integers meet
+# exact zero pivots (q_0 = 0 at x = d_0 and q_1 = 0 for d = [1, 1], b = 1)
+_PIVOT_DIAG = st.integers(-3, 3).map(float)
+_PIVOT_BOND = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+
+
+class TestSturmCertificate:
+    @given(st.data())
+    def test_count_nondecreasing_in_the_shift(self, data):
+        batch = data.draw(st.integers(1, 3))
+        dim = data.draw(st.integers(1, 6))
+        d = data.draw(hnp.arrays(np.float64, (batch, dim), elements=_PIVOT_DIAG))
+        e = data.draw(hnp.arrays(np.float64, (batch, dim - 1), elements=_PIVOT_BOND))
+        shifts = data.draw(st.lists(st.one_of(_PIVOT_DIAG, st.floats(-10.0, 10.0)),
+                                    min_size=1, max_size=12))
+        x = np.repeat(np.sort(shifts)[None], batch, axis=0)
+        counts = sturm_counts(d, e * e, x)
+        assert np.all(np.diff(counts, axis=1) >= 0)
+        assert np.all((counts >= 0) & (counts <= dim))
+
+    def test_sound_on_grid(self, grid_stacks):
+        # every grid operator of dim >= 2 is certified within the primary
+        # solver's 8 eps B share of the agreement gate, and the lockstep
+        # eigenvalue lies within the radius plus its bracket of each eta
+        for d, e, etas, reference in grid_stacks:
+            if d.shape[1] < 2:
+                continue
+            bound = _bound(d, e)
+            radii = certified_radii(d, e * e, etas)
+            assert np.all(radii <= 8 * EPS * bound), d.shape
+            tols = np.maximum(STURM_TOL, 8 * EPS * bound)
+            assert np.all(np.max(np.abs(reference - etas), axis=1) <= radii + tols)
+
+    @given(st.data())
+    def test_sound_on_random_stacks(self, data):
+        # each eta is an eigenvalue or d_j + c eps B for a ladder step c, so
+        # the shifts eta -+ r meet exact zero pivots
+        batch = data.draw(st.integers(1, 3))
+        dim = data.draw(st.integers(2, 6))
+        d = data.draw(hnp.arrays(np.float64, (batch, dim), elements=_PIVOT_DIAG))
+        e = data.draw(hnp.arrays(np.float64, (batch, dim - 1), elements=_PIVOT_BOND))
+        bound = _bound(d, e)
+        exact = np.stack([np.linalg.eigvalsh(np.diag(d[i]) + np.diag(e[i], 1)
+                                             + np.diag(e[i], -1)) for i in range(batch)])
+        at_exact = data.draw(hnp.arrays(bool, (batch, dim)))
+        picks = data.draw(hnp.arrays(np.intp, (batch, dim), elements=st.integers(0, dim - 1)))
+        steps = data.draw(hnp.arrays(np.float64, (batch, dim),
+                                     elements=st.sampled_from([-8.0, -1.0, 0.0, 1.0, 2.0, 4.0])))
+        etas = np.sort(np.where(at_exact, exact, np.take_along_axis(d, picks, axis=1)
+                                + steps * EPS * bound[:, None]), axis=1)
+        radii = certified_radii(d, e * e, etas)
+        certified = np.isfinite(radii)
+        gap = np.max(np.abs(lockstep_reference(d, e) - etas), axis=1)
+        tols = np.maximum(1e-11, 8 * EPS * bound)
+        assert np.all(gap[certified] <= (radii + tols)[certified])
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_shift_past_the_gate_never_certified(self, grid_stacks, sign):
+        # the etas lie within 8 eps B of the eigenvalues, so after a shift of
+        # 17 eps B, past the 16 eps B gate, none is within the widest radius
+        for d, e, etas, _ in grid_stacks:
+            if d.shape[1] < 2:
+                continue
+            shifted = etas + sign * 17 * EPS * _bound(d, e)[:, None]
+            assert np.all(np.isinf(certified_radii(d, e * e, shifted))), d.shape
 
 
 class TestGapDiagnostics:

@@ -255,15 +255,54 @@ class TestSturmCrosscheck:
         assert sturm_crosscheck([T])[0] < 1e-10
 
     def test_budget_failure_names_its_operator(self, monkeypatch):
+        # shifted etas are not certified, so both operators are bisected:
         # a = 0.5 closes its brackets after 42 iterations, a = 20 after 45
         monkeypatch.setattr(verification, "sturm_bisection_oracle",
                             functools.partial(spectra.sturm_bisection_oracle,
                                               max_iterations=44))
         fam = SolutionFamily(FamilyKind.DIRAC_PLUS, 3)
         ops = [build_operator(fam, 0.5), build_operator(fam, 20.0)]
+        shifted = [solve_spectrum(T).etas + 1e-6 for T in ops]
         with pytest.raises(OracleError, match=r"^dirac-plus n=3 a=20: Sturm bisection "
                            r"did not reach tol 1e-11 in 44 iterations"):
-            sturm_crosscheck(ops)
+            sturm_crosscheck(ops, shifted)
+
+    def test_certified_within_the_primary_share_of_the_gate(self, monkeypatch):
+        # no bisection runs for etas that two counts per eta certify
+        def refuse(*args, **kwargs):
+            raise AssertionError("a certified operator was bisected")
+
+        monkeypatch.setattr(verification, "sturm_bisection_oracle", refuse)
+        ops = [build_operator(SolutionFamily(FamilyKind.KG_COS_EVEN, 12), a)
+               for a in (0.5, 14.0, 1e10)]
+        lo, hi = spectra.gershgorin_bounds(
+            np.stack([T.diag for T in ops]),
+            np.sqrt(np.stack([T.super_ * T.sub for T in ops])))
+        bound = np.maximum(np.abs(lo), np.abs(hi))
+        assert np.all(sturm_crosscheck(ops) <= 8 * np.finfo(float).eps * bound)
+
+    def test_uncertified_etas_report_the_bisection(self):
+        # a shift past the 16 eps B gate is never certified: the operator is
+        # bisected and reports max |oracle - etas|
+        T = build_operator(SolutionFamily(FamilyKind.DIRAC_MINUS, 9), 5.0)
+        d, e, _ = spectra.symmetrize(T)
+        lo, hi = spectra.gershgorin_bounds(d[None], e[None])
+        shifted = solve_spectrum(T).etas + 17 * np.finfo(float).eps * max(-lo[0], hi[0])
+        oracle = spectra.sturm_bisection_oracle(d[None], e[None])[0]
+        assert sturm_crosscheck([T], [shifted])[0] == np.max(np.abs(oracle - shifted))
+
+    def test_dim_one_is_exact(self):
+        T = build_operator(SolutionFamily(FamilyKind.KG_SIN_ODD, 1), 14.0)
+        assert T.dim == 1 and sturm_crosscheck([T])[0] == 0.0
+
+    def test_bad_bond_names_its_operator(self):
+        fam = SolutionFamily(FamilyKind.DIRAC_PLUS, 1)
+        bad = TridiagonalOperator(family=fam, a=2.5, diag=np.zeros(2),
+                                  super_=np.array([1.0]), sub=np.array([-1.0]))
+        with pytest.raises(StructuralError, match=r"^bond 0: super\*sub = -1\.0 <= 0 "
+                           r"at a = 2\.5"):
+            sturm_crosscheck([build_operator(fam, 1.0), bad],
+                             etas=[np.zeros(2), np.zeros(2)])
 
 
 class TestMomentumBuilders:

@@ -261,7 +261,7 @@ def _charpoly_newton_polish(d: np.ndarray, b: np.ndarray, w: np.ndarray,
     q_i = p_i / p_{i-1} of `spectra.minor_ratios`, u_i = p_i'/p_i is
     u_i = (-1 + (d_i - lam) u_{i-1} - b_{i-1} u_{i-2} / q_{i-1}) / q_i and the
     update is lam -= 1/u_n.  An estimate whose u_n is zero or not finite, or
-    whose step exceeds max(1, 1e-9 |lam|) (a root jump, judged relative to
+    whose step exceeds max(1, 1e-9 |w|) (a root jump, judged relative to
     the eigenvalue), keeps its value from then on.
     Removes the conditioning error the general dense solver picks up on
     strongly skewed operators; no LAPACK involved.
@@ -270,6 +270,7 @@ def _charpoly_newton_polish(d: np.ndarray, b: np.ndarray, w: np.ndarray,
     b_rows = b.T[:, :, None]
     lam = w.copy()
     active = np.ones(lam.shape, dtype=bool)
+    cap = np.maximum(1.0, 1e-9 * np.abs(w))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(steps):
             ratios = minor_ratios(d, b, lam)
@@ -280,7 +281,6 @@ def _charpoly_newton_polish(d: np.ndarray, b: np.ndarray, w: np.ndarray,
                                 - b_rows[i - 1] * u_prev / q_prev) / q
                 q_prev = q
             step = 1.0 / u
-            cap = np.maximum(1.0, 1e-9 * np.abs(lam))
             active &= np.isfinite(u) & (np.abs(step) <= cap)
             lam = np.where(active, lam - step, lam)
     return lam

@@ -537,9 +537,10 @@ class TestSturmCertificate:
         exact = np.stack([np.linalg.eigvalsh(np.diag(d[i]) + np.diag(e[i], 1)
                                              + np.diag(e[i], -1)) for i in range(batch)])
         at_exact = data.draw(hnp.arrays(bool, (batch, dim)))
-        picks = data.draw(hnp.arrays(np.intp, (batch, dim), elements=st.integers(0, dim - 1)))
-        steps = data.draw(hnp.arrays(np.float64, (batch, dim),
-                                     elements=st.sampled_from([-8.0, -1.0, 0.0, 1.0, 2.0, 4.0])))
+        picks = data.draw(hnp.arrays(np.intp, (batch, dim),
+                                     elements=st.integers(0, dim - 1)))
+        ladder = st.sampled_from([-8.0, -1.0, 0.0, 1.0, 2.0, 4.0])
+        steps = data.draw(hnp.arrays(np.float64, (batch, dim), elements=ladder))
         etas = np.sort(np.where(at_exact, exact, np.take_along_axis(d, picks, axis=1)
                                 + steps * EPS * bound[:, None]), axis=1)
         radii = certified_radii(d, e * e, etas)

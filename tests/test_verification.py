@@ -75,7 +75,8 @@ def _scalar_newton_polish(T, w, steps=3):
                 q_next = (d[i] - lam) - b[i - 1] / q_div
                 u_next = (-1.0 + (d[i] - lam) * u - b[i - 1] * u_prev / q) / q_next
                 q, u_prev, u = q_next, u, u_next
-            if u == 0.0 or not np.isfinite(u) or abs(1.0 / u) > max(1.0, 1e-9 * abs(lam)):
+            if (u == 0.0 or not np.isfinite(u)
+                    or abs(1.0 / u) > max(1.0, 1e-9 * abs(w[j]))):
                 break
             lam -= 1.0 / u
         out[j] = lam

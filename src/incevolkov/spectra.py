@@ -258,8 +258,10 @@ def certified_radii(d, b, etas):
     _CERTIFY_ULPS and B = max|Gershgorin bound|, all in one `sturm_counts`
     pass: when count(eta_k - r) <= k - 1 and count(eta_k + r) >= k, the
     k-th eigenvalue lies in [eta_k - r, eta_k + r], since the count is
-    monotone in its shift.  A matrix gets the smallest r that holds for
-    every k, or inf if none does (a wrong or NaN eta).
+    monotone in its shift (the shifts are rounded to doubles, which can
+    widen the enclosure by half an ulp of eta_k).  A matrix gets the
+    smallest r that holds for every k, or inf if none does (a wrong or NaN
+    eta).
     """
     batch, nd = d.shape
     lo, hi = gershgorin_bounds(d, np.sqrt(b))

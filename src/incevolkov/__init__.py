@@ -17,8 +17,7 @@ __version__ = "0.1.0"
 # exported name -> defining submodule
 _EXPORTS = {name: module for module, names in (
     ("constants", "ELECTRON_MASS PROTON_MASS"),
-    ("errors", "InputError OracleError OverdenseError StructuralError "
-               "VerificationFailure"),
+    ("errors", "InputError OverdenseError StructuralError VerificationFailure"),
     ("families", "ALL_KINDS FamilyKind SolutionFamily parse_family_kind"),
     ("modulation", "ModulationFunction contrast envelope_density "
                    "eval_polynomial_part harmonic_strengths"),
@@ -27,8 +26,7 @@ _EXPORTS = {name: module for module, names in (
                    "LongitudinalMomentum PlasmaInput WaveConfig coupling_parameter "
                    "eta_to_longitudinal field_amplitude_from_intensity "
                    "intensity_parameter refractive_index"),
-    ("spectra", "SpectralDecomposition solve_spectrum sturm_bisection_oracle "
-                "symmetrize"),
+    ("spectra", "SpectralDecomposition solve_spectrum symmetrize"),
     ("verification", "ODE_RESIDUAL_TOL SAMPLING_SEED PdeResidualReport "
                      "VerificationReport attach_residuals dense_oracle_crosscheck "
                      "momentum_for_mode pde_residual_fd pde_stencil PdeStencil "

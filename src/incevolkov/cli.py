@@ -23,7 +23,7 @@ import numpy as np
 from . import verification
 from .config import RunConfig, _parse_k_select, load_config
 from .constants import SAMPLING_SEED
-from .errors import InputError, OracleError, StructuralError, VerificationFailure
+from .errors import InputError, StructuralError, VerificationFailure
 from .families import FamilyKind, SolutionFamily
 from .modulation import (ModulationFunction, contrast, envelope_density,
                          harmonic_strengths)
@@ -333,7 +333,7 @@ def _point_payload(p) -> dict:
 
 def cmd_verify(cfg: RunConfig, run_all: bool) -> int:
     if run_all:
-        a_values = ((cfg.a_override,) if cfg.a_override is not None
+        a_values = ((cfg.resolve_a(),) if cfg.a_override is not None
                     else verification.DEFAULT_GRID_A_VALUES)
         report = verification.run_grid(a_values=a_values, seed=cfg.seed)
     else:
@@ -435,7 +435,7 @@ def main(argv=None) -> int:
     except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
-    except (StructuralError, OracleError) as exc:
+    except StructuralError as exc:
         print(f"structural error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:          # e.g. a missing config, --out naming a directory

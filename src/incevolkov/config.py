@@ -125,7 +125,7 @@ class RunConfig:
         if self.a_override is not None:
             if self.a_override < 0:
                 raise InputError("a must be >= 0")
-            return self.a_override
+            return self.a_override + 0.0        # -0.0 reads and prints as 0
         wc = self.wave_config()
         return coupling_parameter(wc.laser, wc.plasma)
 

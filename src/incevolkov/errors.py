@@ -21,17 +21,5 @@ class StructuralError(RuntimeError):
     a wrong recurrence or a solver bug, never bad user input."""
 
 
-class OracleError(RuntimeError):
-    """An independent oracle failed to converge within its iteration
-    budget.  Treated as a test failure, never silently ignored.
-
-    `index` is the position of the failing matrix in a batch, when known.
-    """
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
-
-
 class VerificationFailure(RuntimeError):
     """One or more verification checks did not meet tolerance."""

@@ -10,9 +10,8 @@ share no numerical machinery with either; they run the LAPACK-free
 leading-minor recurrence `minor_ratios` over stacks of equal-dimension
 matrices.  `sturm_counts` counts the eigenvalues below each shift as
 LAPACK dstebz does, monotone in the shift; `certified_radii` encloses
-each of a matrix's eigenvalue estimates with two counts, and
-`sturm_bisection_oracle` bisects each matrix to a tolerance relative to
-its Gershgorin bounds.
+each of a matrix's eigenvalue estimates with two counts, at the smallest
+radius of a doubling ladder that holds.
 
 Conventions fixed here and recorded in every output:
   * eigenvalues sorted ascending, k labels 1-based in that order;
@@ -35,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, OracleError, StructuralError
+from .errors import InputError, StructuralError
 from .operators import TridiagonalOperator
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "sturm_counts",
     "certified_radii",
     "gershgorin_bounds",
-    "sturm_bisection_oracle",
 ]
 
 # the dense solve holds about 6 dim x dim float64 arrays at its peak (RSS
@@ -55,14 +53,11 @@ __all__ = [
 # under 1 GiB
 _SOLVE_MEMORY_BYTES = 2 ** 30
 MAX_SOLVE_DIM = math.isqrt(_SOLVE_MEMORY_BYTES // (6 * 8))      # 4729
-# a Sturm bracket need not be narrower than this many ulps of its matrix's
-# largest Gershgorin bound: near one ulp, bisection cannot shrink it further
-_STURM_TOL_ULPS = 8
 # shifts per Sturm counting slice: 128 KiB per float64 temporary
 _COUNT_SLICE = 2 ** 14
-# the radii, in ulps of a matrix's largest Gershgorin bound, at which
-# `certified_radii` tries to enclose each eigenvalue; the widest is the
-# primary solver's share of the verification's agreement gate
+# the radii, in ulps of a matrix's largest Gershgorin bound, of the first
+# pass of `certified_radii`; the widest is the primary solver's share of
+# the verification's agreement gate
 _CERTIFY_ULPS = (1, 2, 4, 8)
 
 
@@ -251,22 +246,46 @@ def gershgorin_bounds(d: np.ndarray, e: np.ndarray):
 
 
 def certified_radii(d, b, etas):
-    """Per matrix, the smallest radius within which Sturm counts enclose every eta, or inf.
+    """Per matrix, the smallest radius within which Sturm counts enclose every eta.
 
     d and b are as in `minor_ratios`, and etas, shape (B, dim), are sorted
-    estimates of the eigenvalues.  For each radius r = c eps B, with c in
-    _CERTIFY_ULPS and B = max|Gershgorin bound|, all in one `sturm_counts`
-    pass: when count(eta_k - r) <= k - 1 and count(eta_k + r) >= k, the
-    k-th eigenvalue lies in [eta_k - r, eta_k + r], since the count is
+    estimates of the eigenvalues.  A radius r encloses them when, for
+    every k, count(eta_k - r) <= k - 1 and count(eta_k + r) >= k: the k-th
+    eigenvalue then lies in [eta_k - r, eta_k + r], since the count is
     monotone in its shift (the shifts are rounded to doubles, which can
-    widen the enclosure by half an ulp of eta_k).  A matrix gets the
-    smallest r that holds for every k, or inf if none does (a wrong or NaN
-    eta).
+    widen the enclosure by half an ulp of eta_k).
+
+    The first `sturm_counts` pass tries r = c eps B, with c in
+    _CERTIFY_ULPS and B = max|Gershgorin bound|.  A matrix that it leaves
+    uncertified, with finite etas, gets a second pass over the doubling
+    ladder r = 2^j eps B, j >= 4 (eps B raised to at least pivmin, the
+    count's resolution), up to the first radius past max|eta| + B, within
+    which every eigenvalue lies of its eta.  A matrix gets the smallest r
+    of either ladder that encloses every eta; as the rung below failed, r
+    is at most twice the largest |eigenvalue - eta_k|.  Non-finite etas
+    give inf.
+    """
+    lo, hi = gershgorin_bounds(d, np.sqrt(b))
+    bound = np.maximum(np.abs(lo), np.abs(hi))
+    radii = _first_enclosing(
+        d, b, etas, bound[:, None] * (np.array(_CERTIFY_ULPS) * np.finfo(float).eps))
+    rows = np.flatnonzero(np.isinf(radii) & np.isfinite(etas).all(axis=1))
+    if len(rows):
+        top = np.minimum(np.abs(etas[rows]).max(axis=1) + bound[rows], np.finfo(float).max)
+        unit = np.maximum(bound[rows] * np.finfo(float).eps, _pivmin(b[rows])[:, 0])
+        ladder = [2 * _CERTIFY_ULPS[-1] * unit]
+        while np.any(ladder[-1] <= top):
+            ladder.append(2.0 * ladder[-1])
+        radii[rows] = _first_enclosing(d[rows], b[rows], etas[rows], np.stack(ladder, axis=1))
+    return radii
+
+
+def _first_enclosing(d, b, etas, radii):
+    """Per matrix, the first of its ascending radii, shape (B, L), that encloses every eta, or inf.
+
+    All B * L * 2 * dim shifts run in one `sturm_counts` pass.
     """
     batch, nd = d.shape
-    lo, hi = gershgorin_bounds(d, np.sqrt(b))
-    radii = (np.maximum(np.abs(lo), np.abs(hi))[:, None]
-             * (np.array(_CERTIFY_ULPS) * np.finfo(float).eps))        # (B, L)
     sides = np.array([-1.0, 1.0])[:, None]      # eta - r and eta + r
     shifts = etas[:, None, None, :] + sides * radii[:, :, None, None]   # (B, L, 2, dim)
     counts = sturm_counts(d, b, shifts.reshape(batch, -1)).reshape(shifts.shape)
@@ -274,63 +293,3 @@ def certified_radii(d, b, etas):
     enclosed = ((counts[:, :, 0] < ks) & (counts[:, :, 1] >= ks)).all(axis=2)
     first = np.argmax(enclosed, axis=1)
     return np.where(enclosed.any(axis=1), radii[np.arange(batch), first], np.inf)
-
-
-def sturm_bisection_oracle(diag: np.ndarray, offdiag: np.ndarray,
-                           tol: float = 1e-11, max_iterations: int = 250) -> np.ndarray:
-    """All eigenvalues of stacked symmetric tridiagonal matrices by Sturm bisection.
-
-    diag has shape (B, dim) and offdiag (B, dim - 1); the result has shape
-    (B, dim).  Counts eigenvalues below x with `sturm_counts` (with
-    b = e^2) and bisects each index on a Gershgorin-bounded interval.  A
-    matrix stops at the first iteration at which its widest bracket is
-    narrower than its own tolerance, max(tol, 8 eps max|Gershgorin bound|)
-    (relative, as in LAPACK dstebz), and leaves the batch there, so it gets
-    the bits it gets alone.  Independent of LAPACK by construction.
-    """
-    if tol <= 0:
-        raise InputError("tol must be positive")
-    d = np.asarray(diag, dtype=float)
-    e = np.asarray(offdiag, dtype=float)
-    batch, nd = d.shape
-    if nd <= 1:
-        return d.copy()
-    if e.shape != (batch, nd - 1):
-        raise InputError("offdiag must have shape (B, dim - 1)")
-
-    lo_bound, hi_bound = gershgorin_bounds(d, e)
-    span = np.maximum(hi_bound - lo_bound, 1.0)
-    tols = np.maximum(tol, _STURM_TOL_ULPS * np.finfo(float).eps
-                      * np.maximum(np.abs(lo_bound), np.abs(hi_bound)))
-    lo = np.repeat((lo_bound - 1e-3 * span)[:, None], nd, axis=1)
-    hi = np.repeat((hi_bound + 1e-3 * span)[:, None], nd, axis=1)
-
-    e2 = e * e
-    level = np.zeros(batch, dtype=np.intp)      # bisection steps taken, per matrix
-    ks = np.arange(1, nd + 1)
-    out = np.empty_like(d)
-    live = np.arange(batch)             # stack rows of the matrices still bisecting
-    spent = []                          # (row, tol, widest bracket) out of iterations
-    while True:
-        width = np.max(hi - lo, axis=1)
-        done = (level > 0) & (width < tols)     # judged after a step, never before
-        out[live[done]] = 0.5 * (lo[done] + hi[done])
-        over = ~done & (level >= max_iterations)
-        spent += zip(live[over].tolist(), tols[over], width[over])
-        keep = ~(done | over)
-        if not keep.all():
-            if not keep.any():
-                break
-            live, d, e2, tols, lo, hi, level = (
-                arr[keep] for arr in (live, d, e2, tols, lo, hi, level))
-        mid = 0.5 * (lo + hi)
-        move_down = sturm_counts(d, e2, mid) >= ks
-        hi = np.where(move_down, mid, hi)
-        lo = np.where(move_down, lo, mid)
-        level += 1
-    if spent:
-        index, row_tol, width = min(spent)
-        raise OracleError(
-            f"Sturm bisection did not reach tol {row_tol:.3g} in {max_iterations} "
-            f"iterations (widest bracket {width:.3g})", index=index)
-    return out

@@ -15,10 +15,11 @@ Four checks, none sharing numerical machinery with the primary eigensolver:
     matrix and solves it with the general nonsymmetric dense eigensolver;
     confirms realness and agreement of the spectrum.
   * sturm_crosscheck: Sturm counts on the symmetrized matrix.  Two counts
-    per eta certify that an eigenvalue lies within a few ulps of it; an
-    operator with an eta that no count certifies is bisected to a relative
-    tolerance instead.  It and the dense check's Newton polish share one
-    LAPACK-free recurrence, `spectra.minor_ratios`.
+    per eta enclose its eigenvalue within a radius, the smallest of a
+    doubling ladder that holds: a few ulps for the primary solver's etas,
+    and within a factor of two of the true distance for a wrong eta.  It
+    and the dense check's Newton polish share one LAPACK-free recurrence,
+    `spectra.minor_ratios`.
   * pde_residual_fd: assembles the full spacetime wave
     Psi(t,x,y) = modulation(xi) * exp{+i [p - (k.p) k] . x}, xi = k.x,
     applies second-order central differences to the gauge-covariant wave
@@ -52,14 +53,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import SAMPLING_SEED
-from .errors import InputError, OracleError, StructuralError
+from .errors import InputError, StructuralError
 from .families import ALL_KINDS, FamilyKind, SolutionFamily
 from .operators import TridiagonalOperator, build_operator
 from .physparams import DeBroglieMomentum
 from .serialize import format_number
 from .spectra import (SpectralDecomposition, certified_radii, gershgorin_bounds,
-                      minor_ratios, solve_spectrum, sturm_bisection_oracle,
-                      symmetrize)
+                      minor_ratios, solve_spectrum, symmetrize)
 
 __all__ = [
     "SAMPLING_SEED", "ODE_RESIDUAL_TOL", "DENSE_IMAG_TOL", "ORACLE_AGREEMENT_TOL",
@@ -75,7 +75,6 @@ DENSE_IMAG_TOL = 1e-10
 DENSE_MAX_DIM = 200            # range limit of the dense cross-check
 ORACLE_AGREEMENT_TOL = 1e-9     # floor of the dense and Sturm gate (`_agreement_gates`)
 _AGREEMENT_ULPS = 16
-STURM_TOL = 1e-11
 PDE_ORDER_BAND = (1.8, 2.2)
 DEFAULT_GRID_A_VALUES = (0.0, 0.5, 1.0, 5.0, 14.0, 20.0)
 DEFAULT_GRID_N_MAX = 25
@@ -328,17 +327,17 @@ def dense_oracle_crosscheck(operators, etas=None) -> np.ndarray:
     return np.max(np.abs(np.sort(polished, axis=1) - etas), axis=1)
 
 
-def sturm_crosscheck(operators, etas=None, tol: float = STURM_TOL) -> np.ndarray:
-    """Per operator, a bound on |eigenvalue - eta| by Sturm counts, or the bisection's.
+def sturm_crosscheck(operators, etas=None) -> np.ndarray:
+    """Per operator, a radius within which Sturm counts enclose every eigenvalue of its etas.
 
     The operators share one dimension; etas default to the primary
     solver's.  Diagonals and bond products super * sub are stacked once (a
-    bond that cannot be symmetrized raises `symmetrize`'s error).  Each
-    operator reports the smallest radius, at most 8 eps B, within which two
-    Sturm counts per eta enclose every eigenvalue (`spectra.certified_radii`).
-    An operator that no radius certifies (a wrong eta, or dim 1, whose
-    eigenvalue is its entry) is bisected by `spectra.sturm_bisection_oracle`
-    instead and reports max |oracle - etas|.
+    bond that cannot be symmetrized raises `symmetrize`'s error).  An
+    operator of dim 1 reports |entry - eta|, exactly, since its eigenvalue
+    is its entry.  Every other operator reports `spectra.certified_radii`:
+    at most 8 eps B for etas within the primary solver's share of the gate,
+    and otherwise between max |eigenvalue - eta| and twice that (inf for a
+    non-finite eta).
     """
     etas = _equal_dim_etas(operators, etas)
     d = np.stack([T.diag for T in operators])
@@ -346,17 +345,9 @@ def sturm_crosscheck(operators, etas=None, tol: float = STURM_TOL) -> np.ndarray
         b = np.stack([T.super_ * T.sub for T in operators])
     for row in np.flatnonzero(~((b > 0.0) & (b < np.inf)).all(axis=1)):
         symmetrize(operators[row])      # passes zero bonds, raises on bad ones
-    radii = np.full(len(operators), np.inf)
-    if d.shape[1] > 1:
-        radii = certified_radii(d, b, etas)
-    rows = np.flatnonzero(np.isinf(radii))
-    if len(rows):
-        try:
-            oracle = sturm_bisection_oracle(d[rows], np.sqrt(b[rows]), tol=tol)
-        except OracleError as exc:
-            raise OracleError(f"{_describe(operators[rows[exc.index]])}: {exc}") from exc
-        radii[rows] = np.max(np.abs(oracle - etas[rows]), axis=1)
-    return radii
+    if d.shape[1] == 1:
+        return np.abs(d[:, 0] - etas[:, 0])
+    return certified_radii(d, b, etas)
 
 
 def _agreement_gates(operators) -> np.ndarray:
@@ -367,15 +358,16 @@ def _agreement_gates(operators) -> np.ndarray:
     theorem a symmetric perturbation E moves no eigenvalue by more than
     ||E||_2.  The primary solver is backward stable, so its etas are exact
     for some S + E with ||E||_2 a small multiple of eps ||S||_2 (8 eps B is
-    allowed), and the Sturm check encloses each eigenvalue within 8 eps B
-    of an eta it certifies (the widest radius of `spectra.certified_radii`)
-    or closes each bisection bracket below 8 eps B (the oracle's own
-    tolerance, `spectra.sturm_bisection_oracle`); two correct answers
-    differ by less than c eps B with c = 8 + 8 = 16.  The dense check's
-    Newton-polished values are judged by the same gate.  On the shipped
-    grid eps B is at most 5.9e-13 (kg-cos-even n = 25, a = 20), so the gate
-    is the 1e-9 floor there; it grows with the eigenvalues only far past
-    the grid (2.1e136 at dirac-plus n = 3, a = 1e150).
+    allowed).  The Sturm check certifies such etas within 8 eps B, the
+    widest first-pass radius of `spectra.certified_radii`, so c = 8 + 8 =
+    16: the certificate's widest first-pass radius plus the primary
+    solver's share.  An eta off by e past 8 eps B reports a Sturm radius
+    between e and 2e, so one off by more than half the gate can fail.  The
+    dense check's Newton-polished values are judged by the same gate.  On
+    the shipped grid eps B is at most 5.9e-13 (kg-cos-even n = 25,
+    a = 20), so the gate is the 1e-9 floor there; it grows with the
+    eigenvalues only far past the grid (2.1e136 at dirac-plus n = 3,
+    a = 1e150).
     """
     d = np.stack([T.diag for T in operators])
     e = np.sqrt(np.stack([T.super_ * T.sub for T in operators]))

@@ -254,9 +254,9 @@ class TestVerify:
         assert "FAIL dirac-plus n=3 a=5: ode, dense, sturm, pde\n" in err
 
     def test_huge_coupling_fails_not_structural(self, capsys):
-        # the relative Sturm tolerance converges at eigenvalues near 1e150,
-        # and the oracle agreement gate scales with them, so the oracles
-        # pass; e^(a/4) overflows, so the spacetime check fails the point
+        # the Sturm certificate's radii and the oracle agreement gate scale
+        # with the eigenvalues near 1e150, so the oracles pass; e^(a/4)
+        # overflows, so the spacetime check fails the point
         code, out, err = run(capsys, "verify", "--family", "dirac",
                              "--n", "3", "--a", "1e150")
         assert code == 2
@@ -277,6 +277,16 @@ class TestVerify:
         assert err.splitlines() == [
             "FAIL kg-cos-even n=2 a=1e+20: pde",
             "verification failure: 1 of 1 grid points failed"]
+
+    @pytest.mark.parametrize("grid", [[], ["--all"]])
+    def test_two_coupling_sources_rejected(self, capsys, grid):
+        # --all takes its coupling from the same single source as one point
+        code, out, err = run(capsys, "verify", *grid, "--family", "dirac",
+                             "--n", "2", "--a", "5", *FIG2_ARGS)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "error: both laser/plasma inputs and the override `a` are set; "
+            "exactly one may determine the coupling parameter"]
 
     def test_structural_error_exit_code(self, capsys, monkeypatch):
         from incevolkov.errors import StructuralError
@@ -472,7 +482,7 @@ def test_package_import_loads_no_submodule():
 
 # every name the package exports
 EXPORTS = """
-    ELECTRON_MASS PROTON_MASS InputError OracleError OverdenseError
+    ELECTRON_MASS PROTON_MASS InputError OverdenseError
     StructuralError VerificationFailure ALL_KINDS FamilyKind SolutionFamily
     parse_family_kind ModulationFunction contrast envelope_density
     eval_polynomial_part harmonic_strengths TridiagonalOperator
@@ -480,7 +490,7 @@ EXPORTS = """
     LongitudinalMomentum PlasmaInput WaveConfig coupling_parameter
     eta_to_longitudinal field_amplitude_from_intensity intensity_parameter
     refractive_index SpectralDecomposition
-    solve_spectrum sturm_bisection_oracle symmetrize ODE_RESIDUAL_TOL
+    solve_spectrum symmetrize ODE_RESIDUAL_TOL
     SAMPLING_SEED PdeResidualReport PdeStencil VerificationReport
     attach_residuals dense_oracle_crosscheck momentum_for_mode
     pde_residual_fd pde_stencil run_grid run_point sturm_crosscheck
@@ -602,6 +612,20 @@ seed = 7
                              "--out", str(f))
             assert code == 0
         assert f1.read_bytes() == f2.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--family", "dirac", "--n", "2"],
+        ["modes", "--family", "dirac", "--n", "2"],
+        ["verify", "--family", "dirac", "--n", "2"],
+        ["verify", "--all", "--n", "2"],
+    ])
+    def test_negative_zero_coupling_prints_as_zero(self, capsys, tmp_path, argv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a = -0\n")
+        outputs = [run(capsys, *argv, *extra)
+                   for extra in (["--a", "0"], ["--a", "-0"], ["--config", str(cfg)])]
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_roundtrip_seventeen_digits(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--family", "dirac",

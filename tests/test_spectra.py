@@ -1,4 +1,4 @@
-"""Primary eigensolver, symmetrization and the Sturm bisection oracle."""
+"""Primary eigensolver, symmetrization and the Sturm certificate."""
 
 import warnings
 
@@ -8,21 +8,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from incevolkov.errors import InputError, OracleError, StructuralError
+from incevolkov.errors import InputError, StructuralError
 from incevolkov.families import ALL_KINDS, FamilyKind, SolutionFamily
 from incevolkov.operators import TridiagonalOperator, build_operator
 import incevolkov.spectra as spectra
 from incevolkov.spectra import (MAX_SOLVE_DIM, certified_radii, gershgorin_bounds,
-                                minor_ratios, solve_spectrum, sturm_bisection_oracle,
-                                sturm_counts, symmetrize)
-from incevolkov.verification import DEFAULT_GRID_A_VALUES, STURM_TOL
+                                minor_ratios, solve_spectrum, sturm_counts, symmetrize)
+from incevolkov.verification import DEFAULT_GRID_A_VALUES
 
 
 def lockstep_reference(diag, offdiag, tol=1e-11, max_iterations=250):
     """Plain Sturm bisection, every matrix from level 0 in one lockstep loop.
 
-    The reference that the oracle, whose matrices leave the stack one by
-    one, must match bit for bit, errors included.
+    The reference eigenvalues that the certificate's radii are judged
+    against: each lies within its matrix's tolerance, max(tol, 8 eps B),
+    of the eigenvalue its counts bracket.
     """
     d, e = np.asarray(diag, dtype=float), np.asarray(offdiag, dtype=float)
     batch, nd = d.shape
@@ -61,10 +61,8 @@ def lockstep_reference(diag, offdiag, tol=1e-11, max_iterations=250):
                 return out
             live, d, e2, pivmin, tols, lo, hi = (
                 arr[keep] for arr in (live, d, e2, pivmin, tols, lo, hi))
-    raise OracleError(
-        f"Sturm bisection did not reach tol {tols[0]:.3g} in {max_iterations} "
-        f"iterations (widest bracket {np.max(hi[0] - lo[0]):.3g})",
-        index=int(live[0]))
+    raise RuntimeError(f"lockstep bisection did not reach tol {tols[0]:.3g} "
+                       f"in {max_iterations} iterations")
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +78,7 @@ def grid_stacks():
     stacks = []
     for rows in groups.values():
         d, e, etas = (np.stack(part) for part in zip(*rows))
-        stacks.append((d, e, etas, lockstep_reference(d, e, tol=STURM_TOL)))
+        stacks.append((d, e, etas, lockstep_reference(d, e, tol=1e-11)))
     return stacks
 
 
@@ -93,11 +91,17 @@ def _bound(d, e):
     return np.maximum(np.abs(lo), np.abs(hi))
 
 
-def _bisection_outcome(oracle, *args, **kwargs):
-    try:
-        return oracle(*args, **kwargs)
-    except OracleError as exc:
-        return str(exc), exc.index
+def _assert_within_twice_the_gap(d, e, etas, reference, tol=1e-11):
+    """Per matrix, the certified radius r and gap = max |reference - eta| satisfy
+    gap <= r + t and r < 2 gap + t, with t the reference's tolerance
+    max(tol, 8 eps B); non-finite etas give inf."""
+    radii = certified_radii(d, e * e, etas)
+    finite = np.isfinite(etas).all(axis=1)
+    assert np.all(np.isinf(radii[~finite]))
+    gap = np.max(np.abs(reference - etas), axis=1)[finite]
+    tols = np.maximum(tol, 8 * EPS * _bound(d, e))[finite]
+    assert np.all(gap <= radii[finite] + tols), (gap, radii)
+    assert np.all(radii[finite] < 2 * gap + tols), (gap, radii)
 
 
 def loop_symmetrize(T):
@@ -374,22 +378,29 @@ class TestMinorRatios:
 
 
 class TestSturmOracle:
+    """`certified_radii`, the one Sturm algorithm, against closed forms, the
+    primary solver and the lockstep bisection reference."""
+
     def test_diagonal_case(self):
-        w = sturm_bisection_oracle(np.array([[0.0, 4.0]]), np.array([[0.0]]))
-        assert np.allclose(w, [[0.0, 4.0]], atol=1e-11)
+        d, b = np.array([[0.0, 4.0]]), np.array([[0.0]])
+        assert certified_radii(d, b, np.array([[0.0, 4.0]]))[0] == 4.0 * EPS
+        # a wrong eta off by 1e-3: the radius lies within a factor 2 above it
+        r = certified_radii(d, b, np.array([[0.0, 4.001]]))[0]
+        assert 4.001 - 4.0 <= r < 2 * (4.001 - 4.0)
 
     def test_closed_form_2x2(self):
         T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 1), 3.0)
         d, e, _ = symmetrize(T)
-        w = sturm_bisection_oracle(d[None], e[None], tol=1e-12)[0]
-        assert np.allclose(w, [2 - np.sqrt(13), 2 + np.sqrt(13)], atol=1e-11)
+        exact = np.array([2 - np.sqrt(13), 2 + np.sqrt(13)])
+        assert certified_radii(d[None], (e * e)[None], exact[None])[0] < 1e-14
+        r = certified_radii(d[None], (e * e)[None], exact[None] + 1e-9)[0]
+        assert 1e-9 - 1e-14 <= r < 2e-9 + 1e-14
 
     def test_against_primary_solver_stress(self):
         T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 25), 20.0)
         dec = solve_spectrum(T)
         d, e, _ = symmetrize(T)
-        w = sturm_bisection_oracle(d[None], e[None], tol=1e-12)[0]
-        assert np.max(np.abs(w - dec.etas)) < 1e-10
+        assert certified_radii(d[None], (e * e)[None], dec.etas[None])[0] < 1e-10
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("a", [0.5, 1.0, 5.0, 14.0, 20.0])
@@ -398,98 +409,77 @@ class TestSturmOracle:
         T = build_operator(SolutionFamily(kind, 25), a)
         dec = solve_spectrum(T)
         d, e, _ = symmetrize(T)
-        w = sturm_bisection_oracle(d[None], e[None], tol=1e-12)[0]
-        assert np.max(np.abs(w - dec.etas)) < 1e-10
+        assert certified_radii(d[None], (e * e)[None], dec.etas[None])[0] < 1e-10
 
     def test_stack_matches_each_alone(self):
-        # one dimension, brackets that close after 42, 45 and 51 iterations
-        # (the last under the relative tolerance): every matrix leaves the
-        # stack with the bits it gets alone
+        # one dimension, etas that one pass certifies and etas whose ladders
+        # stop at different rungs: every matrix gets the radius it gets alone
         ops = [build_operator(SolutionFamily(kind, 3), a)
                for kind in (FamilyKind.DIRAC_PLUS, FamilyKind.DIRAC_MINUS)
                for a in (0.0, 20.0, 1e6)]
         d, e = (np.stack(parts) for parts in zip(*(symmetrize(T)[:2] for T in ops)))
-        stacked = sturm_bisection_oracle(d, e)
+        shifts = np.array([0.0, 1e-9, 1e-3, 0.0, 1.0, 1e3])[:, None]
+        etas = np.stack([solve_spectrum(T).etas for T in ops]) + shifts
+        stacked = certified_radii(d, e * e, etas)
         for i in range(len(ops)):
-            assert np.array_equal(stacked[i],
-                                  sturm_bisection_oracle(d[i:i + 1], e[i:i + 1])[0]), i
+            assert stacked[i] == certified_radii(d[i:i + 1], (e * e)[i:i + 1],
+                                                 etas[i:i + 1])[0], i
+        bound = 8 * EPS * _bound(d, e)
+        assert np.any(stacked <= bound) and np.any(stacked > bound)
 
     def test_relative_tolerance_at_huge_coupling(self):
-        # eigenvalues near 1e150: an absolute 1e-11 bracket is below one ulp
+        # eigenvalues near 1e150: the radii are relative to them
         T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 3), 1e150)
         d, e, _ = symmetrize(T)
-        w = sturm_bisection_oracle(d[None], e[None])[0]
         dense = np.sort(np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)))
-        assert np.max(np.abs(w - dense)) < 1e-14 * np.max(np.abs(dense))
+        r = certified_radii(d[None], (e * e)[None], dense[None])[0]
+        assert r < 1e-14 * np.max(np.abs(dense))
 
     def test_matches_lockstep_on_grid(self, grid_stacks):
         # every operator of the shipped grid, stacked by dimension as
-        # verify --all stacks them
-        for d, e, _, reference in grid_stacks:
-            assert np.array_equal(sturm_bisection_oracle(d, e, tol=STURM_TOL),
-                                  reference), d.shape
+        # verify --all stacks them, with etas shifted inside and past the gate
+        for d, e, etas, reference in grid_stacks:
+            if d.shape[1] < 2:
+                continue
+            bound = _bound(d, e)[:, None]
+            for shift in (4 * EPS * bound, 17 * EPS * bound, 1e-6, -1e-3 * bound):
+                _assert_within_twice_the_gap(d, e, etas + shift, reference)
 
     @given(st.data())
     def test_matches_lockstep_on_random_stacks(self, data):
+        # etas shifted by random multiples of eps B, from inside the
+        # 16 eps B gate to four times B; some replaced by NaN or inf
         batch = data.draw(st.integers(1, 3))
         dim = data.draw(st.integers(2, 7))
-        values = st.floats(-1e3, 1e3, width=64)
-        d = data.draw(hnp.arrays(np.float64, (batch, dim), elements=values))
+        d = data.draw(hnp.arrays(np.float64, (batch, dim),
+                                 elements=st.floats(-1e3, 1e3, width=64)))
         e = data.draw(hnp.arrays(np.float64, (batch, dim - 1),
                                  elements=st.floats(-30.0, 30.0, width=64)))
-        assert np.array_equal(sturm_bisection_oracle(d, e), lockstep_reference(d, e))
-
-    def test_one_step_before_judging(self):
-        # a tol wider than the starting bracket: plain bisection still
-        # halves once, so the two eigenvalues come out apart
-        d, e = np.array([[0.0, 0.1]]), np.array([[0.0]])
-        reference = lockstep_reference(d, e, tol=10.0)
-        assert reference[0, 0] < reference[0, 1]
-        assert np.array_equal(sturm_bisection_oracle(d, e, tol=10.0), reference)
+        reference = lockstep_reference(d, e)
+        ulps = data.draw(hnp.arrays(np.float64, (batch, dim), elements=st.one_of(
+            st.floats(-32.0, 32.0), st.floats(-2.0 ** 54, 2.0 ** 54))))
+        etas = np.sort(reference + ulps * EPS * _bound(d, e)[:, None], axis=1)
+        broken = data.draw(hnp.arrays(bool, (batch,)))
+        etas[broken, 0] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        _assert_within_twice_the_gap(d, e, etas, reference)
 
     def test_deep_bisection_matches_lockstep(self):
-        # entries near 1e-20 under an absolute tol of 1e-40: 106 levels
+        # entries near 1e-20 under an absolute tol of 1e-40: the reference
+        # bisects 106 levels, and eps B is near 1e-36
         rng = np.random.default_rng(5)
         d, e = rng.normal(size=(3, 6)) * 1e-20, rng.normal(size=(3, 5)) * 1e-20
-        assert np.array_equal(sturm_bisection_oracle(d, e, tol=1e-40),
-                              lockstep_reference(d, e, tol=1e-40))
-
-    @pytest.mark.parametrize("max_iterations", [0, 3, 44])
-    def test_budget_error_matches_lockstep(self, max_iterations):
-        # brackets that close after 42, 45 and 51 iterations: at a budget of
-        # 44 some matrices finish and the first that does not is named
-        ops = [build_operator(SolutionFamily(kind, 3), a)
-               for kind in (FamilyKind.DIRAC_PLUS, FamilyKind.DIRAC_MINUS)
-               for a in (0.0, 20.0, 1e6)]
-        d, e = (np.stack(parts) for parts in zip(*(symmetrize(T)[:2] for T in ops)))
-        expected = _bisection_outcome(lockstep_reference, d, e,
-                                      max_iterations=max_iterations)
-        got = _bisection_outcome(sturm_bisection_oracle, d, e,
-                                 max_iterations=max_iterations)
-        assert isinstance(expected, tuple) and got == expected
-        if max_iterations == 44:
-            assert expected[1] > 0
+        reference = lockstep_reference(d, e, tol=1e-40)
+        for shift in (0.0, 1e-30, -1e-22):
+            _assert_within_twice_the_gap(d, e, reference + shift, reference, tol=1e-40)
 
     def test_zero_pivot_counts_its_eigenvalue(self):
-        # at the first midpoint, 0, the leading pivot is exactly 0: counted
-        # as negative (as dstebz counts it), the eigenvalue -1e20 stays in
-        # its bracket; counted as positive, the bracket lost it (4.4e4)
+        # at the shift 0 the leading pivot is exactly 0: counted as negative
+        # (as dstebz counts it), the count below 0 keeps the eigenvalue
+        # -1e20; counted as positive, it lost it
         d, e = np.array([[0.0, 4.0]]), np.array([[1e20]])
-        w = sturm_bisection_oracle(d, e)[0]
-        exact = np.array([2.0 - np.hypot(2.0, 1e20), 2.0 + np.hypot(2.0, 1e20)])
-        gate = 16 * np.finfo(float).eps * (4.0 + 1e20)
-        assert np.max(np.abs(w - exact)) < gate
-        assert np.array_equal(w, lockstep_reference(d, e)[0])
-
-    def test_iteration_budget(self):
-        T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 5), 10.0)
-        d, e, _ = symmetrize(T)
-        with pytest.raises(OracleError):
-            sturm_bisection_oracle(d[None], e[None], tol=1e-12, max_iterations=3)
-
-    def test_bad_tol(self):
-        with pytest.raises(InputError):
-            sturm_bisection_oracle(np.array([[1.0]]), np.zeros((1, 0)), tol=0.0)
+        assert sturm_counts(d, e * e, np.zeros((1, 1)))[0, 0] == 1
+        exact = np.array([[2.0 - np.hypot(2.0, 1e20), 2.0 + np.hypot(2.0, 1e20)]])
+        assert certified_radii(d, e * e, exact)[0] <= 8 * EPS * _bound(d, e)[0]
 
 
 # integer diagonals and small bonds: shifts at 0 and at integers meet
@@ -522,7 +512,7 @@ class TestSturmCertificate:
             bound = _bound(d, e)
             radii = certified_radii(d, e * e, etas)
             assert np.all(radii <= 8 * EPS * bound), d.shape
-            tols = np.maximum(STURM_TOL, 8 * EPS * bound)
+            tols = np.maximum(1e-11, 8 * EPS * bound)
             assert np.all(np.max(np.abs(reference - etas), axis=1) <= radii + tols)
 
     @given(st.data())
@@ -553,11 +543,13 @@ class TestSturmCertificate:
     def test_shift_past_the_gate_never_certified(self, grid_stacks, sign):
         # the etas lie within 8 eps B of the eigenvalues, so after a shift of
         # 17 eps B, past the 16 eps B gate, none is within the widest radius
+        # of the first pass: the ladder reports at least its first rung
         for d, e, etas, _ in grid_stacks:
             if d.shape[1] < 2:
                 continue
-            shifted = etas + sign * 17 * EPS * _bound(d, e)[:, None]
-            assert np.all(np.isinf(certified_radii(d, e * e, shifted))), d.shape
+            bound = _bound(d, e)
+            shifted = etas + sign * 17 * EPS * bound[:, None]
+            assert np.all(certified_radii(d, e * e, shifted) >= 16 * EPS * bound), d.shape
 
 
 class TestGapDiagnostics:

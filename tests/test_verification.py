@@ -1,6 +1,5 @@
 """The oracle layer: ODE residuals, dense/Sturm cross-checks, spacetime FD."""
 
-import functools
 import math
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 
 import incevolkov.spectra as spectra
 import incevolkov.verification as verification
-from incevolkov.errors import InputError, OracleError, StructuralError
+from incevolkov.errors import InputError, StructuralError
 from incevolkov.families import ALL_KINDS, FamilyKind, SolutionFamily
 from incevolkov.operators import TridiagonalOperator, build_operator
 from incevolkov.physparams import DeBroglieMomentum
@@ -255,25 +254,7 @@ class TestSturmCrosscheck:
         T = build_operator(SolutionFamily(kind, 12), 14.0)
         assert sturm_crosscheck([T])[0] < 1e-10
 
-    def test_budget_failure_names_its_operator(self, monkeypatch):
-        # shifted etas are not certified, so both operators are bisected:
-        # a = 0.5 closes its brackets after 42 iterations, a = 20 after 45
-        monkeypatch.setattr(verification, "sturm_bisection_oracle",
-                            functools.partial(spectra.sturm_bisection_oracle,
-                                              max_iterations=44))
-        fam = SolutionFamily(FamilyKind.DIRAC_PLUS, 3)
-        ops = [build_operator(fam, 0.5), build_operator(fam, 20.0)]
-        shifted = [solve_spectrum(T).etas + 1e-6 for T in ops]
-        with pytest.raises(OracleError, match=r"^dirac-plus n=3 a=20: Sturm bisection "
-                           r"did not reach tol 1e-11 in 44 iterations"):
-            sturm_crosscheck(ops, shifted)
-
-    def test_certified_within_the_primary_share_of_the_gate(self, monkeypatch):
-        # no bisection runs for etas that two counts per eta certify
-        def refuse(*args, **kwargs):
-            raise AssertionError("a certified operator was bisected")
-
-        monkeypatch.setattr(verification, "sturm_bisection_oracle", refuse)
+    def test_certified_within_the_primary_share_of_the_gate(self):
         ops = [build_operator(SolutionFamily(FamilyKind.KG_COS_EVEN, 12), a)
                for a in (0.5, 14.0, 1e10)]
         lo, hi = spectra.gershgorin_bounds(
@@ -282,19 +263,13 @@ class TestSturmCrosscheck:
         bound = np.maximum(np.abs(lo), np.abs(hi))
         assert np.all(sturm_crosscheck(ops) <= 8 * np.finfo(float).eps * bound)
 
-    def test_uncertified_etas_report_the_bisection(self):
-        # a shift past the 16 eps B gate is never certified: the operator is
-        # bisected and reports max |oracle - etas|
-        T = build_operator(SolutionFamily(FamilyKind.DIRAC_MINUS, 9), 5.0)
-        d, e, _ = spectra.symmetrize(T)
-        lo, hi = spectra.gershgorin_bounds(d[None], e[None])
-        shifted = solve_spectrum(T).etas + 17 * np.finfo(float).eps * max(-lo[0], hi[0])
-        oracle = spectra.sturm_bisection_oracle(d[None], e[None])[0]
-        assert sturm_crosscheck([T], [shifted])[0] == np.max(np.abs(oracle - shifted))
-
     def test_dim_one_is_exact(self):
         T = build_operator(SolutionFamily(FamilyKind.KG_SIN_ODD, 1), 14.0)
         assert T.dim == 1 and sturm_crosscheck([T])[0] == 0.0
+        # its entry is 0 at a = 1, where the Gershgorin bound B is 0 too
+        T = build_operator(SolutionFamily(FamilyKind.KG_SIN_ODD, 1), 1.0)
+        assert T.diag.tolist() == [0.0]
+        assert sturm_crosscheck([T], [np.array([1e-6])])[0] == 1e-6
 
     def test_bad_bond_names_its_operator(self):
         fam = SolutionFamily(FamilyKind.DIRAC_PLUS, 1)
@@ -465,6 +440,10 @@ class TestRunPoint:
         assert not p.dense_passed
         assert not p.sturm_passed
         assert not p.passed
+        # the benchmark's negative control: the Sturm radius is within a
+        # factor 2 above the shift
+        p = run_point(FamilyKind.DIRAC_PLUS, 3, 5.0, eta_shift=1e-6)
+        assert not p.sturm_passed and 1e-6 <= p.sturm_discrepancy < 2e-6
 
     def test_agreement_gate_scales_with_the_eigenvalues(self):
         # at a = 1e150 the oracles agree to a few ulps of eigenvalues near

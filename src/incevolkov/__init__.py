@@ -26,11 +26,11 @@ _EXPORTS = {name: module for module, names in (
                    "LongitudinalMomentum PlasmaInput WaveConfig coupling_parameter "
                    "eta_to_longitudinal field_amplitude_from_intensity "
                    "intensity_parameter refractive_index"),
+    ("residual", "ODE_RESIDUAL_TOL attach_residuals"),
     ("spectra", "SpectralDecomposition solve_spectrum symmetrize"),
-    ("verification", "ODE_RESIDUAL_TOL SAMPLING_SEED PdeResidualReport "
-                     "VerificationReport attach_residuals dense_oracle_crosscheck "
-                     "momentum_for_mode pde_residual_fd pde_stencil PdeStencil "
-                     "run_grid run_point sturm_crosscheck"),
+    ("verification", "SAMPLING_SEED PdeResidualReport VerificationReport "
+                     "dense_oracle_crosscheck momentum_for_mode pde_residual_fd "
+                     "pde_stencil PdeStencil run_grid run_point sturm_crosscheck"),
 ) for name in names.split()}
 
 __all__ = list(_EXPORTS)

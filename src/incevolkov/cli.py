@@ -17,20 +17,18 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import verification
+# Only what `params`, `--help` and an input error need is imported here;
+# each command imports its numeric modules (and with them numpy) itself.
 from .config import RunConfig, _parse_k_select, load_config
 from .constants import SAMPLING_SEED
 from .errors import InputError, StructuralError, VerificationFailure
-from .families import FamilyKind, SolutionFamily
-from .modulation import (ModulationFunction, contrast, envelope_density,
-                         harmonic_strengths)
-from .operators import build_operator
 from .physparams import eta_to_longitudinal
 from .serialize import SCHEMA, dumps_json, format_number, render_csv, write_text
-from .spectra import solve_spectrum
+
+if TYPE_CHECKING:
+    from .families import SolutionFamily
 
 FIGURE1_A_VALUES = (14.0, 20.0)
 FIGURE_DEFAULT_N = 20
@@ -115,12 +113,17 @@ def cmd_params(cfg: RunConfig) -> int:
 
 def _solve_checked(family: SolutionFamily, a: float, seed: int):
     """(decomposition with residuals, per-eigenpair verdicts) of family at a."""
-    dec = solve_spectrum(build_operator(family, a))
-    return verification.attach_residuals(dec, seed=seed)
+    from .operators import build_operator
+    from .residual import attach_residuals
+    from .spectra import solve_spectrum
+
+    return attach_residuals(solve_spectrum(build_operator(family, a)), seed=seed)
 
 
 def _solved_decomposition(cfg: RunConfig):
     """(family, a, decomposition with residuals, per-eigenpair verdicts)."""
+    from .families import SolutionFamily
+
     family = SolutionFamily(cfg.family_kind(), cfg.require_n())
     a = cfg.resolve_a()
     return (family, a, *_solve_checked(family, a, cfg.seed))
@@ -190,6 +193,10 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_modes(cfg: RunConfig) -> int:
+    import numpy as np
+
+    from .modulation import ModulationFunction
+
     family, a, dec, passed = _solved_decomposition(cfg)
     k_list = cfg.k_select or tuple(range(1, dec.dim + 1))
     for k in k_list:
@@ -240,6 +247,8 @@ def cmd_modes(cfg: RunConfig) -> int:
 def _figure_spectra(cfg: RunConfig):
     """(n, a, [(label, decomposition)], failures) of the spin-1/2 / spin-0
     figure pair; failures as for `_fail_on_residuals`."""
+    from .families import FamilyKind, SolutionFamily
+
     n = cfg.n if cfg.n is not None else FIGURE_DEFAULT_N
     if cfg.a_override is None and not cfg.has_laser_plasma:
         a = FIGURE_DEFAULT_A
@@ -256,6 +265,10 @@ def _figure_spectra(cfg: RunConfig):
 def cmd_figure(cfg: RunConfig, which: int) -> int:
     failures = []
     if which == 1:
+        import numpy as np
+
+        from .modulation import contrast, envelope_density
+
         xi = np.linspace(-np.pi, np.pi, FIGURE1_POINTS)
         cols = ["xi_rad"] + [f"density_a{int(a)}" for a in FIGURE1_A_VALUES]
         dens = [envelope_density(a, xi) for a in FIGURE1_A_VALUES]
@@ -290,6 +303,8 @@ def cmd_figure(cfg: RunConfig, which: int) -> int:
                 "the near-degenerate pairs in the upper half)",
             ])
     elif which == 3:
+        from .modulation import harmonic_strengths
+
         n, a, solved, failures = _figure_spectra(cfg)
         rows = []
         for label, dec in solved:
@@ -332,6 +347,8 @@ def _point_payload(p) -> dict:
 
 
 def cmd_verify(cfg: RunConfig, run_all: bool) -> int:
+    from . import verification
+
     if run_all:
         a_values = ((cfg.resolve_a(),) if cfg.a_override is not None
                     else verification.DEFAULT_GRID_A_VALUES)

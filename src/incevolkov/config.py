@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .constants import PARTICLE_MASSES, SAMPLING_SEED
 from .errors import InputError
-from .families import FamilyKind, parse_family_kind
 from .physparams import LaserInput, PlasmaInput, WaveConfig, coupling_parameter
+
+if TYPE_CHECKING:
+    from .families import FamilyKind
 
 
 def _parse_float(v: str) -> float:
@@ -130,6 +132,9 @@ class RunConfig:
         return coupling_parameter(wc.laser, wc.plasma)
 
     def family_kind(self) -> FamilyKind:
+        # families loads numpy, which `params` never needs
+        from .families import parse_family_kind
+
         if self.family is None:
             raise InputError("family is required (e.g. --family dirac)")
         return parse_family_kind(self.family)

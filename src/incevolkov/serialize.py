@@ -10,16 +10,25 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-import numpy as np
-
 SCHEMA = "ince-volkov/1"
+
+# Builtin types are checked first and numpy types after: a numpy value
+# exists only once numpy is loaded, so loading this module (as `params`
+# does) never loads numpy.
 
 
 def format_number(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
+    if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, int):
         return str(int(x))
+    if not isinstance(x, float):
+        import numpy as np
+
+        if isinstance(x, np.bool_):
+            return "true" if x else "false"
+        if isinstance(x, np.integer):
+            return str(int(x))
     x = float(x)
     if math.isnan(x) or math.isinf(x):
         return "null"
@@ -44,14 +53,6 @@ def _escape(s: str) -> str:
     return "".join(out)
 
 
-def _float_parts(row: np.ndarray) -> list:
-    """Strings of a 1-D float array, as `format_number` renders each item."""
-    values = row.tolist()
-    if np.isfinite(row).all():
-        return list(map("%.17g".__mod__, values))
-    return [format_number(x) for x in values]
-
-
 def _list_json(parts: list, indent: int) -> str:
     """A JSON array of rendered items: inline when every item is short and one line."""
     if not parts:
@@ -71,16 +72,8 @@ def dumps_json(obj, indent: int = 0) -> str:
         return "null"
     if isinstance(obj, str):
         return f'"{_escape(obj)}"'
-    if isinstance(obj, (bool, np.bool_, int, np.integer, float, np.floating)):
+    if isinstance(obj, (bool, int, float)):
         return format_number(obj)
-    if isinstance(obj, np.ndarray):
-        if obj.ndim == 0:
-            return dumps_json(obj.item(), indent)
-        if obj.dtype == np.float64:
-            if obj.ndim == 1:
-                return _list_json(_float_parts(obj), indent)
-            return _list_json([dumps_json(row, indent + 2) for row in obj], indent)
-        obj = obj.tolist()
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -89,7 +82,27 @@ def dumps_json(obj, indent: int = 0) -> str:
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
         return _list_json([dumps_json(v, indent + 2) for v in obj], indent)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    return _numpy_json(obj, indent)
+
+
+def _numpy_json(obj, indent: int) -> str:
+    """`dumps_json` of a numpy scalar or array; float64 rows format in one pass."""
+    import numpy as np
+
+    if isinstance(obj, (np.bool_, np.integer, np.floating)):
+        return format_number(obj)
+    if not isinstance(obj, np.ndarray):
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+    if obj.ndim == 0:
+        return dumps_json(obj.item(), indent)
+    if obj.dtype != np.float64:
+        return dumps_json(obj.tolist(), indent)
+    if obj.ndim > 1:
+        return _list_json([dumps_json(row, indent + 2) for row in obj], indent)
+    values = obj.tolist()
+    if np.isfinite(obj).all():
+        return _list_json(list(map("%.17g".__mod__, values)), indent)
+    return _list_json([format_number(x) for x in values], indent)
 
 
 def render_csv(columns: Sequence[str], rows: Iterable[Sequence],

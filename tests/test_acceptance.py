@@ -22,10 +22,10 @@ from incevolkov.modulation import contrast, harmonic_strengths
 from incevolkov.operators import build_operator
 from incevolkov.physparams import (LaserInput, PlasmaInput, WaveConfig,
                                    intensity_parameter)
+from incevolkov.residual import attach_residuals
 from incevolkov.spectra import solve_spectrum
-from incevolkov.verification import (attach_residuals, dense_oracle_crosscheck,
-                                     momentum_for_mode, pde_residual_fd,
-                                     pde_stencil, run_grid)
+from incevolkov.verification import (dense_oracle_crosscheck, momentum_for_mode,
+                                     pde_residual_fd, pde_stencil, run_grid)
 from reference import (build_majorana_gammas, coupling_to_mu0_ratio, dispersion,
                        spin_interaction_matrix)
 

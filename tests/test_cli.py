@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import incevolkov
-import incevolkov.cli as cli
+import incevolkov.operators as operators
 import incevolkov.verification as verification
 from incevolkov.cli import main
 from incevolkov.operators import TridiagonalOperator
@@ -392,7 +392,7 @@ class TestNonFiniteInput:
                                        super_=np.array([1e-200]),
                                        sub=np.array([-1e-200]))
 
-        monkeypatch.setattr(cli, "build_operator", sign_flipped)
+        monkeypatch.setattr(operators, "build_operator", sign_flipped)
         code, out, err = run(capsys, "spectrum", "--family", "dirac",
                              "--n", "1", "--a", "1")
         assert code == 3
@@ -463,21 +463,49 @@ class TestInputLimits:
 
 
 def _modules_after(code: str) -> list:
-    """incevolkov and numpy.random modules loaded by `code` in a fresh interpreter."""
+    """incevolkov, numpy and numpy.random modules loaded by `code` in a fresh interpreter."""
     src = str(Path(incevolkov.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
         [sys.executable, "-c",
          f"import json, sys\n{code}\n"
-         "print(json.dumps(sorted(m for m in sys.modules "
-         "if m.startswith(('incevolkov', 'numpy.random')))))"],
+         "print(json.dumps(sorted(m for m in sys.modules if m == 'numpy' "
+         "or m.startswith(('incevolkov', 'numpy.random')))))"],
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def _as_script(argv: list, exit_code: int) -> str:
+    """Code that runs `python -m incevolkov.cli ARGV` and checks its exit code."""
+    return ("import contextlib, io, runpy\n"
+            f"sys.argv = ['incevolkov', *{argv!r}]\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            "        runpy.run_module('incevolkov.cli', run_name='__main__')\n"
+            "    except SystemExit as exc:\n"
+            f"        assert exc.code == {exit_code!r}, exc.code\n")
+
+
 def test_package_import_loads_no_submodule():
     assert _modules_after("import incevolkov") == ["incevolkov"]
+
+
+REFERENCE_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "reference.cfg")
+
+
+@pytest.mark.parametrize("code", [
+    "import incevolkov.cli",
+    _as_script(["--help"], 0),
+    _as_script(["params", "--config", REFERENCE_CFG], 0),
+    _as_script([], 1),                   # argparse error: no command
+], ids=["import", "help", "params", "no-command"])
+def test_cli_without_numeric_work_loads_no_numpy(code):
+    loaded = _modules_after(code)
+    assert "numpy" not in loaded
+    assert not {"incevolkov.families", "incevolkov.spectra",
+                "incevolkov.residual", "incevolkov.verification"} & set(loaded)
 
 
 # every name the package exports
@@ -512,6 +540,7 @@ def test_package_exports_resolve():
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--family", "dirac", "--n", "3", "--a", "1"],
     ["verify", "--family", "dirac", "--n", "3", "--a", "14"],
+    ["modes", "--family", "kg-cos-odd", "--n", "3", "--a", "1"],
 ])
 def test_commands_leave_out_numpy_random_and_spinalg(argv):
     loaded = _modules_after(
@@ -519,7 +548,9 @@ def test_commands_leave_out_numpy_random_and_spinalg(argv):
         "from incevolkov.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main({argv!r}) == 0")
-    assert "incevolkov.verification" in loaded
+    # spectrum and modes run the ODE residual alone, verify every check
+    assert "incevolkov.residual" in loaded
+    assert ("incevolkov.verification" in loaded) == (argv[0] == "verify")
     assert "incevolkov.spinalg" not in loaded
     assert not [m for m in loaded if m.startswith("numpy.random")]
 

@@ -120,6 +120,14 @@ class TestJson:
         with pytest.raises(TypeError):
             dumps_json({"bad": object()})
 
+    def test_numpy_scalars_as_builtins(self):
+        # builtin types are checked first, numpy scalars after
+        payload = {"flags": [np.True_, np.False_, True], "ints": [np.int64(-3), np.uint8(7)],
+                   "floats": [np.float64(0.1), np.float32(0.1), np.float64(math.nan)],
+                   "mixed": (np.int32(2), 2, np.bool_(False))}
+        assert dumps_json(payload) == reference_dumps_json(payload)
+        assert format_number(np.float32(0.1)) == format_number(float(np.float32(0.1)))
+
 
 class TestFloatArrays:
     """The float-array path writes the bytes of the item-by-item writer."""

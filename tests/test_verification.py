@@ -7,21 +7,22 @@ import pytest
 
 import incevolkov.spectra as spectra
 import incevolkov.verification as verification
+from incevolkov.constants import SAMPLING_SEED
 from incevolkov.errors import InputError, StructuralError
 from incevolkov.families import ALL_KINDS, FamilyKind, SolutionFamily
 from incevolkov.operators import TridiagonalOperator, build_operator
 from incevolkov.physparams import DeBroglieMomentum
+from incevolkov.residual import (ODE_RESIDUAL_TOL, _batch_residual_maxima,
+                                 _ode_samples, _residual_values_batch,
+                                 _sample_points, attach_residuals,
+                                 seeded_angles)
 from incevolkov.spectra import solve_spectrum
-from incevolkov.verification import (ODE_RESIDUAL_TOL, SAMPLING_SEED,
-                                     _batch_residual_maxima,
-                                     _charpoly_newton_polish, _ode_samples,
-                                     _residual_values_batch,
+from incevolkov.verification import (_charpoly_newton_polish,
                                      _residual_values_compensated,
-                                     _sample_points, attach_residuals,
                                      dense_oracle_crosscheck,
                                      momentum_for_mode, pde_residual_fd,
                                      pde_stencil, run_grid, run_point,
-                                     seeded_angles, sturm_crosscheck)
+                                     sturm_crosscheck)
 
 N_M = 0.7685453911282961
 
@@ -82,7 +83,36 @@ def _scalar_newton_polish(T, w, steps=3):
     return out
 
 
+def _residual_values_out_of_place(samples, a, etas, vectors):
+    """The plain expression `_residual_values_batch` accumulates in place."""
+    B, Bp, Bpp = samples.basis
+    q = samples.family.q
+    s = samples.family.spin_sign
+    V = vectors.astype(B.dtype, copy=False)
+    f = B @ V
+    fp = Bp @ V
+    fpp = Bpp @ V
+    coupling = fp + 1j * s * f if s != 0 else fp
+    return (fpp + a * samples.sin2z * coupling
+            + (etas[None, :] - q * a * samples.cos2z) * f)
+
+
 class TestOdeResidual:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_in_place_matches_out_of_place_bit_for_bit(self, kind):
+        # every operator of the grid's n range at couplings up to 1e150:
+        # equal bits, so equal maxima, scales and verdicts
+        for n in range(1, 26):
+            fam = SolutionFamily(kind, n)
+            samples = _ode_samples(fam, SAMPLING_SEED)
+            for a in (0.0, 0.5, 1.0, 5.0, 14.0, 20.0, 50.0, 1e3, 1e150):
+                dec = solve_spectrum(build_operator(fam, a))
+                got = _residual_values_batch(samples, a, dec.etas, dec.vectors)
+                want = _residual_values_out_of_place(samples, a, dec.etas,
+                                                     dec.vectors)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (kind, n, a)
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("a", [0.0, 0.5, 5.0, 20.0])
     def test_eigenpairs_pass(self, kind, a):

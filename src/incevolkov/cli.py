@@ -336,7 +336,6 @@ def _point_payload(p) -> dict:
         "ode": {"max_residual": p.max_ode_residual,
                 "max_residual_over_scale": p.max_ode_residual_over_scale,
                 "passed": p.ode_passed},
-        "dense": {"discrepancy": p.dense_discrepancy, "passed": p.dense_passed},
         "sturm": {"discrepancy": p.sturm_discrepancy, "passed": p.sturm_passed},
         "pde": {"observed_order": p.pde_order, "max_residual": p.pde_residual,
                 "passed": p.pde_passed},

@@ -17,7 +17,7 @@ class OverdenseError(InputError):
 
 class StructuralError(RuntimeError):
     """An internal consistency check failed: non-symmetrizable operator,
-    complex eigenvalues from the dense cross-check, or similar.  Indicates
+    complex eigenvalues from the dense reference, or similar.  Indicates
     a wrong recurrence or a solver bug, never bad user input."""
 
 

@@ -2,16 +2,12 @@
 
 The operators are not symmetric, but every bond has super_ * sub > 0 for
 a > 0, so a diagonal similarity turns them into real symmetric tridiagonal
-matrices.  The primary solver is LAPACK's dense symmetric eigensolver
-(numpy.linalg.eigh, dsyevd) on the symmetrized matrix; the dense check
-(verification module) runs the general nonsymmetric one (dgeev) on the
-unsymmetrized T.  The Sturm code and the dense check's Newton polish
-share no numerical machinery with either; they run the LAPACK-free
-leading-minor recurrence `minor_ratios` over stacks of equal-dimension
-matrices.  `sturm_counts` counts the eigenvalues below each shift as
-LAPACK dstebz does, monotone in the shift; `certified_radii` encloses
-each of a matrix's eigenvalue estimates with two counts, at the smallest
-radius of a doubling ladder that holds.
+matrices.  The solver is LAPACK's dense symmetric eigensolver
+(numpy.linalg.eigh, dsyevd) on the symmetrized matrices, run once over a
+stack of equal-dimension operators (`solve_spectra`); `solve_spectrum` is
+a stack of one.  The verify side checks it with tools that share no
+numerical machinery with it: the ODE residual (residual module) and the
+Sturm certificate (verification module).
 
 Conventions fixed here and recorded in every output:
   * eigenvalues sorted ascending, k labels 1-based in that order;
@@ -41,11 +37,8 @@ __all__ = [
     "MAX_SOLVE_DIM",
     "SpectralDecomposition",
     "symmetrize",
+    "solve_spectra",
     "solve_spectrum",
-    "minor_ratios",
-    "sturm_counts",
-    "certified_radii",
-    "gershgorin_bounds",
 ]
 
 # the dense solve holds about 6 dim x dim float64 arrays at its peak (RSS
@@ -53,12 +46,6 @@ __all__ = [
 # under 1 GiB
 _SOLVE_MEMORY_BYTES = 2 ** 30
 MAX_SOLVE_DIM = math.isqrt(_SOLVE_MEMORY_BYTES // (6 * 8))      # 4729
-# shifts per Sturm counting slice: 128 KiB per float64 temporary
-_COUNT_SLICE = 2 ** 14
-# the radii, in ulps of a matrix's largest Gershgorin bound, of the first
-# pass of `certified_radii`; the widest is the primary solver's share of
-# the verification's agreement gate
-_CERTIFY_ULPS = (1, 2, 4, 8)
 
 
 @dataclass(frozen=True)
@@ -144,152 +131,61 @@ def _refuse_bond(T: TridiagonalOperator, i: int):
         "operator is not symmetrizable (wrong recurrence?)")
 
 
-def solve_spectrum(T: TridiagonalOperator) -> SpectralDecomposition:
-    """Full eigendecomposition, ascending eigenvalues, normalized vectors.
+def solve_spectra(operators) -> list:
+    """Full eigendecompositions of equal-dimension operators, in one stacked solve.
+
+    Ascending eigenvalues and unit-norm vectors, one SpectralDecomposition
+    per operator.  Each operator is symmetrized (the first operator with a
+    bond that cannot be raises `symmetrize`'s error, naming the bond), the
+    symmetric matrices are stacked, and one `numpy.linalg.eigh` call solves
+    them all.  The back-transform, the column norms and the sign fix then
+    run over the whole stack.  LAPACK solves each matrix of a stack on its
+    own, and every later step is elementwise or reduces one column in
+    contiguous memory, so an operator gets the same bits in any stack.
 
     Refuses dim > MAX_SOLVE_DIM (4729) as a range limit, before allocating:
-    the dense solve peaks at about 6 dim^2 doubles, which the cap keeps
-    under 1 GiB.
+    the dense solve of one matrix peaks at about 6 dim^2 doubles, which the
+    cap keeps under 1 GiB.
     """
-    if T.dim > MAX_SOLVE_DIM:
+    dims = {T.dim for T in operators}
+    if len(dims) != 1:
+        raise InputError("a stacked solve needs operators of one dimension")
+    dim = dims.pop()
+    if dim > MAX_SOLVE_DIM:
         raise InputError(
-            f"n = {T.family.n} gives dimension {T.dim}, past the range limit "
-            f"of the dense solver (dim <= {MAX_SOLVE_DIM}, under 1 GiB)")
-    diag, off, scale = symmetrize(T)
-    etas, y = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    # Fortran order: the summation order of the ODE residual, and so the
-    # last bits of every reported residual, follows the vectors' layout
-    vectors = np.asfortranarray(y) / scale[:, None]
+            f"n = {operators[0].family.n} gives dimension {dim}, past the range "
+            f"limit of the dense solver (dim <= {MAX_SOLVE_DIM}, under 1 GiB)")
+    diag, off, scale = (np.stack(part) for part in zip(*map(symmetrize, operators)))
+    matrices = np.zeros((len(operators), dim, dim))
+    rows = np.arange(dim)
+    matrices[:, rows, rows] += diag          # 0.0 + d: a -0.0 entry enters as +0.0
+    matrices[:, rows[1:], rows[:-1]] = off
+    matrices[:, rows[:-1], rows[1:]] = off
+    etas, y = np.linalg.eigh(matrices)
+    # columns[b, k] is vector k of operator b, contiguous: each operator's
+    # vectors are Fortran-ordered, the layout whose summation order fixes
+    # the last bits of the ODE residual, and its norms reduce along memory.
+    # The back-transform writes into the matrices' buffer: no third stack.
+    columns = np.divide(np.swapaxes(y, 1, 2), scale[:, None, :], out=matrices)
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(vectors, axis=0)
+        norms = np.linalg.norm(columns, axis=2)
     # from dirac n = 516 on, some columns' squares overflow: prescaled by
     # their largest entry, they still get a unit norm (and not v / inf = 0)
     huge = ~np.isfinite(norms)
     if huge.any():
-        vectors[:, huge] /= np.max(np.abs(vectors[:, huge]), axis=0)
-        norms[huge] = np.linalg.norm(vectors[:, huge], axis=0)
-    vectors = vectors / norms
-    largest = np.argmax(np.abs(vectors), axis=0)
-    vectors *= np.where(vectors[largest, np.arange(T.dim)] < 0, -1.0, 1.0)
-    return SpectralDecomposition(
-        family=T.family, a=T.a, etas=etas, vectors=vectors,
-        k_labels=np.arange(1, T.dim + 1), scale=scale)
+        prescaled = columns[huge]
+        prescaled /= np.max(np.abs(prescaled), axis=1)[:, None]
+        columns[huge] = prescaled
+        norms[huge] = np.linalg.norm(prescaled, axis=1)
+    columns /= norms[:, :, None]
+    largest = np.argmax(np.abs(columns), axis=2)[:, :, None]
+    columns *= np.where(np.take_along_axis(columns, largest, axis=2) < 0, -1.0, 1.0)
+    return [SpectralDecomposition(
+                family=T.family, a=T.a, etas=etas[b], vectors=columns[b].T,
+                k_labels=np.arange(1, dim + 1), scale=scale[b])
+            for b, T in enumerate(operators)]
 
 
-def _pivmin(b):
-    """(B, 1): each matrix's pivmin, tiny * 1e4 * max(1, max |b|), as in LAPACK dstebz."""
-    return (np.maximum(np.abs(b).max(axis=1, initial=0.0), 1.0)
-            * np.finfo(float).tiny * 1e4)[:, None]
-
-
-def minor_ratios(d, b, x):
-    """Yield q_i = p_i / p_{i-1}, the leading-minor ratios of T - x I, by row.
-
-    A stack of B equal-dimension matrices T with diagonals d, shape
-    (B, dim), and bond products b = super * sub, shape (B, dim - 1), is
-    shifted by x, shape (B, m): q_0 = d_0 - x and q_i = d_i - x - b_{i-1} /
-    q_{i-1}, each of shape (B, m).  Every element sees the arithmetic of a
-    lone matrix, so a matrix gets the same bits in any stack and at any m.
-    Ratios are yielded unclamped; as a divisor, one below its matrix's
-    `_pivmin` in magnitude becomes -pivmin, as in LAPACK dstebz.  A
-    matrix's row coefficients broadcast over its shifts, so the working
-    memory is a few (B, m) arrays at any dim.
-    """
-    pivmin = _pivmin(b)
-    neg_pivmin = -pivmin
-    largest_pivmin = pivmin.max()
-    q = d[:, :1] - x
-    yield q
-    for i in range(1, d.shape[1]):
-        # a clamp is rare: one reduction over the stack, blind to NaN ratios,
-        # decides whether any is due
-        if np.fmin.reduce(np.abs(q), axis=None, initial=np.inf) < largest_pivmin:
-            q = np.where(np.abs(q) < pivmin, neg_pivmin, q)
-        div = b[:, i - 1:i] / q
-        q = d[:, i:i + 1] - x         # one (B, m) temporary fewer than d - x - div
-        q -= div
-        yield q
-
-
-def sturm_counts(d, b, x):
-    """The number of eigenvalues below each shift x[:, j], shape (B, m).
-
-    d, b and x are as in `minor_ratios`.  A ratio counts as negative when
-    q < 0 or |q| < pivmin, that is q < pivmin: the pivot dstebz clamps to
-    -pivmin counts, so an exact zero pivot cannot hide an eigenvalue and
-    the count is monotone in the shift (Kahan, "Accurate eigenvalues of a
-    symmetric tri-diagonal matrix", 1966).  Runs in column slices of at
-    most _COUNT_SLICE shifts, so the recurrence's temporaries stay a few
-    small arrays at any m.
-    """
-    pivmin = _pivmin(b)
-    counts = np.empty(x.shape, dtype=np.intp)
-    width = max(1, _COUNT_SLICE // len(x))
-    for start in range(0, x.shape[1], width):
-        cols = slice(start, start + width)
-        count = np.zeros(x[:, cols].shape, dtype=np.intp)
-        for q in minor_ratios(d, b, x[:, cols]):
-            count += q < pivmin
-        counts[:, cols] = count
-    return counts
-
-
-def gershgorin_bounds(d: np.ndarray, e: np.ndarray):
-    """(lo, hi), shape (B,) each: the Gershgorin bounds of stacked symmetric tridiagonals.
-
-    d has shape (B, dim) and e (B, dim - 1).  Every eigenvalue lies in
-    [lo, hi], and max(|lo|, |hi|) is the matrix's infinity norm.
-    """
-    eabs = np.abs(e)
-    radius = np.pad(eabs, ((0, 0), (1, 0))) + np.pad(eabs, ((0, 0), (0, 1)))
-    return np.min(d - radius, axis=1), np.max(d + radius, axis=1)
-
-
-def certified_radii(d, b, etas):
-    """Per matrix, the smallest radius within which Sturm counts enclose every eta.
-
-    d and b are as in `minor_ratios`, and etas, shape (B, dim), are sorted
-    estimates of the eigenvalues.  A radius r encloses them when, for
-    every k, count(eta_k - r) <= k - 1 and count(eta_k + r) >= k: the k-th
-    eigenvalue then lies in [eta_k - r, eta_k + r], since the count is
-    monotone in its shift (the shifts are rounded to doubles, which can
-    widen the enclosure by half an ulp of eta_k).
-
-    The first `sturm_counts` pass tries r = c eps B, with c in
-    _CERTIFY_ULPS and B = max|Gershgorin bound|.  A matrix that it leaves
-    uncertified, with finite etas, gets a second pass over the doubling
-    ladder r = 2^j eps B, j >= 4 (eps B raised to at least pivmin, the
-    count's resolution), up to the first radius past max|eta| + B, within
-    which every eigenvalue lies of its eta.  A matrix gets the smallest r
-    of either ladder that encloses every eta; as the rung below failed, r
-    is at most twice the largest |eigenvalue - eta_k|.  Non-finite etas
-    give inf.
-    """
-    lo, hi = gershgorin_bounds(d, np.sqrt(b))
-    bound = np.maximum(np.abs(lo), np.abs(hi))
-    radii = _first_enclosing(
-        d, b, etas, bound[:, None] * (np.array(_CERTIFY_ULPS) * np.finfo(float).eps))
-    rows = np.flatnonzero(np.isinf(radii) & np.isfinite(etas).all(axis=1))
-    if len(rows):
-        top = np.minimum(np.abs(etas[rows]).max(axis=1) + bound[rows], np.finfo(float).max)
-        unit = np.maximum(bound[rows] * np.finfo(float).eps, _pivmin(b[rows])[:, 0])
-        ladder = [2 * _CERTIFY_ULPS[-1] * unit]
-        while np.any(ladder[-1] <= top):
-            ladder.append(2.0 * ladder[-1])
-        radii[rows] = _first_enclosing(d[rows], b[rows], etas[rows], np.stack(ladder, axis=1))
-    return radii
-
-
-def _first_enclosing(d, b, etas, radii):
-    """Per matrix, the first of its ascending radii, shape (B, L), that encloses every eta, or inf.
-
-    All B * L * 2 * dim shifts run in one `sturm_counts` pass.
-    """
-    batch, nd = d.shape
-    sides = np.array([-1.0, 1.0])[:, None]      # eta - r and eta + r
-    shifts = etas[:, None, None, :] + sides * radii[:, :, None, None]   # (B, L, 2, dim)
-    counts = sturm_counts(d, b, shifts.reshape(batch, -1)).reshape(shifts.shape)
-    ks = np.arange(1, nd + 1)
-    enclosed = ((counts[:, :, 0] < ks) & (counts[:, :, 1] >= ks)).all(axis=2)
-    first = np.argmax(enclosed, axis=1)
-    return np.where(enclosed.any(axis=1), radii[np.arange(batch), first], np.inf)
+def solve_spectrum(T: TridiagonalOperator) -> SpectralDecomposition:
+    """The eigendecomposition of one operator: `solve_spectra` with a stack of one."""
+    return solve_spectra([T])[0]

@@ -1,6 +1,7 @@
 """Independent verification layer.
 
-Four checks, none sharing numerical machinery with the primary eigensolver:
+Three checks, none sharing numerical machinery with the eigensolver
+(`spectra.solve_spectra`), make the verdict:
 
   * ODE residual (`residual.attach_residuals`, `_batch_residual_maxima`):
     plugs every (eta, coefficient vector) pair of an operator back into
@@ -8,15 +9,14 @@ Four checks, none sharing numerical machinery with the primary eigensolver:
     per operator.  The commands that print spectra run it alone, so it
     lives in the residual module; this module imports it from there.
     `benchmarks/oracle.py` restates the family table.
-  * dense_oracle_crosscheck: embeds the tridiagonal operator in a dense
-    matrix and solves it with the general nonsymmetric dense eigensolver;
-    confirms realness and agreement of the spectrum.
-  * sturm_crosscheck: Sturm counts on the symmetrized matrix.  Two counts
-    per eta enclose its eigenvalue within a radius, the smallest of a
-    doubling ladder that holds: a few ulps for the primary solver's etas,
-    and within a factor of two of the true distance for a wrong eta.  It
-    and the dense check's Newton polish share one LAPACK-free recurrence,
-    `spectra.minor_ratios`.
+  * sturm_crosscheck: Sturm counts on the symmetrized matrix, from the
+    LAPACK-free leading-minor recurrence `minor_ratios`.  Two counts per
+    eta enclose its eigenvalue within a radius, the smallest of a doubling
+    ladder that holds (`certified_radii`): a few ulps for the solver's
+    etas, and within a factor of two of the true distance for a wrong eta.
+    A count in floating point is the exact count of a matrix a few ulps
+    away (Kahan 1966; Demmel, Dhillon & Ren, ETNA 3, 1995), so the radius
+    is a proof, not a second estimate.
   * pde_residual_fd: assembles the full spacetime wave
     Psi(t,x,y) = modulation(xi) * exp{+i [p - (k.p) k] . x}, xi = k.x,
     applies second-order central differences to the gauge-covariant wave
@@ -24,12 +24,18 @@ Four checks, none sharing numerical machinery with the primary eigensolver:
     end-to-end test that the reduction chain from the wave equation to the
     tridiagonal eigenproblem is consistent, including every sign choice.
 
-The dense and Sturm checks take a sequence of equal-dimension operators
-and run over the whole stack at once, and the spacetime check takes a
-sequence of points of one step and one basis dtype; each operator and
-point gets the bits it gets alone.  `run_grid` groups its points by
-dimension for them (one spacetime batch per group, basis dtype and step),
-and `run_point` is the same path with a group of one.
+dense_oracle_crosscheck, the general nonsymmetric dense eigensolver on the
+unsymmetrized operator with a Newton polish on the same recurrence, is a
+reference that no command runs: the tests compare it with the solver, and
+it adds no detection that the Sturm certificate lacks.
+
+The solve and the Sturm check take a sequence of equal-dimension
+operators and run over the whole stack at once, and the spacetime check
+takes a sequence of points of one step and one basis dtype; each operator
+and point gets the bits it gets alone.  `run_grid` groups its points by
+dimension for them (one solve and one Sturm pass per group, one spacetime
+batch per group, basis dtype and step), and `run_point` is the same path
+with a group of one.
 
 Sign conventions verified by the PDE check (electron, charge coupling
 eps_c * A0 = -a/4 in the dimensionless units hbar = c = 1, k_p = 1):
@@ -54,11 +60,11 @@ from .operators import TridiagonalOperator, build_operator
 from .physparams import DeBroglieMomentum
 from .residual import _batch_residual_maxima, _ode_samples, seeded_angles
 from .serialize import format_number
-from .spectra import (certified_radii, gershgorin_bounds, minor_ratios,
-                      solve_spectrum, symmetrize)
+from .spectra import solve_spectra, symmetrize
 
 __all__ = [
     "SAMPLING_SEED", "DENSE_IMAG_TOL", "ORACLE_AGREEMENT_TOL",
+    "minor_ratios", "sturm_counts", "gershgorin_bounds", "certified_radii",
     "dense_oracle_crosscheck", "sturm_crosscheck", "momentum_for_mode",
     "PdeStencil", "pde_stencil", "PdeResidualReport", "pde_residual_fd",
     "PointReport", "VerificationReport", "run_point", "run_grid",
@@ -66,9 +72,15 @@ __all__ = [
 ]
 
 DENSE_IMAG_TOL = 1e-10
-DENSE_MAX_DIM = 200            # range limit of the dense cross-check
-ORACLE_AGREEMENT_TOL = 1e-9     # floor of the dense and Sturm gate (`_agreement_gates`)
+DENSE_MAX_DIM = 200            # range limit of the dense reference
+ORACLE_AGREEMENT_TOL = 1e-9     # floor of the Sturm gate (`_agreement_gates`)
 _AGREEMENT_ULPS = 16
+# shifts per Sturm counting slice: 128 KiB per float64 temporary
+_COUNT_SLICE = 2 ** 14
+# the radii, in ulps of a matrix's largest Gershgorin bound, of the first
+# pass of `certified_radii`; the widest is the solver's share of the
+# agreement gate
+_CERTIFY_ULPS = (1, 2, 4, 8)
 PDE_ORDER_BAND = (1.8, 2.2)
 DEFAULT_GRID_A_VALUES = (0.0, 0.5, 1.0, 5.0, 14.0, 20.0)
 DEFAULT_GRID_N_MAX = 25
@@ -95,7 +107,188 @@ def _residual_values_compensated(family: SolutionFamily, a: float, eta: float,
 
 
 # ---------------------------------------------------------------------------
-# dense and Sturm cross-checks
+# Sturm certificate
+# ---------------------------------------------------------------------------
+
+def _pivmin(b):
+    """(B, 1): each matrix's pivmin, tiny * 1e4 * max(1, max |b|), as in LAPACK dstebz."""
+    return (np.maximum(np.abs(b).max(axis=1, initial=0.0), 1.0)
+            * np.finfo(float).tiny * 1e4)[:, None]
+
+
+def minor_ratios(d, b, x):
+    """Yield q_i = p_i / p_{i-1}, the leading-minor ratios of T - x I, by row.
+
+    A stack of B equal-dimension matrices T with diagonals d, shape
+    (B, dim), and bond products b = super * sub, shape (B, dim - 1), is
+    shifted by x, shape (B, m): q_0 = d_0 - x and q_i = d_i - x - b_{i-1} /
+    q_{i-1}, each of shape (B, m).  Every element sees the arithmetic of a
+    lone matrix, so a matrix gets the same bits in any stack and at any m.
+    Ratios are yielded unclamped; as a divisor, one below its matrix's
+    `_pivmin` in magnitude becomes -pivmin, as in LAPACK dstebz.  A
+    matrix's row coefficients broadcast over its shifts, so the working
+    memory is a few (B, m) arrays at any dim.
+    """
+    pivmin = _pivmin(b)
+    neg_pivmin = -pivmin
+    largest_pivmin = pivmin.max()
+    q = d[:, :1] - x
+    yield q
+    for i in range(1, d.shape[1]):
+        # a clamp is rare: one reduction over the stack, blind to NaN ratios,
+        # decides whether any is due
+        if np.fmin.reduce(np.abs(q), axis=None, initial=np.inf) < largest_pivmin:
+            q = np.where(np.abs(q) < pivmin, neg_pivmin, q)
+        div = b[:, i - 1:i] / q
+        q = d[:, i:i + 1] - x         # one (B, m) temporary fewer than d - x - div
+        q -= div
+        yield q
+
+
+def sturm_counts(d, b, x):
+    """The number of eigenvalues below each shift x[:, j], shape (B, m).
+
+    d, b and x are as in `minor_ratios`.  A ratio counts as negative when
+    q < 0 or |q| < pivmin, that is q < pivmin: the pivot dstebz clamps to
+    -pivmin counts, so an exact zero pivot cannot hide an eigenvalue and
+    the count is monotone in the shift (Kahan, "Accurate eigenvalues of a
+    symmetric tri-diagonal matrix", 1966).  Runs in column slices of at
+    most _COUNT_SLICE shifts, so the recurrence's temporaries stay a few
+    small arrays at any m.
+    """
+    pivmin = _pivmin(b)
+    counts = np.empty(x.shape, dtype=np.intp)
+    width = max(1, _COUNT_SLICE // len(x))
+    for start in range(0, x.shape[1], width):
+        cols = slice(start, start + width)
+        count = np.zeros(x[:, cols].shape, dtype=np.intp)
+        for q in minor_ratios(d, b, x[:, cols]):
+            count += q < pivmin
+        counts[:, cols] = count
+    return counts
+
+
+def gershgorin_bounds(d: np.ndarray, e: np.ndarray):
+    """(lo, hi), shape (B,) each: the Gershgorin bounds of stacked symmetric tridiagonals.
+
+    d has shape (B, dim) and e (B, dim - 1).  Every eigenvalue lies in
+    [lo, hi], and max(|lo|, |hi|) is the matrix's infinity norm.
+    """
+    eabs = np.abs(e)
+    radius = np.pad(eabs, ((0, 0), (1, 0))) + np.pad(eabs, ((0, 0), (0, 1)))
+    return np.min(d - radius, axis=1), np.max(d + radius, axis=1)
+
+
+def certified_radii(d, b, etas):
+    """Per matrix, the smallest radius within which Sturm counts enclose every eta.
+
+    d and b are as in `minor_ratios`, and etas, shape (B, dim), are sorted
+    estimates of the eigenvalues.  A radius r encloses them when, for
+    every k, count(eta_k - r) <= k - 1 and count(eta_k + r) >= k: the k-th
+    eigenvalue then lies in [eta_k - r, eta_k + r], since the count is
+    monotone in its shift (the shifts are rounded to doubles, which can
+    widen the enclosure by half an ulp of eta_k).
+
+    The first `sturm_counts` pass tries r = c eps B, with c in
+    _CERTIFY_ULPS and B = max|Gershgorin bound|.  A matrix that it leaves
+    uncertified, with finite etas, gets a second pass over the doubling
+    ladder r = 2^j eps B, j >= 4 (eps B raised to at least pivmin, the
+    count's resolution), up to the first radius past max|eta| + B, within
+    which every eigenvalue lies of its eta.  A matrix gets the smallest r
+    of either ladder that encloses every eta; as the rung below failed, r
+    is at most twice the largest |eigenvalue - eta_k|.  Non-finite etas
+    give inf.
+    """
+    lo, hi = gershgorin_bounds(d, np.sqrt(b))
+    bound = np.maximum(np.abs(lo), np.abs(hi))
+    radii = _first_enclosing(
+        d, b, etas, bound[:, None] * (np.array(_CERTIFY_ULPS) * np.finfo(float).eps))
+    rows = np.flatnonzero(np.isinf(radii) & np.isfinite(etas).all(axis=1))
+    if len(rows):
+        top = np.minimum(np.abs(etas[rows]).max(axis=1) + bound[rows], np.finfo(float).max)
+        unit = np.maximum(bound[rows] * np.finfo(float).eps, _pivmin(b[rows])[:, 0])
+        ladder = [2 * _CERTIFY_ULPS[-1] * unit]
+        while np.any(ladder[-1] <= top):
+            ladder.append(2.0 * ladder[-1])
+        radii[rows] = _first_enclosing(d[rows], b[rows], etas[rows], np.stack(ladder, axis=1))
+    return radii
+
+
+def _first_enclosing(d, b, etas, radii):
+    """Per matrix, the first of its ascending radii, shape (B, L), that encloses every eta, or inf.
+
+    All B * L * 2 * dim shifts run in one `sturm_counts` pass.
+    """
+    batch, nd = d.shape
+    sides = np.array([-1.0, 1.0])[:, None]      # eta - r and eta + r
+    shifts = etas[:, None, None, :] + sides * radii[:, :, None, None]   # (B, L, 2, dim)
+    counts = sturm_counts(d, b, shifts.reshape(batch, -1)).reshape(shifts.shape)
+    ks = np.arange(1, nd + 1)
+    enclosed = ((counts[:, :, 0] < ks) & (counts[:, :, 1] >= ks)).all(axis=2)
+    first = np.argmax(enclosed, axis=1)
+    return np.where(enclosed.any(axis=1), radii[np.arange(batch), first], np.inf)
+
+
+def _equal_dim_etas(operators, etas) -> np.ndarray:
+    """The (B, dim) eigenvalues to judge: etas, or the solver's."""
+    if len({T.dim for T in operators}) != 1:
+        raise InputError("batched cross-checks need operators of one dimension")
+    if etas is None:
+        etas = [dec.etas for dec in solve_spectra(operators)]
+    return np.asarray(etas, dtype=float)
+
+
+def sturm_crosscheck(operators, etas=None) -> np.ndarray:
+    """Per operator, a radius within which Sturm counts enclose every eigenvalue of its etas.
+
+    The operators share one dimension; etas default to the solver's.
+    Diagonals and bond products super * sub are stacked once (a bond that
+    cannot be symmetrized raises `symmetrize`'s error).  An operator of
+    dim 1 reports |entry - eta|, exactly, since its eigenvalue is its
+    entry.  Every other operator reports `certified_radii`: at most
+    8 eps B for etas within the solver's share of the gate,
+    and otherwise between max |eigenvalue - eta| and twice that (inf for a
+    non-finite eta).
+    """
+    etas = _equal_dim_etas(operators, etas)
+    d = np.stack([T.diag for T in operators])
+    with np.errstate(over="ignore"):
+        b = np.stack([T.super_ * T.sub for T in operators])
+    for row in np.flatnonzero(~((b > 0.0) & (b < np.inf)).all(axis=1)):
+        symmetrize(operators[row])      # passes zero bonds, raises on bad ones
+    if d.shape[1] == 1:
+        return np.abs(d[:, 0] - etas[:, 0])
+    return certified_radii(d, b, etas)
+
+
+def _agreement_gates(operators) -> np.ndarray:
+    """Per operator, the gate of its Sturm radius.
+
+    max(ORACLE_AGREEMENT_TOL, 16 eps B), with B = max|Gershgorin bound| of
+    the symmetrized matrix S, its infinity norm, so B >= ||S||_2.  By Weyl's
+    theorem a symmetric perturbation E moves no eigenvalue by more than
+    ||E||_2.  The primary solver is backward stable, so its etas are exact
+    for some S + E with ||E||_2 a small multiple of eps ||S||_2 (8 eps B is
+    allowed).  The Sturm check certifies such etas within 8 eps B, the
+    widest first-pass radius of `certified_radii`, so c = 8 + 8 =
+    16: the certificate's widest first-pass radius plus the primary
+    solver's share.  An eta off by e past 8 eps B reports a Sturm radius
+    between e and 2e, so one off by more than half the gate can fail.  The
+    tests judge the dense reference's polished values by the same gate.  On
+    the shipped grid eps B is at most 5.9e-13 (kg-cos-even n = 25,
+    a = 20), so the gate is the 1e-9 floor there; it grows with the
+    eigenvalues only far past the grid (2.1e136 at dirac-plus n = 3,
+    a = 1e150).
+    """
+    d = np.stack([T.diag for T in operators])
+    e = np.sqrt(np.stack([T.super_ * T.sub for T in operators]))
+    lo, hi = gershgorin_bounds(d, e)
+    return np.maximum(ORACLE_AGREEMENT_TOL, _AGREEMENT_ULPS * np.finfo(float).eps
+                      * np.maximum(np.abs(lo), np.abs(hi)))
+
+
+# ---------------------------------------------------------------------------
+# dense reference: no command runs it
 # ---------------------------------------------------------------------------
 
 def _charpoly_newton_polish(d: np.ndarray, b: np.ndarray, w: np.ndarray,
@@ -104,7 +297,7 @@ def _charpoly_newton_polish(d: np.ndarray, b: np.ndarray, w: np.ndarray,
 
     d (B, dim) and b = super * sub (B, dim - 1) describe B equal-dimension
     operators; w (B, dim) holds their estimates.  From the ratios
-    q_i = p_i / p_{i-1} of `spectra.minor_ratios`, u_i = p_i'/p_i is
+    q_i = p_i / p_{i-1} of `minor_ratios`, u_i = p_i'/p_i is
     u_i = (-1 + (d_i - lam) u_{i-1} - b_{i-1} u_{i-2} / q_{i-1}) / q_i and the
     update is lam -= 1/u_n.  An estimate whose u_n is zero or not finite, or
     whose step exceeds max(1, 1e-9 |w|) (a root jump, judged relative to
@@ -136,24 +329,17 @@ def _describe(T: TridiagonalOperator) -> str:
     return f"{T.family.kind.value} n={T.family.n} a={format_number(T.a)}"
 
 
-def _equal_dim_etas(operators, etas) -> np.ndarray:
-    """The (B, dim) eigenvalues to judge: etas, or the primary solver's."""
-    if len({T.dim for T in operators}) != 1:
-        raise InputError("batched cross-checks need operators of one dimension")
-    if etas is None:
-        etas = [solve_spectrum(T).etas for T in operators]
-    return np.asarray(etas, dtype=float)
-
-
 def dense_oracle_crosscheck(operators, etas=None) -> np.ndarray:
     """Per operator, max |sorted dense eigenvalues - etas|; raises on a complex spectrum.
 
     operators is a sequence of equal-dimension operators and etas the
-    matching sequence of eigenvalue arrays (default: the primary solver's).
+    matching sequence of eigenvalue arrays (default: the solver's).
     The dense path (general nonsymmetric eigensolver on each embedded
     matrix, plus a characteristic-polynomial Newton polish run over the
     whole stack) shares nothing with the symmetrize-then-tridiagonal route.
     Realness is asserted on the raw dense eigenvalues, before polishing.
+    No command runs it: the tests use it as a second eigenvalue reference,
+    and `benchmarks/tracing.py` names it as a traced layer.
     """
     family, dim = operators[0].family, operators[0].dim
     if dim > DENSE_MAX_DIM:
@@ -172,55 +358,6 @@ def dense_oracle_crosscheck(operators, etas=None) -> np.ndarray:
     b = np.stack([T.super_ * T.sub for T in operators])
     polished = _charpoly_newton_polish(d, b, np.sort(w.real, axis=1))
     return np.max(np.abs(np.sort(polished, axis=1) - etas), axis=1)
-
-
-def sturm_crosscheck(operators, etas=None) -> np.ndarray:
-    """Per operator, a radius within which Sturm counts enclose every eigenvalue of its etas.
-
-    The operators share one dimension; etas default to the primary
-    solver's.  Diagonals and bond products super * sub are stacked once (a
-    bond that cannot be symmetrized raises `symmetrize`'s error).  An
-    operator of dim 1 reports |entry - eta|, exactly, since its eigenvalue
-    is its entry.  Every other operator reports `spectra.certified_radii`:
-    at most 8 eps B for etas within the primary solver's share of the gate,
-    and otherwise between max |eigenvalue - eta| and twice that (inf for a
-    non-finite eta).
-    """
-    etas = _equal_dim_etas(operators, etas)
-    d = np.stack([T.diag for T in operators])
-    with np.errstate(over="ignore"):
-        b = np.stack([T.super_ * T.sub for T in operators])
-    for row in np.flatnonzero(~((b > 0.0) & (b < np.inf)).all(axis=1)):
-        symmetrize(operators[row])      # passes zero bonds, raises on bad ones
-    if d.shape[1] == 1:
-        return np.abs(d[:, 0] - etas[:, 0])
-    return certified_radii(d, b, etas)
-
-
-def _agreement_gates(operators) -> np.ndarray:
-    """Per operator, the gate of its dense and Sturm discrepancies.
-
-    max(ORACLE_AGREEMENT_TOL, 16 eps B), with B = max|Gershgorin bound| of
-    the symmetrized matrix S, its infinity norm, so B >= ||S||_2.  By Weyl's
-    theorem a symmetric perturbation E moves no eigenvalue by more than
-    ||E||_2.  The primary solver is backward stable, so its etas are exact
-    for some S + E with ||E||_2 a small multiple of eps ||S||_2 (8 eps B is
-    allowed).  The Sturm check certifies such etas within 8 eps B, the
-    widest first-pass radius of `spectra.certified_radii`, so c = 8 + 8 =
-    16: the certificate's widest first-pass radius plus the primary
-    solver's share.  An eta off by e past 8 eps B reports a Sturm radius
-    between e and 2e, so one off by more than half the gate can fail.  The
-    dense check's Newton-polished values are judged by the same gate.  On
-    the shipped grid eps B is at most 5.9e-13 (kg-cos-even n = 25,
-    a = 20), so the gate is the 1e-9 floor there; it grows with the
-    eigenvalues only far past the grid (2.1e136 at dirac-plus n = 3,
-    a = 1e150).
-    """
-    d = np.stack([T.diag for T in operators])
-    e = np.sqrt(np.stack([T.super_ * T.sub for T in operators]))
-    lo, hi = gershgorin_bounds(d, e)
-    return np.maximum(ORACLE_AGREEMENT_TOL, _AGREEMENT_ULPS * np.finfo(float).eps
-                      * np.maximum(np.abs(lo), np.abs(hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +594,6 @@ class PointReport:
     max_ode_residual: float
     max_ode_residual_over_scale: float
     ode_passed: bool
-    dense_discrepancy: float
-    dense_passed: bool
     sturm_discrepancy: float
     sturm_passed: bool
     pde_order: float
@@ -469,9 +604,9 @@ class PointReport:
 
     @property
     def failed_checks(self) -> list:
-        """Names of the checks this point failed, in the order ode, dense, sturm, pde."""
-        verdicts = (("ode", self.ode_passed), ("dense", self.dense_passed),
-                    ("sturm", self.sturm_passed), ("pde", self.pde_passed))
+        """Names of the checks this point failed, in the order ode, sturm, pde."""
+        verdicts = (("ode", self.ode_passed), ("sturm", self.sturm_passed),
+                    ("pde", self.pde_passed))
         return [name for name, passed in verdicts if not passed]
 
     @property
@@ -497,8 +632,6 @@ class VerificationReport:
             "all_passed": self.all_passed,
             "max_ode_residual_over_scale": max(
                 (p.max_ode_residual_over_scale for p in self.points), default=0.0),
-            "max_dense_discrepancy": max(
-                (p.dense_discrepancy for p in self.points), default=0.0),
             "max_sturm_discrepancy": max(
                 (p.sturm_discrepancy for p in self.points), default=0.0),
         }
@@ -546,29 +679,29 @@ def _pde_checks(families, points, etas, vectors, seed: int) -> list:
 def _check_group(points, seed: int, eta_shift: float = 0.0) -> list:
     """PointReports of (kind, n, a) points whose operators share one dimension.
 
-    Each point is built, solved and judged by its ODE residual; the dense
-    and Sturm cross-checks then run once over the whole group, and the
-    spacetime check once per basis dtype and step (`_pde_checks`).  A
-    family's bases do not depend on a: its ODE samples are built once and
-    its PDE stencils once per step, and both are dropped with the group.
+    The points' operators are solved in one stacked solve and each point
+    is judged by its ODE residual; the Sturm check then runs once over the
+    whole group, and the spacetime check once per basis dtype and step
+    (`_pde_checks`).  A family's bases do not depend on a: its ODE samples
+    are built once and its PDE stencils once per step, and both are
+    dropped with the group.
     """
     families = [SolutionFamily(kind, n) for kind, n, _ in points]
     ops = [build_operator(fam, a) for fam, (_, _, a) in zip(families, points)]
-    decs = [solve_spectrum(T) for T in ops]
+    decs = solve_spectra(ops)
     shifted = [dec.etas + eta_shift for dec in decs]
     samples = {fam: _ode_samples(fam, seed) for fam in dict.fromkeys(families)}
     odes = [_batch_residual_maxima(samples[fam], a, etas, dec.vectors)
             for fam, (_, _, a), etas, dec in zip(families, points, shifted, decs)]
-    dense = dense_oracle_crosscheck(ops, shifted)
     sturm = sturm_crosscheck(ops, shifted)
     gates = _agreement_gates(ops)
 
     pdes = _pde_checks(families, points, shifted, [dec.vectors for dec in decs], seed)
 
     reports = []
-    for fam, (kind, n, a), dec, (maxima, scales, passed), dense_disc, sturm_disc, \
-            gate, (pde_order, pde_res, pde_ok, notes) \
-            in zip(families, points, decs, odes, dense, sturm, gates, pdes):
+    for fam, (kind, n, a), dec, (maxima, scales, passed), sturm_disc, gate, \
+            (pde_order, pde_res, pde_ok, notes) \
+            in zip(families, points, decs, odes, sturm, gates, pdes):
         if a == 0.0:
             notes.append("a=0: spectrum degenerates to the squared basis frequencies")
         reports.append(PointReport(
@@ -576,8 +709,6 @@ def _check_group(points, seed: int, eta_shift: float = 0.0) -> list:
             max_ode_residual=float(np.max(maxima)),
             max_ode_residual_over_scale=float(np.max(maxima / scales)),
             ode_passed=bool(np.all(passed)),
-            dense_discrepancy=float(dense_disc),
-            dense_passed=bool(dense_disc < gate),
             sturm_discrepancy=float(sturm_disc),
             sturm_passed=bool(sturm_disc < gate),
             pde_order=pde_order, pde_residual=pde_res, pde_passed=pde_ok,
@@ -587,7 +718,7 @@ def _check_group(points, seed: int, eta_shift: float = 0.0) -> list:
 
 def run_point(kind: FamilyKind, n: int, a: float, seed: int = SAMPLING_SEED,
               eta_shift: float = 0.0) -> PointReport:
-    """Run all four checks for one grid point: the grid's path, with a group of one.
+    """Run all three checks for one grid point: the grid's path, with a group of one.
 
     eta_shift is a fault-injection knob: the negative control of
     `benchmarks/worker.py` and the test suite use it to confirm that
@@ -602,7 +733,7 @@ def run_grid(kinds=ALL_KINDS, n_max: int = DEFAULT_GRID_N_MAX,
     """Run every check over the shipped grid, deterministically ordered.
 
     Points are checked in groups of one operator dimension, so that the
-    dense and Sturm cross-checks run once per group; a group's arrays are
+    solve and the Sturm check run once per group; a group's arrays are
     dropped before the next.  The reports keep the grid order.
     """
     points = [(kind, n, float(a)) for kind in sorted(kinds, key=lambda k: k.value)

@@ -116,7 +116,14 @@ def test_criterion_03_residual_suite():
 
 
 def test_criterion_04_oracle_agreement(grid_report):
-    max_dense = max(p.dense_discrepancy for p in grid_report.points)
+    groups = {}
+    for kind in ALL_KINDS:
+        for n in range(1, GRID_N_MAX + 1):
+            for a in GRID_A_VALUES:
+                T = build_operator(SolutionFamily(kind, n), a)
+                groups.setdefault(T.dim, []).append(T)
+    max_dense = max(float(np.max(dense_oracle_crosscheck(ops)))
+                    for ops in groups.values())
     max_sturm = max(p.sturm_discrepancy for p in grid_report.points)
     ok = max_dense < 1e-9 and max_sturm < 1e-9
     report(4, ok, f"solver vs Sturm vs dense over the full grid: "

@@ -1,4 +1,4 @@
-"""Primary eigensolver, symmetrization and the Sturm certificate."""
+"""The eigensolver, symmetrization and the Sturm certificate."""
 
 import warnings
 
@@ -12,9 +12,9 @@ from incevolkov.errors import InputError, StructuralError
 from incevolkov.families import ALL_KINDS, FamilyKind, SolutionFamily
 from incevolkov.operators import TridiagonalOperator, build_operator
 import incevolkov.spectra as spectra
-from incevolkov.spectra import (MAX_SOLVE_DIM, certified_radii, gershgorin_bounds,
-                                minor_ratios, solve_spectrum, sturm_counts, symmetrize)
-from incevolkov.verification import DEFAULT_GRID_A_VALUES
+from incevolkov.spectra import MAX_SOLVE_DIM, solve_spectra, solve_spectrum, symmetrize
+from incevolkov.verification import (DEFAULT_GRID_A_VALUES, certified_radii,
+                                     gershgorin_bounds, minor_ratios, sturm_counts)
 
 
 def lockstep_reference(diag, offdiag, tol=1e-11, max_iterations=250):
@@ -125,6 +125,33 @@ def loop_symmetrize(T):
             raise StructuralError(f"bond {i}: super*sub = {p!r} <= 0 at a = {T.a}; "
                                   "operator is not symmetrizable (wrong recurrence?)")
     return T.diag.copy(), off, scale
+
+
+def reference_solve(T):
+    """One operator's solve as a lone dense matrix: the reference for `solve_spectra`.
+
+    (etas, vectors, scale), vectors Fortran-ordered.
+    """
+    diag, off, scale = symmetrize(T)
+    etas, y = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    vectors = np.asfortranarray(y) / scale[:, None]
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(vectors, axis=0)
+    huge = ~np.isfinite(norms)
+    if huge.any():
+        vectors[:, huge] /= np.max(np.abs(vectors[:, huge]), axis=0)
+        norms[huge] = np.linalg.norm(vectors[:, huge], axis=0)
+    vectors = vectors / norms
+    largest = np.argmax(np.abs(vectors), axis=0)
+    vectors *= np.where(vectors[largest, np.arange(T.dim)] < 0, -1.0, 1.0)
+    return etas, vectors, scale
+
+
+def _assert_same_bits(dec, T):
+    etas, vectors, scale = reference_solve(T)
+    for got, want in ((dec.etas, etas), (dec.vectors, vectors), (dec.scale, scale)):
+        assert got.shape == want.shape and got.tobytes(order="A") == want.tobytes(order="A")
+    assert dec.vectors.flags.f_contiguous
 
 
 def _symmetrize_outcome(fn, T):
@@ -322,6 +349,56 @@ class TestSolveSpectrum:
         assert T.dim == MAX_SOLVE_DIM + 1
         with pytest.raises(InputError, match="range limit"):
             solve_spectrum(T)
+
+
+class TestSolveSpectra:
+    """The stacked solve gives every operator the bits of its lone solve."""
+
+    def test_grid_groups_bit_identical(self):
+        groups = {}
+        for kind in ALL_KINDS:
+            for n in range(1, 26):
+                for a in DEFAULT_GRID_A_VALUES:
+                    T = build_operator(SolutionFamily(kind, n), float(a))
+                    groups.setdefault(T.dim, []).append(T)
+        assert len(groups) == 38
+        for ops in groups.values():
+            for dec, T in zip(solve_spectra(ops), ops, strict=True):
+                assert (dec.family, dec.a) == (T.family, T.a)
+                _assert_same_bits(dec, T)
+
+    @pytest.mark.parametrize("n, a", [(200, 14.0), (520, 1.0)])
+    def test_large_operator_bit_identical(self, n, a):
+        # n = 520 takes the prescale of columns whose squares overflow
+        T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, n), a)
+        if n == 520:
+            assert 1.0 / symmetrize(T)[2].min() > 1e154
+        _assert_same_bits(solve_spectrum(T), T)
+
+    def test_negative_zero_diagonal_enters_as_zero(self):
+        # eigh returns an eta of -0.0 for a -0.0 entry across a zero bond,
+        # and the JSON writers would print it as -0
+        T = TridiagonalOperator(family=SolutionFamily(FamilyKind.DIRAC_PLUS, 1), a=1.0,
+                                diag=np.array([-0.0, 1.0]), super_=np.zeros(1),
+                                sub=np.zeros(1))
+        dec = solve_spectrum(T)
+        assert dec.etas.tolist() == [0.0, 1.0] and not np.signbit(dec.etas).any()
+        _assert_same_bits(dec, T)
+
+    def test_bad_bond_names_its_operator(self):
+        fam = SolutionFamily(FamilyKind.DIRAC_PLUS, 2)
+        good = build_operator(fam, 1.0)
+        sub = good.sub.copy()
+        sub[2] = -sub[2]
+        bad = TridiagonalOperator(family=fam, a=2.5, diag=good.diag,
+                                  super_=good.super_, sub=sub)
+        with pytest.raises(StructuralError, match=r"^bond 2: .* at a = 2\.5; "):
+            solve_spectra([good, bad])
+
+    def test_operators_must_share_dimension(self):
+        with pytest.raises(InputError, match="one dimension"):
+            solve_spectra([build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, n), 1.0)
+                           for n in (1, 2)])
 
 
 class TestMinorRatios:

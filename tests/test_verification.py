@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-import incevolkov.spectra as spectra
 import incevolkov.verification as verification
 from incevolkov.constants import SAMPLING_SEED
 from incevolkov.errors import InputError, StructuralError
@@ -30,6 +29,14 @@ N_M = 0.7685453911282961
 def _solved(kind, n, a):
     fam = SolutionFamily(kind, n)
     return fam, solve_spectrum(build_operator(fam, a))
+
+
+def _dense_verdict(kind, n, a, eta_shift=0.0):
+    """(discrepancy, passed) of the dense reference on the etas `run_point`
+    judges, under the Sturm check's gate."""
+    T = build_operator(SolutionFamily(kind, n), a)
+    disc, = dense_oracle_crosscheck([T], [solve_spectrum(T).etas + eta_shift])
+    return disc, bool(disc < verification._agreement_gates([T])[0])
 
 
 def _one_mode(fam, a, eta, c):
@@ -243,7 +250,7 @@ class TestDenseCrosscheck:
         # absolute step cap of 1 the polish left them as they were and the
         # point failed dense at 1.66
         p = run_point(FamilyKind.DIRAC_PLUS, 25, 1e10)
-        assert p.dense_discrepancy < 1e-3
+        assert _dense_verdict(FamilyKind.DIRAC_PLUS, 25, 1e10)[0] < 1e-3
         assert p.failed_checks == ["pde"]
 
     def test_strong_coupling_stress(self):
@@ -287,7 +294,7 @@ class TestSturmCrosscheck:
     def test_certified_within_the_primary_share_of_the_gate(self):
         ops = [build_operator(SolutionFamily(FamilyKind.KG_COS_EVEN, 12), a)
                for a in (0.5, 14.0, 1e10)]
-        lo, hi = spectra.gershgorin_bounds(
+        lo, hi = verification.gershgorin_bounds(
             np.stack([T.diag for T in ops]),
             np.sqrt(np.stack([T.super_ * T.sub for T in ops])))
         bound = np.maximum(np.abs(lo), np.abs(hi))
@@ -467,7 +474,7 @@ class TestRunPoint:
     def test_fault_injection_caught(self):
         p = run_point(FamilyKind.DIRAC_PLUS, 3, 5.0, eta_shift=0.01)
         assert not p.ode_passed
-        assert not p.dense_passed
+        assert not _dense_verdict(FamilyKind.DIRAC_PLUS, 3, 5.0, eta_shift=0.01)[1]
         assert not p.sturm_passed
         assert not p.passed
         # the benchmark's negative control: the Sturm radius is within a
@@ -479,9 +486,11 @@ class TestRunPoint:
         # at a = 1e150 the oracles agree to a few ulps of eigenvalues near
         # 5e150 and pass; a shift of 1e138 (2e-13 of them) still fails
         p = run_point(FamilyKind.DIRAC_PLUS, 3, 1e150)
-        assert p.dense_passed and p.sturm_passed and p.dense_discrepancy > 1e135
+        dense_disc, dense_passed = _dense_verdict(FamilyKind.DIRAC_PLUS, 3, 1e150)
+        assert dense_passed and p.sturm_passed and dense_disc > 1e135
         shifted = run_point(FamilyKind.DIRAC_PLUS, 3, 1e150, eta_shift=1e138)
-        assert not shifted.dense_passed and not shifted.sturm_passed
+        assert (not _dense_verdict(FamilyKind.DIRAC_PLUS, 3, 1e150, eta_shift=1e138)[1]
+                and not shifted.sturm_passed)
 
     def test_determinism(self):
         p1 = run_point(FamilyKind.KG_COS_EVEN, 5, 14.0)

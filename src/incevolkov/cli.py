@@ -21,8 +21,7 @@ from typing import TYPE_CHECKING
 
 # Only what `params`, `--help` and an input error need is imported here;
 # each command imports its numeric modules (and with them numpy) itself.
-from .config import RunConfig, _parse_k_select, load_config
-from .constants import SAMPLING_SEED
+from .config import RUN_INPUTS, RunConfig, load_config
 from .errors import InputError, StructuralError, VerificationFailure
 from .physparams import eta_to_longitudinal
 from .serialize import SCHEMA, dumps_json, format_number, render_csv, write_text
@@ -302,7 +301,7 @@ def cmd_figure(cfg: RunConfig, which: int) -> int:
                 "report-only pairing metric (alternating wide/narrow gaps mark "
                 "the near-degenerate pairs in the upper half)",
             ])
-    elif which == 3:
+    else:
         from .modulation import harmonic_strengths
 
         n, a, solved, failures = _figure_spectra(cfg)
@@ -319,8 +318,6 @@ def cmd_figure(cfg: RunConfig, which: int) -> int:
                 "(negative r exist only for the spin-1/2 family)",
                 "each (particle, k) slice sums to 1",
             ])
-    else:
-        raise InputError(f"figure must be 1, 2 or 3, got {which}")
     _emit(cfg, text)
     _fail_on_residuals(failures)
     return 0
@@ -387,19 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--family", help="dirac[-plus|-minus], kg-cos-even, "
-                                        "kg-cos-odd, kg-sin-odd, kg-sin-even")
-        p.add_argument("--n", type=int, help="quantum number n >= 1")
-        p.add_argument("--a", type=float, dest="a_override",
-                       help="coupling parameter override (bypasses laser/plasma)")
-        p.add_argument("--photon-energy-ev", type=float)
-        p.add_argument("--intensity-w-cm2", type=float)
-        p.add_argument("--plasma-energy-ev", type=float)
-        p.add_argument("--particle", choices=("electron", "proton"))
-        p.add_argument("--k-select", help="comma-separated k labels")
-        p.add_argument("--format", choices=("json", "csv"), dest="output_format")
-        p.add_argument("--out", dest="output_path", help="output file path")
-        p.add_argument("--seed", type=int, help=f"sampling seed (default {SAMPLING_SEED})")
+        for row in RUN_INPUTS:          # a flag keeps its text: load_config parses it
+            if row.metadata["flag"]:
+                p.add_argument(row.metadata["flag"], dest=row.name,
+                               help=row.metadata["help"])
 
     for name in ("params", "spectrum", "modes", "verify"):
         add_common(sub.add_parser(name))
@@ -411,29 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    overrides = {
-        "photon_energy_ev": args.photon_energy_ev,
-        "intensity_w_cm2": args.intensity_w_cm2,
-        "plasma_energy_ev": args.plasma_energy_ev,
-        "particle": args.particle,
-        "family": args.family,
-        "n": args.n,
-        "a_override": args.a_override,
-        "k_select": (None if args.k_select is None
-                     else _parse_k_select(args.k_select)),
-        "output_format": args.output_format,
-        "output_path": args.output_path,
-        "seed": args.seed,
-    }
-    return load_config(args.config, overrides)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
+        cfg = load_config(args.config, vars(args))
         if args.command == "params":
             return cmd_params(cfg)
         if args.command == "spectrum":
@@ -445,7 +415,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg, args.all)
         raise InputError(f"unknown command {args.command!r}")
-    except InputError as exc:
+    except (InputError, OSError) as exc:    # OSError: e.g. a missing config file
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except VerificationFailure as exc:
@@ -454,9 +424,6 @@ def main(argv=None) -> int:
     except StructuralError as exc:
         print(f"structural error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:          # e.g. a missing config, --out naming a directory
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

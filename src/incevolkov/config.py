@@ -1,6 +1,11 @@
-"""Run configuration: flat key-value files with dotted sections, strict keys.
+"""Run configuration: one table of run inputs, read from files and flags.
 
-Example file:
+Each `RunConfig` field is one row of the run-input table: its config key,
+its command-line flag (none for `plasma.electron_density_cm3`), the parser
+of its text and its help.  A `key = value` file line and a flag go through
+the same parser, and a parse error names its source (`path:line: key:` or
+`--flag:`).  Integers read as Python literals (`0x1CE` is 462, a leading
+zero is refused).  Example file:
 
     # wave and medium
     laser.photon_energy_ev = 1.563
@@ -19,7 +24,7 @@ warnings.  Exactly one of (laser + plasma inputs) or the direct override
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Optional
 
 from .constants import PARTICLE_MASSES, SAMPLING_SEED
@@ -30,73 +35,64 @@ if TYPE_CHECKING:
     from .families import FamilyKind
 
 
-def _parse_float(v: str) -> float:
-    try:
-        return float(v)
-    except ValueError:
-        raise InputError(f"expected a number, got {v!r}") from None
+def _int(v: str) -> int:
+    return int(v, 0)                    # a Python literal: 0x1CE, no leading 0
 
 
-def _parse_int(v: str) -> int:
-    try:
-        return int(v, 0)
-    except ValueError:
-        raise InputError(f"expected an integer, got {v!r}") from None
+def _k_select(v: str) -> tuple:
+    return tuple(int(tok) for tok in v.split(",") if tok.strip())
 
 
-def _parse_k_select(v: str) -> tuple:
-    try:
-        return tuple(int(tok) for tok in v.split(",") if tok.strip())
-    except ValueError:
-        raise InputError(f"k_select must be comma-separated integers, got {v!r}") from None
+# what each parser reads, for its error message (str reads any text)
+_EXPECTED = {float: "a number", _int: "an integer", _k_select: "comma-separated integers"}
 
 
-# config key -> (RunConfig attribute, parser)
-KNOWN_KEYS = {
-    "laser.photon_energy_ev": ("photon_energy_ev", _parse_float),
-    "laser.intensity_w_cm2": ("intensity_w_cm2", _parse_float),
-    "plasma.energy_ev": ("plasma_energy_ev", _parse_float),
-    "plasma.electron_density_cm3": ("electron_density_cm3", _parse_float),
-    "particle": ("particle", str),
-    "family": ("family", str),
-    "n": ("n", _parse_int),
-    "a": ("a_override", _parse_float),
-    "k_select": ("k_select", _parse_k_select),
-    "output.format": ("output_format", str),
-    "output.path": ("output_path", str),
-    "seed": ("seed", _parse_int),
-}
-_KEY_OF = {attr: key for key, (attr, _) in KNOWN_KEYS.items()}
+def _input(key: str, flag: Optional[str], parse, help: Optional[str] = None, default=None):
+    """A RunConfig field as a row of the run-input table: config key, flag
+    (None: file only), parser of the text, help of the flag, default."""
+    return field(default=default,
+                 metadata={"key": key, "flag": flag, "parse": parse, "help": help})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    photon_energy_ev: Optional[float] = None
-    intensity_w_cm2: Optional[float] = None
-    plasma_energy_ev: Optional[float] = None
-    electron_density_cm3: Optional[float] = None
-    particle: str = "electron"
-    family: Optional[str] = None
-    n: Optional[int] = None
-    a_override: Optional[float] = None
-    k_select: Optional[tuple] = None
-    output_format: str = "json"
-    output_path: Optional[str] = None
-    seed: int = SAMPLING_SEED
+    """The inputs of one run, one field per row of the run-input table."""
+
+    photon_energy_ev: Optional[float] = _input(
+        "laser.photon_energy_ev", "--photon-energy-ev", float, "laser photon energy (eV)")
+    intensity_w_cm2: Optional[float] = _input(
+        "laser.intensity_w_cm2", "--intensity-w-cm2", float, "laser intensity (W/cm^2)")
+    plasma_energy_ev: Optional[float] = _input(
+        "plasma.energy_ev", "--plasma-energy-ev", float, "plasma energy hbar omega_p (eV)")
+    electron_density_cm3: Optional[float] = _input("plasma.electron_density_cm3", None, float)
+    particle: str = _input("particle", "--particle", str,
+                           "electron or proton (default electron)", "electron")
+    family: Optional[str] = _input("family", "--family", str, "dirac[-plus|-minus], "
+                                   "kg-cos-even, kg-cos-odd, kg-sin-odd, kg-sin-even")
+    n: Optional[int] = _input("n", "--n", _int, "quantum number n >= 1")
+    a_override: Optional[float] = _input(
+        "a", "--a", float, "coupling parameter override (bypasses laser/plasma)")
+    k_select: Optional[tuple] = _input("k_select", "--k-select", _k_select,
+                                       "comma-separated k labels")
+    output_format: str = _input("output.format", "--format", str,
+                                "json or csv (default json)", "json")
+    output_path: Optional[str] = _input("output.path", "--out", str, "output file path")
+    seed: int = _input("seed", "--seed", _int,
+                       f"sampling seed (default {SAMPLING_SEED})", SAMPLING_SEED)
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
-                raise InputError(f"{_KEY_OF[f.name]} must be finite, got {value!r}")
+                raise InputError(f"{f.metadata['key']} must be finite, got {value!r}")
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.output_format not in ("json", "csv"):
             raise InputError(
-                f"output format must be json or csv, got {self.output_format!r}")
+                f"output.format must be json or csv, got {self.output_format!r}")
         if self.particle not in PARTICLE_MASSES:
             valid = ", ".join(sorted(PARTICLE_MASSES))
-            raise InputError(f"particle must be one of: {valid}")
+            raise InputError(f"particle must be one of: {valid}, got {self.particle!r}")
 
     @property
     def particle_mass_kg(self) -> float:
@@ -125,8 +121,6 @@ class RunConfig:
                 "both laser/plasma inputs and the override `a` are set; "
                 "exactly one may determine the coupling parameter")
         if self.a_override is not None:
-            if self.a_override < 0:
-                raise InputError("a must be >= 0")
             return self.a_override + 0.0        # -0.0 reads and prints as 0
         wc = self.wave_config()
         return coupling_parameter(wc.laser, wc.plasma)
@@ -142,9 +136,21 @@ class RunConfig:
     def require_n(self) -> int:
         if self.n is None:
             raise InputError("quantum number n is required (e.g. --n 20)")
-        if self.n < 1:
-            raise InputError(f"n must be >= 1, got {self.n}")
         return self.n
+
+
+# the run-input table, one row per RunConfig field
+RUN_INPUTS = fields(RunConfig)
+_INPUT_OF_KEY = {f.metadata["key"]: f for f in RUN_INPUTS}
+
+
+def _parse(row, text: str, source: str):
+    """The value of one table row from its text; an error names `source`."""
+    parse = row.metadata["parse"]
+    try:
+        return parse(text)
+    except ValueError:
+        raise InputError(f"{source}: expected {_EXPECTED[parse]}, got {text!r}") from None
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -158,26 +164,28 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             raise InputError(f"{source}:{lineno}: expected `key = value`, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in KNOWN_KEYS:
+        if key not in _INPUT_OF_KEY:
             raise InputError(f"{source}:{lineno}: unknown key {key!r}")
-        attr, parser = KNOWN_KEYS[key]
-        if attr in values:
+        row = _INPUT_OF_KEY[key]
+        if row.name in values:
             raise InputError(f"{source}:{lineno}: duplicate key {key!r}")
-        values[attr] = parser(val)
+        values[row.name] = _parse(row, val, f"{source}:{lineno}: {key}")
     return values
 
 
-def load_config(path: Optional[str], overrides: dict) -> RunConfig:
-    """File values (if any) merged with flag overrides; flags win."""
+def load_config(path: Optional[str], flags: dict) -> RunConfig:
+    """File values (if any) merged with flag values; flags win.  flags maps
+    RunConfig attributes to their flags' raw text (None: not given)."""
     values = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            values = parse_config_text(fh.read(), source=path)
-    for key, val in overrides.items():
-        if val is not None:
-            values[key] = val
-    valid_attrs = {f.name for f in fields(RunConfig)}
-    unknown = set(values) - valid_attrs
-    if unknown:
-        raise InputError(f"unknown config attributes: {sorted(unknown)}")
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise InputError(f"{path}: not UTF-8 text ({exc})") from None
+        values = parse_config_text(text, source=path)
+    for row in RUN_INPUTS:
+        text = flags.get(row.name)
+        if text is not None:
+            values[row.name] = _parse(row, text, row.metadata["flag"])
     return RunConfig(**values)

@@ -37,6 +37,7 @@ ground truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,21 @@ import numpy as np
 from .errors import InputError
 from .families import FamilyKind, SolutionFamily
 
-__all__ = ["TridiagonalOperator", "build_operator"]
+__all__ = ["MAX_SOLVE_DIM", "TridiagonalOperator", "build_operator"]
+
+# the dense solve holds about 6 dim x dim float64 arrays at its peak (RSS
+# measured at 5.1-5.5 dim^2 doubles for dim 1000-3000); the cap keeps that
+# under 1 GiB
+_SOLVE_MEMORY_BYTES = 2 ** 30
+MAX_SOLVE_DIM = math.isqrt(_SOLVE_MEMORY_BYTES // (6 * 8))      # 4729
+
+
+def refuse_past_solve_limit(n: int, dim: int) -> None:
+    """Refuse dim > MAX_SOLVE_DIM (4729) as a range limit of the dense solver."""
+    if dim > MAX_SOLVE_DIM:
+        raise InputError(
+            f"n = {n} gives dimension {dim}, past the range "
+            f"limit of the dense solver (dim <= {MAX_SOLVE_DIM}, under 1 GiB)")
 
 
 @dataclass(frozen=True)
@@ -95,9 +110,14 @@ def _entries(family: SolutionFamily, a: float, r: np.ndarray):
 
 
 def build_operator(family: SolutionFamily, a: float) -> TridiagonalOperator:
-    """Build the finite operator of `family` at coupling a >= 0."""
+    """Build the finite operator of `family` at coupling a >= 0.
+
+    A dimension past the dense solver's range limit is refused before any
+    array is allocated.
+    """
     if a < 0:
         raise InputError(f"coupling parameter a must be >= 0, got {a}")
+    refuse_past_solve_limit(family.n, family.dim)
     diag, sup, sub = _entries(family, a, family.r_indices)
     return TridiagonalOperator(family=family, a=float(a), diag=diag,
                                super_=sup[:-1], sub=sub[1:])

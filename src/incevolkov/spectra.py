@@ -24,14 +24,13 @@ reported diagnostic (`min_relative_gap`), not a construction invariant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import InputError, StructuralError
-from .operators import TridiagonalOperator
+from .operators import MAX_SOLVE_DIM, TridiagonalOperator, refuse_past_solve_limit
 
 __all__ = [
     "MAX_SOLVE_DIM",
@@ -40,12 +39,6 @@ __all__ = [
     "solve_spectra",
     "solve_spectrum",
 ]
-
-# the dense solve holds about 6 dim x dim float64 arrays at its peak (RSS
-# measured at 5.1-5.5 dim^2 doubles for dim 1000-3000); the cap keeps that
-# under 1 GiB
-_SOLVE_MEMORY_BYTES = 2 ** 30
-MAX_SOLVE_DIM = math.isqrt(_SOLVE_MEMORY_BYTES // (6 * 8))      # 4729
 
 
 @dataclass(frozen=True)
@@ -115,14 +108,24 @@ def symmetrize(T: TridiagonalOperator):
     return T.diag.copy(), off, np.cumprod(np.concatenate(([1.0], ratio)))
 
 
+_TINY = np.finfo(float).tiny        # the smallest normal double
+
+
 def _refuse_bond(T: TridiagonalOperator, i: int):
-    """Raise the error for bond i, whose super*sub is not a positive double."""
-    p = float(T.super_[i]) * float(T.sub[i])
+    """Raise the error for bond i, whose super*sub is not a positive double.
+
+    A product of 0 underflowed when both sides have one sign (a signed
+    zero counts) and either neither side is 0 or the nonzero one is
+    subnormal: at a = 5e-324, 0.5 a rounds to 0 while q a does not.
+    """
+    sup, sub = float(T.super_[i]), float(T.sub[i])
+    p = sup * sub
     if p == np.inf:
         raise InputError(
             f"bond {i}: super*sub overflows at a = {T.a!r}; "
             "the coupling is too large for double precision")
-    if p == 0.0 and np.sign(T.super_[i]) == np.sign(T.sub[i]):
+    if (p == 0.0 and np.signbit(sup) == np.signbit(sub)
+            and (sup != 0.0 and sub != 0.0 or max(abs(sup), abs(sub)) < _TINY)):
         raise InputError(
             f"bond {i}: super*sub underflows at a = {T.a!r}; "
             "the coupling is too small for double precision")
@@ -145,16 +148,14 @@ def solve_spectra(operators) -> list:
 
     Refuses dim > MAX_SOLVE_DIM (4729) as a range limit, before allocating:
     the dense solve of one matrix peaks at about 6 dim^2 doubles, which the
-    cap keeps under 1 GiB.
+    cap keeps under 1 GiB.  `build_operator` refuses such a dimension
+    already; the check here covers operators built by hand.
     """
     dims = {T.dim for T in operators}
     if len(dims) != 1:
         raise InputError("a stacked solve needs operators of one dimension")
     dim = dims.pop()
-    if dim > MAX_SOLVE_DIM:
-        raise InputError(
-            f"n = {operators[0].family.n} gives dimension {dim}, past the range "
-            f"limit of the dense solver (dim <= {MAX_SOLVE_DIM}, under 1 GiB)")
+    refuse_past_solve_limit(operators[0].family.n, dim)
     diag, off, scale = (np.stack(part) for part in zip(*map(symmetrize, operators)))
     matrices = np.zeros((len(operators), dim, dim))
     rows = np.arange(dim)

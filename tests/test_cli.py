@@ -13,6 +13,7 @@ import incevolkov
 import incevolkov.operators as operators
 import incevolkov.verification as verification
 from incevolkov.cli import main
+from incevolkov.families import ALL_KINDS
 from incevolkov.operators import TridiagonalOperator
 
 FIG2_ARGS = ["--photon-energy-ev", "1.563", "--intensity-w-cm2", "1e8",
@@ -396,6 +397,26 @@ class TestNonFiniteInput:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: bond 0: super*sub underflows at a = 1e-200")
 
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    def test_fold_entry_outlives_the_super_entry(self, capsys, command):
+        # at a = 5e-324, 0.5 a rounds to 0 while the fold entry q a stays
+        # subnormal: an underflow, not a wrong recurrence
+        code, out, err = run(capsys, command, "--family", "kg-cos-even",
+                             "--n", "3", "--a", "5e-324")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "error: bond 0: super*sub underflows at a = 5e-324; "
+            "the coupling is too small for double precision"]
+
+    @pytest.mark.parametrize("a", ["5e-324", "1e-323", "1e-320", "1e-300", "1e-170"])
+    def test_tiny_couplings_are_never_structural(self, capsys, a):
+        for kind in ALL_KINDS:
+            for command in ("spectrum", "verify"):
+                code, _, err = run(capsys, command, "--family", kind.value,
+                                   "--n", "3", "--a", a)
+                assert code in (0, 1), (kind, command, err)
+                assert code == 0 or len(err.splitlines()) == 1
+
     def test_sign_flip_still_structural(self, capsys, monkeypatch):
         def sign_flipped(family, a):
             return TridiagonalOperator(family=family, a=a, diag=np.zeros(2),
@@ -408,6 +429,19 @@ class TestNonFiniteInput:
         assert code == 3
         assert out == ""
         assert len(err.splitlines()) == 1
+        assert err.startswith("structural error: bond 0: super*sub = -0.0 <= 0")
+
+    def test_sign_flip_at_subnormal_scale_still_structural(self, capsys, monkeypatch):
+        # a zero side keeps the sign of what underflowed to it
+        def sign_flipped(family, a):
+            return TridiagonalOperator(family=family, a=a, diag=np.zeros(2),
+                                       super_=np.array([-0.0]),
+                                       sub=np.array([5e-324]))
+
+        monkeypatch.setattr(operators, "build_operator", sign_flipped)
+        code, out, err = run(capsys, "spectrum", "--family", "dirac",
+                             "--n", "1", "--a", "1")
+        assert (code, out) == (3, "")
         assert err.startswith("structural error: bond 0: super*sub = -0.0 <= 0")
 
     @pytest.mark.parametrize("intensity,plasma,message", [
@@ -461,6 +495,50 @@ class TestInputLimits:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and "range limit" in err
+
+    @pytest.mark.parametrize("command,family", [("spectrum", "dirac"),
+                                                ("verify", "kg-cos-even")])
+    def test_huge_n_refused_before_allocating(self, capsys, command, family):
+        # the basis window alone would take terabytes
+        code, out, err = run(capsys, command, "--family", family,
+                             "--n", "99999999999", "--a", "1")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: n = 99999999999 gives dimension ")
+        assert "range limit" in err
+
+    def test_config_not_utf8(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff\xfen = 3\n")
+        code, out, err = run(capsys, "spectrum", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {cfg}: not UTF-8 text")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--n", "010"], "error: --n: expected an integer, got '010'"),
+        (["--seed", "010"], "error: --seed: expected an integer, got '010'"),
+        (["--n", "twenty"], "error: --n: expected an integer, got 'twenty'"),
+    ])
+    def test_flag_parse_error_names_the_flag(self, capsys, argv, message):
+        code, out, err = run(capsys, "spectrum", "--family", "dirac", "--a", "1",
+                             "--n", "3", *argv)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [message]
+
+    def test_file_parse_error_names_the_line(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family = dirac\nn = twenty\n")
+        code, out, err = run(capsys, "spectrum", "--config", str(cfg), "--a", "1")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"error: {cfg}:2: n: expected an integer, got 'twenty'"]
+
+    def test_hex_flags_as_in_config(self, capsys):
+        outputs = [run(capsys, "spectrum", "--family", "kg-cos-odd", "--a", "1",
+                       "--n", n, "--seed", seed)
+                   for n, seed in (("3", "462"), ("0x3", "0x1CE"))]
+        assert outputs[0][0] == 0 and outputs[1] == outputs[0]
 
     def test_verify_past_the_old_dense_limit_passes(self, capsys):
         # dim 202: past the dim-200 range limit of the dense check, which

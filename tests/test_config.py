@@ -1,11 +1,15 @@
 """Configuration parsing and merge semantics."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from incevolkov.config import RunConfig, load_config, parse_config_text
+from incevolkov.cli import build_parser
+from incevolkov.config import RUN_INPUTS, RunConfig, load_config, parse_config_text
 from incevolkov.constants import ELECTRON_MASS, PROTON_MASS
 from incevolkov.errors import InputError
-from incevolkov.families import FamilyKind, parse_family_kind
+from incevolkov.families import FamilyKind, SolutionFamily, parse_family_kind
+from incevolkov.operators import build_operator
 
 
 class TestFamilyAliases:
@@ -71,12 +75,117 @@ class TestRunConfig:
             RunConfig().resolve_a()
 
     def test_negative_override(self):
-        with pytest.raises(InputError):
-            RunConfig(a_override=-1.0).resolve_a()
+        # the sign is checked once, where the operator is built
+        a = RunConfig(a_override=-1.0).resolve_a()
+        with pytest.raises(InputError, match="a must be >= 0"):
+            build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 1), a)
 
     def test_flags_win(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text("n = 5\nseed = 1\n")
-        cfg = load_config(str(cfg_file), {"n": 9, "seed": None})
+        cfg = load_config(str(cfg_file), {"n": "9", "seed": None})
         assert cfg.n == 9
         assert cfg.seed == 1
+
+
+FLAG_ROWS = [row for row in RUN_INPUTS if row.metadata["flag"]]
+ROW_IDS = [row.name for row in FLAG_ROWS]
+
+
+def _outcome(read):
+    """(RunConfig, None) or (None, the one-line message of its InputError)."""
+    try:
+        return read(), None
+    except InputError as exc:
+        return None, str(exc)
+
+
+def _both(path, row, text):
+    """The outcomes of `text` given as the row's flag and as its file line."""
+    path.write_text(f"{row.metadata['key']} = {text}\n")
+    args = build_parser().parse_args(["spectrum", f"{row.metadata['flag']}={text}"])
+    return (_outcome(lambda: load_config(args.config, vars(args))),
+            _outcome(lambda: load_config(str(path), {})))
+
+
+# texts a file line can hold: printable ASCII, no surrounding blanks
+_TEXT = st.one_of(
+    st.text(st.sampled_from("0123456789+-_.,xXoObBeEnaifINFj "), max_size=8),
+    st.integers(-10 ** 6, 10 ** 6).flatmap(
+        lambda i: st.sampled_from([str(i), hex(i), oct(i), bin(i), f"{i:_}", f"0{i}"])),
+    st.floats().map(repr),
+    st.sampled_from(["json", "csv", "yaml", "electron", "proton", "muon", "dirac",
+                     "kg-cos-even", "out.csv", "1,,2", "1, 3,5", "1,x", ""]),
+).filter(lambda t: t == t.strip())
+
+
+class TestFlagFileParity:
+    """A flag and its config line go through one parser and one check."""
+
+    def test_one_row_per_input(self):
+        assert [row.metadata["key"] for row in RUN_INPUTS] == [
+            "laser.photon_energy_ev", "laser.intensity_w_cm2", "plasma.energy_ev",
+            "plasma.electron_density_cm3", "particle", "family", "n", "a",
+            "k_select", "output.format", "output.path", "seed"]
+        assert [row.metadata["flag"] for row in FLAG_ROWS] == [
+            "--photon-energy-ev", "--intensity-w-cm2", "--plasma-energy-ev",
+            "--particle", "--family", "--n", "--a", "--k-select", "--format",
+            "--out", "--seed"]
+        # every flag reaches its row's attribute as raw text
+        argv = ["spectrum", *(f"{row.metadata['flag']}=x" for row in FLAG_ROWS)]
+        args = vars(build_parser().parse_args(argv))
+        assert {name for name, value in args.items() if value == "x"} == set(ROW_IDS)
+
+    @pytest.mark.parametrize("row", FLAG_ROWS, ids=ROW_IDS)
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_TEXT)
+    def test_same_config_or_same_error(self, tmp_path, row, text):
+        path = tmp_path / "run.cfg"
+        (flag_cfg, flag_err), (file_cfg, file_err) = _both(path, row, text)
+        assert flag_cfg == file_cfg
+        assert (flag_err is None) == (file_err is None)
+        if flag_err is None:
+            return
+        assert "\n" not in flag_err and "\n" not in file_err
+        flag_source = f"{row.metadata['flag']}: "
+        if flag_err.startswith(flag_source):        # a parse error names its source
+            file_source = f"{path}:1: {row.metadata['key']}: "
+            assert file_err == file_source + flag_err[len(flag_source):]
+        else:                                       # a RunConfig check names the key
+            assert file_err == flag_err
+            assert flag_err.startswith(f"{row.metadata['key']} ")
+
+    @pytest.mark.parametrize("attr,text,value", [
+        ("seed", "0x1CE", 462),
+        ("n", "0x2", 2),
+        ("a_override", "-0", 0.0),
+        ("k_select", "1,,2", (1, 2)),
+        ("k_select", "", ()),
+    ])
+    def test_valid_text(self, tmp_path, attr, text, value):
+        row = next(row for row in FLAG_ROWS if row.name == attr)
+        (flag_cfg, _), (file_cfg, _) = _both(tmp_path / "run.cfg", row, text)
+        assert flag_cfg == file_cfg
+        assert getattr(flag_cfg, attr) == value
+
+    def test_negative_zero_prints_as_zero(self, tmp_path):
+        row = next(row for row in FLAG_ROWS if row.name == "a_override")
+        (flag_cfg, _), (file_cfg, _) = _both(tmp_path / "run.cfg", row, "-0")
+        assert [str(cfg.resolve_a()) for cfg in (flag_cfg, file_cfg)] == ["0.0", "0.0"]
+
+    @pytest.mark.parametrize("attr,text,flag_err,file_err", [
+        ("seed", "010", "--seed: expected an integer, got '010'",
+         "seed: expected an integer, got '010'"),
+        ("n", "twenty", "--n: expected an integer, got 'twenty'",
+         "n: expected an integer, got 'twenty'"),
+        ("k_select", "1,x", "--k-select: expected comma-separated integers, got '1,x'",
+         "k_select: expected comma-separated integers, got '1,x'"),
+        ("a_override", "nan", "a must be finite, got nan", None),
+        ("output_format", "yaml", "output.format must be json or csv, got 'yaml'", None),
+    ])
+    def test_invalid_text(self, tmp_path, attr, text, flag_err, file_err):
+        row = next(row for row in FLAG_ROWS if row.name == attr)
+        path = tmp_path / "run.cfg"
+        (_, got_flag), (_, got_file) = _both(path, row, text)
+        assert got_flag == flag_err
+        assert got_file == (flag_err if file_err is None else f"{path}:1: {file_err}")

@@ -340,15 +340,28 @@ class TestSolveSpectrum:
 
     def test_dimension_cap_checked_first(self, monkeypatch):
         # the first dimension above the cap: refused before symmetrize or
-        # the dense matrix allocate anything of size dim
+        # the dense matrix allocate anything of size dim.  build_operator
+        # refuses it too, so the operator is built by hand.
         def refuse(*args, **kwargs):
             raise AssertionError("solve_spectrum went past its dimension cap")
 
         monkeypatch.setattr(spectra, "symmetrize", refuse)
-        T = build_operator(SolutionFamily(FamilyKind.KG_COS_EVEN, MAX_SOLVE_DIM), 1.0)
-        assert T.dim == MAX_SOLVE_DIM + 1
+        dim = MAX_SOLVE_DIM + 1
+        T = TridiagonalOperator(
+            family=SolutionFamily(FamilyKind.KG_COS_EVEN, MAX_SOLVE_DIM), a=1.0,
+            diag=np.zeros(dim), super_=np.ones(dim - 1), sub=np.ones(dim - 1))
         with pytest.raises(InputError, match="range limit"):
             solve_spectrum(T)
+
+    def test_build_operator_refuses_past_the_cap(self, monkeypatch):
+        # refused before the basis window (dim integers) is allocated
+        def allocate(self):
+            raise AssertionError("build_operator went past the dimension cap")
+
+        monkeypatch.setattr(SolutionFamily, "r_indices", property(allocate))
+        family = SolutionFamily(FamilyKind.KG_COS_EVEN, MAX_SOLVE_DIM)
+        with pytest.raises(InputError, match="range limit"):
+            build_operator(family, 1.0)
 
 
 class TestSolveSpectra:

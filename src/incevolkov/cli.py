@@ -35,6 +35,24 @@ FIGURE_DEFAULT_A = 14.0
 FIGURE1_POINTS = 513
 MODES_POINTS = 257
 
+# The flagged run inputs (RunConfig fields) that each command reads, keyed
+# by the words that name it.  A command offers the flags of these rows and
+# refuses any other, so no flag is ignored; a config file may set every
+# key, since one file serves several commands.
+_LASER_PLASMA = ("photon_energy_ev", "intensity_w_cm2", "plasma_energy_ev")
+_COUPLING = (*_LASER_PLASMA, "a_override")
+_OUTPUT = ("output_format", "output_path")
+READS = {
+    "params": (*_LASER_PLASMA, "particle", *_OUTPUT),
+    "spectrum": ("family", "n", *_COUPLING, "seed", *_OUTPUT),
+    "modes": ("family", "n", *_COUPLING, "k_select", "seed", *_OUTPUT),
+    "figure 1": ("output_path",),
+    "figure 2": ("n", *_COUPLING, "seed", "output_path"),
+    "figure 3": ("n", *_COUPLING, "seed", "output_path"),
+    "verify": ("family", "n", *_COUPLING, "seed", "output_path"),
+    "verify --all": (*_COUPLING, "seed", "output_path"),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse that raises InputError instead of exiting with code 2."""
@@ -249,10 +267,7 @@ def _figure_spectra(cfg: RunConfig):
     from .families import FamilyKind, SolutionFamily
 
     n = cfg.n if cfg.n is not None else FIGURE_DEFAULT_N
-    if cfg.a_override is None and not cfg.has_laser_plasma:
-        a = FIGURE_DEFAULT_A
-    else:
-        a = cfg.resolve_a()
+    a = cfg.resolve_a() if cfg.coupling_given else FIGURE_DEFAULT_A
     solved, failures = [], []
     for label, kind in (("dirac", FamilyKind.DIRAC_PLUS), ("kg", FamilyKind.KG_COS_EVEN)):
         dec, passed = _solve_checked(SolutionFamily(kind, n), a, cfg.seed)
@@ -346,7 +361,7 @@ def cmd_verify(cfg: RunConfig, run_all: bool) -> int:
     from . import verification
 
     if run_all:
-        a_values = ((cfg.resolve_a(),) if cfg.a_override is not None
+        a_values = ((cfg.resolve_a(),) if cfg.coupling_given
                     else verification.DEFAULT_GRID_A_VALUES)
         report = verification.run_grid(a_values=a_values, seed=cfg.seed)
     else:
@@ -382,27 +397,41 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    for name in ("params", "spectrum", "modes", "verify", "figure"):
+        p = sub.add_parser(name)
+        if name == "figure":
+            p.add_argument("which", type=int, choices=(1, 2, 3))
         p.add_argument("--config", help="key = value config file")
+        read = {row for key, rows in READS.items() if key.split()[0] == name
+                for row in rows}
         for row in RUN_INPUTS:          # a flag keeps its text: load_config parses it
-            if row.metadata["flag"]:
+            if row.metadata["flag"] and row.name in read:
                 p.add_argument(row.metadata["flag"], dest=row.name,
                                help=row.metadata["help"])
-
-    for name in ("params", "spectrum", "modes", "verify"):
-        add_common(sub.add_parser(name))
-    fig = sub.add_parser("figure")
-    fig.add_argument("which", type=int, choices=(1, 2, 3))
-    add_common(fig)
     sub.choices["verify"].add_argument("--all", action="store_true",
                                        help="run the full verification grid")
     return parser
+
+
+def _refuse_unread_flags(args) -> None:
+    """Refuse a flag that the parsed command offers but does not read."""
+    command = args.command
+    if command == "figure":
+        command += f" {args.which}"
+    elif command == "verify" and args.all:
+        command += " --all"
+    unread = [row.metadata["flag"] for row in RUN_INPUTS
+              if getattr(args, row.name, None) is not None
+              and row.name not in READS[command]]
+    if unread:
+        raise InputError(f"{command} does not read {', '.join(unread)}")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _refuse_unread_flags(args)
         cfg = load_config(args.config, vars(args))
         if args.command == "params":
             return cmd_params(cfg)

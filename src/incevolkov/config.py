@@ -17,8 +17,9 @@ zero is refused).  Example file:
     seed = 462
 
 Command-line flags override file values.  Unknown keys are errors, never
-warnings.  Exactly one of (laser + plasma inputs) or the direct override
-`a` may determine the coupling parameter.
+warnings.  A coupling is asked for when `a` or any of the three laser and
+plasma inputs is set, and then exactly one of (laser + plasma inputs) or
+the direct override `a` must determine it.
 """
 
 from __future__ import annotations
@@ -99,13 +100,19 @@ class RunConfig:
         return PARTICLE_MASSES[self.particle]
 
     @property
-    def has_laser_plasma(self) -> bool:
-        return (self.photon_energy_ev is not None
-                and self.intensity_w_cm2 is not None
-                and self.plasma_energy_ev is not None)
+    def _laser_plasma_set(self) -> int:
+        """How many of the three laser and plasma inputs are set."""
+        return sum(v is not None for v in (
+            self.photon_energy_ev, self.intensity_w_cm2, self.plasma_energy_ev))
+
+    @property
+    def coupling_given(self) -> bool:
+        """Whether a coupling is asked for: `a` or any laser/plasma input is
+        set.  Then `resolve_a` runs, which refuses a partial set and two sources."""
+        return self.a_override is not None or self._laser_plasma_set > 0
 
     def wave_config(self) -> WaveConfig:
-        if not self.has_laser_plasma:
+        if self._laser_plasma_set < 3:
             raise InputError(
                 "laser.photon_energy_ev, laser.intensity_w_cm2 and "
                 "plasma.energy_ev are all required here")
@@ -116,7 +123,7 @@ class RunConfig:
 
     def resolve_a(self) -> float:
         """The coupling parameter, from exactly one source."""
-        if self.a_override is not None and self.has_laser_plasma:
+        if self.a_override is not None and self._laser_plasma_set:
             raise InputError(
                 "both laser/plasma inputs and the override `a` are set; "
                 "exactly one may determine the coupling parameter")

@@ -254,9 +254,6 @@ class DeBroglieMomentum:
     py: float
     pz: float
     eta: float
-    q: int
-    n: int
-    k_index: int
     kappa_star_sq: float
 
     @property

@@ -33,9 +33,11 @@ The solve and the Sturm check take a sequence of equal-dimension
 operators and run over the whole stack at once, and the spacetime check
 takes a sequence of points of one step and one basis dtype; each operator
 and point gets the bits it gets alone.  `run_grid` groups its points by
-dimension for them (one solve and one Sturm pass per group, one spacetime
-batch per group, basis dtype and step), and `run_point` is the same path
-with a group of one.
+dimension for them: per group, one solve gives one (B, dim) etas array,
+which the ODE, Sturm and spacetime checks all judge; one Sturm pass
+stacks the diagonals and bond products once and returns each operator's
+radius with its gate; one spacetime batch runs per basis dtype and step.
+`run_point` is the same path with a group of one.
 
 Sign conventions verified by the PDE check (electron, charge coupling
 eps_c * A0 = -a/4 in the dimensionless units hbar = c = 1, k_p = 1):
@@ -73,7 +75,7 @@ __all__ = [
 
 DENSE_IMAG_TOL = 1e-10
 DENSE_MAX_DIM = 200            # range limit of the dense reference
-ORACLE_AGREEMENT_TOL = 1e-9     # floor of the Sturm gate (`_agreement_gates`)
+ORACLE_AGREEMENT_TOL = 1e-9     # floor of the Sturm gate (`sturm_crosscheck`)
 _AGREEMENT_ULPS = 16
 # shifts per Sturm counting slice: 128 KiB per float64 temporary
 _COUNT_SLICE = 2 ** 14
@@ -82,6 +84,7 @@ _COUNT_SLICE = 2 ** 14
 # agreement gate
 _CERTIFY_ULPS = (1, 2, 4, 8)
 PDE_ORDER_BAND = (1.8, 2.2)
+PDE_POINTS = 64                 # seeded (t, x, y) points of a spacetime stencil
 DEFAULT_GRID_A_VALUES = (0.0, 0.5, 1.0, 5.0, 14.0, 20.0)
 DEFAULT_GRID_N_MAX = 25
 DEFAULT_GRID_N_M = 0.7685453911282961   # refractive index of the spacetime check
@@ -229,62 +232,45 @@ def _first_enclosing(d, b, etas, radii):
     return np.where(enclosed.any(axis=1), radii[np.arange(batch), first], np.inf)
 
 
-def _equal_dim_etas(operators, etas) -> np.ndarray:
-    """The (B, dim) eigenvalues to judge: etas, or the solver's."""
-    if len({T.dim for T in operators}) != 1:
-        raise InputError("batched cross-checks need operators of one dimension")
-    if etas is None:
-        etas = [dec.etas for dec in solve_spectra(operators)]
-    return np.asarray(etas, dtype=float)
+def sturm_crosscheck(operators, etas):
+    """Per operator, (radius, gate): Sturm counts enclose each eigenvalue within radius of its eta.
 
+    The operators share one dimension, and etas, shape (B, dim), are the
+    eigenvalues to judge.  Diagonals and bond products super * sub are
+    stacked once (a bond that cannot be symmetrized raises `symmetrize`'s
+    error), and both the radius and the gate come from that stack.
 
-def sturm_crosscheck(operators, etas=None) -> np.ndarray:
-    """Per operator, a radius within which Sturm counts enclose every eigenvalue of its etas.
+    An operator of dim 1 reports |entry - eta|, exactly, since its
+    eigenvalue is its entry.  Every other operator reports
+    `certified_radii`: at most 8 eps B for etas within the solver's share
+    of the gate, and otherwise between max |eigenvalue - eta| and twice
+    that (inf for a non-finite eta).
 
-    The operators share one dimension; etas default to the solver's.
-    Diagonals and bond products super * sub are stacked once (a bond that
-    cannot be symmetrized raises `symmetrize`'s error).  An operator of
-    dim 1 reports |entry - eta|, exactly, since its eigenvalue is its
-    entry.  Every other operator reports `certified_radii`: at most
-    8 eps B for etas within the solver's share of the gate,
-    and otherwise between max |eigenvalue - eta| and twice that (inf for a
-    non-finite eta).
+    The gate is max(ORACLE_AGREEMENT_TOL, 16 eps B), with B = max|Gershgorin
+    bound| of the symmetrized matrix S, its infinity norm, so B >= ||S||_2.
+    By Weyl's theorem a symmetric perturbation E moves no eigenvalue by
+    more than ||E||_2.  The primary solver is backward stable, so its etas
+    are exact for some S + E with ||E||_2 a small multiple of eps ||S||_2
+    (8 eps B is allowed), and the certificate's widest first-pass radius
+    is 8 eps B: c = 8 + 8 = 16.  An eta off by e past 8 eps B reports a
+    radius between e and 2e, so one off by more than half the gate can
+    fail.  The tests judge the dense reference's polished values by the
+    same gate.  On the shipped grid eps B is at most 5.9e-13 (kg-cos-even
+    n = 25, a = 20), so the gate is the 1e-9 floor there; it grows with
+    the eigenvalues only far past the grid (2.1e136 at dirac-plus n = 3,
+    a = 1e150).
     """
-    etas = _equal_dim_etas(operators, etas)
     d = np.stack([T.diag for T in operators])
     with np.errstate(over="ignore"):
         b = np.stack([T.super_ * T.sub for T in operators])
     for row in np.flatnonzero(~((b > 0.0) & (b < np.inf)).all(axis=1)):
         symmetrize(operators[row])      # passes zero bonds, raises on bad ones
+    lo, hi = gershgorin_bounds(d, np.sqrt(b))
+    gates = np.maximum(ORACLE_AGREEMENT_TOL, _AGREEMENT_ULPS * np.finfo(float).eps
+                       * np.maximum(np.abs(lo), np.abs(hi)))
     if d.shape[1] == 1:
-        return np.abs(d[:, 0] - etas[:, 0])
-    return certified_radii(d, b, etas)
-
-
-def _agreement_gates(operators) -> np.ndarray:
-    """Per operator, the gate of its Sturm radius.
-
-    max(ORACLE_AGREEMENT_TOL, 16 eps B), with B = max|Gershgorin bound| of
-    the symmetrized matrix S, its infinity norm, so B >= ||S||_2.  By Weyl's
-    theorem a symmetric perturbation E moves no eigenvalue by more than
-    ||E||_2.  The primary solver is backward stable, so its etas are exact
-    for some S + E with ||E||_2 a small multiple of eps ||S||_2 (8 eps B is
-    allowed).  The Sturm check certifies such etas within 8 eps B, the
-    widest first-pass radius of `certified_radii`, so c = 8 + 8 =
-    16: the certificate's widest first-pass radius plus the primary
-    solver's share.  An eta off by e past 8 eps B reports a Sturm radius
-    between e and 2e, so one off by more than half the gate can fail.  The
-    tests judge the dense reference's polished values by the same gate.  On
-    the shipped grid eps B is at most 5.9e-13 (kg-cos-even n = 25,
-    a = 20), so the gate is the 1e-9 floor there; it grows with the
-    eigenvalues only far past the grid (2.1e136 at dirac-plus n = 3,
-    a = 1e150).
-    """
-    d = np.stack([T.diag for T in operators])
-    e = np.sqrt(np.stack([T.super_ * T.sub for T in operators]))
-    lo, hi = gershgorin_bounds(d, e)
-    return np.maximum(ORACLE_AGREEMENT_TOL, _AGREEMENT_ULPS * np.finfo(float).eps
-                      * np.maximum(np.abs(lo), np.abs(hi)))
+        return np.abs(d[:, 0] - etas[:, 0]), gates
+    return certified_radii(d, b, etas), gates
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +315,11 @@ def _describe(T: TridiagonalOperator) -> str:
     return f"{T.family.kind.value} n={T.family.n} a={format_number(T.a)}"
 
 
-def dense_oracle_crosscheck(operators, etas=None) -> np.ndarray:
+def dense_oracle_crosscheck(operators, etas) -> np.ndarray:
     """Per operator, max |sorted dense eigenvalues - etas|; raises on a complex spectrum.
 
     operators is a sequence of equal-dimension operators and etas the
-    matching sequence of eigenvalue arrays (default: the solver's).
+    matching sequence of eigenvalue arrays.
     The dense path (general nonsymmetric eigensolver on each embedded
     matrix, plus a characteristic-polynomial Newton polish run over the
     whole stack) shares nothing with the symmetrize-then-tridiagonal route.
@@ -346,7 +332,8 @@ def dense_oracle_crosscheck(operators, etas=None) -> np.ndarray:
         raise InputError(
             f"{family.kind.value} n = {family.n} gives dimension {dim}, past "
             f"the range limit of the dense cross-check (dim <= {DENSE_MAX_DIM})")
-    etas = _equal_dim_etas(operators, etas)
+    if len({T.dim for T in operators}) != 1:
+        raise InputError("the dense cross-check needs operators of one dimension")
     w = np.linalg.eigvals(np.stack([T.to_dense() for T in operators]))
     for T, max_imag in zip(operators, np.max(np.abs(w.imag), axis=1)):
         if max_imag > DENSE_IMAG_TOL:
@@ -364,8 +351,8 @@ def dense_oracle_crosscheck(operators, etas=None) -> np.ndarray:
 # momentum construction for the spacetime check
 # ---------------------------------------------------------------------------
 
-def momentum_for_mode(family: SolutionFamily, eta: float, n_m: float,
-                      k_index: int = 0) -> DeBroglieMomentum:
+def momentum_for_mode(family: SolutionFamily, eta: float,
+                      n_m: float) -> DeBroglieMomentum:
     """Real on-shell four-momentum for a mode with eta >= 0.
 
     Takes py = pz = 0, so k.p = k0 p0 fixes p0 = lam * sqrt(eta)/2, and the
@@ -383,9 +370,8 @@ def momentum_for_mode(family: SolutionFamily, eta: float, n_m: float,
     lam = math.sqrt(1.0 - n_m * n_m)
     p0 = lam * math.sqrt(eta) / 2.0
     px = family.px_over_kp
-    return DeBroglieMomentum(
-        p0=p0, px=px, py=0.0, pz=0.0, eta=eta, q=family.q, n=family.n,
-        k_index=k_index, kappa_star_sq=p0 * p0 - px * px)
+    return DeBroglieMomentum(p0=p0, px=px, py=0.0, pz=0.0, eta=eta,
+                             kappa_star_sq=p0 * p0 - px * px)
 
 
 # ---------------------------------------------------------------------------
@@ -394,16 +380,9 @@ def momentum_for_mode(family: SolutionFamily, eta: float, n_m: float,
 
 @dataclass(frozen=True)
 class PdeResidualReport:
-    family: SolutionFamily
-    a: float
-    eta: float
-    k_index: int
-    h: float
     max_residual: float          # at step h
     max_residual_half: float     # at step h/2
     observed_order: float
-    n_points: int
-    seed: int
 
     @property
     def converged_second_order(self) -> bool:
@@ -417,8 +396,8 @@ class PdeStencil:
 
     The seeded points (t, x, y) in one wave period and, at the points and
     at each of their t and y shifts by +-h and +-h/2, the family's basis at
-    z = xi/2 and cos xi: `basis` has shape (9, n_points, dim) and `cos`
-    (9, n_points).  Row 0 holds the unshifted points, rows 1-4 the shifts
+    z = xi/2 and cos xi: `basis` has shape (9, PDE_POINTS, dim) and `cos`
+    (9, PDE_POINTS).  Row 0 holds the unshifted points, rows 1-4 the shifts
     t + h, t - h, y + h, y - h and rows 5-8 the same at h/2.  One stencil
     serves every coupling and mode of its family at this refractive index,
     step and seed.
@@ -426,8 +405,6 @@ class PdeStencil:
 
     family: SolutionFamily
     h: float
-    n_points: int
-    seed: int
     kvec: np.ndarray             # (t, x, y) components of k, k^2 = 1
     t: np.ndarray
     x: np.ndarray
@@ -438,7 +415,7 @@ class PdeStencil:
 
 
 def pde_stencil(family: SolutionFamily, n_m: float, h: float = 1e-3,
-                n_points: int = 64, seed: int = SAMPLING_SEED) -> PdeStencil:
+                seed: int = SAMPLING_SEED) -> PdeStencil:
     """Points and modulation bases of the spacetime check at steps h and h/2.
 
     The basis at all 9 shifted point sets comes from one `family.basis` call.
@@ -450,7 +427,7 @@ def pde_stencil(family: SolutionFamily, n_m: float, h: float = 1e-3,
     lam = math.sqrt(1.0 - n_m * n_m)
     k0 = 1.0 / lam                       # k^2 = k0^2 (1 - n_m^2) = 1
     kvec = np.array([k0, 0.0, k0 * n_m])
-    pts = seeded_angles(seed, 3 * n_points).reshape(n_points, 3)
+    pts = seeded_angles(seed, 3 * PDE_POINTS).reshape(PDE_POINTS, 3)
     t, x, y = pts[:, 0], pts[:, 1], pts[:, 2]
     # Psi = modulation(xi) * phase(t, x, y) with xi = k.x; an x step leaves
     # xi alone, so only the t and y shifts need their own rows
@@ -459,9 +436,9 @@ def pde_stencil(family: SolutionFamily, n_m: float, h: float = 1e-3,
         ts += [t + step, t - step, t, t]
         ys += [y, y, y + step, y - step]
     xi = kvec[0] * np.stack(ts) - kvec[2] * np.stack(ys)
-    return PdeStencil(family=family, h=h, n_points=n_points, seed=seed,
-                      kvec=kvec, t=t, x=x, y=y, sin_xi=np.sin(xi[0]),
-                      basis=family.basis(xi / 2.0)[0], cos=np.cos(xi))
+    return PdeStencil(family=family, h=h, kvec=kvec, t=t, x=x, y=y,
+                      sin_xi=np.sin(xi[0]), basis=family.basis(xi / 2.0)[0],
+                      cos=np.cos(xi))
 
 
 def _ptilde(stencil: PdeStencil, c: np.ndarray, momentum: DeBroglieMomentum,
@@ -504,21 +481,21 @@ def pde_residual_fd(stencils, coefficients, momenta, couplings) -> list:
 
     The points run as one batch: one stacked matrix-vector product per
     point gives its 9 modulations, and the residual arithmetic runs on
-    (points, n_points) arrays with per-point coefficients, elementwise, so
-    every point gets the bits it gets alone.  That needs one step h, one
-    n_points and one result dtype of basis and coefficients per call (a
-    real modulation stacked with complex ones would be cast); anything else
-    is an InputError.
+    (points, PDE_POINTS) arrays with per-point coefficients, elementwise, so
+    every point gets the bits it gets alone.  That needs one step h and one
+    result dtype of basis and coefficients per call (a real modulation
+    stacked with complex ones would be cast); anything else is an
+    InputError.
     """
     stencils = list(stencils)
     cs = [np.asarray(c) for c in coefficients]
     momenta, couplings = list(momenta), list(couplings)
     if not stencils:
         return []
-    if (len({(st.h, st.n_points) for st in stencils}) != 1
+    if (len({st.h for st in stencils}) != 1
             or len({np.result_type(st.basis, c) for st, c in zip(stencils, cs)}) != 1):
-        raise InputError("a spacetime batch needs one step, one point count and "
-                         "one result dtype of basis and coefficients")
+        raise InputError("a spacetime batch needs one step and one result dtype "
+                         "of basis and coefficients")
     ptil = np.array([_ptilde(st, c, mom, a)
                      for st, c, mom, a in zip(stencils, cs, momenta, couplings,
                                               strict=True)])
@@ -572,11 +549,9 @@ def pde_residual_fd(stencils, coefficients, momenta, couplings) -> list:
         r_h = max_residual(h, 1)                # rows 1-4: shifts by h
         r_half = max_residual(h / 2.0, 5)       # rows 5-8: shifts by h/2
     return [PdeResidualReport(
-                family=st.family, a=a, eta=mom.eta, k_index=mom.k_index, h=h,
                 max_residual=rh, max_residual_half=rhalf,
-                observed_order=math.log2(rh / rhalf) if rhalf > 0 else math.inf,
-                n_points=st.n_points, seed=st.seed)
-            for st, mom, a, rh, rhalf in zip(stencils, momenta, couplings, r_h, r_half)]
+                observed_order=math.log2(rh / rhalf) if rhalf > 0 else math.inf)
+            for rh, rhalf in zip(r_h, r_half)]
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +635,7 @@ def _pde_checks(families, points, etas, vectors, seed: int) -> list:
                           ["all modes evanescent (eta < 0): spacetime check not applicable"])
             continue
         top = int(propagating[-1])
-        mom = momentum_for_mode(fam, float(point_etas[top]), DEFAULT_GRID_N_M,
-                                k_index=top + 1)
+        mom = momentum_for_mode(fam, float(point_etas[top]), DEFAULT_GRID_N_M)
         pde_h = 5e-3 if a <= 25.0 else 1e-2
         if (fam, pde_h) not in stencils:
             stencils[fam, pde_h] = pde_stencil(fam, DEFAULT_GRID_N_M, pde_h, seed=seed)
@@ -679,24 +653,22 @@ def _pde_checks(families, points, etas, vectors, seed: int) -> list:
 def _check_group(points, seed: int, eta_shift: float = 0.0) -> list:
     """PointReports of (kind, n, a) points whose operators share one dimension.
 
-    The points' operators are solved in one stacked solve and each point
-    is judged by its ODE residual; the Sturm check then runs once over the
-    whole group, and the spacetime check once per basis dtype and step
-    (`_pde_checks`).  A family's bases do not depend on a: its ODE samples
-    are built once and its PDE stencils once per step, and both are
-    dropped with the group.
+    The points' operators are solved in one stacked solve, whose (B, dim)
+    etas (plus eta_shift) are the ones every check judges: each point's
+    ODE residual, one Sturm pass over the whole group, and the spacetime
+    check once per basis dtype and step (`_pde_checks`).  A family's bases
+    do not depend on a: its ODE samples are built once and its PDE
+    stencils once per step, and both are dropped with the group.
     """
     families = [SolutionFamily(kind, n) for kind, n, _ in points]
     ops = [build_operator(fam, a) for fam, (_, _, a) in zip(families, points)]
     decs = solve_spectra(ops)
-    shifted = [dec.etas + eta_shift for dec in decs]
+    etas = np.stack([dec.etas for dec in decs]) + eta_shift
     samples = {fam: _ode_samples(fam, seed) for fam in dict.fromkeys(families)}
-    odes = [_batch_residual_maxima(samples[fam], a, etas, dec.vectors)
-            for fam, (_, _, a), etas, dec in zip(families, points, shifted, decs)]
-    sturm = sturm_crosscheck(ops, shifted)
-    gates = _agreement_gates(ops)
-
-    pdes = _pde_checks(families, points, shifted, [dec.vectors for dec in decs], seed)
+    odes = [_batch_residual_maxima(samples[fam], a, point_etas, dec.vectors)
+            for fam, (_, _, a), point_etas, dec in zip(families, points, etas, decs)]
+    sturm, gates = sturm_crosscheck(ops, etas)
+    pdes = _pde_checks(families, points, etas, [dec.vectors for dec in decs], seed)
 
     reports = []
     for fam, (kind, n, a), dec, (maxima, scales, passed), sturm_disc, gate, \
@@ -727,8 +699,7 @@ def run_point(kind: FamilyKind, n: int, a: float, seed: int = SAMPLING_SEED,
     return _check_group([(kind, n, a)], seed, eta_shift)[0]
 
 
-def run_grid(kinds=ALL_KINDS, n_max: int = DEFAULT_GRID_N_MAX,
-             a_values=DEFAULT_GRID_A_VALUES,
+def run_grid(n_max: int = DEFAULT_GRID_N_MAX, a_values=DEFAULT_GRID_A_VALUES,
              seed: int = SAMPLING_SEED) -> VerificationReport:
     """Run every check over the shipped grid, deterministically ordered.
 
@@ -736,7 +707,7 @@ def run_grid(kinds=ALL_KINDS, n_max: int = DEFAULT_GRID_N_MAX,
     solve and the Sturm check run once per group; a group's arrays are
     dropped before the next.  The reports keep the grid order.
     """
-    points = [(kind, n, float(a)) for kind in sorted(kinds, key=lambda k: k.value)
+    points = [(kind, n, float(a)) for kind in sorted(ALL_KINDS, key=lambda k: k.value)
               for n in range(1, n_max + 1) for a in a_values]
     groups = {}
     for index, (kind, n, _) in enumerate(points):

@@ -23,7 +23,7 @@ from incevolkov.operators import build_operator
 from incevolkov.physparams import (LaserInput, PlasmaInput, WaveConfig,
                                    intensity_parameter)
 from incevolkov.residual import attach_residuals
-from incevolkov.spectra import solve_spectrum
+from incevolkov.spectra import solve_spectra, solve_spectrum
 from incevolkov.verification import (dense_oracle_crosscheck, momentum_for_mode,
                                      pde_residual_fd, pde_stencil, run_grid)
 from reference import (build_majorana_gammas, coupling_to_mu0_ratio, dispersion,
@@ -122,7 +122,8 @@ def test_criterion_04_oracle_agreement(grid_report):
             for a in GRID_A_VALUES:
                 T = build_operator(SolutionFamily(kind, n), a)
                 groups.setdefault(T.dim, []).append(T)
-    max_dense = max(float(np.max(dense_oracle_crosscheck(ops)))
+    max_dense = max(float(np.max(dense_oracle_crosscheck(
+                        ops, [dec.etas for dec in solve_spectra(ops)])))
                     for ops in groups.values())
     max_sturm = max(p.sturm_discrepancy for p in grid_report.points)
     ok = max_dense < 1e-9 and max_sturm < 1e-9
@@ -200,7 +201,7 @@ def test_criterion_09_pde_end_to_end():
         fam = SolutionFamily(kind, 2)
         dec = solve_spectrum(build_operator(fam, 5.0))
         eta = float(dec.etas[-1])
-        mom = momentum_for_mode(fam, eta, N_M_REF, k_index=dec.dim)
+        mom = momentum_for_mode(fam, eta, N_M_REF)
         [rep] = pde_residual_fd([pde_stencil(fam, N_M_REF)], [dec.vectors[:, -1]],
                                 [mom], [5.0])
         orders[kind.value] = rep.observed_order

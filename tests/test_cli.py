@@ -234,8 +234,8 @@ class TestVerify:
         assert payload["points"][0]["pde"]["passed"] is True
 
     def test_free_grid_with_notes(self, capsys):
-        code, out, _ = run(capsys, "verify", "--all", "--a", "0", "--n", "3")
-        # --all ignores n and runs the grid at the overridden coupling
+        code, out, _ = run(capsys, "verify", "--all", "--a", "0")
+        # --all runs the grid at the overridden coupling
         assert code == 0
         payload = json.loads(out)
         assert all("squared basis frequencies" in p["note"]
@@ -289,11 +289,10 @@ class TestVerify:
         assert json.loads(out)["points"][0]["passed"]
         assert err.splitlines() == ["verify: all 1 grid points passed"]
 
-    @pytest.mark.parametrize("grid", [[], ["--all"]])
+    @pytest.mark.parametrize("grid", [["--family", "dirac", "--n", "2"], ["--all"]])
     def test_two_coupling_sources_rejected(self, capsys, grid):
         # --all takes its coupling from the same single source as one point
-        code, out, err = run(capsys, "verify", *grid, "--family", "dirac",
-                             "--n", "2", "--a", "5", *FIG2_ARGS)
+        code, out, err = run(capsys, "verify", *grid, "--a", "5", *FIG2_ARGS)
         assert (code, out) == (1, "")
         assert err.splitlines() == [
             "error: both laser/plasma inputs and the override `a` are set; "
@@ -674,6 +673,77 @@ def test_cli_import_leaves_out_scipy_special():
     assert proc.stdout.strip() == "[]"
 
 
+class TestCouplingRule:
+    """A coupling is asked for when `a` or any laser/plasma input is set."""
+
+    PARTIAL = "error: laser.photon_energy_ev, laser.intensity_w_cm2 and " \
+              "plasma.energy_ev are all required here"
+
+    def test_laser_plasma_inputs_set_the_grid_coupling(self, capsys):
+        code, out, err = run(capsys, "verify", "--all", *FIG2_ARGS)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["summary"]["points"] == 150
+        assert {p["a"] for p in payload["points"]} == {13.861740521205018}
+        assert err.splitlines() == ["verify: all 150 grid points passed"]
+
+    @pytest.mark.parametrize("which", ["2", "3"])
+    def test_laser_plasma_inputs_set_the_figure_coupling(self, capsys, which):
+        code, out, _ = run(capsys, "figure", which, "--n", "3", *FIG2_ARGS)
+        assert code == 0
+        assert "a = 13.861740521205018" in out.splitlines()[0]
+
+    @pytest.mark.parametrize("command", [["verify", "--all"], ["figure", "2"],
+                                         ["figure", "3"]])
+    @pytest.mark.parametrize("partial", [FIG2_ARGS[4:], FIG2_ARGS[:2], FIG2_ARGS[:4]])
+    def test_partial_laser_plasma_set_refused(self, capsys, command, partial):
+        code, out, err = run(capsys, *command, *partial)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [self.PARTIAL]
+
+    def test_override_beside_a_partial_set_refused(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--family", "dirac", "--n", "3",
+                             "--a", "14", *FIG2_ARGS[4:])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "error: both laser/plasma inputs and the override `a` are set; "
+            "exactly one may determine the coupling parameter"]
+
+
+class TestUnreadFlags:
+    """A command refuses a flag it does not read; a config key it accepts."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["figure", "1", "--a", "50", "--family", "weyl", "--n", "7"],
+         "unrecognized arguments: --family weyl"),
+        (["figure", "1", "--a", "50"], "figure 1 does not read --a"),
+        (["figure", "1", "--n", "3", "--seed", "1", *FIG2_ARGS],
+         "figure 1 does not read --photon-energy-ev, --intensity-w-cm2, "
+         "--plasma-energy-ev, --n, --seed"),
+        (["figure", "1", "--format", "json"], "unrecognized arguments: --format json"),
+        (["params", "--family", "weyl", "--n", "-3"],
+         "unrecognized arguments: --family weyl --n -3"),
+        (["verify", "--family", "dirac", "--n", "3", "--a", "14", "--format", "csv"],
+         "unrecognized arguments: --format csv"),
+        (["spectrum", "--family", "dirac", "--n", "3", "--a", "14", "--k-select", "9",
+          "--particle", "proton"], "unrecognized arguments: --k-select 9 --particle proton"),
+        (["verify", "--all", "--family", "weyl", "--n", "-3"],
+         "verify --all does not read --family, --n"),
+    ])
+    def test_refused_with_one_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: {message}"]
+
+    def test_config_keys_stay_accepted(self, capsys, tmp_path):
+        # one file serves several commands: figure 1 reads none of these keys
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family = weyl\nn = 7\na = 50\nk_select = 9\n"
+                       "particle = proton\noutput.format = json\nseed = 1\n")
+        assert run(capsys, "figure", "1", "--config", str(cfg)) == \
+            run(capsys, "figure", "1")
+
+
 class TestConfigHandling:
     CONFIG = """\
 # reference wave
@@ -736,7 +806,7 @@ seed = 7
         ["spectrum", "--family", "dirac", "--n", "2"],
         ["modes", "--family", "dirac", "--n", "2"],
         ["verify", "--family", "dirac", "--n", "2"],
-        ["verify", "--all", "--n", "2"],
+        ["verify", "--all"],
     ])
     def test_negative_zero_coupling_prints_as_zero(self, capsys, tmp_path, argv):
         cfg = tmp_path / "run.cfg"

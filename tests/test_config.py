@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from incevolkov.cli import build_parser
+from incevolkov.cli import READS, build_parser
 from incevolkov.config import RUN_INPUTS, RunConfig, load_config, parse_config_text
 from incevolkov.constants import ELECTRON_MASS, PROTON_MASS
 from incevolkov.errors import InputError
@@ -103,7 +103,8 @@ def _outcome(read):
 def _both(path, row, text):
     """The outcomes of `text` given as the row's flag and as its file line."""
     path.write_text(f"{row.metadata['key']} = {text}\n")
-    args = build_parser().parse_args(["spectrum", f"{row.metadata['flag']}={text}"])
+    command = next(command for command, names in READS.items() if row.name in names)
+    args = build_parser().parse_args([*command.split(), f"{row.metadata['flag']}={text}"])
     return (_outcome(lambda: load_config(args.config, vars(args))),
             _outcome(lambda: load_config(str(path), {})))
 
@@ -131,10 +132,15 @@ class TestFlagFileParity:
             "--photon-energy-ev", "--intensity-w-cm2", "--plasma-energy-ev",
             "--particle", "--family", "--n", "--a", "--k-select", "--format",
             "--out", "--seed"]
-        # every flag reaches its row's attribute as raw text
-        argv = ["spectrum", *(f"{row.metadata['flag']}=x" for row in FLAG_ROWS)]
-        args = vars(build_parser().parse_args(argv))
-        assert {name for name, value in args.items() if value == "x"} == set(ROW_IDS)
+        # every flag reaches its row's attribute as raw text, on each
+        # command that reads the row, and some command reads every flag
+        for command, names in READS.items():
+            rows = [row for row in FLAG_ROWS if row.name in names]
+            argv = [*command.split(), *(f"{row.metadata['flag']}=x" for row in rows)]
+            args = vars(build_parser().parse_args(argv))
+            assert {name for name, value in args.items() if value == "x"} == \
+                {row.name for row in rows}
+        assert {name for names in READS.values() for name in names} >= set(ROW_IDS)
 
     @pytest.mark.parametrize("row", FLAG_ROWS, ids=ROW_IDS)
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -269,12 +269,12 @@ class TestEtaMapping:
 
 class TestDeBroglieMomentum:
     def test_shell_bookkeeping(self):
-        m = DeBroglieMomentum(p0=2.0, px=1.0, py=0.0, pz=0.0, eta=4.0, q=1,
-                              n=1, k_index=1, kappa_star_sq=3.0)
+        m = DeBroglieMomentum(p0=2.0, px=1.0, py=0.0, pz=0.0, eta=4.0,
+                              kappa_star_sq=3.0)
         assert m.p_squared == 3.0
         assert m.on_shell
 
     def test_off_shell_detected(self):
-        m = DeBroglieMomentum(p0=2.0, px=1.0, py=0.0, pz=0.0, eta=4.0, q=1,
-                              n=1, k_index=1, kappa_star_sq=2.5)
+        m = DeBroglieMomentum(p0=2.0, px=1.0, py=0.0, pz=0.0, eta=4.0,
+                              kappa_star_sq=2.5)
         assert not m.on_shell

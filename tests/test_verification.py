@@ -15,7 +15,7 @@ from incevolkov.residual import (ODE_RESIDUAL_TOL, _batch_residual_maxima,
                                  _ode_samples, _residual_values_batch,
                                  _sample_points, attach_residuals,
                                  seeded_angles)
-from incevolkov.spectra import solve_spectrum
+from incevolkov.spectra import solve_spectra, solve_spectrum
 from incevolkov.verification import (_charpoly_newton_polish,
                                      _residual_values_compensated,
                                      dense_oracle_crosscheck,
@@ -31,12 +31,18 @@ def _solved(kind, n, a):
     return fam, solve_spectrum(build_operator(fam, a))
 
 
+def _solver_etas(ops):
+    """(B, dim): the solver's etas of equal-dimension operators."""
+    return np.stack([dec.etas for dec in solve_spectra(ops)])
+
+
 def _dense_verdict(kind, n, a, eta_shift=0.0):
     """(discrepancy, passed) of the dense reference on the etas `run_point`
     judges, under the Sturm check's gate."""
     T = build_operator(SolutionFamily(kind, n), a)
-    disc, = dense_oracle_crosscheck([T], [solve_spectrum(T).etas + eta_shift])
-    return disc, bool(disc < verification._agreement_gates([T])[0])
+    etas = _solver_etas([T]) + eta_shift
+    disc, = dense_oracle_crosscheck([T], etas)
+    return disc, bool(disc < sturm_crosscheck([T], etas)[1][0])
 
 
 def _one_mode(fam, a, eta, c):
@@ -62,8 +68,7 @@ def vacuum_null_momentum(r, n_m):
     lam = math.sqrt(1.0 - n_m * n_m)
     return DeBroglieMomentum(
         p0=r * (1.0 + n_m * n_m) / lam, px=-r * lam, py=2.0 * r * n_m / lam,
-        pz=0.0, eta=4.0 * r * r, q=2 * r - 1, n=r, k_index=0,
-        kappa_star_sq=0.0)
+        pz=0.0, eta=4.0 * r * r, kappa_star_sq=0.0)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -212,16 +217,16 @@ class TestOdeResidual:
 class TestDenseCrosscheck:
     def test_reference_case(self):
         T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 20), 14.0)
-        assert dense_oracle_crosscheck([T])[0] < 1e-9
+        assert dense_oracle_crosscheck([T], _solver_etas([T]))[0] < 1e-9
 
     def test_free_limit_exact(self):
         T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 5), 0.0)
-        assert dense_oracle_crosscheck([T])[0] == 0.0
+        assert dense_oracle_crosscheck([T], _solver_etas([T]))[0] == 0.0
 
     def test_exact_dense_eigenvalue_kept(self):
         # dim 1: the raw dense value is exact, a zero pivot freezes the polish
         T = build_operator(SolutionFamily(FamilyKind.KG_SIN_ODD, 1), 1.0)
-        assert dense_oracle_crosscheck([T])[0] == 0.0
+        assert dense_oracle_crosscheck([T], _solver_etas([T]))[0] == 0.0
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("a", [0.0, 14.0, 1e10])
@@ -255,12 +260,12 @@ class TestDenseCrosscheck:
 
     def test_strong_coupling_stress(self):
         T = build_operator(SolutionFamily(FamilyKind.KG_COS_EVEN, 5), 50.0)
-        assert dense_oracle_crosscheck([T])[0] < 1e-8
+        assert dense_oracle_crosscheck([T], _solver_etas([T]))[0] < 1e-8
 
     def test_dimension_cap(self):
         T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 101), 1.0)     # dim 202
         with pytest.raises(InputError, match="range limit"):
-            dense_oracle_crosscheck([T])
+            dense_oracle_crosscheck([T], _solver_etas([T]))
 
     def test_complex_spectrum_flagged(self):
         fam = SolutionFamily(FamilyKind.DIRAC_PLUS, 1)
@@ -279,17 +284,17 @@ class TestDenseCrosscheck:
             dense_oracle_crosscheck([good, bad], etas=[np.zeros(2), np.zeros(2)])
 
     def test_operators_must_share_dimension(self):
+        ops = [build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, n), 1.0)
+               for n in (1, 2)]
         with pytest.raises(InputError):
-            dense_oracle_crosscheck(
-                [build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, n), 1.0)
-                 for n in (1, 2)])
+            dense_oracle_crosscheck(ops, [solve_spectrum(T).etas for T in ops])
 
 
 class TestSturmCrosscheck:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_agreement(self, kind):
         T = build_operator(SolutionFamily(kind, 12), 14.0)
-        assert sturm_crosscheck([T])[0] < 1e-10
+        assert sturm_crosscheck([T], _solver_etas([T]))[0][0] < 1e-10
 
     def test_certified_within_the_primary_share_of_the_gate(self):
         ops = [build_operator(SolutionFamily(FamilyKind.KG_COS_EVEN, 12), a)
@@ -298,15 +303,35 @@ class TestSturmCrosscheck:
             np.stack([T.diag for T in ops]),
             np.sqrt(np.stack([T.super_ * T.sub for T in ops])))
         bound = np.maximum(np.abs(lo), np.abs(hi))
-        assert np.all(sturm_crosscheck(ops) <= 8 * np.finfo(float).eps * bound)
+        radii, _ = sturm_crosscheck(ops, _solver_etas(ops))
+        assert np.all(radii <= 8 * np.finfo(float).eps * bound)
 
     def test_dim_one_is_exact(self):
         T = build_operator(SolutionFamily(FamilyKind.KG_SIN_ODD, 1), 14.0)
-        assert T.dim == 1 and sturm_crosscheck([T])[0] == 0.0
+        assert T.dim == 1 and sturm_crosscheck([T], _solver_etas([T]))[0][0] == 0.0
         # its entry is 0 at a = 1, where the Gershgorin bound B is 0 too
         T = build_operator(SolutionFamily(FamilyKind.KG_SIN_ODD, 1), 1.0)
         assert T.diag.tolist() == [0.0]
-        assert sturm_crosscheck([T], [np.array([1e-6])])[0] == 1e-6
+        assert sturm_crosscheck([T], np.array([[1e-6]]))[0][0] == 1e-6
+
+    def test_stack_gives_each_operator_its_lone_gate(self):
+        # every dimension group of the shipped grid, stacked as `verify`
+        # stacks it: each operator's gate and radius are the bits it gets
+        # alone.  The grid's gates are all the 1e-9 floor, so the stacks
+        # also hold couplings whose gates scale with B
+        groups = {}
+        for kind in ALL_KINDS:
+            for n in range(1, verification.DEFAULT_GRID_N_MAX + 1):
+                for a in (*verification.DEFAULT_GRID_A_VALUES, 1e10, 1e150):
+                    T = build_operator(SolutionFamily(kind, n), a)
+                    groups.setdefault(T.dim, []).append(T)
+        for ops in groups.values():
+            etas = _solver_etas(ops)
+            radii, gates = sturm_crosscheck(ops, etas)
+            for i, T in enumerate(ops):
+                radius, gate = sturm_crosscheck([T], etas[i:i + 1])
+                assert gate.tobytes() == gates[i:i + 1].tobytes(), (T.dim, i)
+                assert radius.tobytes() == radii[i:i + 1].tobytes(), (T.dim, i)
 
     def test_bad_bond_names_its_operator(self):
         fam = SolutionFamily(FamilyKind.DIRAC_PLUS, 1)
@@ -341,7 +366,7 @@ class TestMomentumBuilders:
 class TestPdeResidual:
     def test_kg_second_order_convergence(self):
         fam, dec = _solved(FamilyKind.KG_COS_EVEN, 2, 5.0)
-        mom = momentum_for_mode(fam, float(dec.etas[-1]), N_M, k_index=dec.dim)
+        mom = momentum_for_mode(fam, float(dec.etas[-1]), N_M)
         [rep] = pde_residual_fd([pde_stencil(fam, N_M)], [dec.vectors[:, -1]],
                                 [mom], [5.0])
         assert rep.converged_second_order
@@ -350,7 +375,7 @@ class TestPdeResidual:
     def test_dirac_both_branches_converge(self):
         for kind in (FamilyKind.DIRAC_PLUS, FamilyKind.DIRAC_MINUS):
             fam, dec = _solved(kind, 2, 5.0)
-            mom = momentum_for_mode(fam, float(dec.etas[-1]), N_M, k_index=dec.dim)
+            mom = momentum_for_mode(fam, float(dec.etas[-1]), N_M)
             [rep] = pde_residual_fd([pde_stencil(fam, N_M)],
                                     [dec.vectors[:, -1].astype(complex)], [mom],
                                     [5.0])
@@ -359,7 +384,7 @@ class TestPdeResidual:
     def test_negative_control_does_not_converge(self):
         fam, dec = _solved(FamilyKind.KG_COS_EVEN, 2, 5.0)
         eta_bad = float(dec.etas[-1]) + 0.01 * (1 + abs(float(dec.etas[-1])))
-        mom = momentum_for_mode(fam, eta_bad, N_M, k_index=dec.dim)
+        mom = momentum_for_mode(fam, eta_bad, N_M)
         [rep] = pde_residual_fd([pde_stencil(fam, N_M)], [dec.vectors[:, -1]],
                                 [mom], [5.0])
         assert rep.observed_order < 1.0
@@ -389,8 +414,7 @@ class TestPdeResidual:
         fam, dec = _solved(FamilyKind.KG_COS_EVEN, 2, 5.0)
         good = momentum_for_mode(fam, float(dec.etas[-1]), N_M)
         bad = DeBroglieMomentum(p0=good.p0, px=good.px, py=good.py, pz=good.pz,
-                                eta=good.eta, q=good.q, n=good.n,
-                                k_index=good.k_index,
+                                eta=good.eta,
                                 kappa_star_sq=good.kappa_star_sq + 1.0)
         with pytest.raises(InputError):
             pde_residual_fd([pde_stencil(fam, N_M)], [dec.vectors[:, -1]], [bad],
@@ -400,8 +424,7 @@ class TestPdeResidual:
         fam, dec = _solved(FamilyKind.KG_COS_EVEN, 2, 5.0)
         good = momentum_for_mode(fam, float(dec.etas[-1]), N_M)
         bad = DeBroglieMomentum(p0=good.p0, px=good.px, py=good.py, pz=0.5,
-                                eta=good.eta, q=good.q, n=good.n,
-                                k_index=good.k_index,
+                                eta=good.eta,
                                 kappa_star_sq=good.kappa_star_sq - 0.25)
         with pytest.raises(InputError):
             pde_residual_fd([pde_stencil(fam, N_M)], [dec.vectors[:, -1]], [bad],
@@ -413,7 +436,6 @@ class TestPdeResidual:
         lam = np.sqrt(1 - N_M ** 2)
         p0 = lam * np.sqrt(eta) / 2
         bad = DeBroglieMomentum(p0=p0, px=1.0, py=0.0, pz=0.0, eta=eta,
-                                q=fam.q, n=2, k_index=0,
                                 kappa_star_sq=p0 * p0 - 1.0)
         with pytest.raises(InputError):
             pde_residual_fd([pde_stencil(fam, N_M)], [dec.vectors[:, -1]], [bad],
@@ -424,7 +446,7 @@ class TestPdeResidual:
         """(stencil, coefficients, momentum, a) of the check `verify` runs."""
         fam, dec = _solved(kind, n, a)
         top = int(np.nonzero(dec.etas >= 0.0)[0][-1])
-        mom = momentum_for_mode(fam, float(dec.etas[top]), N_M, k_index=top + 1)
+        mom = momentum_for_mode(fam, float(dec.etas[top]), N_M)
         h = 5e-3 if a <= 25.0 else 1e-2
         return pde_stencil(fam, N_M, h), dec.vectors[:, top], mom, a
 
@@ -537,11 +559,27 @@ def test_grid_builds_each_basis_once(monkeypatch):
                         stencils[0].h))
         return residual(stencils, coefficients, momenta, couplings)
 
+    # and one solve and one Sturm pass per dimension group
+    solves, sturms = [], []
+    solve, sturm = verification.solve_spectra, verification.sturm_crosscheck
+
+    def count_solves(ops):
+        solves.append(ops[0].dim)
+        return solve(ops)
+
+    def count_sturms(ops, etas):
+        sturms.append(ops[0].dim)
+        return sturm(ops, etas)
+
     monkeypatch.setattr(verification, "_ode_samples", count_ode)
     monkeypatch.setattr(verification, "pde_stencil", count_pde)
     monkeypatch.setattr(verification, "pde_residual_fd", count_batches)
+    monkeypatch.setattr(verification, "solve_spectra", count_solves)
+    monkeypatch.setattr(verification, "sturm_crosscheck", count_sturms)
     run_grid(n_max=3, a_values=(0.5, 14.0, 20.0, 50.0))
     families = {SolutionFamily(kind, n) for kind in ALL_KINDS for n in (1, 2, 3)}
+    dims = {fam.dim for fam in families}
+    assert sorted(solves) == sorted(sturms) == sorted(dims)
     assert sorted(map(repr, built["ode"])) == sorted(map(repr, families))
     assert len(built["pde"]) == len(set(built["pde"]))
     assert {h for _, h in built["pde"]} == {5e-3, 1e-2}

@@ -50,8 +50,12 @@ spatial reflection and give identical spectra and densities.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -650,6 +654,44 @@ def _pde_checks(families, points, etas, vectors, seed: int) -> list:
     return results
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy's wheels ship, or None.
+
+    numpy has no thread control of its own; any other BLAS runs as configured.
+    """
+    package = Path(np.__file__).parent
+    for path in [*package.parent.glob("numpy.libs/*scipy_openblas*"),
+                 *package.glob(".dylibs/*scipy_openblas*")]:
+        try:
+            lib = ctypes.CDLL(str(path))
+            return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            pass
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore its count.
+
+    Verify's matrices are small (dim <= 50 on the shipped grid) and each
+    LAPACK or BLAS call is short.  With two threads, OpenBLAS workers spin
+    for about 0.1 s after each call they share: over `verify --all` a
+    second core stayed busy (CPU time 1.9x wall time on a 2-core host) and
+    the check ran about 8% slower.  The count changes no bit of a result.
+    It is process-wide, so BLAS work in other threads also runs on one.
+    """
+    get, set_ = _openblas_threads() or (lambda: None, lambda count: None)
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+@_one_blas_thread()
 def _check_group(points, seed: int, eta_shift: float = 0.0) -> list:
     """PointReports of (kind, n, a) points whose operators share one dimension.
 

@@ -520,6 +520,46 @@ class TestRunPoint:
         assert p1 == p2
 
 
+class TestOneBlasThread:
+    @pytest.fixture
+    def threads(self):
+        threads = verification._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy does not run its bundled OpenBLAS here")
+        return threads
+
+    def test_checks_run_on_one_thread_and_restore_the_count(self, threads, monkeypatch):
+        get, _ = threads
+        before, seen = get(), []
+        solve = verification.solve_spectra
+
+        def record(ops):
+            seen.append(get())
+            return solve(ops)
+
+        monkeypatch.setattr(verification, "solve_spectra", record)
+        run_grid(n_max=2, a_values=(1.0,))
+        assert seen and set(seen) == {1}
+        assert get() == before
+        with pytest.raises(InputError):
+            run_point(FamilyKind.DIRAC_PLUS, 3, -1.0)
+        assert get() == before
+
+    def test_thread_count_changes_no_bit(self, threads):
+        # the largest grid dimension (50), where OpenBLAS hands the stacked
+        # eigh and the complex residual products to its workers
+        get, set_ = threads
+        points = [(kind, 25, a) for kind in (FamilyKind.DIRAC_PLUS, FamilyKind.DIRAC_MINUS)
+                  for a in verification.DEFAULT_GRID_A_VALUES]
+        before = get()
+        try:
+            set_(2)
+            threaded = verification._check_group.__wrapped__(points, SAMPLING_SEED)
+        finally:
+            set_(before)
+        assert repr(threaded) == repr(verification._check_group(points, SAMPLING_SEED))
+
+
 def test_grid_matches_points():
     # groups of one dimension mix kinds and couplings, and a family's bases
     # serve all its couplings (a = 14 and 50 take different PDE steps);

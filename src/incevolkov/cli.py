@@ -221,8 +221,14 @@ def cmd_modes(cfg: RunConfig) -> int:
             raise InputError(f"k_select entry {k} outside 1..{dec.dim}")
     xi = np.linspace(-np.pi, np.pi, MODES_POINTS)
     mods = [ModulationFunction.from_decomposition(dec, k) for k in k_list]
-    values = [np.atleast_1d(mod.value(xi)).astype(complex) for mod in mods]
-    densities = [np.abs(val) ** 2 for val in values]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = [np.atleast_1d(mod.value(xi)).astype(complex) for mod in mods]
+        densities = [np.abs(val) ** 2 for val in values]
+    # a mode whose coefficients are not finite fails its ODE residual (exit 2)
+    if any(np.isfinite(mod.coefficients).all() and not np.isfinite(dens).all()
+           for mod, dens in zip(mods, densities)):
+        raise InputError(f"a = {format_number(a)} is past the range limit of modes: |mod|^2 "
+                         "leaves double range (e^(a/2) alone does from a = 1419.6)")
     comments = [
         f"family {family.kind.value}, n = {family.n}, a = {format_number(a)}",
         "poly: finite trigonometric sum; mod = poly * exp(-(a/4) cos xi)",

@@ -92,6 +92,7 @@ class TridiagonalOperator:
         return T
 
 
+@np.errstate(over="ignore", invalid="ignore")     # near a = 1e308: refused or failed
 def _entries(family: SolutionFamily, a: float, r: np.ndarray):
     """Arrays T[r,r], T[r,r+1] and T[r,r-1] at the indices r: the module
     docstring's formula, with the three spin-0 folds at r = 0."""

@@ -170,9 +170,10 @@ def _batch_residual_maxima(samples: _OdeSamples, a: float, etas: np.ndarray,
     n <= 60, a <= 50), more than five orders of magnitude under the
     tolerance.
     """
-    values = _residual_values_batch(samples, a, etas, vectors)
+    with np.errstate(over="ignore", invalid="ignore"):      # near a = 1e308: a failed mode
+        values = _residual_values_batch(samples, a, etas, vectors)
+        scales = 1.0 + np.abs(etas) + a * samples.family.dim
     maxima = np.max(np.abs(values), axis=0)
-    scales = 1.0 + np.abs(etas) + a * samples.family.dim
     return maxima, scales, maxima < ODE_RESIDUAL_TOL * scales
 
 

@@ -54,11 +54,10 @@ class SpectralDecomposition:
     etas: np.ndarray
     vectors: np.ndarray
     k_labels: np.ndarray
-    scale: np.ndarray              # diagonal similarity used to symmetrize
     residuals: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        for arr in (self.etas, self.vectors, self.k_labels, self.scale):
+        for arr in (self.etas, self.vectors, self.k_labels):
             arr.setflags(write=False)
         if self.residuals is not None:
             self.residuals.setflags(write=False)
@@ -183,7 +182,7 @@ def solve_spectra(operators) -> list:
     columns *= np.where(np.take_along_axis(columns, largest, axis=2) < 0, -1.0, 1.0)
     return [SpectralDecomposition(
                 family=T.family, a=T.a, etas=etas[b], vectors=columns[b].T,
-                k_labels=np.arange(1, dim + 1), scale=scale[b])
+                k_labels=np.arange(1, dim + 1))
             for b, T in enumerate(operators)]
 
 

@@ -31,12 +31,13 @@ it adds no detection that the Sturm certificate lacks.
 
 The solve and the Sturm check take a sequence of equal-dimension
 operators and run over the whole stack at once, and the spacetime check
-takes a sequence of points of one step and one basis dtype; each operator
-and point gets the bits it gets alone.  `run_grid` groups its points by
-dimension for them: per group, one solve gives one (B, dim) etas array,
-which the ODE, Sturm and spacetime checks all judge; one Sturm pass
-stacks the diagonals and bond products once and returns each operator's
-radius with its gate; one spacetime batch runs per basis dtype and step.
+takes one step's stencil and a sequence of points of one result dtype;
+each operator and point gets the bits it gets alone.  `run_grid` groups
+its points by dimension for them: per group, one solve gives one (B, dim)
+etas array, which the ODE, Sturm and spacetime checks all judge; one Sturm
+pass stacks the diagonals and bond products once and returns each
+operator's radius with its gate; one stencil per step serves every family,
+and one spacetime batch runs per step and result dtype.
 `run_point` is the same path with a group of one.
 
 Sign conventions verified by the PDE check (electron, charge coupling
@@ -396,34 +397,28 @@ class PdeResidualReport:
 
 @dataclass(frozen=True, eq=False)
 class PdeStencil:
-    """The part of `pde_residual_fd` that depends on neither a nor the mode.
+    """The geometry of the spacetime check at one step h.
 
     The seeded points (t, x, y) in one wave period and, at the points and
-    at each of their t and y shifts by +-h and +-h/2, the family's basis at
-    z = xi/2 and cos xi: `basis` has shape (9, PDE_POINTS, dim) and `cos`
-    (9, PDE_POINTS).  Row 0 holds the unshifted points, rows 1-4 the shifts
-    t + h, t - h, y + h, y - h and rows 5-8 the same at h/2.  One stencil
-    serves every coupling and mode of its family at this refractive index,
-    step and seed.
+    at each of their t and y shifts by +-h and +-h/2, z = xi/2 and cos xi:
+    `z` and `cos` have shape (9, PDE_POINTS).  Row 0 holds the unshifted
+    points, rows 1-4 the shifts t + h, t - h, y + h, y - h and rows 5-8 the
+    same at h/2.  None of it depends on the family, a or the mode, so one
+    stencil serves every point at this refractive index, step and seed.
     """
 
-    family: SolutionFamily
     h: float
     kvec: np.ndarray             # (t, x, y) components of k, k^2 = 1
     t: np.ndarray
     x: np.ndarray
     y: np.ndarray
     sin_xi: np.ndarray           # at the unshifted points
-    basis: np.ndarray
+    z: np.ndarray
     cos: np.ndarray
 
 
-def pde_stencil(family: SolutionFamily, n_m: float, h: float = 1e-3,
-                seed: int = SAMPLING_SEED) -> PdeStencil:
-    """Points and modulation bases of the spacetime check at steps h and h/2.
-
-    The basis at all 9 shifted point sets comes from one `family.basis` call.
-    """
+def pde_stencil(n_m: float, h: float, seed: int = SAMPLING_SEED) -> PdeStencil:
+    """Points of the spacetime check and their shifts by steps h and h/2."""
     if h <= 0:
         raise InputError("step h must be positive")
     if not 0.0 < n_m < 1.0:
@@ -440,15 +435,13 @@ def pde_stencil(family: SolutionFamily, n_m: float, h: float = 1e-3,
         ts += [t + step, t - step, t, t]
         ys += [y, y, y + step, y - step]
     xi = kvec[0] * np.stack(ts) - kvec[2] * np.stack(ys)
-    return PdeStencil(family=family, h=h, kvec=kvec, t=t, x=x, y=y,
-                      sin_xi=np.sin(xi[0]), basis=family.basis(xi / 2.0)[0],
-                      cos=np.cos(xi))
+    return PdeStencil(h=h, kvec=kvec, t=t, x=x, y=y, sin_xi=np.sin(xi[0]),
+                      z=xi / 2.0, cos=np.cos(xi))
 
 
-def _ptilde(stencil: PdeStencil, c: np.ndarray, momentum: DeBroglieMomentum,
-            a: float) -> np.ndarray:
+def _ptilde(stencil: PdeStencil, family: SolutionFamily, c: np.ndarray,
+            momentum: DeBroglieMomentum, a: float) -> np.ndarray:
     """p~ = p - (k.p) k of one point, after checking its preconditions."""
-    family = stencil.family
     if len(c) != family.dim:
         raise InputError("coefficient length does not match family dimension")
     if momentum.pz != 0.0:
@@ -472,37 +465,35 @@ def _ptilde(stencil: PdeStencil, c: np.ndarray, momentum: DeBroglieMomentum,
     return p - k_dot_p * kvec            # k.ptil = 0 since k^2 = 1
 
 
-def pde_residual_fd(stencils, coefficients, momenta, couplings) -> list:
+def pde_residual_fd(stencil: PdeStencil, families, coefficients, momenta, couplings) -> list:
     """Central-difference residuals of the covariant wave equation, one report per point.
 
     Units hbar = c = 1, k_p = 1.  Point i builds Psi(t,x,y) from its
-    modulation (stencils[i] and coefficients[i]) and the de Broglie phase
+    modulation (families[i] and coefficients[i]) and the de Broglie phase
     of momenta[i], evaluates the gauge-covariant operator at coupling
-    couplings[i] with second-order stencils in (ct, x, y) at h and h/2 over
-    the seeded points of its stencil (see `pde_stencil`), and reports the
+    couplings[i] with second-order stencils in (ct, x, y) at the stencil's
+    h and h/2 over its seeded points (see `pde_stencil`), and reports the
     observed convergence order.  Off-shell or inconsistent momenta are
     precondition errors.
 
-    The points run as one batch: one stacked matrix-vector product per
-    point gives its 9 modulations, and the residual arithmetic runs on
-    (points, PDE_POINTS) arrays with per-point coefficients, elementwise, so
-    every point gets the bits it gets alone.  That needs one step h and one
-    result dtype of basis and coefficients per call (a real modulation
-    stacked with complex ones would be cast); anything else is an
-    InputError.
+    The points run as one batch: each family's basis is evaluated at the
+    9 shifted point sets once, one stacked matrix-vector product per point
+    gives its 9 modulations, and the residual arithmetic runs on (points,
+    PDE_POINTS) arrays with per-point coefficients, elementwise, so every
+    point gets the bits it gets alone.  That needs one result dtype of
+    basis and coefficients per call (a real modulation stacked with
+    complex ones would be cast); anything else is an InputError.
     """
-    stencils = list(stencils)
+    families, momenta, couplings = list(families), list(momenta), list(couplings)
     cs = [np.asarray(c) for c in coefficients]
-    momenta, couplings = list(momenta), list(couplings)
-    if not stencils:
+    if not families:
         return []
-    if (len({st.h for st in stencils}) != 1
-            or len({np.result_type(st.basis, c) for st, c in zip(stencils, cs)}) != 1):
-        raise InputError("a spacetime batch needs one step and one result dtype "
+    ptil = np.array([_ptilde(stencil, fam, c, mom, a) for fam, c, mom, a
+                     in zip(families, cs, momenta, couplings, strict=True)])
+    bases = {fam: fam.basis(stencil.z)[0] for fam in dict.fromkeys(families)}
+    if len({np.result_type(bases[fam], c) for fam, c in zip(families, cs)}) != 1:
+        raise InputError("a spacetime batch needs one result dtype "
                          "of basis and coefficients")
-    ptil = np.array([_ptilde(st, c, mom, a)
-                     for st, c, mom, a in zip(stencils, cs, momenta, couplings,
-                                              strict=True)])
 
     def column(values, dtype=float):
         return np.array(values, dtype=dtype)[:, None]
@@ -515,13 +506,12 @@ def pde_residual_fd(stencils, coefficients, momenta, couplings) -> list:
     a_sq_16 = column([a * a / 16.0 for a in couplings])
     kappa_sq = column([mom.kappa_star_sq - a * a / 16.0
                        for mom, a in zip(momenta, couplings)])
-    spins = [st.family.spin_sign for st in stencils]
+    spins = [fam.spin_sign for fam in families]
     spin = np.array(spins) != 0
     spin_coef = column([1j * s * (a / 4.0) for s, a in zip(spins, couplings)],
                        complex)[spin]
-    t, x, y, sin_xi, cos = (np.stack([getattr(st, name) for st in stencils])
-                            for name in ("t", "x", "y", "sin_xi", "cos"))
-    cos_xi = cos[:, 0]
+    t, x, y, sin_xi, cos = stencil.t, stencil.x, stencil.y, stencil.sin_xi, stencil.cos
+    cos_xi = cos[0]
 
     def phase(t, x, y):
         return np.exp(1j * (ptil_t * t - ptil_x * x - ptil_y * y))
@@ -540,18 +530,17 @@ def pde_residual_fd(stencils, coefficients, momenta, couplings) -> list:
                - a_sq_16 * cos_xi ** 2 * p0v
                - kappa_sq * p0v)
         # spin-0 rows skip the term: 0 * inf would turn an overflowed row into NaN
-        res[spin] = res[spin] - spin_coef * sin_xi[spin] * p0v[spin]
+        res[spin] = res[spin] - spin_coef * sin_xi * p0v[spin]
         return np.max(np.abs(res), axis=1).tolist()
 
     # past a ~ 2800, e^(a/4) leaves double range: the residual comes out
     # non-finite and fails the order band, which is the report, not a warning
-    h = stencils[0].h
     with np.errstate(over="ignore", invalid="ignore"):
-        mod = (np.stack([np.matmul(st.basis, c) for st, c in zip(stencils, cs)])
+        mod = (np.stack([np.matmul(bases[fam], c) for fam, c in zip(families, cs)])
                * np.exp(neg_quarter_a[:, :, None] * cos))
         p0v = mod[:, 0] * phase(t, x, y)
-        r_h = max_residual(h, 1)                # rows 1-4: shifts by h
-        r_half = max_residual(h / 2.0, 5)       # rows 5-8: shifts by h/2
+        r_h = max_residual(stencil.h, 1)            # rows 1-4: shifts by h
+        r_half = max_residual(stencil.h / 2.0, 5)   # rows 5-8: shifts by h/2
     return [PdeResidualReport(
                 max_residual=rh, max_residual_half=rhalf,
                 observed_order=math.log2(rh / rhalf) if rhalf > 0 else math.inf)
@@ -623,12 +612,13 @@ def _pde_checks(families, points, etas, vectors, seed: int) -> list:
     enters like eps * e^(a/4) / h^2 while truncation shrinks like h^2, and
     some small-(n, a) modes have tiny truncation constants, so the order
     estimate needs a step well above the noise floor: h = 5e-3 for a <= 25
-    and 1e-2 above.  A family's stencil is built once per step; the points
-    run in one `pde_residual_fd` batch per (result dtype of basis and
-    coefficients, step).
+    and 1e-2 above.  The group builds one stencil per step; its points run
+    in one `pde_residual_fd` batch per (step, result dtype), since casting
+    real (KG) modulations to stack them with complex (dirac) ones changes
+    the bits of a row that overflows (0 * inf gives NaN past a ~ 2840).
     """
     results = [None] * len(points)
-    stencils, batches = {}, {}
+    batches = {}
     for i, (fam, (_, _, a), point_etas, point_vectors) in enumerate(
             zip(families, points, etas, vectors)):
         propagating = np.nonzero(point_etas >= 0.0)[0]
@@ -640,15 +630,13 @@ def _pde_checks(families, points, etas, vectors, seed: int) -> list:
             continue
         top = int(propagating[-1])
         mom = momentum_for_mode(fam, float(point_etas[top]), DEFAULT_GRID_N_M)
-        pde_h = 5e-3 if a <= 25.0 else 1e-2
-        if (fam, pde_h) not in stencils:
-            stencils[fam, pde_h] = pde_stencil(fam, DEFAULT_GRID_N_M, pde_h, seed=seed)
-        stencil, c = stencils[fam, pde_h], point_vectors[:, top]
-        batches.setdefault((np.result_type(stencil.basis, c), pde_h), []).append(
-            (i, stencil, c, mom, a))
-    for batch in batches.values():
+        c = point_vectors[:, top]
+        dtype = np.result_type(complex if fam.spin_sign else float, c)   # spin 1/2: exp(-i nu z)
+        batches.setdefault((5e-3 if a <= 25.0 else 1e-2, dtype), []).append((i, fam, c, mom, a))
+    stencils = {h: pde_stencil(DEFAULT_GRID_N_M, h, seed) for h in {h for h, _ in batches}}
+    for (h, _), batch in batches.items():
         index, *args = zip(*batch)
-        for i, pde in zip(index, pde_residual_fd(*args)):
+        for i, pde in zip(index, pde_residual_fd(stencils[h], *args)):
             results[i] = (pde.observed_order, pde.max_residual,
                           pde.converged_second_order or pde.max_residual_half < 1e-12, [])
     return results
@@ -698,9 +686,10 @@ def _check_group(points, seed: int, eta_shift: float = 0.0) -> list:
     The points' operators are solved in one stacked solve, whose (B, dim)
     etas (plus eta_shift) are the ones every check judges: each point's
     ODE residual, one Sturm pass over the whole group, and the spacetime
-    check once per basis dtype and step (`_pde_checks`).  A family's bases
-    do not depend on a: its ODE samples are built once and its PDE
-    stencils once per step, and both are dropped with the group.
+    check once per step and result dtype (`_pde_checks`).  A family's ODE
+    samples do not depend on a, so they are built once per family; the
+    spacetime geometry depends on neither family nor a, so one stencil per
+    step serves the whole group.  Both are dropped with the group.
     """
     families = [SolutionFamily(kind, n) for kind, n, _ in points]
     ops = [build_operator(fam, a) for fam, (_, _, a) in zip(families, points)]
@@ -713,20 +702,21 @@ def _check_group(points, seed: int, eta_shift: float = 0.0) -> list:
     pdes = _pde_checks(families, points, etas, [dec.vectors for dec in decs], seed)
 
     reports = []
-    for fam, (kind, n, a), dec, (maxima, scales, passed), sturm_disc, gate, \
-            (pde_order, pde_res, pde_ok, notes) \
-            in zip(families, points, decs, odes, sturm, gates, pdes):
-        if a == 0.0:
-            notes.append("a=0: spectrum degenerates to the squared basis frequencies")
-        reports.append(PointReport(
-            kind=kind.value, n=n, a=a, dim=fam.dim,
-            max_ode_residual=float(np.max(maxima)),
-            max_ode_residual_over_scale=float(np.max(maxima / scales)),
-            ode_passed=bool(np.all(passed)),
-            sturm_discrepancy=float(sturm_disc),
-            sturm_passed=bool(sturm_disc < gate),
-            pde_order=pde_order, pde_residual=pde_res, pde_passed=pde_ok,
-            min_relative_gap=dec.min_relative_gap, note="; ".join(notes)))
+    with np.errstate(invalid="ignore"):     # inf / inf near a = 1e308: a failed mode
+        for fam, (kind, n, a), dec, (maxima, scales, passed), sturm_disc, gate, \
+                (pde_order, pde_res, pde_ok, notes) \
+                in zip(families, points, decs, odes, sturm, gates, pdes):
+            if a == 0.0:
+                notes.append("a=0: spectrum degenerates to the squared basis frequencies")
+            reports.append(PointReport(
+                kind=kind.value, n=n, a=a, dim=fam.dim,
+                max_ode_residual=float(np.max(maxima)),
+                max_ode_residual_over_scale=float(np.max(maxima / scales)),
+                ode_passed=bool(np.all(passed)),
+                sturm_discrepancy=float(sturm_disc),
+                sturm_passed=bool(sturm_disc < gate),
+                pde_order=pde_order, pde_residual=pde_res, pde_passed=pde_ok,
+                min_relative_gap=dec.min_relative_gap, note="; ".join(notes)))
     return reports
 
 

@@ -152,6 +152,33 @@ class TestModes:
         assert len(payload["xi_rad"]) == len(payload["modes"][0]["density"])
 
 
+class TestModesPastDoubleRange:
+    """From a ~ 1420, |mod|^2 = |poly|^2 e^(-(a/2) cos xi) leaves double range."""
+
+    @pytest.mark.filterwarnings("error")        # a numpy warning fails the test
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("family,a,k_select", [
+        ("kg-cos-even", "1500", "1"),       # |mod|^2 overflows, mod does not
+        ("dirac", "3000", None),            # the envelope itself overflows
+    ])
+    def test_refused_before_writing(self, capsys, tmp_path, fmt, family, a, k_select):
+        out_file = tmp_path / f"modes.{fmt}"
+        code, out, err = run(capsys, "modes", "--family", family, "--n", "2",
+                             "--a", a, *(["--k-select", k_select] if k_select else []),
+                             "--format", fmt, "--out", str(out_file))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"error: a = {a} is past the range limit of modes: |mod|^2 leaves "
+            "double range (e^(a/2) alone does from a = 1419.6)"]
+        assert not out_file.exists()
+
+    def test_below_the_limit_written(self, capsys):
+        code, out, _ = run(capsys, "modes", "--family", "kg-cos-even", "--n", "2",
+                           "--a", "1400", "--k-select", "1")
+        assert code == 0
+        assert np.isfinite(json.loads(out)["modes"][0]["density"]).all()
+
+
 class TestFigures:
     def test_figure1_envelope(self, capsys):
         code, out, _ = run(capsys, "figure", "1")
@@ -456,6 +483,32 @@ class TestNonFiniteInput:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith(message)
+
+
+_BOND_OVERFLOW = ("error: bond 0: super*sub overflows at a = 1e+308; "
+                  "the coupling is too large for double precision")
+
+
+@pytest.mark.parametrize("argv,exit_code,stderr", [
+    (["spectrum", "--family", "dirac", "--n", "2", "--a", "1e308"], 1, [_BOND_OVERFLOW]),
+    (["verify", "--all", "--a", "1e308"], 1, [_BOND_OVERFLOW]),
+    (["verify", "--family", "kg-sin-odd", "--n", "1", "--a", "1e308"], 2,
+     ["FAIL kg-sin-odd n=1 a=1e+308: ode",
+      "verification failure: 1 of 1 grid points failed"]),
+    (["verify", "--family", "kg-cos-odd", "--n", "1", "--a", "1e308"], 2,
+     ["FAIL kg-cos-odd n=1 a=1e+308: ode, pde",
+      "verification failure: 1 of 1 grid points failed"]),
+], ids=["spectrum", "verify-all", "verify-kg-sin-odd", "verify-kg-cos-odd"])
+def test_overflow_near_the_largest_double_prints_no_warning(argv, exit_code, stderr):
+    # the operator entries and the ODE residual overflow near a = 1e308: the
+    # bond check refuses or a check fails, and numpy's warnings stay silent
+    # (a fresh process, as pytest records warnings apart from stderr)
+    src = str(Path(incevolkov.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "incevolkov.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == exit_code
+    assert proc.stderr.splitlines() == stderr
 
 
 class TestInputLimits:

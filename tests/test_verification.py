@@ -24,6 +24,7 @@ from incevolkov.verification import (_charpoly_newton_polish,
                                      sturm_crosscheck)
 
 N_M = 0.7685453911282961
+H = 1e-3                        # the step of the hand-built spacetime checks
 
 
 def _solved(kind, n, a):
@@ -367,7 +368,7 @@ class TestPdeResidual:
     def test_kg_second_order_convergence(self):
         fam, dec = _solved(FamilyKind.KG_COS_EVEN, 2, 5.0)
         mom = momentum_for_mode(fam, float(dec.etas[-1]), N_M)
-        [rep] = pde_residual_fd([pde_stencil(fam, N_M)], [dec.vectors[:, -1]],
+        [rep] = pde_residual_fd(pde_stencil(N_M, H), [fam], [dec.vectors[:, -1]],
                                 [mom], [5.0])
         assert rep.converged_second_order
         assert abs(rep.observed_order - 2.0) <= 0.2
@@ -376,7 +377,7 @@ class TestPdeResidual:
         for kind in (FamilyKind.DIRAC_PLUS, FamilyKind.DIRAC_MINUS):
             fam, dec = _solved(kind, 2, 5.0)
             mom = momentum_for_mode(fam, float(dec.etas[-1]), N_M)
-            [rep] = pde_residual_fd([pde_stencil(fam, N_M)],
+            [rep] = pde_residual_fd(pde_stencil(N_M, H), [fam],
                                     [dec.vectors[:, -1].astype(complex)], [mom],
                                     [5.0])
             assert abs(rep.observed_order - 2.0) <= 0.2, kind
@@ -385,7 +386,7 @@ class TestPdeResidual:
         fam, dec = _solved(FamilyKind.KG_COS_EVEN, 2, 5.0)
         eta_bad = float(dec.etas[-1]) + 0.01 * (1 + abs(float(dec.etas[-1])))
         mom = momentum_for_mode(fam, eta_bad, N_M)
-        [rep] = pde_residual_fd([pde_stencil(fam, N_M)], [dec.vectors[:, -1]],
+        [rep] = pde_residual_fd(pde_stencil(N_M, H), [fam], [dec.vectors[:, -1]],
                                 [mom], [5.0])
         assert rep.observed_order < 1.0
         assert rep.max_residual_half > 1e-6
@@ -395,7 +396,7 @@ class TestPdeResidual:
         _, dec_plus = _solved(FamilyKind.DIRAC_PLUS, 2, 5.0)
         fam_minus = SolutionFamily(FamilyKind.DIRAC_MINUS, 2)
         mom = momentum_for_mode(fam_minus, float(dec_plus.etas[-1]), N_M)
-        [rep] = pde_residual_fd([pde_stencil(fam_minus, N_M)],
+        [rep] = pde_residual_fd(pde_stencil(N_M, H), [fam_minus],
                                 [dec_plus.vectors[:, -1]], [mom], [5.0])
         assert rep.max_residual_half > 1e-3
 
@@ -407,7 +408,7 @@ class TestPdeResidual:
         c = np.array([0.0, 1.0])               # single harmonic exp(-i xi)
         mom = vacuum_null_momentum(1, N_M)
         for h in (1e-2, 2e-2, 4e-2):
-            [rep] = pde_residual_fd([pde_stencil(fam, N_M, h=h)], [c], [mom], [0.0])
+            [rep] = pde_residual_fd(pde_stencil(N_M, h), [fam], [c], [mom], [0.0])
             assert rep.max_residual < 1e-10
 
     def test_off_shell_rejected(self):
@@ -417,7 +418,7 @@ class TestPdeResidual:
                                 eta=good.eta,
                                 kappa_star_sq=good.kappa_star_sq + 1.0)
         with pytest.raises(InputError):
-            pde_residual_fd([pde_stencil(fam, N_M)], [dec.vectors[:, -1]], [bad],
+            pde_residual_fd(pde_stencil(N_M, H), [fam], [dec.vectors[:, -1]], [bad],
                             [5.0])
 
     def test_pz_rejected(self):
@@ -427,7 +428,7 @@ class TestPdeResidual:
                                 eta=good.eta,
                                 kappa_star_sq=good.kappa_star_sq - 0.25)
         with pytest.raises(InputError):
-            pde_residual_fd([pde_stencil(fam, N_M)], [dec.vectors[:, -1]], [bad],
+            pde_residual_fd(pde_stencil(N_M, H), [fam], [dec.vectors[:, -1]], [bad],
                             [5.0])
 
     def test_px_quantization_enforced(self):
@@ -438,17 +439,17 @@ class TestPdeResidual:
         bad = DeBroglieMomentum(p0=p0, px=1.0, py=0.0, pz=0.0, eta=eta,
                                 kappa_star_sq=p0 * p0 - 1.0)
         with pytest.raises(InputError):
-            pde_residual_fd([pde_stencil(fam, N_M)], [dec.vectors[:, -1]], [bad],
+            pde_residual_fd(pde_stencil(N_M, H), [fam], [dec.vectors[:, -1]], [bad],
                             [5.0])
 
     @staticmethod
     def _top_mode_point(kind, n, a):
-        """(stencil, coefficients, momentum, a) of the check `verify` runs."""
+        """(step, family, coefficients, momentum, a) of the check `verify` runs."""
         fam, dec = _solved(kind, n, a)
         top = int(np.nonzero(dec.etas >= 0.0)[0][-1])
         mom = momentum_for_mode(fam, float(dec.etas[top]), N_M)
         h = 5e-3 if a <= 25.0 else 1e-2
-        return pde_stencil(fam, N_M, h), dec.vectors[:, top], mom, a
+        return h, fam, dec.vectors[:, top], mom, a
 
     def test_batch_matches_batches_of_one(self):
         # one dimension group: complex-basis dirac families, real-basis KG
@@ -458,24 +459,24 @@ class TestPdeResidual:
                   for kind, n in ((FamilyKind.DIRAC_PLUS, 3), (FamilyKind.DIRAC_MINUS, 3),
                                   (FamilyKind.KG_COS_EVEN, 5), (FamilyKind.KG_SIN_ODD, 6))
                   for a in (14.0, 50.0)]
-        stencil, c, mom, a = points[4]
-        assert stencil.basis.dtype == float and a == 14.0
-        points.append((stencil, c * np.exp(0.7j), mom, a))
+        h, fam, c, mom, a = points[4]
+        assert fam.basis(np.zeros(1))[0].dtype == float and a == 14.0
+        points.append((h, fam, c * np.exp(0.7j), mom, a))
         batches = {}
-        for point in points:
-            key = np.result_type(point[0].basis, point[1]), point[0].h
-            batches.setdefault(key, []).append(point)
+        for h, fam, c, mom, a in points:
+            basis = fam.basis(np.zeros(1))[0]
+            batches.setdefault((np.result_type(basis, c), h), []).append((fam, c, mom, a))
         assert len(batches) == 4
-        for batch in batches.values():
-            for point, rep in zip(batch, pde_residual_fd(*zip(*batch)), strict=True):
-                assert repr(rep) == repr(pde_residual_fd(*zip(point))[0])
+        for (_, h), batch in batches.items():
+            stencil = pde_stencil(N_M, h)
+            for point, rep in zip(batch, pde_residual_fd(stencil, *zip(*batch)), strict=True):
+                assert repr(rep) == repr(pde_residual_fd(stencil, *zip(point))[0])
 
-    @pytest.mark.parametrize("other", [(FamilyKind.DIRAC_PLUS, 3, 14.0),
-                                       (FamilyKind.KG_SIN_ODD, 6, 50.0)])
-    def test_mixed_dtype_or_step_rejected(self, other):
-        kg = self._top_mode_point(FamilyKind.KG_COS_EVEN, 5, 14.0)
-        with pytest.raises(InputError, match="one step"):
-            pde_residual_fd(*zip(kg, self._top_mode_point(*other)))
+    def test_mixed_dtype_rejected(self):
+        _, *kg = self._top_mode_point(FamilyKind.KG_COS_EVEN, 5, 14.0)
+        h, *dirac = self._top_mode_point(FamilyKind.DIRAC_PLUS, 3, 14.0)
+        with pytest.raises(InputError, match="one result dtype"):
+            pde_residual_fd(pde_stencil(N_M, h), *zip(kg, dirac))
 
 
 class TestRunPoint:
@@ -577,27 +578,35 @@ def test_grid_matches_points():
 
 
 def test_grid_builds_each_basis_once(monkeypatch):
-    # one ODE sample basis per family and one PDE stencil per (family, h),
-    built = {"ode": [], "pde": []}
+    # one ODE sample basis per family, one PDE stencil per (dimension group,
+    # h), and one basis evaluation on a stencil per (family, h)
+    built = {"ode": [], "pde": [], "basis": []}
     ode_samples, stencil = verification._ode_samples, verification.pde_stencil
+    basis, stencils = SolutionFamily.basis, []
 
     def count_ode(family, seed):
         built["ode"].append(family)
         return ode_samples(family, seed)
 
-    def count_pde(family, n_m, h, **kwargs):
-        built["pde"].append((family, h))
-        return stencil(family, n_m, h, **kwargs)
+    def count_pde(n_m, h, seed):
+        built["pde"].append((solves[-1], h))
+        stencils.append(stencil(n_m, h, seed))
+        return stencils[-1]
+
+    def count_basis(family, z, derivatives=0):
+        built["basis"] += [(family, st.h) for st in stencils if z is st.z]
+        return basis(family, z, derivatives)
 
     # and one spacetime batch per (dimension group, result dtype, h)
     residual = verification.pde_residual_fd
     batches = []
 
-    def count_batches(stencils, coefficients, momenta, couplings):
-        batches.append((stencils[0].family.dim,
-                        np.result_type(stencils[0].basis, coefficients[0]),
-                        stencils[0].h))
-        return residual(stencils, coefficients, momenta, couplings)
+    def count_batches(stencil, families, coefficients, momenta, couplings):
+        batches.append((families[0].dim,
+                        np.result_type(complex if families[0].spin_sign else float,
+                                       coefficients[0]),
+                        stencil.h))
+        return residual(stencil, families, coefficients, momenta, couplings)
 
     # and one solve and one Sturm pass per dimension group
     solves, sturms = [], []
@@ -613,6 +622,7 @@ def test_grid_builds_each_basis_once(monkeypatch):
 
     monkeypatch.setattr(verification, "_ode_samples", count_ode)
     monkeypatch.setattr(verification, "pde_stencil", count_pde)
+    monkeypatch.setattr(SolutionFamily, "basis", count_basis)
     monkeypatch.setattr(verification, "pde_residual_fd", count_batches)
     monkeypatch.setattr(verification, "solve_spectra", count_solves)
     monkeypatch.setattr(verification, "sturm_crosscheck", count_sturms)
@@ -621,8 +631,13 @@ def test_grid_builds_each_basis_once(monkeypatch):
     dims = {fam.dim for fam in families}
     assert sorted(solves) == sorted(sturms) == sorted(dims)
     assert sorted(map(repr, built["ode"])) == sorted(map(repr, families))
-    assert len(built["pde"]) == len(set(built["pde"]))
-    assert {h for _, h in built["pde"]} == {5e-3, 1e-2}
+    assert sorted(built["pde"]) == sorted((dim, h) for dim in dims for h in (5e-3, 1e-2))
+    assert len(built["basis"]) == len(set(built["basis"]))
+    # every family has a propagating mode at a = 0.5; the one-dimensional
+    # kg-sin-odd operator has none at a = 50, its only 1e-2 point
+    evanescent = (SolutionFamily(FamilyKind.KG_SIN_ODD, 1), 1e-2)
+    assert set(built["basis"]) == {(fam, h) for fam in families
+                                   for h in (5e-3, 1e-2)} - {evanescent}
     assert len(batches) == len(set(batches))
     assert {dtype for _, dtype, _ in batches} == {np.dtype(float), np.dtype(complex)}
     assert {h for _, _, h in batches} == {5e-3, 1e-2}

@@ -161,28 +161,8 @@ class SolutionFamily:
         return nu
 
     def basis(self, z: np.ndarray, derivatives: int = 0) -> list:
-        """[B, B', ...]: the basis functions at the samples z = xi/2 (one row
-        per sample) and their first `derivatives` (at most 2) z-derivatives.
-
-        The derivatives are exact: B' = -i nu B, -nu sin(nu z) or
-        nu cos(nu z), and B'' = -nu^2 B for every basis.
-        """
-        nu = self.nu
-        arg = np.multiply.outer(z, nu)
-        fn = self._row.basis
-        if fn == "exp":
-            B = np.exp(-1j * arg)
-        else:
-            B = np.cos(arg) if fn == "cos" else np.sin(arg)
-        out = [B]
-        if derivatives >= 1:
-            if fn == "exp":
-                out.append((-1j * nu) * B)
-            else:
-                out.append(-nu * np.sin(arg) if fn == "cos" else nu * np.cos(arg))
-        if derivatives >= 2:
-            out.append(-(nu * nu) * B)
-        return out
+        """[B, B', ...] of the window at the samples z = xi/2: `evaluate_basis`."""
+        return evaluate_basis(self._row.basis, self.nu, z, derivatives)
 
     @property
     def px_over_kp(self) -> float:
@@ -199,3 +179,57 @@ class SolutionFamily:
 
 
 ALL_KINDS = tuple(FamilyKind)
+
+
+def evaluate_basis(fn: str, nu: np.ndarray, z: np.ndarray, derivatives: int = 0) -> list:
+    """[B, B', ...]: the basis functions at the samples z = xi/2 (one row
+    per sample, one column per frequency) and their first `derivatives` (at
+    most 2) z-derivatives.
+
+    fn is a basis of the family table: "exp" for exp(-i nu z), "cos" or
+    "sin".  The derivatives are exact: B' = -i nu B, -nu sin(nu z) or
+    nu cos(nu z), and B'' = -nu^2 B for every basis.  Every entry depends
+    on its own z and nu alone, so a column slice of a wider evaluation has
+    the bits of evaluating the slice's frequencies.
+    """
+    arg = np.multiply.outer(z, nu)
+    if fn == "exp":
+        B = np.exp(-1j * arg)
+    else:
+        B = np.cos(arg) if fn == "cos" else np.sin(arg)
+    out = [B]
+    if derivatives >= 1:
+        if fn == "exp":
+            out.append((-1j * nu) * B)
+        else:
+            out.append(-nu * np.sin(arg) if fn == "cos" else nu * np.cos(arg))
+    if derivatives >= 2:
+        out.append(-(nu * nu) * B)
+    return out
+
+
+def shared_bases(families, z: np.ndarray, derivatives: int = 0) -> dict:
+    """{family: its [B, B', ...] at z}, each basis set evaluated once.
+
+    A basis set is a (basis, shift) pair of `_ROWS`: exp(-i nu z), shared
+    by both dirac kinds, and cos and sin at shift 0 and at shift 1/2.  Each
+    set is evaluated over the widest window R0..R1 that its families span,
+    and a family reads the columns r0 - R0 .. r1 - R0 of it: read-only
+    views that carry the bits of `family.basis(z, derivatives)`.
+    """
+    spans = {}
+    for fam in families:
+        (r0, r1), key = fam.window, (fam._row.basis, fam._row.shift)
+        low, high, _ = spans.get(key, (r0, r1, fam))
+        spans[key] = min(low, r0), max(high, r1), fam
+    sets = {key: (low, evaluate_basis(key[0], fam.z_frequencies(np.arange(low, high + 1)),
+                                      z, derivatives))
+            for key, (low, high, fam) in spans.items()}
+    for _, values in sets.values():
+        for v in values:
+            v.setflags(write=False)         # the families share these columns
+    out = {}
+    for fam in families:
+        (r0, r1), (low, values) = fam.window, sets[fam._row.basis, fam._row.shift]
+        out[fam] = [v[..., r0 - low:r1 - low + 1] for v in values]
+    return out

@@ -24,7 +24,8 @@ import numpy as np
 
 from .constants import SAMPLING_SEED
 from .errors import InputError
-from .families import SolutionFamily
+from .families import SolutionFamily, shared_bases
+from .serialize import format_number
 from .spectra import SpectralDecomposition
 
 __all__ = ["ODE_RESIDUAL_TOL", "seeded_angles", "attach_residuals"]
@@ -130,10 +131,12 @@ class _OdeSamples(NamedTuple):
     cos2z: np.ndarray
 
 
-def _ode_samples(family: SolutionFamily, seed: int) -> _OdeSamples:
+def _ode_samples(families, seed: int) -> dict:
+    """{family: _OdeSamples}: each basis set evaluated once (`shared_bases`)."""
     z = _sample_points(seed)
-    return _OdeSamples(family, family.basis(z, derivatives=2),
-                       np.sin(2.0 * z)[:, None], np.cos(2.0 * z)[:, None])
+    sin2z, cos2z = np.sin(2.0 * z)[:, None], np.cos(2.0 * z)[:, None]
+    return {fam: _OdeSamples(fam, basis, sin2z, cos2z)
+            for fam, basis in shared_bases(families, z, derivatives=2).items()}
 
 
 def _residual_values_batch(samples: _OdeSamples, a: float, etas: np.ndarray,
@@ -169,11 +172,22 @@ def _batch_residual_maxima(samples: _OdeSamples, a: float, etas: np.ndarray,
     `verification._residual_values_compensated` for all six kinds at
     n <= 60, a <= 50), more than five orders of magnitude under the
     tolerance.
+
+    A mode whose eta and coefficients are finite but whose residual is not
+    has terms past double range (q a cos 2z f near a = 1e308): that is the
+    checker's range, not a wrong eigenpair, and is refused as an
+    InputError.  A mode with non-finite coefficients fails.
     """
-    with np.errstate(over="ignore", invalid="ignore"):      # near a = 1e308: a failed mode
+    with np.errstate(over="ignore", invalid="ignore"):      # past range: refused below
         values = _residual_values_batch(samples, a, etas, vectors)
         scales = 1.0 + np.abs(etas) + a * samples.family.dim
     maxima = np.max(np.abs(values), axis=0)
+    past = ~np.isfinite(maxima)
+    if past.any() and (past & np.isfinite(etas) & np.isfinite(vectors).all(axis=0)).any():
+        fam = samples.family
+        raise InputError(
+            f"{fam.kind.value} n = {fam.n}: a = {format_number(a)} is past the range "
+            "limit of the ODE residual check: its terms leave double range")
     return maxima, scales, maxima < ODE_RESIDUAL_TOL * scales
 
 
@@ -183,7 +197,8 @@ def attach_residuals(decomposition: SpectralDecomposition,
 
     passed[i] is the verdict of `_batch_residual_maxima` for etas[i].
     """
+    family = decomposition.family
     maxima, _, passed = _batch_residual_maxima(
-        _ode_samples(decomposition.family, seed), decomposition.a,
+        _ode_samples([family], seed)[family], decomposition.a,
         decomposition.etas, decomposition.vectors)
     return decomposition.with_residuals(maxima), passed

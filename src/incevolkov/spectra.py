@@ -36,6 +36,7 @@ __all__ = [
     "MAX_SOLVE_DIM",
     "SpectralDecomposition",
     "symmetrize",
+    "symmetrize_stack",
     "solve_spectra",
     "solve_spectrum",
 ]
@@ -86,25 +87,39 @@ class SpectralDecomposition:
         return replace(self, residuals=np.asarray(residuals, dtype=float))
 
 
-def symmetrize(T: TridiagonalOperator):
-    """Diagonal similarity S = D T D^-1 with S symmetric.
+def symmetrize_stack(operators):
+    """Diagonal similarities S = D T D^-1, S symmetric, of equal-dimension operators.
 
-    Returns (diag, offdiag, scale): S has the same diagonal as T,
-    off-diagonals sqrt(super_ * sub), and scale is the diagonal of D with
-    scale[0] = 1 and scale[i + 1] = scale[i] * sqrt(super_[i] / sub[i]) (a
-    ratio of 1 across a zero bond), a sequential product.  Eigenvectors
-    map back as v = y / scale.  The first bond that cannot be symmetrized
-    is named in the error.
+    Returns (diag, off, scale, bonds), one row per operator: S has the
+    diagonal of T and off-diagonals sqrt(super_ * sub); scale is the
+    diagonal of D, scale[0] = 1 and scale[i + 1] = scale[i] *
+    sqrt(super_[i] / sub[i]) (a ratio of 1 across a zero bond), a
+    sequential product; bonds are the products super_ * sub.  Eigenvectors
+    map back as v = y / scale.  diag, super_ and sub are stacked once, and
+    every step is elementwise or runs along one row, so an operator gets
+    the bits it gets alone.  The first operator with a bond that cannot be
+    symmetrized is refused, naming its first such bond.
     """
+    diag = np.stack([T.diag for T in operators])
+    sup = np.stack([T.super_ for T in operators])
+    sub = np.stack([T.sub for T in operators])
     with np.errstate(over="ignore"):            # an overflow is refused below
-        p = T.super_ * T.sub
-    positive = p > 0.0
-    bad = (p == np.inf) | ~(positive | ((T.super_ == 0.0) & (T.sub == 0.0)))
+        bonds = sup * sub
+    positive = bonds > 0.0
+    bad = (bonds == np.inf) | ~(positive | ((sup == 0.0) & (sub == 0.0)))
     if bad.any():
-        _refuse_bond(T, int(np.argmax(bad)))
-    off = np.sqrt(np.where(positive, p, 0.0))
-    ratio = np.sqrt(np.divide(T.super_, T.sub, out=np.ones_like(p), where=positive))
-    return T.diag.copy(), off, np.cumprod(np.concatenate(([1.0], ratio)))
+        row, i = np.unravel_index(np.argmax(bad), bad.shape)
+        _refuse_bond(operators[row], int(i))
+    off = np.sqrt(np.where(positive, bonds, 0.0))
+    ratio = np.sqrt(np.divide(sup, sub, out=np.ones_like(bonds), where=positive))
+    scale = np.cumprod(np.concatenate((np.ones((len(operators), 1)), ratio), axis=1), axis=1)
+    return diag, off, scale, bonds
+
+
+def symmetrize(T: TridiagonalOperator):
+    """(diag, off, scale) of one operator: `symmetrize_stack` with a stack of one."""
+    diag, off, scale, _ = symmetrize_stack([T])
+    return diag[0], off[0], scale[0]
 
 
 _TINY = np.finfo(float).tiny        # the smallest normal double
@@ -137,11 +152,11 @@ def solve_spectra(operators) -> list:
     """Full eigendecompositions of equal-dimension operators, in one stacked solve.
 
     Ascending eigenvalues and unit-norm vectors, one SpectralDecomposition
-    per operator.  Each operator is symmetrized (the first operator with a
-    bond that cannot be raises `symmetrize`'s error, naming the bond), the
-    symmetric matrices are stacked, and one `numpy.linalg.eigh` call solves
-    them all.  The back-transform, the column norms and the sign fix then
-    run over the whole stack.  LAPACK solves each matrix of a stack on its
+    per operator.  The stack is symmetrized at once (`symmetrize_stack`:
+    the first operator with a bond that cannot be is refused, naming the
+    bond), and one `numpy.linalg.eigh` call solves the symmetric matrices.
+    The back-transform, the column norms and the sign fix then run over
+    the whole stack.  LAPACK solves each matrix of a stack on its
     own, and every later step is elementwise or reduces one column in
     contiguous memory, so an operator gets the same bits in any stack.
 
@@ -155,7 +170,7 @@ def solve_spectra(operators) -> list:
         raise InputError("a stacked solve needs operators of one dimension")
     dim = dims.pop()
     refuse_past_solve_limit(operators[0].family.n, dim)
-    diag, off, scale = (np.stack(part) for part in zip(*map(symmetrize, operators)))
+    diag, off, scale, _ = symmetrize_stack(operators)
     matrices = np.zeros((len(operators), dim, dim))
     rows = np.arange(dim)
     matrices[:, rows, rows] += diag          # 0.0 + d: a -0.0 entry enters as +0.0

@@ -30,15 +30,19 @@ reference that no command runs: the tests compare it with the solver, and
 it adds no detection that the Sturm certificate lacks.
 
 The solve and the Sturm check take a sequence of equal-dimension
-operators and run over the whole stack at once, and the spacetime check
-takes one step's stencil and a sequence of points of one result dtype;
-each operator and point gets the bits it gets alone.  `run_grid` groups
-its points by dimension for them: per group, one solve gives one (B, dim)
-etas array, which the ODE, Sturm and spacetime checks all judge; one Sturm
-pass stacks the diagonals and bond products once and returns each
-operator's radius with its gate; one stencil per step serves every family,
-and one spacetime batch runs per step and result dtype.
-`run_point` is the same path with a group of one.
+operators and run over the whole stack at once, each after one stacked
+bond check (`spectra.symmetrize_stack`), and the spacetime check takes one
+step's stencil, the bases on it and a sequence of points of one result
+dtype; each operator and point gets the bits it gets alone.  A round
+(`_check_round`) evaluates each of the five basis sets of the family table
+once at the ODE sample points and once on the stencil of each step it
+uses, builds one stencil per step, and gives every family its columns of
+them (`families.shared_bases`).  It then groups its points by dimension:
+per group, one solve gives one (B, dim) etas array, which the ODE, Sturm
+and spacetime checks all judge; one Sturm pass returns each operator's
+radius with its gate, and one spacetime batch runs per step and result
+dtype.  `run_grid` is one round over the grid, and `run_point` the same
+path with a round of one.
 
 Sign conventions verified by the PDE check (electron, charge coupling
 eps_c * A0 = -a/4 in the dimensionless units hbar = c = 1, k_p = 1):
@@ -62,12 +66,12 @@ import numpy as np
 
 from .constants import SAMPLING_SEED
 from .errors import InputError, StructuralError
-from .families import ALL_KINDS, FamilyKind, SolutionFamily
-from .operators import TridiagonalOperator, build_operator
+from .families import ALL_KINDS, FamilyKind, SolutionFamily, shared_bases
+from .operators import TridiagonalOperator, build_operator, refuse_past_solve_limit
 from .physparams import DeBroglieMomentum
 from .residual import _batch_residual_maxima, _ode_samples, seeded_angles
 from .serialize import format_number
-from .spectra import solve_spectra, symmetrize
+from .spectra import solve_spectra, symmetrize_stack
 
 __all__ = [
     "SAMPLING_SEED", "DENSE_IMAG_TOL", "ORACLE_AGREEMENT_TOL",
@@ -241,9 +245,10 @@ def sturm_crosscheck(operators, etas):
     """Per operator, (radius, gate): Sturm counts enclose each eigenvalue within radius of its eta.
 
     The operators share one dimension, and etas, shape (B, dim), are the
-    eigenvalues to judge.  Diagonals and bond products super * sub are
-    stacked once (a bond that cannot be symmetrized raises `symmetrize`'s
-    error), and both the radius and the gate come from that stack.
+    eigenvalues to judge.  One stacked bond check (`symmetrize_stack`)
+    gives the diagonals, off-diagonals and bond products super * sub, or
+    refuses the first bond that cannot be symmetrized, and both the radius
+    and the gate come from that stack.
 
     An operator of dim 1 reports |entry - eta|, exactly, since its
     eigenvalue is its entry.  Every other operator reports
@@ -265,12 +270,8 @@ def sturm_crosscheck(operators, etas):
     the eigenvalues only far past the grid (2.1e136 at dirac-plus n = 3,
     a = 1e150).
     """
-    d = np.stack([T.diag for T in operators])
-    with np.errstate(over="ignore"):
-        b = np.stack([T.super_ * T.sub for T in operators])
-    for row in np.flatnonzero(~((b > 0.0) & (b < np.inf)).all(axis=1)):
-        symmetrize(operators[row])      # passes zero bonds, raises on bad ones
-    lo, hi = gershgorin_bounds(d, np.sqrt(b))
+    d, off, _, b = symmetrize_stack(operators)
+    lo, hi = gershgorin_bounds(d, off)
     gates = np.maximum(ORACLE_AGREEMENT_TOL, _AGREEMENT_ULPS * np.finfo(float).eps
                        * np.maximum(np.abs(lo), np.abs(hi)))
     if d.shape[1] == 1:
@@ -465,7 +466,8 @@ def _ptilde(stencil: PdeStencil, family: SolutionFamily, c: np.ndarray,
     return p - k_dot_p * kvec            # k.ptil = 0 since k^2 = 1
 
 
-def pde_residual_fd(stencil: PdeStencil, families, coefficients, momenta, couplings) -> list:
+def pde_residual_fd(stencil: PdeStencil, bases, families, coefficients, momenta,
+                    couplings) -> list:
     """Central-difference residuals of the covariant wave equation, one report per point.
 
     Units hbar = c = 1, k_p = 1.  Point i builds Psi(t,x,y) from its
@@ -476,13 +478,15 @@ def pde_residual_fd(stencil: PdeStencil, families, coefficients, momenta, coupli
     observed convergence order.  Off-shell or inconsistent momenta are
     precondition errors.
 
-    The points run as one batch: each family's basis is evaluated at the
-    9 shifted point sets once, one stacked matrix-vector product per point
-    gives its 9 modulations, and the residual arithmetic runs on (points,
-    PDE_POINTS) arrays with per-point coefficients, elementwise, so every
-    point gets the bits it gets alone.  That needs one result dtype of
-    basis and coefficients per call (a real modulation stacked with
-    complex ones would be cast); anything else is an InputError.
+    bases maps each family to its basis at the stencil's 9 shifted point
+    sets, `family.basis(stencil.z)[0]` or its columns of a shared set
+    (`families.shared_bases`); no basis is evaluated here.  The points run
+    as one batch: one stacked matrix-vector product per point gives its 9
+    modulations, and the residual arithmetic runs on (points, PDE_POINTS)
+    arrays with per-point coefficients, elementwise, so every point gets
+    the bits it gets alone.  That needs one result dtype of basis and
+    coefficients per call (a real modulation stacked with complex ones
+    would be cast); anything else is an InputError.
     """
     families, momenta, couplings = list(families), list(momenta), list(couplings)
     cs = [np.asarray(c) for c in coefficients]
@@ -490,7 +494,6 @@ def pde_residual_fd(stencil: PdeStencil, families, coefficients, momenta, coupli
         return []
     ptil = np.array([_ptilde(stencil, fam, c, mom, a) for fam, c, mom, a
                      in zip(families, cs, momenta, couplings, strict=True)])
-    bases = {fam: fam.basis(stencil.z)[0] for fam in dict.fromkeys(families)}
     if len({np.result_type(bases[fam], c) for fam, c in zip(families, cs)}) != 1:
         raise InputError("a spacetime batch needs one result dtype "
                          "of basis and coefficients")
@@ -605,17 +608,24 @@ class VerificationReport:
         }
 
 
-def _pde_checks(families, points, etas, vectors, seed: int) -> list:
+def _pde_step(a: float) -> float:
+    """The step of the spacetime check at coupling a (see `_pde_checks`)."""
+    return 5e-3 if a <= 25.0 else 1e-2
+
+
+def _pde_checks(families, points, etas, vectors, spacetime) -> list:
     """(order, residual, passed, notes) of the spacetime check of each point of a group.
 
     Each point's check runs on its highest non-evanescent mode.  Rounding
     enters like eps * e^(a/4) / h^2 while truncation shrinks like h^2, and
     some small-(n, a) modes have tiny truncation constants, so the order
     estimate needs a step well above the noise floor: h = 5e-3 for a <= 25
-    and 1e-2 above.  The group builds one stencil per step; its points run
-    in one `pde_residual_fd` batch per (step, result dtype), since casting
-    real (KG) modulations to stack them with complex (dirac) ones changes
-    the bits of a row that overflows (0 * inf gives NaN past a ~ 2840).
+    and 1e-2 above (`_pde_step`).  spacetime maps each step to its stencil
+    and the round's bases on it, which the points share.  The points run
+    in one `pde_residual_fd` batch per (step, result dtype of the shared
+    basis and the coefficients), since casting real (KG) modulations to
+    stack them with complex (dirac) ones changes the bits of a row that
+    overflows (0 * inf gives NaN past a ~ 2840).
     """
     results = [None] * len(points)
     batches = {}
@@ -631,12 +641,12 @@ def _pde_checks(families, points, etas, vectors, seed: int) -> list:
         top = int(propagating[-1])
         mom = momentum_for_mode(fam, float(point_etas[top]), DEFAULT_GRID_N_M)
         c = point_vectors[:, top]
-        dtype = np.result_type(complex if fam.spin_sign else float, c)   # spin 1/2: exp(-i nu z)
-        batches.setdefault((5e-3 if a <= 25.0 else 1e-2, dtype), []).append((i, fam, c, mom, a))
-    stencils = {h: pde_stencil(DEFAULT_GRID_N_M, h, seed) for h in {h for h, _ in batches}}
+        h = _pde_step(a)
+        dtype = np.result_type(spacetime[h][1][fam], c)
+        batches.setdefault((h, dtype), []).append((i, fam, c, mom, a))
     for (h, _), batch in batches.items():
         index, *args = zip(*batch)
-        for i, pde in zip(index, pde_residual_fd(stencils[h], *args)):
+        for i, pde in zip(index, pde_residual_fd(*spacetime[h], *args)):
             results[i] = (pde.observed_order, pde.max_residual,
                           pde.converged_second_order or pde.max_residual_half < 1e-12, [])
     return results
@@ -679,30 +689,26 @@ def _one_blas_thread():
         set_(before)
 
 
-@_one_blas_thread()
-def _check_group(points, seed: int, eta_shift: float = 0.0) -> list:
+def _check_group(points, samples, spacetime, eta_shift: float) -> list:
     """PointReports of (kind, n, a) points whose operators share one dimension.
 
     The points' operators are solved in one stacked solve, whose (B, dim)
     etas (plus eta_shift) are the ones every check judges: each point's
-    ODE residual, one Sturm pass over the whole group, and the spacetime
-    check once per step and result dtype (`_pde_checks`).  A family's ODE
-    samples do not depend on a, so they are built once per family; the
-    spacetime geometry depends on neither family nor a, so one stencil per
-    step serves the whole group.  Both are dropped with the group.
+    ODE residual on its family's slice of the round's ODE samples, one
+    Sturm pass over the whole group, and the spacetime check once per step
+    and result dtype (`_pde_checks`) on the round's stencils.
     """
     families = [SolutionFamily(kind, n) for kind, n, _ in points]
     ops = [build_operator(fam, a) for fam, (_, _, a) in zip(families, points)]
     decs = solve_spectra(ops)
     etas = np.stack([dec.etas for dec in decs]) + eta_shift
-    samples = {fam: _ode_samples(fam, seed) for fam in dict.fromkeys(families)}
     odes = [_batch_residual_maxima(samples[fam], a, point_etas, dec.vectors)
             for fam, (_, _, a), point_etas, dec in zip(families, points, etas, decs)]
     sturm, gates = sturm_crosscheck(ops, etas)
-    pdes = _pde_checks(families, points, etas, [dec.vectors for dec in decs], seed)
+    pdes = _pde_checks(families, points, etas, [dec.vectors for dec in decs], spacetime)
 
     reports = []
-    with np.errstate(invalid="ignore"):     # inf / inf near a = 1e308: a failed mode
+    with np.errstate(invalid="ignore"):     # inf / inf: a non-finite eta fails
         for fam, (kind, n, a), dec, (maxima, scales, passed), sturm_disc, gate, \
                 (pde_order, pde_res, pde_ok, notes) \
                 in zip(families, points, decs, odes, sturm, gates, pdes):
@@ -720,33 +726,51 @@ def _check_group(points, seed: int, eta_shift: float = 0.0) -> list:
     return reports
 
 
+@_one_blas_thread()
+def _check_round(points, seed: int, eta_shift: float) -> list:
+    """PointReports of (kind, n, a) points, in their order.
+
+    A family's window is a slice of its basis set's widest window, so the
+    round evaluates each basis set once at the ODE sample points and once
+    on the stencil of each step its couplings use (`shared_bases`), and
+    builds one stencil per step.  The points then run in groups of one
+    operator dimension (`_check_group`), so that the solve and the Sturm
+    check run once per group; a group's arrays are dropped before the next.
+    """
+    families = [SolutionFamily(kind, n) for kind, n, _ in points]
+    for fam in families:                # before a window is allocated
+        refuse_past_solve_limit(fam.n, fam.dim)
+    samples = _ode_samples(families, seed)
+    spacetime = {}
+    for h in dict.fromkeys(_pde_step(a) for _, _, a in points):
+        stencil = pde_stencil(DEFAULT_GRID_N_M, h, seed)
+        spacetime[h] = stencil, {fam: basis[0] for fam, basis
+                                 in shared_bases(families, stencil.z).items()}
+    groups = {}
+    for index, fam in enumerate(families):
+        groups.setdefault(fam.dim, []).append(index)
+    reports = [None] * len(points)
+    for indices in groups.values():
+        group = _check_group([points[i] for i in indices], samples, spacetime, eta_shift)
+        for i, report in zip(indices, group):
+            reports[i] = report
+    return reports
+
+
 def run_point(kind: FamilyKind, n: int, a: float, seed: int = SAMPLING_SEED,
               eta_shift: float = 0.0) -> PointReport:
-    """Run all three checks for one grid point: the grid's path, with a group of one.
+    """Run all three checks for one grid point: the grid's path, with a round of one.
 
     eta_shift is a fault-injection knob: the negative control of
     `benchmarks/worker.py` and the test suite use it to confirm that
     corrupted eigenvalues are caught.  It must stay 0.0 in normal use.
     """
-    return _check_group([(kind, n, a)], seed, eta_shift)[0]
+    return _check_round([(kind, n, a)], seed, eta_shift)[0]
 
 
 def run_grid(n_max: int = DEFAULT_GRID_N_MAX, a_values=DEFAULT_GRID_A_VALUES,
              seed: int = SAMPLING_SEED) -> VerificationReport:
-    """Run every check over the shipped grid, deterministically ordered.
-
-    Points are checked in groups of one operator dimension, so that the
-    solve and the Sturm check run once per group; a group's arrays are
-    dropped before the next.  The reports keep the grid order.
-    """
+    """Run every check over the shipped grid, deterministically ordered (`_check_round`)."""
     points = [(kind, n, float(a)) for kind in sorted(ALL_KINDS, key=lambda k: k.value)
               for n in range(1, n_max + 1) for a in a_values]
-    groups = {}
-    for index, (kind, n, _) in enumerate(points):
-        groups.setdefault(SolutionFamily(kind, n).dim, []).append(index)
-    reports = [None] * len(points)
-    for indices in groups.values():
-        group = _check_group([points[i] for i in indices], seed)
-        for i, report in zip(indices, group):
-            reports[i] = report
-    return VerificationReport(points=tuple(reports), seed=seed)
+    return VerificationReport(points=tuple(_check_round(points, seed, 0.0)), seed=seed)

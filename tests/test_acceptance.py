@@ -37,6 +37,12 @@ LASER = LaserInput(photon_energy_ev=1.563, intensity_w_cm2=1e8)
 PLASMA = PlasmaInput(plasma_energy_ev=1.0)
 
 
+def _pde(stencil, families, *points):
+    """`pde_residual_fd` with each family's own basis on the stencil."""
+    bases = {fam: fam.basis(stencil.z)[0] for fam in families}
+    return pde_residual_fd(stencil, bases, families, *points)
+
+
 def report(num, ok, detail):
     status = "PASS" if ok else "FAIL"
     print(f"criterion {num:>2}: {status} - {detail}")
@@ -202,7 +208,7 @@ def test_criterion_09_pde_end_to_end():
         dec = solve_spectrum(build_operator(fam, 5.0))
         eta = float(dec.etas[-1])
         mom = momentum_for_mode(fam, eta, N_M_REF)
-        [rep] = pde_residual_fd(pde_stencil(N_M_REF, 1e-3), [fam], [dec.vectors[:, -1]],
+        [rep] = _pde(pde_stencil(N_M_REF, 1e-3), [fam], [dec.vectors[:, -1]],
                                 [mom], [5.0])
         orders[kind.value] = rep.observed_order
     # negative control: same coefficients, shifted eigenvalue
@@ -210,7 +216,7 @@ def test_criterion_09_pde_end_to_end():
     dec = solve_spectrum(build_operator(fam, 5.0))
     eta_bad = float(dec.etas[-1]) + 0.01 * (1.0 + abs(float(dec.etas[-1])))
     mom = momentum_for_mode(fam, eta_bad, N_M_REF)
-    [bad] = pde_residual_fd(pde_stencil(N_M_REF, 1e-3), [fam], [dec.vectors[:, -1]],
+    [bad] = _pde(pde_stencil(N_M_REF, 1e-3), [fam], [dec.vectors[:, -1]],
                             [mom], [5.0])
     ok = (all(abs(o - 2.0) <= 0.2 for o in orders.values())
           and bad.observed_order < 1.0 and bad.max_residual_half > 1e-6)

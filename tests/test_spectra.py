@@ -12,7 +12,8 @@ from incevolkov.errors import InputError, StructuralError
 from incevolkov.families import ALL_KINDS, FamilyKind, SolutionFamily
 from incevolkov.operators import TridiagonalOperator, build_operator
 import incevolkov.spectra as spectra
-from incevolkov.spectra import MAX_SOLVE_DIM, solve_spectra, solve_spectrum, symmetrize
+from incevolkov.spectra import (MAX_SOLVE_DIM, solve_spectra, solve_spectrum, symmetrize,
+                               symmetrize_stack)
 from incevolkov.verification import (DEFAULT_GRID_A_VALUES, certified_radii,
                                      gershgorin_bounds, minor_ratios, sturm_counts)
 
@@ -251,6 +252,42 @@ class TestSymmetrize:
             symmetrize(T)
         assert _symmetrize_outcome(loop_symmetrize, T) == (error, str(info.value))
 
+    @pytest.mark.parametrize("order", [(0, 1, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])
+    def test_stack_refuses_its_first_bad_operator(self, order):
+        # among good operators of dim 4, the first bad one is refused as it
+        # is alone: an overflow, an underflow, and a sign flip at bond 2
+        bad = [build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 2), 1e308),
+               build_operator(SolutionFamily(FamilyKind.KG_COS_EVEN, 3), 5e-324),
+               TridiagonalOperator(family=SolutionFamily(FamilyKind.DIRAC_PLUS, 2), a=1.0,
+                                   diag=np.zeros(4), super_=np.array([1.0, 2.0, 1.0]),
+                                   sub=np.array([1.0, 2.0, -1.0]))]
+        good = [build_operator(SolutionFamily(kind, n), a)
+                for kind, n in ((FamilyKind.DIRAC_MINUS, 2), (FamilyKind.KG_COS_EVEN, 3))
+                for a in (0.0, 14.0)]
+        stack = [good[0], good[1], bad[order[0]], good[2], bad[order[1]], bad[order[2]],
+                 good[3]]
+        expected = _symmetrize_outcome(symmetrize, bad[order[0]])
+        assert isinstance(expected[0], type)
+        with pytest.raises(expected[0]) as info:
+            symmetrize_stack(stack)
+        assert (type(info.value), str(info.value)) == expected
+
+    def test_stack_matches_each_operator_of_the_grid(self):
+        # every operator of the 900-point grid, stacked by dimension: the
+        # bits of its lone symmetrization, signed zeros included
+        groups = {}
+        for kind in ALL_KINDS:
+            for n in range(1, 26):
+                for a in DEFAULT_GRID_A_VALUES:
+                    T = build_operator(SolutionFamily(kind, n), a)
+                    groups.setdefault(T.dim, []).append(T)
+        assert sum(map(len, groups.values())) == 900
+        for ops in groups.values():
+            diag, off, scale, bonds = symmetrize_stack(ops)
+            for T, *rows in zip(ops, diag, off, scale, bonds, strict=True):
+                for got, want in zip(rows, (*loop_symmetrize(T), T.super_ * T.sub)):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_zero_bond_keeps_scale(self):
         T = TridiagonalOperator(family=SolutionFamily(FamilyKind.DIRAC_PLUS, 1), a=1.0,
                                 diag=np.zeros(4), super_=np.array([4.0, 0.0, 9.0]),
@@ -340,13 +377,13 @@ class TestSolveSpectrum:
             dec.vector(7)
 
     def test_dimension_cap_checked_first(self, monkeypatch):
-        # the first dimension above the cap: refused before symmetrize or
+        # the first dimension above the cap: refused before symmetrize_stack or
         # the dense matrix allocate anything of size dim.  build_operator
         # refuses it too, so the operator is built by hand.
         def refuse(*args, **kwargs):
             raise AssertionError("solve_spectrum went past its dimension cap")
 
-        monkeypatch.setattr(spectra, "symmetrize", refuse)
+        monkeypatch.setattr(spectra, "symmetrize_stack", refuse)
         dim = MAX_SOLVE_DIM + 1
         T = TridiagonalOperator(
             family=SolutionFamily(FamilyKind.KG_COS_EVEN, MAX_SOLVE_DIM), a=1.0,

@@ -8,11 +8,12 @@ import pytest
 import incevolkov.verification as verification
 from incevolkov.constants import SAMPLING_SEED
 from incevolkov.errors import InputError, StructuralError
-from incevolkov.families import ALL_KINDS, FamilyKind, SolutionFamily
+from incevolkov.families import (ALL_KINDS, FamilyKind, SolutionFamily, evaluate_basis,
+                                 shared_bases)
 from incevolkov.operators import TridiagonalOperator, build_operator
 from incevolkov.physparams import DeBroglieMomentum
 from incevolkov.residual import (ODE_RESIDUAL_TOL, _batch_residual_maxima,
-                                 _ode_samples, _residual_values_batch,
+                                 _ode_samples, _OdeSamples, _residual_values_batch,
                                  _sample_points, attach_residuals,
                                  seeded_angles)
 from incevolkov.spectra import solve_spectra, solve_spectrum
@@ -46,10 +47,16 @@ def _dense_verdict(kind, n, a, eta_shift=0.0):
     return disc, bool(disc < sturm_crosscheck([T], etas)[1][0])
 
 
+def _pde(stencil, families, *points):
+    """`pde_residual_fd` with each family's own basis on the stencil."""
+    bases = {fam: fam.basis(stencil.z)[0] for fam in families}
+    return pde_residual_fd(stencil, bases, families, *points)
+
+
 def _one_mode(fam, a, eta, c):
     """(max |residual|, scale, passed) of one eigenpair under the residual policy."""
     maxima, scales, passed = _batch_residual_maxima(
-        _ode_samples(fam, SAMPLING_SEED), a, np.array([eta]),
+        _ode_samples([fam], SAMPLING_SEED)[fam], a, np.array([eta]),
         np.asarray(c, dtype=float)[:, None])
     return float(maxima[0]), float(scales[0]), bool(passed[0])
 
@@ -117,7 +124,7 @@ class TestOdeResidual:
         # equal bits, so equal maxima, scales and verdicts
         for n in range(1, 26):
             fam = SolutionFamily(kind, n)
-            samples = _ode_samples(fam, SAMPLING_SEED)
+            samples = _ode_samples([fam], SAMPLING_SEED)[fam]
             for a in (0.0, 0.5, 1.0, 5.0, 14.0, 20.0, 50.0, 1e3, 1e150):
                 dec = solve_spectrum(build_operator(fam, a))
                 got = _residual_values_batch(samples, a, dec.etas, dec.vectors)
@@ -143,6 +150,27 @@ class TestOdeResidual:
         assert scale == 1.0 + abs(eta) + 5.0 * fam.dim
         assert SAMPLING_SEED == 0x1CE
 
+    def test_past_double_range_refused(self):
+        # the dim-1 eigenpair is exact, but q a cos 2z f overflows: the
+        # checker's range, not a failed mode
+        fam, dec = _solved(FamilyKind.KG_SIN_ODD, 1, 1e308)
+        samples = _ode_samples([fam], SAMPLING_SEED)[fam]
+        assert np.isfinite(dec.etas).all() and np.isfinite(dec.vectors).all()
+        with pytest.raises(InputError, match=r"^kg-sin-odd n = 1: a = 1e\+308 is past the "
+                                             r"range limit of the ODE residual check"):
+            _batch_residual_maxima(samples, 1e308, dec.etas, dec.vectors)
+
+    def test_non_finite_modes_fail(self):
+        # a NaN coefficient column, or a NaN eta, fails its mode and is not refused
+        fam, dec = _solved(FamilyKind.KG_COS_EVEN, 3, 5.0)
+        samples = _ode_samples([fam], SAMPLING_SEED)[fam]
+        vectors, etas = dec.vectors.copy(), dec.etas.copy()
+        vectors[:, 1] = np.nan
+        etas[2] = np.nan
+        maxima, _, passed = _batch_residual_maxima(samples, 5.0, etas, vectors)
+        assert np.isnan(maxima[1:3]).all()
+        assert passed.tolist() == [True, False, False, True]
+
     def test_perturbed_eigenvalue_detected(self):
         fam, dec = _solved(FamilyKind.DIRAC_PLUS, 3, 5.0)
         eta, c = float(dec.etas[2]), dec.vectors[:, 2]
@@ -166,7 +194,7 @@ class TestOdeResidual:
         for kind in ALL_KINDS:
             for a in (14.0, 20.0):
                 fam, dec = _solved(kind, 25, a)
-                plain = _residual_values_batch(_ode_samples(fam, SAMPLING_SEED),
+                plain = _residual_values_batch(_ode_samples([fam], SAMPLING_SEED)[fam],
                                                a, dec.etas, dec.vectors)
                 for i in range(dec.dim):
                     eta = float(dec.etas[i])
@@ -184,7 +212,7 @@ class TestOdeResidual:
 
         monkeypatch.setattr(verification, "_residual_values_compensated", refuse)
         fam, dec = _solved(FamilyKind.DIRAC_PLUS, 39, 14.0)
-        samples = _ode_samples(fam, SAMPLING_SEED)
+        samples = _ode_samples([fam], SAMPLING_SEED)[fam]
         eta, c = float(dec.etas[77]), dec.vectors[:, 77]
         plain = np.max(np.abs(_residual_values_batch(
             samples, 14.0, np.array([eta]), c[:, None])))
@@ -368,7 +396,7 @@ class TestPdeResidual:
     def test_kg_second_order_convergence(self):
         fam, dec = _solved(FamilyKind.KG_COS_EVEN, 2, 5.0)
         mom = momentum_for_mode(fam, float(dec.etas[-1]), N_M)
-        [rep] = pde_residual_fd(pde_stencil(N_M, H), [fam], [dec.vectors[:, -1]],
+        [rep] = _pde(pde_stencil(N_M, H), [fam], [dec.vectors[:, -1]],
                                 [mom], [5.0])
         assert rep.converged_second_order
         assert abs(rep.observed_order - 2.0) <= 0.2
@@ -377,7 +405,7 @@ class TestPdeResidual:
         for kind in (FamilyKind.DIRAC_PLUS, FamilyKind.DIRAC_MINUS):
             fam, dec = _solved(kind, 2, 5.0)
             mom = momentum_for_mode(fam, float(dec.etas[-1]), N_M)
-            [rep] = pde_residual_fd(pde_stencil(N_M, H), [fam],
+            [rep] = _pde(pde_stencil(N_M, H), [fam],
                                     [dec.vectors[:, -1].astype(complex)], [mom],
                                     [5.0])
             assert abs(rep.observed_order - 2.0) <= 0.2, kind
@@ -386,7 +414,7 @@ class TestPdeResidual:
         fam, dec = _solved(FamilyKind.KG_COS_EVEN, 2, 5.0)
         eta_bad = float(dec.etas[-1]) + 0.01 * (1 + abs(float(dec.etas[-1])))
         mom = momentum_for_mode(fam, eta_bad, N_M)
-        [rep] = pde_residual_fd(pde_stencil(N_M, H), [fam], [dec.vectors[:, -1]],
+        [rep] = _pde(pde_stencil(N_M, H), [fam], [dec.vectors[:, -1]],
                                 [mom], [5.0])
         assert rep.observed_order < 1.0
         assert rep.max_residual_half > 1e-6
@@ -396,7 +424,7 @@ class TestPdeResidual:
         _, dec_plus = _solved(FamilyKind.DIRAC_PLUS, 2, 5.0)
         fam_minus = SolutionFamily(FamilyKind.DIRAC_MINUS, 2)
         mom = momentum_for_mode(fam_minus, float(dec_plus.etas[-1]), N_M)
-        [rep] = pde_residual_fd(pde_stencil(N_M, H), [fam_minus],
+        [rep] = _pde(pde_stencil(N_M, H), [fam_minus],
                                 [dec_plus.vectors[:, -1]], [mom], [5.0])
         assert rep.max_residual_half > 1e-3
 
@@ -408,7 +436,7 @@ class TestPdeResidual:
         c = np.array([0.0, 1.0])               # single harmonic exp(-i xi)
         mom = vacuum_null_momentum(1, N_M)
         for h in (1e-2, 2e-2, 4e-2):
-            [rep] = pde_residual_fd(pde_stencil(N_M, h), [fam], [c], [mom], [0.0])
+            [rep] = _pde(pde_stencil(N_M, h), [fam], [c], [mom], [0.0])
             assert rep.max_residual < 1e-10
 
     def test_off_shell_rejected(self):
@@ -418,7 +446,7 @@ class TestPdeResidual:
                                 eta=good.eta,
                                 kappa_star_sq=good.kappa_star_sq + 1.0)
         with pytest.raises(InputError):
-            pde_residual_fd(pde_stencil(N_M, H), [fam], [dec.vectors[:, -1]], [bad],
+            _pde(pde_stencil(N_M, H), [fam], [dec.vectors[:, -1]], [bad],
                             [5.0])
 
     def test_pz_rejected(self):
@@ -428,7 +456,7 @@ class TestPdeResidual:
                                 eta=good.eta,
                                 kappa_star_sq=good.kappa_star_sq - 0.25)
         with pytest.raises(InputError):
-            pde_residual_fd(pde_stencil(N_M, H), [fam], [dec.vectors[:, -1]], [bad],
+            _pde(pde_stencil(N_M, H), [fam], [dec.vectors[:, -1]], [bad],
                             [5.0])
 
     def test_px_quantization_enforced(self):
@@ -439,7 +467,7 @@ class TestPdeResidual:
         bad = DeBroglieMomentum(p0=p0, px=1.0, py=0.0, pz=0.0, eta=eta,
                                 kappa_star_sq=p0 * p0 - 1.0)
         with pytest.raises(InputError):
-            pde_residual_fd(pde_stencil(N_M, H), [fam], [dec.vectors[:, -1]], [bad],
+            _pde(pde_stencil(N_M, H), [fam], [dec.vectors[:, -1]], [bad],
                             [5.0])
 
     @staticmethod
@@ -469,14 +497,14 @@ class TestPdeResidual:
         assert len(batches) == 4
         for (_, h), batch in batches.items():
             stencil = pde_stencil(N_M, h)
-            for point, rep in zip(batch, pde_residual_fd(stencil, *zip(*batch)), strict=True):
-                assert repr(rep) == repr(pde_residual_fd(stencil, *zip(point))[0])
+            for point, rep in zip(batch, _pde(stencil, *zip(*batch)), strict=True):
+                assert repr(rep) == repr(_pde(stencil, *zip(point))[0])
 
     def test_mixed_dtype_rejected(self):
         _, *kg = self._top_mode_point(FamilyKind.KG_COS_EVEN, 5, 14.0)
         h, *dirac = self._top_mode_point(FamilyKind.DIRAC_PLUS, 3, 14.0)
         with pytest.raises(InputError, match="one result dtype"):
-            pde_residual_fd(pde_stencil(N_M, h), *zip(kg, dirac))
+            _pde(pde_stencil(N_M, h), *zip(kg, dirac))
 
 
 class TestRunPoint:
@@ -555,10 +583,10 @@ class TestOneBlasThread:
         before = get()
         try:
             set_(2)
-            threaded = verification._check_group.__wrapped__(points, SAMPLING_SEED)
+            threaded = verification._check_round.__wrapped__(points, SAMPLING_SEED, 0.0)
         finally:
             set_(before)
-        assert repr(threaded) == repr(verification._check_group(points, SAMPLING_SEED))
+        assert repr(threaded) == repr(verification._check_round(points, SAMPLING_SEED, 0.0))
 
 
 def test_grid_matches_points():
@@ -578,39 +606,28 @@ def test_grid_matches_points():
 
 
 def test_grid_builds_each_basis_once(monkeypatch):
-    # one ODE sample basis per family, one PDE stencil per (dimension group,
-    # h), and one basis evaluation on a stencil per (family, h)
-    built = {"ode": [], "pde": [], "basis": []}
-    ode_samples, stencil = verification._ode_samples, verification.pde_stencil
-    basis, stencils = SolutionFamily.basis, []
+    # each of the five basis sets once at the ODE sample points and once
+    # on the stencil of each step used, one stencil per step, one spacetime
+    # batch per (dimension group, result dtype, step), and one solve and
+    # one Sturm pass per dimension group
+    evaluated, stencils, batches, solves, sturms = [], [], [], [], []
+    stencil = verification.pde_stencil
+    residual = verification.pde_residual_fd
+    solve, sturm = verification.solve_spectra, verification.sturm_crosscheck
 
-    def count_ode(family, seed):
-        built["ode"].append(family)
-        return ode_samples(family, seed)
+    def count_evaluate(fn, nu, z, derivatives=0):
+        where = "ode" if z.ndim == 1 else next(st.h for st in stencils if z is st.z)
+        evaluated.append(((fn, float(nu[0] / 2.0 % 1.0)), where, derivatives))
+        return evaluate_basis(fn, nu, z, derivatives)
 
-    def count_pde(n_m, h, seed):
-        built["pde"].append((solves[-1], h))
+    def count_stencils(n_m, h, seed):
         stencils.append(stencil(n_m, h, seed))
         return stencils[-1]
 
-    def count_basis(family, z, derivatives=0):
-        built["basis"] += [(family, st.h) for st in stencils if z is st.z]
-        return basis(family, z, derivatives)
-
-    # and one spacetime batch per (dimension group, result dtype, h)
-    residual = verification.pde_residual_fd
-    batches = []
-
-    def count_batches(stencil, families, coefficients, momenta, couplings):
-        batches.append((families[0].dim,
-                        np.result_type(complex if families[0].spin_sign else float,
-                                       coefficients[0]),
+    def count_batches(stencil, bases, families, coefficients, momenta, couplings):
+        batches.append((families[0].dim, np.result_type(bases[families[0]], coefficients[0]),
                         stencil.h))
-        return residual(stencil, families, coefficients, momenta, couplings)
-
-    # and one solve and one Sturm pass per dimension group
-    solves, sturms = [], []
-    solve, sturm = verification.solve_spectra, verification.sturm_crosscheck
+        return residual(stencil, bases, families, coefficients, momenta, couplings)
 
     def count_solves(ops):
         solves.append(ops[0].dim)
@@ -620,27 +637,53 @@ def test_grid_builds_each_basis_once(monkeypatch):
         sturms.append(ops[0].dim)
         return sturm(ops, etas)
 
-    monkeypatch.setattr(verification, "_ode_samples", count_ode)
-    monkeypatch.setattr(verification, "pde_stencil", count_pde)
-    monkeypatch.setattr(SolutionFamily, "basis", count_basis)
+    monkeypatch.setattr("incevolkov.families.evaluate_basis", count_evaluate)
+    monkeypatch.setattr(verification, "pde_stencil", count_stencils)
     monkeypatch.setattr(verification, "pde_residual_fd", count_batches)
     monkeypatch.setattr(verification, "solve_spectra", count_solves)
     monkeypatch.setattr(verification, "sturm_crosscheck", count_sturms)
     run_grid(n_max=3, a_values=(0.5, 14.0, 20.0, 50.0))
-    families = {SolutionFamily(kind, n) for kind in ALL_KINDS for n in (1, 2, 3)}
-    dims = {fam.dim for fam in families}
+    sets = [("exp", 0.0), ("cos", 0.0), ("cos", 0.5), ("sin", 0.0), ("sin", 0.5)]
+    assert sorted(evaluated, key=repr) == sorted(
+        [(key, "ode", 2) for key in sets] + [(key, h, 0) for key in sets for h in (5e-3, 1e-2)],
+        key=repr)
+    assert sorted(st.h for st in stencils) == [5e-3, 1e-2]
+    dims = {SolutionFamily(kind, n).dim for kind in ALL_KINDS for n in (1, 2, 3)}
     assert sorted(solves) == sorted(sturms) == sorted(dims)
-    assert sorted(map(repr, built["ode"])) == sorted(map(repr, families))
-    assert sorted(built["pde"]) == sorted((dim, h) for dim in dims for h in (5e-3, 1e-2))
-    assert len(built["basis"]) == len(set(built["basis"]))
-    # every family has a propagating mode at a = 0.5; the one-dimensional
-    # kg-sin-odd operator has none at a = 50, its only 1e-2 point
-    evanescent = (SolutionFamily(FamilyKind.KG_SIN_ODD, 1), 1e-2)
-    assert set(built["basis"]) == {(fam, h) for fam in families
-                                   for h in (5e-3, 1e-2)} - {evanescent}
     assert len(batches) == len(set(batches))
     assert {dtype for _, dtype, _ in batches} == {np.dtype(float), np.dtype(complex)}
     assert {h for _, _, h in batches} == {5e-3, 1e-2}
+    # run_point is a round of one: its own set, once per use
+    evaluated.clear()
+    stencils.clear()
+    run_point(FamilyKind.DIRAC_MINUS, 3, 50.0)
+    assert evaluated == [(("exp", 0.0), "ode", 2), (("exp", 0.0), 1e-2, 0)]
+    assert [st.h for st in stencils] == [1e-2]
+
+
+def test_shared_bases_carry_each_familys_bits():
+    # every family of the grid's n range: its columns of the shared sets are
+    # the bits of its own basis, signed zeros included, and so is the
+    # residual policy's report on them
+    fams = [SolutionFamily(kind, n) for kind in ALL_KINDS for n in range(1, 26)]
+    z = _sample_points(SAMPLING_SEED)
+    samples = _ode_samples(fams, SAMPLING_SEED)
+    stencils = [pde_stencil(N_M, h) for h in (5e-3, 1e-2)]
+    on_stencils = [shared_bases(fams, st.z) for st in stencils]
+    for fam in fams:
+        pairs = list(zip(samples[fam].basis, fam.basis(z, derivatives=2), strict=True))
+        for st, bases in zip(stencils, on_stencils):
+            pairs += zip(bases[fam], fam.basis(st.z), strict=True)
+        for got, want in pairs:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), fam
+        alone = _OdeSamples(fam, fam.basis(z, derivatives=2), samples[fam].sin2z,
+                            samples[fam].cos2z)
+        for a in verification.DEFAULT_GRID_A_VALUES:
+            dec = solve_spectrum(build_operator(fam, a))
+            got, want = (_batch_residual_maxima(s, a, dec.etas, dec.vectors)
+                         for s in (samples[fam], alone))
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want], (fam, a)
 
 
 class TestSeededAngles:

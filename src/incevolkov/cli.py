@@ -16,6 +16,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import TYPE_CHECKING
 
@@ -398,6 +399,7 @@ def cmd_verify(cfg: RunConfig, run_all: bool) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
+@functools.cache     # parse_args fills a fresh namespace: a reused parser keeps no state
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="incevolkov", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)

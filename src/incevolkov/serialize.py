@@ -3,6 +3,13 @@
 Floats are rendered with 17 significant digits so every value round-trips
 bit-exactly; identical inputs produce identical bytes (no timestamps, no
 environment-dependent content).  JSON key order follows construction order.
+
+A float64 array is written a row at a time: one `%`-template per array,
+filled once per row.  A row that holds a non-finite value, or a value that
+may print in 24 characters, takes the per-value path instead, since those
+are the only values that can change the row's layout.  The rows of a
+matrix are appended to one string that grows in place, so the peak stays
+near one copy of the result.
 """
 
 from __future__ import annotations
@@ -86,7 +93,7 @@ def dumps_json(obj, indent: int = 0) -> str:
 
 
 def _numpy_json(obj, indent: int) -> str:
-    """`dumps_json` of a numpy scalar or array; float64 rows format in one pass."""
+    """`dumps_json` of a numpy scalar or array; float64 rows fill one template each."""
     import numpy as np
 
     if isinstance(obj, (np.bool_, np.integer, np.floating)):
@@ -97,12 +104,49 @@ def _numpy_json(obj, indent: int) -> str:
         return dumps_json(obj.item(), indent)
     if obj.dtype != np.float64:
         return dumps_json(obj.tolist(), indent)
-    if obj.ndim > 1:
-        return _list_json([dumps_json(row, indent + 2) for row in obj], indent)
-    values = obj.tolist()
-    if np.isfinite(obj).all():
-        return _list_json(list(map("%.17g".__mod__, values)), indent)
-    return _list_json([format_number(x) for x in values], indent)
+    if obj.ndim == 1:
+        return next(_float_rows(obj[np.newaxis], indent))
+    if obj.ndim > 2:
+        return _list_json([_numpy_json(sub, indent + 2) for sub in obj], indent)
+    rows = _float_rows(obj, indent + 2)
+    if len(obj) <= 400 and obj.shape[1] < 8:    # 8 values make a row of 24+ characters
+        return _list_json(list(rows), indent)
+    return _rows_json(rows, indent)
+
+
+def _float_rows(m, indent: int):
+    """Each row of the 2-D float64 array m, rendered as `_list_json` renders it at indent."""
+    import numpy as np
+
+    row_t = _list_json(["%.17g"] * m.shape[1], indent)
+    # A finite double prints in 24 characters (one past the inline limit)
+    # only if it is negative with a three-digit exponent.
+    flagged = ~np.isfinite(m)
+    flagged |= (m < 0) & (m > -1e-99)
+    flagged |= m <= -1e100
+    for row, exact in zip(m, flagged.any(axis=1).tolist()):
+        values = row.tolist()
+        if exact:
+            yield _list_json([format_number(x) for x in values], indent)
+        else:
+            yield row_t % tuple(values)
+
+
+def _rows_json(rows, indent: int) -> str:
+    """`_list_json`'s one-item-per-line form of the rendered rows, for long rows.
+
+    CPython grows a str that only this frame holds in place, so each row is
+    freed once it is appended; joining a list of the rows would hold two
+    copies of the result.
+    """
+    inner = " " * (indent + 2)
+    out = "["
+    sep = "\n" + inner
+    for row in rows:
+        out += sep + row
+        sep = ",\n" + inner
+    out += "]" if out == "[" else "\n" + " " * indent + "]"
+    return out
 
 
 def render_csv(columns: Sequence[str], rows: Iterable[Sequence],

@@ -15,11 +15,13 @@ The list:
   * one-point `verify` at n = 1..25 of the six kinds and a in
     {0, 0.5, 1, 5, 14, 20, 50} (1,050 points);
   * `spectrum` JSON at the 45 points of the benchmark's `large-spectra`
-    workload (three kinds, n in {40, 80, 120, 160, 200}, a in {1, 14, 50});
+    workload (three kinds, n in {40, 80, 120, 160, 200}, a in {1, 14, 50}),
+    and at two dirac-plus points of dim 402 and 520, past the 400 values
+    that an array writes on one line;
   * `modes` CSV of every mode of each kind at n = 3, a = 14;
   * `figure 1`, `2` and `3` from `configs/figureN.cfg`, and `params` from
     `configs/reference.cfg` (this tree's configs, for both trees).
---smoke keeps a few commands of each sort.
+That is 1,111 commands; --smoke keeps a few of each sort.
 
 Each command starts with a clean warnings registry, so a numpy warning is
 printed as a fresh process would print it; the tree's own path in stderr
@@ -47,6 +49,7 @@ KINDS = ("dirac-plus", "dirac-minus", "kg-cos-even", "kg-cos-odd", "kg-sin-odd",
 VERIFY_A = ("0", "0.5", "1", "5", "14", "20", "50")
 LARGE_SPECTRA = [(kind, n, a) for kind in ("dirac-plus", "kg-cos-even", "kg-sin-odd")
                  for n in (40, 80, 120, 160, 200) for a in ("1.0", "14.0", "50.0")]
+WIDE_SPECTRA = [("dirac-plus", 201, "1"), ("dirac-plus", 260, "14")]
 
 
 def commands(smoke: bool) -> list:
@@ -58,7 +61,8 @@ def commands(smoke: bool) -> list:
     cmds += [["verify", "--family", kind, "--n", str(n), "--a", a]
              for kind in KINDS for n in ns for a in (("0", "50") if smoke else VERIFY_A)]
     cmds += [["spectrum", "--family", kind, "--n", str(n), "--a", a, "--format", "json"]
-             for kind, n, a in (LARGE_SPECTRA[::15] if smoke else LARGE_SPECTRA)]
+             for kind, n, a in (LARGE_SPECTRA[::15] + WIDE_SPECTRA[:1] if smoke
+                                else LARGE_SPECTRA + WIDE_SPECTRA)]
     cmds += [["modes", "--family", kind, "--n", "3", "--a", "14", "--format", "csv"]
              for kind in KINDS]
     cmds += [["figure", str(i), "--config", str(configs / f"figure{i}.cfg")]

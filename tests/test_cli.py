@@ -12,7 +12,7 @@ import pytest
 import incevolkov
 import incevolkov.operators as operators
 import incevolkov.verification as verification
-from incevolkov.cli import main
+from incevolkov.cli import build_parser, main
 from incevolkov.families import ALL_KINDS
 from incevolkov.operators import TridiagonalOperator
 
@@ -24,6 +24,29 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    """One parser serves every command of a process and carries nothing over."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_flag_of_one_parse_unset_in_the_next(self):
+        first = build_parser().parse_args(["verify", "--all"])
+        second = build_parser().parse_args(["verify", "--family", "dirac", "--n", "3",
+                                            "--a", "1"])
+        assert first.all is True
+        assert second.all is False
+        assert second.n == "3"
+
+    def test_value_of_one_command_unset_in_the_next(self, capsys):
+        code, out, _ = run(capsys, "spectrum", "--n", "3", "--family", "dirac", "--a", "1")
+        assert code == 0
+        assert json.loads(out)["n"] == 3
+        code, out, err = run(capsys, "spectrum", "--family", "dirac", "--a", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: quantum number n is required (e.g. --n 20)\n"
 
 
 class TestParams:

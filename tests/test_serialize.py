@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,12 @@ def reference_dumps_json(obj, indent=0):
 LONG = -1.2345678901234567e-300
 SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324, LONG,
             -LONG, 1e308, 1.0 / 3.0, 7.0]
+# Either side of where a negative double's exponent takes a third digit,
+# the only way a finite value reaches 24 characters
+BOUNDARY = [-9.9999999999999999e-100, -1e-99, -1.0000000000000001e-99,
+            float(np.nextafter(-1e-99, 0.0)), float(np.nextafter(-1e-99, -1.0)), -1e-100,
+            float(np.nextafter(-1e100, 0.0)), -1e100, float(np.nextafter(-1e100, -math.inf)),
+            -5e-324, -2.2250738585072009e-308, -2.2250738585072014e-308, 1e-100, 1e100]
 
 
 class TestFormatNumber:
@@ -149,7 +156,7 @@ class TestFloatArrays:
         assert dumps_json(long_item).startswith("[\n")
 
     @pytest.mark.parametrize("shape", [(0,), (2, 0), (0, 3), (3, 1), (1, 401),
-                                       (2, 3, 4)])
+                                       (2, 3, 4), (0, 8), (2, 7), (2, 8), (401, 2)])
     def test_shapes(self, shape):
         arr = np.arange(np.prod(shape), dtype=float).reshape(shape) / 7.0
         assert dumps_json(arr) == reference_dumps_json(arr)
@@ -180,6 +187,67 @@ class TestFloatArrays:
                       elements=st.floats(width=64)))
     def test_matches_reference(self, arr):
         assert dumps_json({"a": arr}) == reference_dumps_json({"a": arr})
+
+    def test_short_rows_inline(self):
+        assert dumps_json(np.array([[0.5]])) == "[[0.5]]"
+        assert dumps_json(np.array([[1.0, -2.0], [3.0, 4.0]])) == "[[1, -2], [3, 4]]"
+
+    @pytest.mark.parametrize("indent", [0, 2, 4])
+    @pytest.mark.parametrize("value", [LONG, math.nan, math.inf, -math.inf])
+    def test_some_rows_exact(self, indent, value):
+        arr = np.linspace(-3.0, 3.0, 60).reshape(6, 10) / 7.0
+        arr[1, 4] = value
+        arr[4, 9] = value
+        for view in (arr, arr[:, :3], arr[:, :1], arr[1], arr[2]):
+            assert dumps_json(view, indent) == reference_dumps_json(view, indent)
+
+    @pytest.mark.parametrize("indent", [0, 2, 4])
+    @pytest.mark.parametrize("columns", [400, 401])
+    def test_inline_limit_with_exact_rows(self, indent, columns):
+        arr = np.linspace(-1.0, 1.0, 5 * columns).reshape(5, columns)
+        arr[1, 0] = LONG
+        arr[3, columns - 1] = math.nan
+        payload = {"m": arr, "row": arr[1], "list": [arr[2], arr[3]]}
+        assert dumps_json(payload, indent) == reference_dumps_json(payload, indent)
+        assert dumps_json(arr, indent) == reference_dumps_json(arr, indent)
+
+    @pytest.mark.parametrize("indent", [0, 2, 4])
+    @pytest.mark.parametrize("value", BOUNDARY)
+    def test_24_character_boundary(self, indent, value):
+        row = np.linspace(-2.0, 2.0, 8) / 3.0
+        row[3] = value
+        arr = np.stack([row, row[::-1], np.full(8, value), np.linspace(1.0, 2.0, 8)])
+        for view in (np.array([value]), row, row[:2], arr, arr[:, :2], arr[:, :1]):
+            assert dumps_json(view, indent) == reference_dumps_json(view, indent)
+
+    def test_non_contiguous_views(self):
+        rng = np.random.default_rng(11)
+        arr = rng.normal(size=(9, 12))
+        arr[2, 5] = BOUNDARY[3]
+        arr[6, 1] = math.nan
+        for view in (np.asfortranarray(arr).T, arr.T, arr[::-2, 1::2], arr[:, ::-1],
+                     np.asfortranarray(arr)[3], arr[:, 5]):
+            assert dumps_json(view) == reference_dumps_json(view)
+
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
+                                                   max_side=8),
+                      elements=st.one_of(st.sampled_from(BOUNDARY + SPECIALS),
+                                         st.floats(width=64))),
+           st.sampled_from([0, 2, 4]))
+    def test_boundary_mix_matches_reference(self, arr, indent):
+        assert dumps_json(arr, indent) == reference_dumps_json(arr, indent)
+
+    def test_peak_memory_below_two_copies(self):
+        """Writing a 400 x 400 matrix holds less than twice the text it returns."""
+        arr = np.random.default_rng(5).normal(size=(400, 400))
+        dumps_json(arr)
+        tracemalloc.start()
+        try:
+            text = dumps_json(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(text)
 
 
 class TestCsv:

@@ -147,14 +147,29 @@ def _solved_decomposition(cfg: RunConfig):
     return (family, a, *_solve_checked(family, a, cfg.seed))
 
 
+def _k_ranges(labels) -> str:
+    """The k labels with each run of consecutive ones as first-last: 1-3, 7, 9-12."""
+    runs = []
+    for k in labels:
+        if runs and k == runs[-1][1] + 1:
+            runs[-1][1] = k
+        else:
+            runs.append([k, k])
+    return ", ".join(str(lo) if lo == hi else f"{lo}-{hi}" for lo, hi in runs)
+
+
 def _fail_on_residuals(failures) -> None:
     """After the output is written: exit 2 if any emitted k failed its residual.
 
-    failures holds one (decomposition, failing k labels) pair per solved family.
+    failures holds one (decomposition, emitted k labels, their verdicts)
+    triple per solved family.
     """
-    parts = [f"{dec.family.kind.value} n={dec.family.n} a={format_number(dec.a)}: "
-             f"k = {', '.join(str(k) for k in failing)}"
-             for dec, failing in failures if failing]
+    parts = []
+    for dec, labels, passed in failures:
+        failing = [k for k, ok in zip(labels, passed) if not ok]
+        if failing:
+            parts.append(f"{dec.family.kind.value} n={dec.family.n} a={format_number(dec.a)}: "
+                         f"k = {_k_ranges(failing)} ({len(failing)} of {len(labels)})")
     if parts:
         raise VerificationFailure("ODE residual failed for " + "; ".join(parts))
 
@@ -202,7 +217,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         }
         text = dumps_json(payload) + "\n"
     _emit(cfg, text)
-    _fail_on_residuals([(dec, [int(k) for k in dec.k_labels[~passed]])])
+    _fail_on_residuals([(dec, dec.k_labels.tolist(), passed.tolist())])
     return 0
 
 
@@ -260,7 +275,7 @@ def cmd_modes(cfg: RunConfig) -> int:
         }
         text = dumps_json(payload) + "\n"
     _emit(cfg, text)
-    _fail_on_residuals([(dec, [k for k in k_list if not passed[k - 1]])])
+    _fail_on_residuals([(dec, k_list, [passed[k - 1] for k in k_list])])
     return 0
 
 
@@ -279,7 +294,7 @@ def _figure_spectra(cfg: RunConfig):
     for label, kind in (("dirac", FamilyKind.DIRAC_PLUS), ("kg", FamilyKind.KG_COS_EVEN)):
         dec, passed = _solve_checked(SolutionFamily(kind, n), a, cfg.seed)
         solved.append((label, dec))
-        failures.append((dec, [int(k) for k in dec.k_labels[~passed]]))
+        failures.append((dec, dec.k_labels.tolist(), passed.tolist()))
     return n, a, solved, failures
 
 

@@ -68,8 +68,7 @@ def _list_json(parts: list, indent: int) -> str:
         line = ", ".join(parts)
         if "\n" not in line:
             return "[" + line + "]"
-    inner = " " * (indent + 2)
-    return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + " " * indent + "]"
+    return _rows_json(parts, indent)
 
 
 def dumps_json(obj, indent: int = 0) -> str:
@@ -133,7 +132,7 @@ def _float_rows(m, indent: int):
 
 
 def _rows_json(rows, indent: int) -> str:
-    """`_list_json`'s one-item-per-line form of the rendered rows, for long rows.
+    """The one-item-per-line form of the rendered rows: every multi-line JSON array.
 
     CPython grows a str that only this frame holds in place, so each row is
     freed once it is appended; joining a list of the rows would hold two

@@ -12,7 +12,7 @@ import pytest
 import incevolkov
 import incevolkov.operators as operators
 import incevolkov.verification as verification
-from incevolkov.cli import build_parser, main
+from incevolkov.cli import _k_ranges, build_parser, main
 from incevolkov.families import ALL_KINDS
 from incevolkov.operators import TridiagonalOperator
 
@@ -265,9 +265,8 @@ class TestFigures:
         assert len(data) == 1 + rows
         assert err.splitlines() == [
             "verification failure: ODE residual failed for dirac-plus n=100 a=14: "
-            "k = 153, 154, 155, 156, 157, 158, 159, 160, 161, 162, 163, 164, 165, "
-            "166, 185, 186, 187, 188, 189, 191; kg-cos-even n=100 a=14: "
-            "k = 77, 78, 79, 80, 81, 82, 83, 93, 94, 95"]
+            "k = 153-166, 185-189, 191 (20 of 200); kg-cos-even n=100 a=14: "
+            "k = 77-83, 93-95 (10 of 101)"]
 
     def test_invalid_figure(self, capsys):
         code, _, _ = run(capsys, "figure", "4")
@@ -378,7 +377,7 @@ class TestResidualExitCode:
         assert len(json.loads(out)["etas"]) == 80
         assert err.splitlines() == [
             "verification failure: ODE residual failed for dirac-plus "
-            "n=40 a=14: k = 78, 80"]
+            "n=40 a=14: k = 78, 80 (2 of 80)"]
 
     def test_spectrum_csv_to_file(self, capsys, tmp_path):
         path = tmp_path / "spec.csv"
@@ -388,7 +387,7 @@ class TestResidualExitCode:
         rows = [l for l in path.read_text().splitlines()
                 if l and not l.startswith("#")]
         assert len(rows) == 81
-        assert "k = 78, 80" in err
+        assert "k = 78, 80 (2 of 80)" in err
 
     def test_modes_only_selected_k_count(self, capsys):
         code, out, err = run(capsys, "modes", "--family", "dirac", "--n", "40",
@@ -403,7 +402,24 @@ class TestResidualExitCode:
         assert [m["k"] for m in json.loads(out)["modes"]] == [1, 80]
         assert err.splitlines() == [
             "verification failure: ODE residual failed for dirac-plus "
-            "n=40 a=14: k = 80"]
+            "n=40 a=14: k = 80 (1 of 2)"]
+
+    def test_failing_labels_as_ranges(self, capsys):
+        # a run of consecutive failing k prints as first-last, with the count
+        code, _, err = run(capsys, "spectrum", "--family", "kg-cos-even",
+                           "--n", "200", "--a", "50")
+        assert code == 2
+        assert err.splitlines() == [
+            "verification failure: ODE residual failed for kg-cos-even "
+            "n=200 a=50: k = 102, 104-139, 142-201 (97 of 201)"]
+
+    @pytest.mark.parametrize("labels,text", [
+        ([1, 2, 3, 7, 9, 10, 11, 12], "1-3, 7, 9-12"),
+        ([5], "5"),
+        ([4, 5, 1, 2, 2], "4-5, 1-2, 2"),       # --k-select order is kept
+    ])
+    def test_k_ranges(self, labels, text):
+        assert _k_ranges(labels) == text
 
 
 class TestNonFiniteInput:
@@ -536,6 +552,22 @@ def test_overflow_near_the_largest_double_prints_no_warning(argv, exit_code, std
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == exit_code
     assert proc.stderr.splitlines() == stderr
+
+
+def test_same_seed_same_stdout_under_any_hash_seed():
+    # the sample points come from random.Random(seed), which string hashing
+    # does not touch
+    src = str(Path(incevolkov.__file__).resolve().parents[1])
+    outs = []
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run([sys.executable, "-m", "incevolkov.cli", "spectrum",
+                               "--family", "dirac", "--n", "20", "--a", "14", "--seed", "7"],
+                              env={**os.environ, "PYTHONPATH": src,
+                                   "PYTHONHASHSEED": hash_seed},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] != ""
 
 
 class TestInputLimits:

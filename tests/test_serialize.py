@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from incevolkov.serialize import _escape, dumps_json, format_number, render_csv
+from incevolkov.serialize import _escape, _list_json, dumps_json, format_number, render_csv
 
 
 def reference_escape(s):
@@ -134,6 +134,20 @@ class TestJson:
                    "mixed": (np.int32(2), 2, np.bool_(False))}
         assert dumps_json(payload) == reference_dumps_json(payload)
         assert format_number(np.float32(0.1)) == format_number(float(np.float32(0.1)))
+
+    @pytest.mark.parametrize("indent", [0, 2, 4])
+    @pytest.mark.parametrize("obj", [
+        [{"k": 1, "sub": {"x": [1.0, 2.0], "empty": {}}}, {"y": "text"}],
+        [{"a": {"b": {"c": [0.1] * 9}}}, "s", None],
+        list(range(401)),
+    ], ids=["dicts", "deep", "long"])
+    def test_multi_line_list_as_concatenated(self, obj, indent):
+        # one item per line, as the chained concatenation used to build it
+        parts = [dumps_json(v, indent + 2) for v in obj]
+        inner = " " * (indent + 2)
+        old = "[\n" + inner + (",\n" + inner).join(parts) + "\n" + " " * indent + "]"
+        assert _list_json(parts, indent) == old
+        assert dumps_json(obj, indent) == old
 
 
 class TestFloatArrays:

@@ -1,6 +1,7 @@
 """The oracle layer: ODE residuals, dense/Sturm cross-checks, spacetime FD."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -687,18 +688,22 @@ def test_shared_bases_carry_each_familys_bits():
 
 
 class TestSeededAngles:
-    @pytest.mark.parametrize("seed", [0, 1, 0x1CE, 2**32 - 1, 2**32,
-                                      2**64 + 5, 2**127 + 3])
-    @pytest.mark.parametrize("shape", [32, (64, 3)])
-    def test_numpy_stream_bit_for_bit(self, seed, shape):
-        expected = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=shape)
-        got = seeded_angles(seed, expected.size).reshape(shape)
-        assert np.array_equal(got, expected)
+    @pytest.mark.parametrize("seed", [0, 1, 0x1CE, 2**32 - 1, 2**32, 2**64 + 5, 2**127 + 3],
+                             ids=["0", "1", "0x1CE", "2**32-1", "2**32", "2**64+5",
+                                  "2**127+3"])
+    @pytest.mark.parametrize("count", [32, 3 * verification.PDE_POINTS])
+    def test_python_random_stream(self, seed, count):
+        rng = random.Random(seed)
+        expected = [2.0 * math.pi * rng.random() for _ in range(count)]
+        got = seeded_angles(seed, count)
+        assert got.dtype == np.float64 and got.tolist() == expected
+        assert ((0.0 <= got) & (got < 2.0 * math.pi)).all()
 
-    def test_cached_and_read_only(self):
-        angles = seeded_angles(SAMPLING_SEED, 32)
-        assert seeded_angles(SAMPLING_SEED, 32) is angles
-        assert not angles.flags.writeable
+    def test_deterministic(self):
+        first = seeded_angles(SAMPLING_SEED, 64)
+        assert seeded_angles(SAMPLING_SEED, 64).tobytes() == first.tobytes()
+        # a shorter draw is the head of the longer one
+        assert seeded_angles(SAMPLING_SEED, 32).tobytes() == first[:32].tobytes()
 
     def test_negative_seed_rejected(self):
         with pytest.raises(InputError, match="seed must be >= 0"):

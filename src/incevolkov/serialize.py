@@ -83,9 +83,16 @@ def dumps_json(obj, indent: int = 0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f'{inner}"{_escape(str(k))}": {dumps_json(v, indent + 2)}'
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+        # one string grows in place, as in `_rows_json`: each rendered
+        # value is freed once it is appended
+        out = "{"
+        sep = "\n" + inner
+        for k, v in obj.items():
+            out += f'{sep}"{_escape(str(k))}": '
+            out += dumps_json(v, indent + 2)
+            sep = ",\n" + inner
+        out += f"\n{pad}}}"
+        return out
     if isinstance(obj, (list, tuple)):
         return _list_json([dumps_json(v, indent + 2) for v in obj], indent)
     return _numpy_json(obj, indent)

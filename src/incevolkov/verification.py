@@ -44,6 +44,15 @@ radius with its gate, and one spacetime batch runs per step and result
 dtype.  `run_grid` is one round over the grid, and `run_point` the same
 path with a round of one.
 
+No group reads another's results, so a round of two or more groups on a
+host that gives it two or more CPUs splits them into two shares of about
+equal cost: this process runs one and a child made by `os.fork`, after
+the shared arrays are built, runs the other and sends its reports back
+pickled.  Both run the same `_check_group` on the same arrays, and
+pickle keeps every float's bits, so each report and the first error in
+group order are the ones a single process gives.  A round of one group
+(`run_point`) or on one CPU stays in one process.
+
 Sign conventions verified by the PDE check (electron, charge coupling
 eps_c * A0 = -a/4 in the dimensionless units hbar = c = 1, k_p = 1):
 metric (+,-,-,-), vector potential A = e_x A0 cos xi, de Broglie phase
@@ -59,6 +68,9 @@ import contextlib
 import ctypes
 import functools
 import math
+import os
+import pickle
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -678,7 +690,8 @@ def _one_blas_thread():
     for about 0.1 s after each call they share: over `verify --all` a
     second core stayed busy (CPU time 1.9x wall time on a 2-core host) and
     the check ran about 8% slower.  The count changes no bit of a result.
-    It is process-wide, so BLAS work in other threads also runs on one.
+    It is process-wide, so BLAS work in other threads also runs on one,
+    and the child that `_check_round` forks inherits it.
     """
     get, set_ = _openblas_threads() or (lambda: None, lambda count: None)
     before = get()
@@ -726,6 +739,51 @@ def _check_group(points, samples, spacetime, eta_shift: float) -> list:
     return reports
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform does not say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _split_shares(costs):
+    """Two ascending lists of group positions, split greedily by cost, the costliest first.
+
+    Each group goes to the share with the smaller total so far (the first
+    on a tie), so every group is in exactly one share.
+    """
+    shares, totals = ([], []), [0, 0]
+    for g in sorted(range(len(costs)), key=lambda g: -costs[g]):
+        lighter = int(totals[1] < totals[0])
+        shares[lighter].append(g)
+        totals[lighter] += costs[g]
+    return sorted(shares[0]), sorted(shares[1])
+
+
+def _in_child(run, share):
+    """(pid, pipe): a forked child runs run(share) and pickles its list into the pipe.
+
+    The child never returns into the caller: it ends with os._exit, status
+    0 once its whole result is written.  Standard streams are flushed
+    before the fork, so text buffered in them is printed once.  The
+    OpenBLAS that numpy ships stops its worker threads before a fork (a
+    pthread_atfork handler), so none holds a lock the child needs.
+    """
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(run(share), pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
 @_one_blas_thread()
 def _check_round(points, seed: int, eta_shift: float) -> list:
     """PointReports of (kind, n, a) points, in their order.
@@ -736,6 +794,18 @@ def _check_round(points, seed: int, eta_shift: float) -> list:
     builds one stencil per step.  The points then run in groups of one
     operator dimension (`_check_group`), so that the solve and the Sturm
     check run once per group; a group's arrays are dropped before the next.
+
+    No group reads another's results.  With two or more groups and two or
+    more usable CPUs, the groups are split into two shares of about equal
+    cost, len(group) * (dim + 8)^2 (`_split_shares`): this process runs
+    one, and a child forked after the shared arrays are built runs the
+    other on copy-on-write views of them and sends its reports back
+    pickled.  Each process runs the same `_check_group` on the same
+    arrays, and pickle keeps every float's bits, so each report is the one
+    a single process gives.  A share stops at its first exception; the
+    round raises the first in group order, the one a single process
+    raises.  A round of one group (`run_point`) or on one CPU runs in this
+    process alone.
     """
     families = [SolutionFamily(kind, n) for kind, n, _ in points]
     for fam in families:                # before a window is allocated
@@ -749,10 +819,44 @@ def _check_round(points, seed: int, eta_shift: float) -> list:
     groups = {}
     for index, fam in enumerate(families):
         groups.setdefault(fam.dim, []).append(index)
+    groups = list(groups.values())
+
+    def run(share) -> list:
+        """(group position, reports or the first exception) of each group run, in order."""
+        results = []
+        for g in share:
+            try:
+                results.append((g, _check_group([points[i] for i in groups[g]],
+                                                samples, spacetime, eta_shift)))
+            except Exception as exc:
+                results.append((g, exc))
+                break
+        return results
+
+    if len(groups) >= 2 and _usable_cpus() >= 2:
+        mine, theirs = _split_shares(
+            [len(g) * (families[g[0]].dim + 8) ** 2 for g in groups])
+        pid, pipe = _in_child(run, theirs)
+        try:
+            results = run(mine)
+            payload = pipe.read()
+        except BaseException:
+            os.kill(pid, 9)                 # SIGKILL: its result is not wanted
+            raise
+        finally:
+            pipe.close()
+            _, status = os.waitpid(pid, 0)
+        if status != 0:
+            raise RuntimeError(
+                f"the verify child process ended without its result (wait status {status})")
+        results += pickle.loads(payload)
+    else:
+        results = run(range(len(groups)))
     reports = [None] * len(points)
-    for indices in groups.values():
-        group = _check_group([points[i] for i in indices], samples, spacetime, eta_shift)
-        for i, report in zip(indices, group):
+    for g, result in sorted(results, key=lambda item: item[0]):
+        if isinstance(result, BaseException):
+            raise result
+        for i, report in zip(groups[g], result):
             reports[i] = report
     return reports
 

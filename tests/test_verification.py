@@ -1,10 +1,17 @@
 """The oracle layer: ODE residuals, dense/Sturm cross-checks, spacetime FD."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import incevolkov.verification as verification
 from incevolkov.constants import SAMPLING_SEED
@@ -643,6 +650,8 @@ def test_grid_builds_each_basis_once(monkeypatch):
     monkeypatch.setattr(verification, "pde_residual_fd", count_batches)
     monkeypatch.setattr(verification, "solve_spectra", count_solves)
     monkeypatch.setattr(verification, "sturm_crosscheck", count_sturms)
+    # the counters see one process's calls: the round runs in this one
+    monkeypatch.setattr(verification, "_usable_cpus", lambda: 1)
     run_grid(n_max=3, a_values=(0.5, 14.0, 20.0, 50.0))
     sets = [("exp", 0.0), ("cos", 0.0), ("cos", 0.5), ("sin", 0.0), ("sin", 0.5)]
     assert sorted(evaluated, key=repr) == sorted(
@@ -660,6 +669,151 @@ def test_grid_builds_each_basis_once(monkeypatch):
     run_point(FamilyKind.DIRAC_MINUS, 3, 50.0)
     assert evaluated == [(("exp", 0.0), "ode", 2), (("exp", 0.0), 1e-2, 0)]
     assert [st.h for st in stencils] == [1e-2]
+
+
+def _grid_points(a_values=verification.DEFAULT_GRID_A_VALUES, n_max=25):
+    """The (kind, n, a) points of `run_grid`, in its order."""
+    return [(kind, n, float(a)) for kind in sorted(ALL_KINDS, key=lambda k: k.value)
+            for n in range(1, n_max + 1) for a in a_values]
+
+
+def _round(monkeypatch, cpus, points, eta_shift=0.0):
+    """`_check_round` of points as a host with `cpus` usable CPUs runs it."""
+    monkeypatch.setattr(verification, "_usable_cpus", lambda: cpus)
+    return verification._check_round(points, SAMPLING_SEED, eta_shift)
+
+
+class TestTwoProcessRound:
+    @pytest.mark.parametrize("a_values, eta_shift", [
+        (verification.DEFAULT_GRID_A_VALUES, 0.0), ((50.0,), 0.0),
+        (verification.DEFAULT_GRID_A_VALUES, 1e-6)], ids=["grid", "a50", "eta-shift"])
+    def test_reports_match_one_process(self, monkeypatch, a_values, eta_shift):
+        # repr: exact, NaN-safe; at a = 50 and with the shift, points fail
+        points = _grid_points(a_values)
+        two = _round(monkeypatch, 2, points, eta_shift)
+        assert repr(two) == repr(_round(monkeypatch, 1, points, eta_shift))
+        assert len(two) == len(points)
+
+    def test_error_matches_one_process(self, monkeypatch):
+        # every group of dim >= 2 refuses its bonds at a = 1e308
+        points = _grid_points((1e308,))
+        raised = []
+        for cpus in (2, 1):
+            with pytest.raises(Exception) as info:
+                _round(monkeypatch, cpus, points)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
+        assert raised[0][0] is InputError
+
+    def test_first_exception_in_group_order_wins(self, monkeypatch):
+        # the groups from position `first` on raise, naming their position;
+        # the shares run apart, and the round still raises the first
+        points = _grid_points((14.0,))
+        dims = list(dict.fromkeys(SolutionFamily(kind, n).dim for kind, n, _ in points))
+        split, shares, first = verification._split_shares, [], 0
+
+        def record_split(costs):
+            shares.append(split(costs))
+            return shares[-1]
+
+        def check_group(group, *args):
+            position = dims.index(SolutionFamily(*group[0][:2]).dim)
+            if position >= first:
+                raise InputError(f"group {position}")
+            return [None] * len(group)
+
+        monkeypatch.setattr(verification, "_split_shares", record_split)
+        monkeypatch.setattr(verification, "_check_group", check_group)
+        owners = set()
+        for first in range(6):
+            with pytest.raises(InputError, match=f"^group {first}$"):
+                _round(monkeypatch, 2, points)
+            mine, theirs = shares[-1]
+            assert max(mine) >= first and max(theirs) >= first    # both shares raise
+            owners.add(first in theirs)
+        assert owners == {False, True}      # the first is the child's, and this process's
+
+    def test_both_processes_run_on_one_blas_thread(self, monkeypatch):
+        threads = verification._openblas_threads()
+        get = threads[0] if threads else lambda: None
+        monkeypatch.setattr(verification, "_check_group",
+                            lambda group, *args: [(os.getpid(), get())] * len(group))
+        reports = _round(monkeypatch, 2, _grid_points((14.0,)))
+        pids = {pid for pid, _ in reports}
+        assert len(pids) == 2 and os.getpid() in pids
+        assert {count for _, count in reports} == ({1} if threads else {None})
+
+    def test_one_group_or_one_cpu_does_not_fork(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(verification.os, "fork", no_fork)
+        monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
+        assert run_point(FamilyKind.DIRAC_PLUS, 3, 14.0).passed
+        monkeypatch.setattr(verification, "_usable_cpus", lambda: 1)
+        assert run_grid(n_max=2, a_values=(14.0,)).all_passed
+
+    def test_no_child_is_left(self, monkeypatch):
+        monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
+        assert run_grid(n_max=3, a_values=(14.0,)).all_passed
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        with pytest.raises(InputError):
+            run_grid(n_max=3, a_values=(1e308,))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_child_without_its_result_is_an_error(self, monkeypatch):
+        parent = os.getpid()
+
+        def check_group(group, *args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return [None] * len(group)
+
+        monkeypatch.setattr(verification, "_check_group", check_group)
+        with pytest.raises(RuntimeError, match="ended without its result"):
+            _round(monkeypatch, 2, _grid_points((14.0,)))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_an_interrupt_stops_the_child(self, monkeypatch):
+        parent = os.getpid()
+
+        def check_group(group, *args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(verification, "_check_group", check_group)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            _round(monkeypatch, 2, _grid_points((14.0,)))
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_buffered_output_is_printed_once(self):
+        # both streams are pipes, so the text waits in their buffers at the fork
+        src = str(Path(verification.__file__).resolve().parents[1])
+        script = ("import sys\n"
+                  "from incevolkov import verification\n"
+                  "verification._usable_cpus = lambda: 2\n"
+                  "sys.stdout.write('out')\n"
+                  "sys.stderr.write('err')\n"
+                  "assert verification.run_grid(n_max=3, a_values=(14.0,)).all_passed\n")
+        proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "out", "err")
+
+
+@given(st.lists(st.integers(0, 10 ** 6), max_size=60))
+def test_split_puts_every_group_in_one_share(costs):
+    mine, theirs = verification._split_shares(costs)
+    assert mine == sorted(mine) and theirs == sorted(theirs)
+    assert sorted(mine + theirs) == list(range(len(costs)))
+    loads = [sum(costs[g] for g in share) for share in (mine, theirs)]
+    assert abs(loads[0] - loads[1]) <= max(costs, default=0)
 
 
 def test_shared_bases_carry_each_familys_bits():

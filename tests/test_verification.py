@@ -802,7 +802,8 @@ class TestTwoProcessRound:
                   "sys.stdout.write('out')\n"
                   "sys.stderr.write('err')\n"
                   "assert verification.run_grid(n_max=3, a_values=(14.0,)).all_passed\n")
-        proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": src},
                               capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "out", "err")
 

@@ -63,13 +63,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
+    """text, ended by one newline, to the output file or to stdout.
+
+    The newline is written on its own: appending it would copy the text.
+    """
+    end = "" if text.endswith("\n") else "\n"
     if cfg.output_path:
-        write_text(cfg.output_path, text)
+        write_text(cfg.output_path, text, end)
         print(f"wrote {cfg.output_path}")
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.write(end)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +122,7 @@ def cmd_params(cfg: RunConfig) -> int:
                 "mu0 = e F0 / (m c omega0): dimensionless",
             ])
     else:
-        text = dumps_json(report) + "\n"
+        text = dumps_json(report)
     _emit(cfg, text)
     for note in report["notes"]:
         print(f"note: {note}", file=sys.stderr)
@@ -215,7 +219,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
             "min_relative_gap": dec.min_relative_gap,
             "vectors": dec.vectors.T,
         }
-        text = dumps_json(payload) + "\n"
+        text = dumps_json(payload)
     _emit(cfg, text)
     _fail_on_residuals([(dec, dec.k_labels.tolist(), passed.tolist())])
     return 0
@@ -273,7 +277,7 @@ def cmd_modes(cfg: RunConfig) -> int:
                 for k, dens in zip(k_list, densities)
             ],
         }
-        text = dumps_json(payload) + "\n"
+        text = dumps_json(payload)
     _emit(cfg, text)
     _fail_on_residuals([(dec, k_list, [passed[k - 1] for k in k_list])])
     return 0
@@ -399,7 +403,7 @@ def cmd_verify(cfg: RunConfig, run_all: bool) -> int:
         "summary": report.summary(),
         "points": [_point_payload(p) for p in report.points],
     }
-    _emit(cfg, dumps_json(payload) + "\n")
+    _emit(cfg, dumps_json(payload))
     if not report.all_passed:
         for p in report.failures():
             print(f"FAIL {p.kind} n={p.n} a={format_number(p.a)}: "

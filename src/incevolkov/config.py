@@ -41,7 +41,10 @@ def _int(v: str) -> int:
 
 
 def _k_select(v: str) -> tuple:
-    return tuple(int(tok) for tok in v.split(",") if tok.strip())
+    ks = tuple(int(tok) for tok in v.split(",") if tok.strip())
+    if v.strip() and not ks:            # "," selects nothing; "" is no selection
+        raise ValueError(v)
+    return ks
 
 
 # what each parser reads, for its error message (str reads any text)

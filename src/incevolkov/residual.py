@@ -1,13 +1,13 @@
 """ODE residual of solved eigenpairs: the check every command runs.
 
 `attach_residuals` plugs every (eta, coefficient vector) pair of an
-operator back into the original modulation ODE at once.  Derivatives of
-the finite trigonometric sum are themselves exact finite sums, so the
-residual is evaluated analytically, never by numerical differentiation, in
-one batched product per operator.  This is the ground truth for every
-recurrence in the operators module: it shares the families module's basis
-evaluator with the modulation module, so its independence is the ODE's
-from the recurrence.
+operator back into the original modulation ODE.  Derivatives of the finite
+trigonometric sum are themselves exact finite sums, so the residual is
+evaluated analytically, never by numerical differentiation, in blocks of
+at most _BLOCK_MODES modes, so its memory grows with dim, not dim^2.  This
+is the ground truth for every recurrence in the operators module: it
+shares the families module's basis evaluator with the modulation module,
+so its independence is the ODE's from the recurrence.
 
 `spectrum`, `modes` and `figure` load this module alone; the cross-checks
 that only `verify` runs live in the verification module, which imports
@@ -35,6 +35,9 @@ ODE_RESIDUAL_TOL = 1e-9        # times (1 + |eta| + a * dim)
 # ODE residual sample points: equidistant plus seeded random, in z = xi/2
 _N_EQUIDISTANT = 256
 _N_RANDOM = 32
+# modes per block of the residual policy: each (samples, modes) temporary
+# of a block holds at most 288 x 64 values (288 KiB complex), at any dim
+_BLOCK_MODES = 64
 
 
 def seeded_angles(seed: int, count: int) -> np.ndarray:
@@ -105,23 +108,32 @@ def _batch_residual_maxima(samples: _OdeSamples, a: float, etas: np.ndarray,
                            vectors: np.ndarray):
     """The residual policy: per-mode (maxima, scales, passed).
 
-    A mode passes when its max |residual| over the sample points is below
-    ODE_RESIDUAL_TOL * scale, scale = 1 + |eta| + a * dim.  The rounding
-    error of the batched sums stays below 2.4e-15 * scale (measured against
-    `verification._residual_values_compensated` at the default seed's
-    sample points for all six kinds at n <= 60, a in {0.5, 1, 5, 14, 20,
-    50}: at most 2.34e-15, at dirac-minus n = 51, a = 20), more than five
-    orders of magnitude under the tolerance.
+    The residuals are evaluated in blocks of at most _BLOCK_MODES modes
+    (columns of vectors and etas), so the working set is the basis plus a
+    few (samples, _BLOCK_MODES) arrays and one (dim, _BLOCK_MODES) cast of
+    the vectors at any dim.  A mode passes when its max |residual| over the
+    sample points is below ODE_RESIDUAL_TOL * scale, scale = 1 + |eta| +
+    a * dim.  The rounding error of the blocked sums stays below 2.4e-15 *
+    scale (measured against `verification._residual_values_compensated` at
+    the default seed's sample points for all six kinds at n <= 60, a in
+    {0.5, 1, 5, 14, 20, 50}: at most 2.34e-15, at dirac-minus n = 51, a =
+    20), and below 4.3e-15 * scale at n in {100, 200, 300}, a in {1, 14,
+    50} (every 7th mode: at most 4.21e-15, at kg-sin-odd n = 300, a = 50),
+    more than five orders of magnitude under the tolerance.
 
     A mode whose eta and coefficients are finite but whose residual is not
     has terms past double range (q a cos 2z f near a = 1e308): that is the
     checker's range, not a wrong eigenpair, and is refused as an
-    InputError.  A mode with non-finite coefficients fails.
+    InputError once every block is done.  A mode with non-finite
+    coefficients fails.
     """
+    maxima = np.empty(len(etas))
     with np.errstate(over="ignore", invalid="ignore"):      # past range: refused below
-        values = _residual_values_batch(samples, a, etas, vectors)
+        for start in range(0, len(etas), _BLOCK_MODES):
+            cols = slice(start, start + _BLOCK_MODES)
+            values = _residual_values_batch(samples, a, etas[cols], vectors[:, cols])
+            np.max(np.abs(values), axis=0, out=maxima[cols])
         scales = 1.0 + np.abs(etas) + a * samples.family.dim
-    maxima = np.max(np.abs(values), axis=0)
     past = ~np.isfinite(maxima)
     if past.any() and (past & np.isfinite(etas) & np.isfinite(vectors).all(axis=0)).any():
         fam = samples.family

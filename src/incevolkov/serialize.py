@@ -7,13 +7,14 @@ environment-dependent content).  JSON key order follows construction order.
 A float64 array is written a row at a time: one `%`-template per array,
 filled once per row.  A row that holds a non-finite value, or a value that
 may print in 24 characters, takes the per-value path instead, since those
-are the only values that can change the row's layout.  The rows of a
-matrix are appended to one string that grows in place, so the peak stays
-near one copy of the result.
+are the only values that can change the row's layout.  A dict, list or
+array is written in pieces (a value, an item, a row) appended to one
+string that grows in place, so the peak stays near one copy of the result.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, Sequence
 
@@ -60,64 +61,100 @@ def _escape(s: str) -> str:
     return "".join(out)
 
 
-def _list_json(parts: list, indent: int) -> str:
-    """A JSON array of rendered items: inline when every item is short and one line."""
-    if not parts:
-        return "[]"
-    if len(parts) <= 400 and max(map(len, parts)) < 24:
-        line = ", ".join(parts)
-        if "\n" not in line:
-            return "[" + line + "]"
-    return _rows_json(parts, indent)
+def _list_json(parts, indent: int) -> str:
+    """A JSON array of rendered items: `_array_pieces` joined into one string."""
+    return "".join(_array_pieces(parts, indent))
 
 
-def dumps_json(obj, indent: int = 0) -> str:
-    pad = " " * indent
-    inner = " " * (indent + 2)
+def _array_pieces(parts, indent: int):
+    """A JSON array of rendered items at indent, in pieces.
+
+    Inline when it has at most 400 items, each under 24 characters and on
+    one line; else one item per line.  Items are drawn from parts as they
+    are needed: once an item or the count decides the form, the rest
+    stream, so an iterator of parts is never held whole.
+    """
+    parts = iter(parts)
+    short = []
+    for part in parts:
+        if len(short) == 400 or len(part) >= 24 or "\n" in part:
+            inner = "\n" + " " * (indent + 2)
+            sep = "[" + inner
+            for item in itertools.chain(short, (part,), parts):
+                yield sep + item
+                sep = "," + inner
+            yield "\n" + " " * indent + "]"
+            return
+        short.append(part)
+    yield "[" + ", ".join(short) + "]"
+
+
+def _leaf_json(obj):
+    """The JSON of None, a str, a bool or a builtin number; None for anything else."""
     if obj is None:
         return "null"
     if isinstance(obj, str):
         return f'"{_escape(obj)}"'
     if isinstance(obj, (bool, int, float)):
         return format_number(obj)
+    return None
+
+
+def dumps_json(obj, indent: int = 0) -> str:
+    text = _leaf_json(obj)
+    if text is None:
+        # CPython grows a str that only this frame holds in place, and each
+        # piece is freed once it is appended: the peak stays near one copy
+        # of the text
+        text = ""
+        for piece in _pieces(obj, indent):
+            text += piece
+    return text
+
+
+def _pieces(obj, indent: int):
+    """The JSON of a dict, list, tuple or numpy value at indent, in pieces;
+    each value, item and row is rendered when it is written."""
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
-        # one string grows in place, as in `_rows_json`: each rendered
-        # value is freed once it is appended
-        out = "{"
-        sep = "\n" + inner
+            yield "{}"
+            return
+        inner = "\n" + " " * (indent + 2)
+        sep = "{" + inner
         for k, v in obj.items():
-            out += f'{sep}"{_escape(str(k))}": '
-            out += dumps_json(v, indent + 2)
-            sep = ",\n" + inner
-        out += f"\n{pad}}}"
-        return out
-    if isinstance(obj, (list, tuple)):
-        return _list_json([dumps_json(v, indent + 2) for v in obj], indent)
-    return _numpy_json(obj, indent)
+            key = f'{sep}"{_escape(str(k))}": '
+            text = _leaf_json(v)
+            if text is None:
+                yield key
+                yield from _pieces(v, indent + 2)
+            else:
+                yield key + text
+            sep = "," + inner
+        yield "\n" + " " * indent + "}"
+    elif isinstance(obj, (list, tuple)):
+        yield from _array_pieces((dumps_json(v, indent + 2) for v in obj), indent)
+    else:
+        yield from _numpy_pieces(obj, indent)
 
 
-def _numpy_json(obj, indent: int) -> str:
-    """`dumps_json` of a numpy scalar or array; float64 rows fill one template each."""
+def _numpy_pieces(obj, indent: int):
+    """`_pieces` of a numpy scalar or array; float64 rows fill one template each."""
     import numpy as np
 
     if isinstance(obj, (np.bool_, np.integer, np.floating)):
-        return format_number(obj)
-    if not isinstance(obj, np.ndarray):
+        yield format_number(obj)
+    elif not isinstance(obj, np.ndarray):
         raise TypeError(f"cannot serialize {type(obj)!r}")
-    if obj.ndim == 0:
-        return dumps_json(obj.item(), indent)
-    if obj.dtype != np.float64:
-        return dumps_json(obj.tolist(), indent)
-    if obj.ndim == 1:
-        return next(_float_rows(obj[np.newaxis], indent))
-    if obj.ndim > 2:
-        return _list_json([_numpy_json(sub, indent + 2) for sub in obj], indent)
-    rows = _float_rows(obj, indent + 2)
-    if len(obj) <= 400 and obj.shape[1] < 8:    # 8 values make a row of 24+ characters
-        return _list_json(list(rows), indent)
-    return _rows_json(rows, indent)
+    elif obj.ndim == 0:
+        yield dumps_json(obj.item(), indent)
+    elif obj.dtype != np.float64:
+        yield from _pieces(obj.tolist(), indent)
+    elif obj.ndim == 1:
+        yield next(_float_rows(obj[np.newaxis], indent))
+    elif obj.ndim == 2:
+        yield from _array_pieces(_float_rows(obj, indent + 2), indent)
+    else:
+        yield from _pieces(list(obj), indent)
 
 
 def _float_rows(m, indent: int):
@@ -138,23 +175,6 @@ def _float_rows(m, indent: int):
             yield row_t % tuple(values)
 
 
-def _rows_json(rows, indent: int) -> str:
-    """The one-item-per-line form of the rendered rows: every multi-line JSON array.
-
-    CPython grows a str that only this frame holds in place, so each row is
-    freed once it is appended; joining a list of the rows would hold two
-    copies of the result.
-    """
-    inner = " " * (indent + 2)
-    out = "["
-    sep = "\n" + inner
-    for row in rows:
-        out += sep + row
-        sep = ",\n" + inner
-    out += "]" if out == "[" else "\n" + " " * indent + "]"
-    return out
-
-
 def render_csv(columns: Sequence[str], rows: Iterable[Sequence],
                header_comments: Sequence[str] = ()) -> str:
     """CSV text with '#' comment lines (units, column meanings) up front."""
@@ -173,6 +193,8 @@ def render_csv(columns: Sequence[str], rows: Iterable[Sequence],
     return "\n".join(lines) + "\n"
 
 
-def write_text(path: str, text: str) -> None:
+def write_text(path: str, *texts: str) -> None:
+    """The texts, one after another, as the UTF-8 file at path."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        for text in texts:
+            fh.write(text)

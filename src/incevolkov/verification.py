@@ -5,9 +5,9 @@ Three checks, none sharing numerical machinery with the eigensolver
 
   * ODE residual (`residual.attach_residuals`, `_batch_residual_maxima`):
     plugs every (eta, coefficient vector) pair of an operator back into
-    the original modulation ODE, analytically and in one batched product
-    per operator.  The commands that print spectra run it alone, so it
-    lives in the residual module; this module imports it from there.
+    the original modulation ODE, analytically and in blocks of at most 64
+    modes.  The commands that print spectra run it alone, so it lives in
+    the residual module; this module imports it from there.
     `benchmarks/oracle.py` restates the family table.
   * sturm_crosscheck: Sturm counts on the symmetrized matrix, from the
     LAPACK-free leading-minor recurrence `minor_ratios`.  Two counts per

@@ -16,12 +16,13 @@ The list:
     {0, 0.5, 1, 5, 14, 20, 50} (1,050 points);
   * `spectrum` JSON at the 45 points of the benchmark's `large-spectra`
     workload (three kinds, n in {40, 80, 120, 160, 200}, a in {1, 14, 50}),
-    and at two dirac-plus points of dim 402 and 520, past the 400 values
-    that an array writes on one line;
+    at two dirac-plus points of dim 402 and 520, past the 400 values that
+    an array writes on one line, and at two spin-0 points of dim 301 and
+    260, whose real residual products span several blocks of modes;
   * `modes` CSV of every mode of each kind at n = 3, a = 14;
   * `figure 1`, `2` and `3` from `configs/figureN.cfg`, and `params` from
     `configs/reference.cfg` (this tree's configs, for both trees).
-That is 1,111 commands; --smoke keeps a few of each sort.
+That is 1,113 commands; --smoke keeps a few of each sort.
 
 Each command starts with a clean warnings registry, so a numpy warning is
 printed as a fresh process would print it; the tree's own path in stderr
@@ -49,7 +50,8 @@ KINDS = ("dirac-plus", "dirac-minus", "kg-cos-even", "kg-cos-odd", "kg-sin-odd",
 VERIFY_A = ("0", "0.5", "1", "5", "14", "20", "50")
 LARGE_SPECTRA = [(kind, n, a) for kind in ("dirac-plus", "kg-cos-even", "kg-sin-odd")
                  for n in (40, 80, 120, 160, 200) for a in ("1.0", "14.0", "50.0")]
-WIDE_SPECTRA = [("dirac-plus", 201, "1"), ("dirac-plus", 260, "14")]
+WIDE_SPECTRA = [("dirac-plus", 201, "1"), ("dirac-plus", 260, "14"),
+                ("kg-cos-even", 300, "14"), ("kg-sin-odd", 260, "1")]
 
 
 def commands(smoke: bool) -> list:

@@ -167,6 +167,21 @@ class TestModes:
         assert code == 0
         assert json.loads(out)["k_select"] == [1, 2]
 
+    @pytest.mark.parametrize("text", [",", ", ,"])
+    def test_k_select_without_a_label_refused(self, capsys, tmp_path, text):
+        # a selection with no label is refused, never read as every mode
+        code, out, err = run(capsys, "modes", "--family", "dirac", "--n", "2", "--a", "1",
+                             "--k-select", text)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"error: --k-select: expected comma-separated integers, got {text!r}"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"family = dirac\nn = 2\na = 1\nk_select = {text}\n")
+        code, out, err = run(capsys, "modes", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"error: {cfg}:4: k_select: expected comma-separated integers, got {text!r}"]
+
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "modes", "--family", "kg-cos-even",
                            "--n", "2", "--a", "5", "--k-select", "2")

@@ -149,6 +149,23 @@ class TestJson:
         assert _list_json(parts, indent) == old
         assert dumps_json(obj, indent) == old
 
+    def test_nested_payload_peak_near_one_copy(self):
+        # a report: a dict holding a long list of small dicts and a matrix.
+        # Every value, item and row is appended as it is rendered, so the
+        # peak is the text plus one rendered piece and the writer's arrays.
+        rng = np.random.default_rng(7)
+        payload = {"points": [{"k": i, "eta": float(x), "notes": ["a", "b"]}
+                              for i, x in enumerate(rng.normal(size=10000))],
+                   "vectors": rng.normal(size=(200, 200))}
+        dumps_json(payload)
+        tracemalloc.start()
+        try:
+            text = dumps_json(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * len(text)
+
 
 class TestFloatArrays:
     """The float-array path writes the bytes of the item-by-item writer."""

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import incevolkov.residual as residual
 import incevolkov.verification as verification
 from incevolkov.constants import SAMPLING_SEED
 from incevolkov.errors import InputError, StructuralError
@@ -249,6 +251,61 @@ class TestOdeResidual:
         scale = 1.0 + np.abs(dec2.etas) + 14.0 * fam.dim
         assert np.array_equal(passed, dec2.residuals < 1e-9 * scale)
         assert passed[0] and not np.all(passed)
+
+
+class TestResidualBlocks:
+    """The residual policy judges at most residual._BLOCK_MODES modes at a time."""
+
+    @staticmethod
+    def _policy(samples, a, dec, block, monkeypatch):
+        monkeypatch.setattr(residual, "_BLOCK_MODES", block)
+        return _batch_residual_maxima(samples, a, dec.etas, dec.vectors)
+
+    @pytest.mark.parametrize("kind", [FamilyKind.DIRAC_PLUS, FamilyKind.DIRAC_MINUS])
+    def test_dirac_blocks_bit_identical_to_one_block(self, kind, monkeypatch):
+        # dim 200 spans four blocks; a complex product split by columns
+        # rounds every column as the whole product does
+        fam, block = SolutionFamily(kind, 100), residual._BLOCK_MODES
+        assert fam.dim > 3 * block
+        samples = _ode_samples([fam], SAMPLING_SEED)[fam]
+        for a in (1.0, 14.0, 50.0):
+            dec = solve_spectrum(build_operator(fam, a))
+            blocked = self._policy(samples, a, dec, block, monkeypatch)
+            whole = self._policy(samples, a, dec, fam.dim, monkeypatch)
+            for got, want in zip(blocked, whole):
+                assert got.tobytes() == want.tobytes(), (kind, a)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_verdicts_as_one_block(self, kind, monkeypatch):
+        # past one block the real product may round its last bits otherwise,
+        # far below the tolerance: the verdicts stay the same
+        n = 40 if kind.value.startswith("dirac") else 70
+        fam, block = SolutionFamily(kind, n), residual._BLOCK_MODES
+        assert fam.dim > block
+        samples = _ode_samples([fam], SAMPLING_SEED)[fam]
+        for a in (1.0, 14.0, 50.0):
+            dec = solve_spectrum(build_operator(fam, a))
+            maxima, scales, passed = self._policy(samples, a, dec, block, monkeypatch)
+            one, _, one_passed = self._policy(samples, a, dec, fam.dim, monkeypatch)
+            assert np.array_equal(passed, one_passed), (kind, a)
+            assert np.all(np.abs(maxima - one) <= 1e-14 * scales), (kind, a)
+
+    def test_peak_memory_a_few_blocks_above_the_basis(self):
+        # dirac-plus n = 200: the basis holds 3 x 288 x 400 complex values
+        # (5.5 MB); all modes at once held 9 MB more.  A block holds a few
+        # (samples, block) arrays and one (dim, block) cast of the vectors.
+        fam, dec = _solved(FamilyKind.DIRAC_PLUS, 200, 14.0)
+        samples = len(_sample_points(SAMPLING_SEED))
+        basis_bytes = 3 * samples * fam.dim * 16
+        block_bytes = (samples + fam.dim) * residual._BLOCK_MODES * 16
+        attach_residuals(dec)
+        tracemalloc.start()
+        try:
+            attach_residuals(dec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < basis_bytes + 4 * block_bytes
 
 
 class TestDenseCrosscheck:

@@ -369,18 +369,9 @@ def cmd_figure(cfg: RunConfig, which: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _point_payload(p) -> dict:
-    return {
-        "family": p.kind, "n": p.n, "a": p.a, "dim": p.dim,
-        "ode": {"max_residual": p.max_ode_residual,
-                "max_residual_over_scale": p.max_ode_residual_over_scale,
-                "passed": p.ode_passed},
-        "sturm": {"discrepancy": p.sturm_discrepancy, "passed": p.sturm_passed},
-        "pde": {"observed_order": p.pde_order, "max_residual": p.pde_residual,
-                "passed": p.pde_passed},
-        "min_relative_gap": p.min_relative_gap,
-        "note": p.note,
-        "passed": p.passed,
-    }
+    """A point's JSON object: its check objects sit in `verification.CHECKS` order."""
+    return {"family": p.kind, "n": p.n, "a": p.a, "dim": p.dim, **p.checks,
+            "min_relative_gap": p.min_relative_gap, "note": p.note, "passed": p.passed}
 
 
 def cmd_verify(cfg: RunConfig, run_all: bool) -> int:

@@ -42,13 +42,20 @@ def _int(v: str) -> int:
 
 def _k_select(v: str) -> tuple:
     ks = tuple(int(tok) for tok in v.split(",") if tok.strip())
-    if v.strip() and not ks:            # "," selects nothing; "" is no selection
+    if not ks:                          # "" and "," select nothing
         raise ValueError(v)
     return ks
 
 
+def _path(v: str) -> str:
+    if not v:                           # "" names no file
+        raise ValueError(v)
+    return v
+
+
 # what each parser reads, for its error message (str reads any text)
-_EXPECTED = {float: "a number", _int: "an integer", _k_select: "comma-separated integers"}
+_EXPECTED = {float: "a number", _int: "an integer", _k_select: "comma-separated integers",
+             _path: "a file path"}
 
 
 def _input(key: str, flag: Optional[str], parse, help: Optional[str] = None, default=None):
@@ -80,7 +87,7 @@ class RunConfig:
                                        "comma-separated k labels")
     output_format: str = _input("output.format", "--format", str,
                                 "json or csv (default json)", "json")
-    output_path: Optional[str] = _input("output.path", "--out", str, "output file path")
+    output_path: Optional[str] = _input("output.path", "--out", _path, "output file path")
     seed: int = _input("seed", "--seed", _int,
                        f"sampling seed (default {SAMPLING_SEED})", SAMPLING_SEED)
 

@@ -45,13 +45,18 @@ dtype.  `run_grid` is one round over the grid, and `run_point` the same
 path with a round of one.
 
 No group reads another's results, so a round of two or more groups on a
-host that gives it two or more CPUs splits them into two shares of about
-equal cost: this process runs one and a child made by `os.fork`, after
-the shared arrays are built, runs the other and sends its reports back
-pickled.  Both run the same `_check_group` on the same arrays, and
-pickle keeps every float's bits, so each report and the first error in
-group order are the ones a single process gives.  A round of one group
-(`run_point`) or on one CPU stays in one process.
+host that gives it two or more CPUs, with numpy's bundled OpenBLAS pinned
+to one thread, splits them into two shares of about equal cost: this
+process runs one and a child made by `os.fork`, after the shared arrays
+are built, runs the other and sends its reports back pickled.  Both run
+the same `_check_group` on the same arrays, and pickle keeps every
+float's bits, so each report and the first error in group order are the
+ones a single process gives.  A round of one group (`run_point`), on one
+CPU, or under a BLAS whose threads cannot be pinned stays in one process.
+
+Each point's report holds one object per check, keyed by the check's name
+in `CHECKS` order; the summary's maxima and the names a failing point
+lists come from the same table.
 
 Sign conventions verified by the PDE check (electron, charge coupling
 eps_c * A0 = -a/4 in the dimensionless units hbar = c = 1, k_p = 1):
@@ -90,7 +95,7 @@ __all__ = [
     "minor_ratios", "sturm_counts", "gershgorin_bounds", "certified_radii",
     "dense_oracle_crosscheck", "sturm_crosscheck", "momentum_for_mode",
     "PdeStencil", "pde_stencil", "PdeResidualReport", "pde_residual_fd",
-    "PointReport", "VerificationReport", "run_point", "run_grid",
+    "CHECKS", "PointReport", "VerificationReport", "run_point", "run_grid",
     "DEFAULT_GRID_A_VALUES", "DEFAULT_GRID_N_MAX",
 ]
 
@@ -566,6 +571,17 @@ def pde_residual_fd(stencil: PdeStencil, bases, families, coefficients, momenta,
 # grid runner
 # ---------------------------------------------------------------------------
 
+# One row per check, in report order: its name, which keys its JSON object
+# and is its word on a FAIL line, then the field of that object that the
+# summary maximizes over the points and the summary key it goes under
+# (None, None: the check has no summary).
+CHECKS = (
+    ("ode", "max_residual_over_scale", "max_ode_residual_over_scale"),
+    ("sturm", "discrepancy", "max_sturm_discrepancy"),
+    ("pde", None, None),
+)
+
+
 @dataclass(frozen=True)
 class PointReport:
     """All checks for one (family, n, a) grid point."""
@@ -574,23 +590,14 @@ class PointReport:
     n: int
     a: float
     dim: int
-    max_ode_residual: float
-    max_ode_residual_over_scale: float
-    ode_passed: bool
-    sturm_discrepancy: float
-    sturm_passed: bool
-    pde_order: float
-    pde_residual: float
-    pde_passed: bool
+    checks: dict                 # CHECKS name -> its JSON fields, `passed` last
     min_relative_gap: float
     note: str = ""
 
     @property
     def failed_checks(self) -> list:
-        """Names of the checks this point failed, in the order ode, sturm, pde."""
-        verdicts = (("ode", self.ode_passed), ("sturm", self.sturm_passed),
-                    ("pde", self.pde_passed))
-        return [name for name, passed in verdicts if not passed]
+        """Names of the checks this point failed, in `CHECKS` order."""
+        return [name for name, _, _ in CHECKS if not self.checks[name]["passed"]]
 
     @property
     def passed(self) -> bool:
@@ -610,14 +617,10 @@ class VerificationReport:
         return [p for p in self.points if not p.passed]
 
     def summary(self) -> dict:
-        return {
-            "points": len(self.points),
-            "all_passed": self.all_passed,
-            "max_ode_residual_over_scale": max(
-                (p.max_ode_residual_over_scale for p in self.points), default=0.0),
-            "max_sturm_discrepancy": max(
-                (p.sturm_discrepancy for p in self.points), default=0.0),
-        }
+        """Point count, verdict, then each `CHECKS` summary key's maximum over the points."""
+        return {"points": len(self.points), "all_passed": self.all_passed,
+                **{key: max((p.checks[name][field] for p in self.points), default=0.0)
+                   for name, field, key in CHECKS if key is not None}}
 
 
 def _pde_step(a: float) -> float:
@@ -709,7 +712,8 @@ def _check_group(points, samples, spacetime, eta_shift: float) -> list:
     etas (plus eta_shift) are the ones every check judges: each point's
     ODE residual on its family's slice of the round's ODE samples, one
     Sturm pass over the whole group, and the spacetime check once per step
-    and result dtype (`_pde_checks`) on the round's stencils.
+    and result dtype (`_pde_checks`) on the round's stencils.  A report's
+    `checks` holds their JSON fields, one object per `CHECKS` row.
     """
     families = [SolutionFamily(kind, n) for kind, n, _ in points]
     ops = [build_operator(fam, a) for fam, (_, _, a) in zip(families, points)]
@@ -723,18 +727,19 @@ def _check_group(points, samples, spacetime, eta_shift: float) -> list:
     reports = []
     with np.errstate(invalid="ignore"):     # inf / inf: a non-finite eta fails
         for fam, (kind, n, a), dec, (maxima, scales, passed), sturm_disc, gate, \
-                (pde_order, pde_res, pde_ok, notes) \
+                (order, pde_res, pde_ok, notes) \
                 in zip(families, points, decs, odes, sturm, gates, pdes):
             if a == 0.0:
                 notes.append("a=0: spectrum degenerates to the squared basis frequencies")
+            objects = (     # one per CHECKS row, in its order
+                {"max_residual": float(np.max(maxima)),
+                 "max_residual_over_scale": float(np.max(maxima / scales)),
+                 "passed": bool(np.all(passed))},
+                {"discrepancy": float(sturm_disc), "passed": bool(sturm_disc < gate)},
+                {"observed_order": order, "max_residual": pde_res, "passed": pde_ok})
             reports.append(PointReport(
                 kind=kind.value, n=n, a=a, dim=fam.dim,
-                max_ode_residual=float(np.max(maxima)),
-                max_ode_residual_over_scale=float(np.max(maxima / scales)),
-                ode_passed=bool(np.all(passed)),
-                sturm_discrepancy=float(sturm_disc),
-                sturm_passed=bool(sturm_disc < gate),
-                pde_order=pde_order, pde_residual=pde_res, pde_passed=pde_ok,
+                checks={name: obj for (name, _, _), obj in zip(CHECKS, objects, strict=True)},
                 min_relative_gap=dec.min_relative_gap, note="; ".join(notes)))
     return reports
 
@@ -795,17 +800,21 @@ def _check_round(points, seed: int, eta_shift: float) -> list:
     operator dimension (`_check_group`), so that the solve and the Sturm
     check run once per group; a group's arrays are dropped before the next.
 
-    No group reads another's results.  With two or more groups and two or
-    more usable CPUs, the groups are split into two shares of about equal
-    cost, len(group) * (dim + 8)^2 (`_split_shares`): this process runs
-    one, and a child forked after the shared arrays are built runs the
-    other on copy-on-write views of them and sends its reports back
-    pickled.  Each process runs the same `_check_group` on the same
-    arrays, and pickle keeps every float's bits, so each report is the one
-    a single process gives.  A share stops at its first exception; the
-    round raises the first in group order, the one a single process
-    raises.  A round of one group (`run_point`) or on one CPU runs in this
-    process alone.
+    No group reads another's results.  With two or more groups, two or
+    more usable CPUs and numpy's bundled OpenBLAS (`_openblas_threads`),
+    which `_one_blas_thread` pins to one thread in both processes, the
+    groups are split into two shares of about equal cost, len(group) *
+    (dim + 8)^2 (`_split_shares`): this process runs one, and a child
+    forked after the shared arrays are built runs the other on
+    copy-on-write views of them and sends its reports back pickled.  Each
+    process runs the same `_check_group` on the same arrays, and pickle
+    keeps every float's bits, so each report is the one a single process
+    gives.  A share stops at its first exception; the round raises the
+    first in group order, the one a single process raises.  A round of one
+    group (`run_point`), on one CPU, or under a BLAS whose thread count
+    cannot be set runs in this process alone: the BLAS workers of two
+    processes would spin against each other (a forked `run_grid` round
+    took over 20 times as long as one process on a 2-core host).
     """
     families = [SolutionFamily(kind, n) for kind, n, _ in points]
     for fam in families:                # before a window is allocated
@@ -833,7 +842,7 @@ def _check_round(points, seed: int, eta_shift: float) -> list:
                 break
         return results
 
-    if len(groups) >= 2 and _usable_cpus() >= 2:
+    if len(groups) >= 2 and _usable_cpus() >= 2 and _openblas_threads() is not None:
         mine, theirs = _split_shares(
             [len(g) * (families[g[0]].dim + 8) ** 2 for g in groups])
         pid, pipe = _in_child(run, theirs)

@@ -131,7 +131,7 @@ def test_criterion_04_oracle_agreement(grid_report):
     max_dense = max(float(np.max(dense_oracle_crosscheck(
                         ops, [dec.etas for dec in solve_spectra(ops)])))
                     for ops in groups.values())
-    max_sturm = max(p.sturm_discrepancy for p in grid_report.points)
+    max_sturm = max(p.checks["sturm"]["discrepancy"] for p in grid_report.points)
     ok = max_dense < 1e-9 and max_sturm < 1e-9
     report(4, ok, f"solver vs Sturm vs dense over the full grid: "
                   f"max dense {max_dense:.2e}, max Sturm {max_sturm:.2e}, "

@@ -318,6 +318,31 @@ class TestVerify:
         assert code == 2
         assert "FAIL dirac-plus n=3 a=5: ode, sturm, pde\n" in err
 
+    def test_point_objects_summary_and_fail_lines_follow_the_checks_table(self, capsys):
+        # at a = 50 points fail, some of them more than one check
+        code, out, err = run(capsys, "verify", "--all", "--a", "50")
+        assert code == 2
+        payload = json.loads(out)
+        names = [name for name, _, _ in verification.CHECKS]
+        assert names == ["ode", "sturm", "pde"]
+        failed = []
+        for point in payload["points"]:
+            assert list(point) == ["family", "n", "a", "dim", *names,
+                                   "min_relative_gap", "note", "passed"]
+            assert all(list(point[name])[-1] == "passed" for name in names)
+            words = [name for name in names if not point[name]["passed"]]
+            assert point["passed"] == (not words)
+            if words:
+                failed.append(f"FAIL {point['family']} n={point['n']} "
+                              f"a=50: {', '.join(words)}")
+        assert failed and err.splitlines()[:-1] == failed
+        summary = payload["summary"]
+        assert list(summary) == ["points", "all_passed", *(
+            key for _, _, key in verification.CHECKS if key is not None)]
+        for name, field, key in verification.CHECKS:
+            if key is not None:
+                assert summary[key] == max(p[name][field] for p in payload["points"])
+
     def test_huge_coupling_fails_not_structural(self, capsys):
         # the Sturm certificate's radii and the oracle agreement gate scale
         # with the eigenvalues near 1e150, so the oracles pass; e^(a/4)

@@ -166,7 +166,6 @@ class TestFlagFileParity:
         ("n", "0x2", 2),
         ("a_override", "-0", 0.0),
         ("k_select", "1,,2", (1, 2)),
-        ("k_select", "", ()),
     ])
     def test_valid_text(self, tmp_path, attr, text, value):
         row = next(row for row in FLAG_ROWS if row.name == attr)
@@ -186,6 +185,10 @@ class TestFlagFileParity:
          "n: expected an integer, got 'twenty'"),
         ("k_select", "1,x", "--k-select: expected comma-separated integers, got '1,x'",
          "k_select: expected comma-separated integers, got '1,x'"),
+        ("k_select", "", "--k-select: expected comma-separated integers, got ''",
+         "k_select: expected comma-separated integers, got ''"),
+        ("output_path", "", "--out: expected a file path, got ''",
+         "output.path: expected a file path, got ''"),
         ("a_override", "nan", "a must be finite, got nan", None),
         ("output_format", "yaml", "output.format must be json or csv, got 'yaml'", None),
     ])

@@ -589,24 +589,25 @@ class TestRunPoint:
 
     def test_fault_injection_caught(self):
         p = run_point(FamilyKind.DIRAC_PLUS, 3, 5.0, eta_shift=0.01)
-        assert not p.ode_passed
+        assert not p.checks["ode"]["passed"]
         assert not _dense_verdict(FamilyKind.DIRAC_PLUS, 3, 5.0, eta_shift=0.01)[1]
-        assert not p.sturm_passed
+        assert not p.checks["sturm"]["passed"]
         assert not p.passed
         # the benchmark's negative control: the Sturm radius is within a
         # factor 2 above the shift
         p = run_point(FamilyKind.DIRAC_PLUS, 3, 5.0, eta_shift=1e-6)
-        assert not p.sturm_passed and 1e-6 <= p.sturm_discrepancy < 2e-6
+        sturm = p.checks["sturm"]
+        assert not sturm["passed"] and 1e-6 <= sturm["discrepancy"] < 2e-6
 
     def test_agreement_gate_scales_with_the_eigenvalues(self):
         # at a = 1e150 the oracles agree to a few ulps of eigenvalues near
         # 5e150 and pass; a shift of 1e138 (2e-13 of them) still fails
         p = run_point(FamilyKind.DIRAC_PLUS, 3, 1e150)
         dense_disc, dense_passed = _dense_verdict(FamilyKind.DIRAC_PLUS, 3, 1e150)
-        assert dense_passed and p.sturm_passed and dense_disc > 1e135
+        assert dense_passed and p.checks["sturm"]["passed"] and dense_disc > 1e135
         shifted = run_point(FamilyKind.DIRAC_PLUS, 3, 1e150, eta_shift=1e138)
         assert (not _dense_verdict(FamilyKind.DIRAC_PLUS, 3, 1e150, eta_shift=1e138)[1]
-                and not shifted.sturm_passed)
+                and not shifted.checks["sturm"]["passed"])
 
     def test_determinism(self):
         p1 = run_point(FamilyKind.KG_COS_EVEN, 5, 14.0)
@@ -740,6 +741,11 @@ def _round(monkeypatch, cpus, points, eta_shift=0.0):
     return verification._check_round(points, SAMPLING_SEED, eta_shift)
 
 
+# a round forks only when it can hold numpy's bundled OpenBLAS at one thread
+forks = pytest.mark.skipif(verification._openblas_threads() is None,
+                           reason="numpy does not run its bundled OpenBLAS here")
+
+
 class TestTwoProcessRound:
     @pytest.mark.parametrize("a_values, eta_shift", [
         (verification.DEFAULT_GRID_A_VALUES, 0.0), ((50.0,), 0.0),
@@ -762,6 +768,7 @@ class TestTwoProcessRound:
         assert raised[0] == raised[1]
         assert raised[0][0] is InputError
 
+    @forks
     def test_first_exception_in_group_order_wins(self, monkeypatch):
         # the groups from position `first` on raise, naming their position;
         # the shares run apart, and the round still raises the first
@@ -790,15 +797,29 @@ class TestTwoProcessRound:
             owners.add(first in theirs)
         assert owners == {False, True}      # the first is the child's, and this process's
 
+    @forks
     def test_both_processes_run_on_one_blas_thread(self, monkeypatch):
-        threads = verification._openblas_threads()
-        get = threads[0] if threads else lambda: None
+        get, _ = verification._openblas_threads()
         monkeypatch.setattr(verification, "_check_group",
                             lambda group, *args: [(os.getpid(), get())] * len(group))
         reports = _round(monkeypatch, 2, _grid_points((14.0,)))
         pids = {pid for pid, _ in reports}
         assert len(pids) == 2 and os.getpid() in pids
-        assert {count for _, count in reports} == ({1} if threads else {None})
+        assert {count for _, count in reports} == {1}
+
+    def test_unpinned_blas_does_not_fork(self, monkeypatch):
+        # without numpy's bundled OpenBLAS the BLAS threads cannot be held
+        # at one, and the workers of two processes would spin against each
+        # other: the round runs in this process, with the same reports
+        points = _grid_points((14.0, 50.0))
+        pinned = _round(monkeypatch, 2, points)
+
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(verification, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(verification.os, "fork", no_fork)
+        assert repr(_round(monkeypatch, 2, points)) == repr(pinned)
 
     def test_one_group_or_one_cpu_does_not_fork(self, monkeypatch):
         def no_fork():
@@ -820,6 +841,7 @@ class TestTwoProcessRound:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @forks
     def test_a_child_without_its_result_is_an_error(self, monkeypatch):
         parent = os.getpid()
 

@@ -29,7 +29,7 @@ _EXPORTS = {name: module for module, names in (
     ("residual", "ODE_RESIDUAL_TOL attach_residuals"),
     ("spectra", "SpectralDecomposition solve_spectrum symmetrize"),
     ("verification", "SAMPLING_SEED PdeResidualReport VerificationReport "
-                     "dense_oracle_crosscheck momentum_for_mode pde_residual_fd "
+                     "dense_oracle_crosscheck momentum_for_mode pde_residual "
                      "pde_stencil PdeStencil run_grid run_point sturm_crosscheck"),
 ) for name in names.split()}
 

@@ -63,17 +63,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
-    """text, ended by one newline, to the output file or to stdout.
+    """text, ended by one newline, to the output file or to stdout, in slices.
 
     The newline is written on its own: appending it would copy the text.
     """
     end = "" if text.endswith("\n") else "\n"
     if cfg.output_path:
-        write_text(cfg.output_path, text, end)
+        with open(cfg.output_path, "w", encoding="utf-8", newline="\n") as fh:
+            write_text(fh, text, end)
         print(f"wrote {cfg.output_path}")
     else:
-        sys.stdout.write(text)
-        sys.stdout.write(end)
+        write_text(sys.stdout, text, end)
 
 
 # ---------------------------------------------------------------------------

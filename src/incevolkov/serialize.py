@@ -193,8 +193,11 @@ def render_csv(columns: Sequence[str], rows: Iterable[Sequence],
     return "\n".join(lines) + "\n"
 
 
-def write_text(path: str, *texts: str) -> None:
-    """The texts, one after another, as the UTF-8 file at path."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for text in texts:
-            fh.write(text)
+_WRITE_SLICE = 1 << 18          # characters per write: a stream encodes each write whole
+
+
+def write_text(stream, *texts: str) -> None:
+    """The texts, one after another, to a text stream in _WRITE_SLICE slices."""
+    for text in texts:
+        for start in range(0, len(text), _WRITE_SLICE):
+            stream.write(text[start:start + _WRITE_SLICE])

@@ -17,12 +17,13 @@ Three checks, none sharing numerical machinery with the eigensolver
     A count in floating point is the exact count of a matrix a few ulps
     away (Kahan 1966; Demmel, Dhillon & Ren, ETNA 3, 1995), so the radius
     is a proof, not a second estimate.
-  * pde_residual_fd: assembles the full spacetime wave
+  * pde_residual: assembles the full spacetime wave
     Psi(t,x,y) = modulation(xi) * exp{+i [p - (k.p) k] . x}, xi = k.x,
-    applies second-order central differences to the gauge-covariant wave
-    operator, and checks O(h^2) convergence of the residual.  This is the
-    end-to-end test that the reduction chain from the wave equation to the
-    tridiagonal eigenproblem is consistent, including every sign choice.
+    and applies the gauge-covariant wave operator with exact derivatives,
+    gated by the ODE tolerance carried through the reduction plus a
+    running-error bound.  This is the end-to-end test that the reduction
+    chain from the wave equation to the tridiagonal eigenproblem is
+    consistent, including every sign choice.
 
 dense_oracle_crosscheck, the general nonsymmetric dense eigensolver on the
 unsymmetrized operator with a Newton polish on the same recurrence, is a
@@ -31,18 +32,17 @@ it adds no detection that the Sturm certificate lacks.
 
 The solve and the Sturm check take a sequence of equal-dimension
 operators and run over the whole stack at once, each after one stacked
-bond check (`spectra.symmetrize_stack`), and the spacetime check takes one
-step's stencil, the bases on it and a sequence of points of one result
-dtype; each operator and point gets the bits it gets alone.  A round
-(`_check_round`) evaluates each of the five basis sets of the family table
-once at the ODE sample points and once on the stencil of each step it
-uses, builds one stencil per step, and gives every family its columns of
-them (`families.shared_bases`).  It then groups its points by dimension:
+bond check (`spectra.symmetrize_stack`), and the spacetime check takes the
+stencil, the bases on it and points of one result dtype; each operator
+and point gets the bits it gets alone.  A round (`_check_round`) builds
+one stencil, evaluates each of the five basis sets of the family table
+once at the ODE sample points and once on the stencil, and gives every
+family its columns of them (`families.shared_bases`).  It then groups its points by dimension:
 per group, one solve gives one (B, dim) etas array, which the ODE, Sturm
 and spacetime checks all judge; one Sturm pass returns each operator's
-radius with its gate, and one spacetime batch runs per step and result
-dtype.  `run_grid` is one round over the grid, and `run_point` the same
-path with a round of one.
+radius with its gate, and one spacetime batch runs per result dtype.
+`run_grid` is one round over the grid, and `run_point` the same path
+with a round of one.
 
 No group reads another's results, so a round of two or more groups on a
 host that gives it two or more CPUs, with numpy's bundled OpenBLAS pinned
@@ -86,7 +86,7 @@ from .errors import InputError, StructuralError
 from .families import ALL_KINDS, FamilyKind, SolutionFamily, shared_bases
 from .operators import TridiagonalOperator, build_operator, refuse_past_solve_limit
 from .physparams import DeBroglieMomentum
-from .residual import _batch_residual_maxima, _ode_samples, seeded_angles
+from .residual import ODE_RESIDUAL_TOL, _batch_residual_maxima, _ode_samples, seeded_angles
 from .serialize import format_number
 from .spectra import solve_spectra, symmetrize_stack
 
@@ -94,7 +94,7 @@ __all__ = [
     "SAMPLING_SEED", "DENSE_IMAG_TOL", "ORACLE_AGREEMENT_TOL",
     "minor_ratios", "sturm_counts", "gershgorin_bounds", "certified_radii",
     "dense_oracle_crosscheck", "sturm_crosscheck", "momentum_for_mode",
-    "PdeStencil", "pde_stencil", "PdeResidualReport", "pde_residual_fd",
+    "PdeStencil", "pde_stencil", "PdeResidualReport", "pde_residual",
     "CHECKS", "PointReport", "VerificationReport", "run_point", "run_grid",
     "DEFAULT_GRID_A_VALUES", "DEFAULT_GRID_N_MAX",
 ]
@@ -109,7 +109,6 @@ _COUNT_SLICE = 2 ** 14
 # pass of `certified_radii`; the widest is the solver's share of the
 # agreement gate
 _CERTIFY_ULPS = (1, 2, 4, 8)
-PDE_ORDER_BAND = (1.8, 2.2)
 PDE_POINTS = 64                 # seeded (t, x, y) points of a spacetime stencil
 DEFAULT_GRID_A_VALUES = (0.0, 0.5, 1.0, 5.0, 14.0, 20.0)
 DEFAULT_GRID_N_MAX = 25
@@ -398,63 +397,45 @@ def momentum_for_mode(family: SolutionFamily, eta: float,
 
 
 # ---------------------------------------------------------------------------
-# finite-difference residual of the full scalar wave equation
+# exact residual of the full scalar wave equation
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class PdeResidualReport:
-    max_residual: float          # at step h
-    max_residual_half: float     # at step h/2
-    observed_order: float
+    max_residual: float              # max |res| over the stencil's points
+    max_residual_over_gate: float    # max |res| / gate over them
 
     @property
-    def converged_second_order(self) -> bool:
-        lo, hi = PDE_ORDER_BAND
-        return lo <= self.observed_order <= hi
+    def passed(self) -> bool:
+        """Each point within its gate; NaN (a non-finite residual or gate) fails."""
+        return self.max_residual_over_gate <= 1.0
 
 
 @dataclass(frozen=True, eq=False)
 class PdeStencil:
-    """The geometry of the spacetime check at one step h.
+    """The points of the spacetime check: z = xi/2, sin xi and cos xi.
 
-    The seeded points (t, x, y) in one wave period and, at the points and
-    at each of their t and y shifts by +-h and +-h/2, z = xi/2 and cos xi:
-    `z` and `cos` have shape (9, PDE_POINTS).  Row 0 holds the unshifted
-    points, rows 1-4 the shifts t + h, t - h, y + h, y - h and rows 5-8 the
-    same at h/2.  None of it depends on the family, a or the mode, so one
-    stencil serves every point at this refractive index, step and seed.
+    PDE_POINTS seeded points (t, x, y) in one wave period; Psi = M(xi) P
+    reads x only in its phase P.  None of it depends on the family, a or
+    the mode, so one stencil serves every point at this n_m and seed.
     """
 
-    h: float
     kvec: np.ndarray             # (t, x, y) components of k, k^2 = 1
-    t: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    sin_xi: np.ndarray           # at the unshifted points
     z: np.ndarray
+    sin: np.ndarray
     cos: np.ndarray
 
 
-def pde_stencil(n_m: float, h: float, seed: int = SAMPLING_SEED) -> PdeStencil:
-    """Points of the spacetime check and their shifts by steps h and h/2."""
-    if h <= 0:
-        raise InputError("step h must be positive")
+def pde_stencil(n_m: float, seed: int = SAMPLING_SEED) -> PdeStencil:
+    """The points of the spacetime check at refractive index n_m."""
     if not 0.0 < n_m < 1.0:
         raise InputError(f"refractive index must lie in (0, 1), got {n_m}")
     lam = math.sqrt(1.0 - n_m * n_m)
     k0 = 1.0 / lam                       # k^2 = k0^2 (1 - n_m^2) = 1
     kvec = np.array([k0, 0.0, k0 * n_m])
-    pts = seeded_angles(seed, 3 * PDE_POINTS).reshape(PDE_POINTS, 3)
-    t, x, y = pts[:, 0], pts[:, 1], pts[:, 2]
-    # Psi = modulation(xi) * phase(t, x, y) with xi = k.x; an x step leaves
-    # xi alone, so only the t and y shifts need their own rows
-    ts, ys = [t], [y]
-    for step in (h, h / 2.0):
-        ts += [t + step, t - step, t, t]
-        ys += [y, y, y + step, y - step]
-    xi = kvec[0] * np.stack(ts) - kvec[2] * np.stack(ys)
-    return PdeStencil(h=h, kvec=kvec, t=t, x=x, y=y, sin_xi=np.sin(xi[0]),
-                      z=xi / 2.0, cos=np.cos(xi))
+    t, _, y = seeded_angles(seed, 3 * PDE_POINTS).reshape(PDE_POINTS, 3).T
+    xi = kvec[0] * t - kvec[2] * y
+    return PdeStencil(kvec=kvec, z=xi / 2.0, sin=np.sin(xi), cos=np.cos(xi))
 
 
 def _ptilde(stencil: PdeStencil, family: SolutionFamily, c: np.ndarray,
@@ -483,27 +464,41 @@ def _ptilde(stencil: PdeStencil, family: SolutionFamily, c: np.ndarray,
     return p - k_dot_p * kvec            # k.ptil = 0 since k^2 = 1
 
 
-def pde_residual_fd(stencil: PdeStencil, bases, families, coefficients, momenta,
-                    couplings) -> list:
-    """Central-difference residuals of the covariant wave equation, one report per point.
+def pde_residual(stencil, bases, families, coefficients, momenta, couplings) -> list:
+    """Exact residuals of the covariant wave equation, one report per point.
 
-    Units hbar = c = 1, k_p = 1.  Point i builds Psi(t,x,y) from its
-    modulation (families[i] and coefficients[i]) and the de Broglie phase
-    of momenta[i], evaluates the gauge-covariant operator at coupling
-    couplings[i] with second-order stencils in (ct, x, y) at the stencil's
-    h and h/2 over its seeded points (see `pde_stencil`), and reports the
-    observed convergence order.  Off-shell or inconsistent momenta are
-    precondition errors.
+    Units hbar = c = 1, k_p = 1.  Point i builds Psi = M(xi) P from the
+    modulation M = g(xi/2) E(xi), g = B c (families[i], coefficients[i]),
+    E = exp(-(a/4) cos xi), and the de Broglie phase P of p~ = p - (k.p) k,
+    p from momenta[i].  The derivatives are exact: g' = B'c/2, g'' = B''c/4,
+    E' = (a/4) sin xi E, E'' = ((a/4) cos xi + (a/4)^2 sin^2 xi) E and, as
+    xi = k0 t - k2 y, d_tt Psi = (k0^2 M'' + 2i pt k0 M' - pt^2 M) P, d_yy
+    Psi the same in k2 and py, d_xx Psi = -px^2 M P, d_x Psi = -i px M P.
+    res is the gauge-covariant operator at couplings[i] (eps_c A0 = -a/4,
+    the electron sign convention) on Psi, over P (|P| = 1).  Off-shell or
+    inconsistent momenta are precondition errors.
 
-    bases maps each family to its basis at the stencil's 9 shifted point
-    sets, `family.basis(stencil.z)[0]` or its columns of a shared set
-    (`families.shared_bases`); no basis is evaluated here.  The points run
-    as one batch: one stacked matrix-vector product per point gives its 9
-    modulations, and the residual arithmetic runs on (points, PDE_POINTS)
-    arrays with per-point coefficients, elementwise, so every point gets
-    the bits it gets alone.  That needs one result dtype of basis and
-    coefficients per call (a real modulation stacked with complex ones
-    would be cast); anything else is an InputError.
+    The gate is derived.  As k^2 = 1, k.p~ = 0, p~^2 = kappa*^2 - eta/4
+    and px = (q+1)/2, res = -(E/4) R(xi/2), R the modulation ODE's residual
+    of g at eta, so the ODE tolerance allows (E/4) ODE_RESIDUAL_TOL (1 +
+    |eta| + a dim).  Rounding adds at most gamma_N = N u / (1 - N u),
+    u = eps/2, times the expression of res in absolute values, |B||c| for
+    each B c (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., 2002, ch. 3), with N = 2 (dim + 13): on any path an entry of B''
+    or B' rounds once, its product with c dim times, and the rest at most
+    12 times (g''E, two sums into M'', the product with k0^2, two sums into
+    d_tt, two into d_tt - d_xx - d_yy, four terms after it); the factor 2
+    covers complex products (Higham's Lemma 3.5) and the ulps by which the
+    computed k, p~, sin xi and cos xi miss those identities.  A point
+    passes when |res| <= gate at each of the stencil's points; a
+    non-finite residual or gate fails.
+
+    bases maps each family to [B, B', B''] at the stencil's points (its
+    own, or its columns of `families.shared_bases`).  Per point, one
+    matrix-vector product per basis array, then elementwise arithmetic on
+    (points, PDE_POINTS) arrays, so every point gets the bits it gets
+    alone; that needs one result dtype of basis and coefficients per call
+    (an InputError otherwise).
     """
     families, momenta, couplings = list(families), list(momenta), list(couplings)
     cs = [np.asarray(c) for c in coefficients]
@@ -511,60 +506,68 @@ def pde_residual_fd(stencil: PdeStencil, bases, families, coefficients, momenta,
         return []
     ptil = np.array([_ptilde(stencil, fam, c, mom, a) for fam, c, mom, a
                      in zip(families, cs, momenta, couplings, strict=True)])
-    if len({np.result_type(bases[fam], c) for fam, c in zip(families, cs)}) != 1:
+    if len({np.result_type(bases[fam][0], c) for fam, c in zip(families, cs)}) != 1:
         raise InputError("a spacetime batch needs one result dtype "
                          "of basis and coefficients")
 
     def column(values, dtype=float):
         return np.array(values, dtype=dtype)[:, None]
 
-    ptil_t, ptil_x, ptil_y = ptil[:, :1], ptil[:, 1:2], ptil[:, 2:]
+    def modulation(E1, E2, absolute=False):
+        """M, M' and M'' of each point; with absolute, |B||c| stands for each B c."""
+        part = np.abs if absolute else np.asarray
+        g, g1, g2 = (np.stack([np.matmul(part(bases[fam][k]), part(c))
+                               for fam, c in zip(families, cs)]) * scale
+                     for k, scale in ((0, 1.0), (1, 0.5), (2, 0.25)))
+        return g * E, g1 * E + g * E1, g2 * E + 2.0 * g1 * E1 + g * E2
+
+    k0, k2 = stencil.kvec[0], stencil.kvec[2]
+    pt, px, py = ptil[:, :1], ptil[:, 1:2], ptil[:, 2:]
     # per-point scalars, each from the expression a lone point uses;
     # eps_c A0 = -a/4 is the electron sign convention
-    neg_quarter_a = column([-(a / 4.0) for a in couplings])
+    quarter_a = column([a / 4.0 for a in couplings])
     two_i_eps_a0 = column([2j * (-a / 4.0) for a in couplings], complex)
-    a_sq_16 = column([a * a / 16.0 for a in couplings])
-    kappa_sq = column([mom.kappa_star_sq - a * a / 16.0
-                       for mom, a in zip(momenta, couplings)])
-    spins = [fam.spin_sign for fam in families]
-    spin = np.array(spins) != 0
-    spin_coef = column([1j * s * (a / 4.0) for s, a in zip(spins, couplings)],
-                       complex)[spin]
-    t, x, y, sin_xi, cos = stencil.t, stencil.x, stencil.y, stencil.sin_xi, stencil.cos
-    cos_xi = cos[0]
+    a_sq_16 = quarter_a * quarter_a
+    kappa_sq = column([mom.kappa_star_sq for mom in momenta]) - a_sq_16
+    spin_coef = 1j * column([fam.spin_sign for fam in families]) * quarter_a
+    allowed = column([0.25 * ODE_RESIDUAL_TOL * (1.0 + abs(mom.eta) + abs(a) * fam.dim)
+                      for fam, mom, a in zip(families, momenta, couplings)])
+    n_u = column([2 * (fam.dim + 13) * np.finfo(float).eps / 2.0 for fam in families])
+    sin, cos = stencil.sin, stencil.cos
 
-    def phase(t, x, y):
-        return np.exp(1j * (ptil_t * t - ptil_x * x - ptil_y * y))
-
-    def max_residual(step: float, row: int) -> list:
-        dtt = (mod[:, row] * phase(t + step, x, y) - 2.0 * p0v
-               + mod[:, row + 1] * phase(t - step, x, y)) / step ** 2
-        psi_xp = mod[:, 0] * phase(t, x + step, y)
-        psi_xm = mod[:, 0] * phase(t, x - step, y)
-        dxx = (psi_xp - 2.0 * p0v + psi_xm) / step ** 2
-        dyy = (mod[:, row + 2] * phase(t, x, y + step) - 2.0 * p0v
-               + mod[:, row + 3] * phase(t, x, y - step)) / step ** 2
-        dx1 = (psi_xp - psi_xm) / (2.0 * step)
+    # past a ~ 2800, e^(a/4) leaves double range: the residual or the gate
+    # comes out non-finite and fails, which is the report, not a warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        E = np.exp(-quarter_a * cos)
+        M, M1, M2 = modulation(quarter_a * sin * E,
+                               (quarter_a * cos + (quarter_a * sin) ** 2) * E)
+        dtt = k0 * k0 * M2 + 2j * pt * k0 * M1 - pt * pt * M
+        dyy = k2 * k2 * M2 + 2j * py * k2 * M1 - py * py * M
+        dxx = -px * px * M
+        dx1 = -1j * px * M
         res = (-(dtt - dxx - dyy)
-               - two_i_eps_a0 * cos_xi * dx1
-               - a_sq_16 * cos_xi ** 2 * p0v
-               - kappa_sq * p0v)
-        # spin-0 rows skip the term: 0 * inf would turn an overflowed row into NaN
-        res[spin] = res[spin] - spin_coef * sin_xi * p0v[spin]
-        return np.max(np.abs(res), axis=1).tolist()
+               - two_i_eps_a0 * cos * dx1
+               - a_sq_16 * cos ** 2 * M
+               - kappa_sq * M
+               - spin_coef * sin * M)
 
-    # past a ~ 2800, e^(a/4) leaves double range: the residual comes out
-    # non-finite and fails the order band, which is the report, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        mod = (np.stack([np.matmul(bases[fam], c) for fam, c in zip(families, cs)])
-               * np.exp(neg_quarter_a[:, :, None] * cos))
-        p0v = mod[:, 0] * phase(t, x, y)
-        r_h = max_residual(stencil.h, 1)            # rows 1-4: shifts by h
-        r_half = max_residual(stencil.h / 2.0, 5)   # rows 5-8: shifts by h/2
-    return [PdeResidualReport(
-                max_residual=rh, max_residual_half=rhalf,
-                observed_order=math.log2(rh / rhalf) if rhalf > 0 else math.inf)
-            for rh, rhalf in zip(r_h, r_half)]
+        # the same expression in absolute values
+        M, M1, M2 = modulation(np.abs(quarter_a * sin) * E,
+                               (np.abs(quarter_a * cos) + (quarter_a * sin) ** 2) * E,
+                               absolute=True)
+        bound = ((k0 * k0 + k2 * k2) * M2
+                 + 2.0 * (np.abs(pt) * k0 + np.abs(py) * k2) * M1
+                 + (pt * pt + py * py + px * px + np.abs(two_i_eps_a0 * cos * px)
+                    + a_sq_16 * cos ** 2 + np.abs(kappa_sq) + np.abs(spin_coef * sin)) * M)
+        gate = allowed * E + n_u / (1.0 - n_u) * bound
+        ratio = np.abs(res) / np.where(np.isfinite(gate), gate, np.nan)
+    return [PdeResidualReport(max_residual=r, max_residual_over_gate=o) for r, o
+            in zip(np.max(np.abs(res), axis=1).tolist(), np.max(ratio, axis=1).tolist())]
+
+
+# `benchmarks/tracing.py` traces the spacetime layer under this name (its
+# TARGETS); without it, a traced run raises LookupError
+pde_residual_fd = pde_residual
 
 
 # ---------------------------------------------------------------------------
@@ -623,25 +626,17 @@ class VerificationReport:
                    for name, field, key in CHECKS if key is not None}}
 
 
-def _pde_step(a: float) -> float:
-    """The step of the spacetime check at coupling a (see `_pde_checks`)."""
-    return 5e-3 if a <= 25.0 else 1e-2
-
-
 def _pde_checks(families, points, etas, vectors, spacetime) -> list:
-    """(order, residual, passed, notes) of the spacetime check of each point of a group.
+    """(residual over gate, residual, passed, notes) of the spacetime check of each point of a group.
 
-    Each point's check runs on its highest non-evanescent mode.  Rounding
-    enters like eps * e^(a/4) / h^2 while truncation shrinks like h^2, and
-    some small-(n, a) modes have tiny truncation constants, so the order
-    estimate needs a step well above the noise floor: h = 5e-3 for a <= 25
-    and 1e-2 above (`_pde_step`).  spacetime maps each step to its stencil
-    and the round's bases on it, which the points share.  The points run
-    in one `pde_residual_fd` batch per (step, result dtype of the shared
-    basis and the coefficients), since casting real (KG) modulations to
-    stack them with complex (dirac) ones changes the bits of a row that
-    overflows (0 * inf gives NaN past a ~ 2840).
+    Each point's check runs on its highest non-evanescent mode.  spacetime
+    holds the round's stencil and its bases on it, which the points share.
+    The points run in one `pde_residual` batch per result dtype of the
+    shared basis and the coefficients: cast to complex to stack them with
+    dirac points, real (KG) modulations would take complex products, which
+    round differently.
     """
+    stencil, bases = spacetime
     results = [None] * len(points)
     batches = {}
     for i, (fam, (_, _, a), point_etas, point_vectors) in enumerate(
@@ -656,14 +651,11 @@ def _pde_checks(families, points, etas, vectors, spacetime) -> list:
         top = int(propagating[-1])
         mom = momentum_for_mode(fam, float(point_etas[top]), DEFAULT_GRID_N_M)
         c = point_vectors[:, top]
-        h = _pde_step(a)
-        dtype = np.result_type(spacetime[h][1][fam], c)
-        batches.setdefault((h, dtype), []).append((i, fam, c, mom, a))
-    for (h, _), batch in batches.items():
+        batches.setdefault(np.result_type(bases[fam][0], c), []).append((i, fam, c, mom, a))
+    for batch in batches.values():
         index, *args = zip(*batch)
-        for i, pde in zip(index, pde_residual_fd(*spacetime[h], *args)):
-            results[i] = (pde.observed_order, pde.max_residual,
-                          pde.converged_second_order or pde.max_residual_half < 1e-12, [])
+        for i, pde in zip(index, pde_residual(stencil, bases, *args)):
+            results[i] = (pde.max_residual_over_gate, pde.max_residual, pde.passed, [])
     return results
 
 
@@ -711,8 +703,8 @@ def _check_group(points, samples, spacetime, eta_shift: float) -> list:
     The points' operators are solved in one stacked solve, whose (B, dim)
     etas (plus eta_shift) are the ones every check judges: each point's
     ODE residual on its family's slice of the round's ODE samples, one
-    Sturm pass over the whole group, and the spacetime check once per step
-    and result dtype (`_pde_checks`) on the round's stencils.  A report's
+    Sturm pass over the whole group, and the spacetime check once per
+    result dtype (`_pde_checks`) on the round's stencil.  A report's
     `checks` holds their JSON fields, one object per `CHECKS` row.
     """
     families = [SolutionFamily(kind, n) for kind, n, _ in points]
@@ -727,7 +719,7 @@ def _check_group(points, samples, spacetime, eta_shift: float) -> list:
     reports = []
     with np.errstate(invalid="ignore"):     # inf / inf: a non-finite eta fails
         for fam, (kind, n, a), dec, (maxima, scales, passed), sturm_disc, gate, \
-                (order, pde_res, pde_ok, notes) \
+                (pde_over, pde_res, pde_ok, notes) \
                 in zip(families, points, decs, odes, sturm, gates, pdes):
             if a == 0.0:
                 notes.append("a=0: spectrum degenerates to the squared basis frequencies")
@@ -736,7 +728,8 @@ def _check_group(points, samples, spacetime, eta_shift: float) -> list:
                  "max_residual_over_scale": float(np.max(maxima / scales)),
                  "passed": bool(np.all(passed))},
                 {"discrepancy": float(sturm_disc), "passed": bool(sturm_disc < gate)},
-                {"observed_order": order, "max_residual": pde_res, "passed": pde_ok})
+                {"max_residual_over_gate": pde_over, "max_residual": pde_res,
+                 "passed": pde_ok})
             reports.append(PointReport(
                 kind=kind.value, n=n, a=a, dim=fam.dim,
                 checks={name: obj for (name, _, _), obj in zip(CHECKS, objects, strict=True)},
@@ -767,7 +760,8 @@ def _in_child(run, share):
     """(pid, pipe): a forked child runs run(share) and pickles its list into the pipe.
 
     The child never returns into the caller: it ends with os._exit, status
-    0 once its whole result is written.  Standard streams are flushed
+    0 once its whole result is written.  A fork that raises closes both
+    ends of the pipe before the error propagates.  Standard streams are flushed
     before the fork, so text buffered in them is printed once.  The
     OpenBLAS that numpy ships stops its worker threads before a fork (a
     pthread_atfork handler), so none holds a lock the child needs.
@@ -775,7 +769,12 @@ def _in_child(run, share):
     sys.stdout.flush()
     sys.stderr.flush()
     read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
     if pid == 0:
         status = 1
         try:
@@ -795,8 +794,7 @@ def _check_round(points, seed: int, eta_shift: float) -> list:
 
     A family's window is a slice of its basis set's widest window, so the
     round evaluates each basis set once at the ODE sample points and once
-    on the stencil of each step its couplings use (`shared_bases`), and
-    builds one stencil per step.  The points then run in groups of one
+    on the stencil it builds (`shared_bases`).  The points then run in groups of one
     operator dimension (`_check_group`), so that the solve and the Sturm
     check run once per group; a group's arrays are dropped before the next.
 
@@ -820,11 +818,8 @@ def _check_round(points, seed: int, eta_shift: float) -> list:
     for fam in families:                # before a window is allocated
         refuse_past_solve_limit(fam.n, fam.dim)
     samples = _ode_samples(families, seed)
-    spacetime = {}
-    for h in dict.fromkeys(_pde_step(a) for _, _, a in points):
-        stencil = pde_stencil(DEFAULT_GRID_N_M, h, seed)
-        spacetime[h] = stencil, {fam: basis[0] for fam, basis
-                                 in shared_bases(families, stencil.z).items()}
+    stencil = pde_stencil(DEFAULT_GRID_N_M, seed)
+    spacetime = stencil, shared_bases(families, stencil.z, derivatives=2)
     groups = {}
     for index, fam in enumerate(families):
         groups.setdefault(fam.dim, []).append(index)

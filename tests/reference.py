@@ -24,6 +24,13 @@ those results and does not build the gamma matrices.
 Plasma relations.  The Drude dispersion omega(k_y) and its inverse, the
 electron density of a plasma energy, and the exact ratio a / mu0: each
 checks a relation behind a number `params` reports.
+
+Finite-difference spacetime residual.  `pde_residual_fd` differences the
+full wave Psi = M(xi) P(t, x, y) by second-order central differences at
+steps h and h/2 over the seeded points of `verification.pde_stencil`,
+and reports the observed convergence order.  It is the check `verify`
+ran before the exact one (`verification.pde_residual`), kept so that the
+tests can compare the two verdicts.
 """
 
 from __future__ import annotations
@@ -34,9 +41,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from incevolkov.constants import C_LIGHT, EV, HBAR
+from incevolkov.constants import C_LIGHT, EV, HBAR, SAMPLING_SEED
 from incevolkov.errors import InputError, StructuralError
 from incevolkov.physparams import _E_STATC, _M_E_GRAM, PlasmaInput
+from incevolkov.residual import seeded_angles
+from incevolkov.verification import PDE_POINTS
 
 # ---------------------------------------------------------------------------
 # spin-1/2 algebra: gamma matrices and the 4x4 spin-field eigenproblem
@@ -197,3 +206,64 @@ def wavenumber_from(omega: float, plasma: PlasmaInput) -> float:
         raise InputError(
             f"omega = {omega} rad/s below the plasma cutoff {plasma.omega_p} rad/s")
     return math.sqrt(omega * omega - plasma.omega_p ** 2) / C_LIGHT
+
+
+# ---------------------------------------------------------------------------
+# finite-difference residual of the full scalar wave equation
+# ---------------------------------------------------------------------------
+
+class FdPdeReport(NamedTuple):
+    max_residual: float          # at step h
+    max_residual_half: float     # at step h/2
+    observed_order: float
+
+    @property
+    def converged_second_order(self) -> bool:
+        return 1.8 <= self.observed_order <= 2.2
+
+    @property
+    def passed(self) -> bool:
+        """The verdict `verify` gave: order 2, or a residual at h/2 below 1e-12."""
+        return self.converged_second_order or self.max_residual_half < 1e-12
+
+
+def pde_residual_fd(family, c, momentum, a: float, h: float, n_m: float,
+                    seed: int = SAMPLING_SEED) -> FdPdeReport:
+    """Central-difference residuals of the covariant wave equation for one mode.
+
+    Psi = g(xi/2) exp(-(a/4) cos xi) exp(i (pt t - px x - py y)), with
+    g = B c from the family's own basis, p~ = p - (k.p) k and xi = k.x,
+    at the seeded points of `verification.pde_stencil` and their t, x and
+    y shifts by +-h and +-h/2.  The operator is the one of
+    `verification.pde_residual` (eps_c A0 = -a/4); the order is log2 of
+    the ratio of the maximum residuals at h and h/2.
+    """
+    lam = math.sqrt(1.0 - n_m * n_m)
+    k0 = 1.0 / lam
+    k2 = k0 * n_m
+    t, x, y = seeded_angles(seed, 3 * PDE_POINTS).reshape(PDE_POINTS, 3).T
+    k_dot_p = k0 * momentum.p0 - k2 * momentum.py
+    pt, px, py = (momentum.p0 - k_dot_p * k0, momentum.px, momentum.py - k_dot_p * k2)
+    xi = k0 * t - k2 * y
+    cos_xi, sin_xi = np.cos(xi), np.sin(xi)
+
+    def psi(t, x, y):
+        xi = k0 * t - k2 * y
+        return (family.basis(xi / 2.0)[0] @ c * np.exp(-(a / 4.0) * np.cos(xi))
+                * np.exp(1j * (pt * t - px * x - py * y)))
+
+    def max_residual(step: float) -> float:
+        p0 = psi(t, x, y)
+        dtt = (psi(t + step, x, y) - 2.0 * p0 + psi(t - step, x, y)) / step ** 2
+        dxx = (psi(t, x + step, y) - 2.0 * p0 + psi(t, x - step, y)) / step ** 2
+        dyy = (psi(t, x, y + step) - 2.0 * p0 + psi(t, x, y - step)) / step ** 2
+        dx1 = (psi(t, x + step, y) - psi(t, x - step, y)) / (2.0 * step)
+        res = (-(dtt - dxx - dyy) - 2j * (-a / 4.0) * cos_xi * dx1
+               - (a * a / 16.0) * cos_xi ** 2 * p0
+               - (momentum.kappa_star_sq - a * a / 16.0) * p0
+               - 1j * family.spin_sign * (a / 4.0) * sin_xi * p0)
+        return float(np.max(np.abs(res)))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        r_h, r_half = max_residual(h), max_residual(h / 2.0)
+    return FdPdeReport(r_h, r_half, math.log2(r_h / r_half) if r_half > 0 else math.inf)

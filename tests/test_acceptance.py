@@ -25,9 +25,9 @@ from incevolkov.physparams import (LaserInput, PlasmaInput, WaveConfig,
 from incevolkov.residual import attach_residuals
 from incevolkov.spectra import solve_spectra, solve_spectrum
 from incevolkov.verification import (dense_oracle_crosscheck, momentum_for_mode,
-                                     pde_residual_fd, pde_stencil, run_grid)
+                                     pde_residual, pde_stencil, run_grid)
 from reference import (build_majorana_gammas, coupling_to_mu0_ratio, dispersion,
-                       spin_interaction_matrix)
+                       pde_residual_fd, spin_interaction_matrix)
 
 GRID_A_VALUES = (0.0, 0.5, 1.0, 5.0, 14.0, 20.0)
 GRID_N_MAX = 25
@@ -37,10 +37,12 @@ LASER = LaserInput(photon_energy_ev=1.563, intensity_w_cm2=1e8)
 PLASMA = PlasmaInput(plasma_energy_ev=1.0)
 
 
-def _pde(stencil, families, *points):
-    """`pde_residual_fd` with each family's own basis on the stencil."""
-    bases = {fam: fam.basis(stencil.z)[0] for fam in families}
-    return pde_residual_fd(stencil, bases, families, *points)
+def _exact_pde_passed(fam, c, mom, a):
+    """The verdict of the exact spacetime check `verify` runs on one mode."""
+    stencil = pde_stencil(N_M_REF)
+    [rep] = pde_residual(stencil, {fam: fam.basis(stencil.z, derivatives=2)},
+                         [fam], [c], [mom], [a])
+    return rep.passed
 
 
 def report(num, ok, detail):
@@ -202,28 +204,32 @@ def test_criterion_08_dispersion_identity():
 
 
 def test_criterion_09_pde_end_to_end():
-    orders = {}
+    # the finite-difference reference converges at order 2 on two good
+    # modes and not on a shifted one; the exact check passes and fails them
+    orders, exact = {}, []
     for kind in (FamilyKind.KG_COS_EVEN, FamilyKind.DIRAC_PLUS):
         fam = SolutionFamily(kind, 2)
         dec = solve_spectrum(build_operator(fam, 5.0))
         eta = float(dec.etas[-1])
         mom = momentum_for_mode(fam, eta, N_M_REF)
-        [rep] = _pde(pde_stencil(N_M_REF, 1e-3), [fam], [dec.vectors[:, -1]],
-                                [mom], [5.0])
+        rep = pde_residual_fd(fam, dec.vectors[:, -1], mom, 5.0, 1e-3, N_M_REF)
         orders[kind.value] = rep.observed_order
+        exact.append(_exact_pde_passed(fam, dec.vectors[:, -1], mom, 5.0))
     # negative control: same coefficients, shifted eigenvalue
     fam = SolutionFamily(FamilyKind.KG_COS_EVEN, 2)
     dec = solve_spectrum(build_operator(fam, 5.0))
     eta_bad = float(dec.etas[-1]) + 0.01 * (1.0 + abs(float(dec.etas[-1])))
     mom = momentum_for_mode(fam, eta_bad, N_M_REF)
-    [bad] = _pde(pde_stencil(N_M_REF, 1e-3), [fam], [dec.vectors[:, -1]],
-                            [mom], [5.0])
+    bad = pde_residual_fd(fam, dec.vectors[:, -1], mom, 5.0, 1e-3, N_M_REF)
+    exact_bad = _exact_pde_passed(fam, dec.vectors[:, -1], mom, 5.0)
     ok = (all(abs(o - 2.0) <= 0.2 for o in orders.values())
-          and bad.observed_order < 1.0 and bad.max_residual_half > 1e-6)
+          and bad.observed_order < 1.0 and bad.max_residual_half > 1e-6
+          and all(exact) and not exact_bad)
     report(9, ok, f"observed orders {orders['kg-cos-even']:.3f} (spin-0), "
                   f"{orders['dirac-plus']:.3f} (spin-1/2) within 2.0 +- 0.2; "
                   f"negative control order {bad.observed_order:.3f}, "
-                  f"residual floor {bad.max_residual_half:.1e}")
+                  f"residual floor {bad.max_residual_half:.1e}; exact check "
+                  f"passes both modes and fails the control")
     assert ok
 
 

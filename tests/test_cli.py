@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,8 @@ import pytest
 import incevolkov
 import incevolkov.operators as operators
 import incevolkov.verification as verification
-from incevolkov.cli import _k_ranges, build_parser, main
+from incevolkov.cli import _emit, _k_ranges, build_parser, main
+from incevolkov.config import RunConfig
 from incevolkov.families import ALL_KINDS
 from incevolkov.operators import TridiagonalOperator
 
@@ -319,8 +321,8 @@ class TestVerify:
         assert "FAIL dirac-plus n=3 a=5: ode, sturm, pde\n" in err
 
     def test_point_objects_summary_and_fail_lines_follow_the_checks_table(self, capsys):
-        # at a = 50 points fail, some of them more than one check
-        code, out, err = run(capsys, "verify", "--all", "--a", "50")
+        # at a = 1e150 points fail: e^(a/4) overflows in the spacetime check
+        code, out, err = run(capsys, "verify", "--all", "--a", "1e150")
         assert code == 2
         payload = json.loads(out)
         names = [name for name, _, _ in verification.CHECKS]
@@ -334,7 +336,7 @@ class TestVerify:
             assert point["passed"] == (not words)
             if words:
                 failed.append(f"FAIL {point['family']} n={point['n']} "
-                              f"a=50: {', '.join(words)}")
+                              f"a=9.9999999999999998e+149: {', '.join(words)}")
         assert failed and err.splitlines()[:-1] == failed
         summary = payload["summary"]
         assert list(summary) == ["points", "all_passed", *(
@@ -747,6 +749,22 @@ def test_cli_without_numeric_work_loads_no_numpy(code):
                 "incevolkov.residual", "incevolkov.verification"} & set(loaded)
 
 
+@pytest.mark.parametrize("out", [None, os.devnull], ids=["stdout", "out-file"])
+def test_emit_writes_in_slices(monkeypatch, out):
+    # a text stream encodes what one write gives it in one piece: written
+    # whole, an 8 MiB text would hold a second 8 MiB copy beside it
+    text = "0123456789abcdef" * (1 << 19)
+    with open(os.devnull, "w", encoding="utf-8") as devnull:
+        monkeypatch.setattr(sys, "stdout", devnull)
+        tracemalloc.start()
+        try:
+            _emit(RunConfig(output_path=out), text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < len(text) / 8
+
+
 # every name the package exports
 EXPORTS = """
     ELECTRON_MASS PROTON_MASS InputError OverdenseError
@@ -760,7 +778,7 @@ EXPORTS = """
     solve_spectrum symmetrize ODE_RESIDUAL_TOL
     SAMPLING_SEED PdeResidualReport PdeStencil VerificationReport
     attach_residuals dense_oracle_crosscheck momentum_for_mode
-    pde_residual_fd pde_stencil run_grid run_point sturm_crosscheck
+    pde_residual pde_stencil run_grid run_point sturm_crosscheck
 """.split()
 
 

@@ -1,4 +1,4 @@
-"""The oracle layer: ODE residuals, dense/Sturm cross-checks, spacetime FD."""
+"""The oracle layer: ODE residuals, dense/Sturm cross-checks, the spacetime check."""
 
 import math
 import os
@@ -30,12 +30,13 @@ from incevolkov.spectra import solve_spectra, solve_spectrum
 from incevolkov.verification import (_charpoly_newton_polish,
                                      _residual_values_compensated,
                                      dense_oracle_crosscheck,
-                                     momentum_for_mode, pde_residual_fd,
+                                     momentum_for_mode, pde_residual,
                                      pde_stencil, run_grid, run_point,
                                      sturm_crosscheck)
+from reference import pde_residual_fd
 
 N_M = 0.7685453911282961
-H = 1e-3                        # the step of the hand-built spacetime checks
+H = 1e-3                        # the step of the finite-difference reference
 
 
 def _solved(kind, n, a):
@@ -58,9 +59,9 @@ def _dense_verdict(kind, n, a, eta_shift=0.0):
 
 
 def _pde(stencil, families, *points):
-    """`pde_residual_fd` with each family's own basis on the stencil."""
-    bases = {fam: fam.basis(stencil.z)[0] for fam in families}
-    return pde_residual_fd(stencil, bases, families, *points)
+    """`pde_residual` with each family's own basis on the stencil."""
+    bases = {fam: fam.basis(stencil.z, derivatives=2) for fam in families}
+    return pde_residual(stencil, bases, families, *points)
 
 
 def _one_mode(fam, a, eta, c):
@@ -75,9 +76,9 @@ def vacuum_null_momentum(r, n_m):
     """Massless on-shell momentum for the a = 0 exact-cancellation check.
 
     Built so the total plane-wave vector of exp(-i r xi) exp(+i p~.x) is
-    null and aligned with the x axis; the time and x stencils of the free
-    wave operator then cancel identically at any step size, leaving pure
-    rounding noise.
+    null and aligned with the x axis; the time and x derivatives of the
+    free wave operator then cancel identically, leaving pure rounding
+    noise.
     """
     if r < 1:
         raise InputError("harmonic r must be >= 1")
@@ -458,11 +459,11 @@ class TestMomentumBuilders:
 
 
 class TestPdeResidual:
+    # the order tests run on the finite-difference reference
     def test_kg_second_order_convergence(self):
         fam, dec = _solved(FamilyKind.KG_COS_EVEN, 2, 5.0)
         mom = momentum_for_mode(fam, float(dec.etas[-1]), N_M)
-        [rep] = _pde(pde_stencil(N_M, H), [fam], [dec.vectors[:, -1]],
-                                [mom], [5.0])
+        rep = pde_residual_fd(fam, dec.vectors[:, -1], mom, 5.0, H, N_M)
         assert rep.converged_second_order
         assert abs(rep.observed_order - 2.0) <= 0.2
 
@@ -470,17 +471,14 @@ class TestPdeResidual:
         for kind in (FamilyKind.DIRAC_PLUS, FamilyKind.DIRAC_MINUS):
             fam, dec = _solved(kind, 2, 5.0)
             mom = momentum_for_mode(fam, float(dec.etas[-1]), N_M)
-            [rep] = _pde(pde_stencil(N_M, H), [fam],
-                                    [dec.vectors[:, -1].astype(complex)], [mom],
-                                    [5.0])
+            rep = pde_residual_fd(fam, dec.vectors[:, -1].astype(complex), mom, 5.0, H, N_M)
             assert abs(rep.observed_order - 2.0) <= 0.2, kind
 
     def test_negative_control_does_not_converge(self):
         fam, dec = _solved(FamilyKind.KG_COS_EVEN, 2, 5.0)
         eta_bad = float(dec.etas[-1]) + 0.01 * (1 + abs(float(dec.etas[-1])))
         mom = momentum_for_mode(fam, eta_bad, N_M)
-        [rep] = _pde(pde_stencil(N_M, H), [fam], [dec.vectors[:, -1]],
-                                [mom], [5.0])
+        rep = pde_residual_fd(fam, dec.vectors[:, -1], mom, 5.0, H, N_M)
         assert rep.observed_order < 1.0
         assert rep.max_residual_half > 1e-6
 
@@ -489,20 +487,20 @@ class TestPdeResidual:
         _, dec_plus = _solved(FamilyKind.DIRAC_PLUS, 2, 5.0)
         fam_minus = SolutionFamily(FamilyKind.DIRAC_MINUS, 2)
         mom = momentum_for_mode(fam_minus, float(dec_plus.etas[-1]), N_M)
-        [rep] = _pde(pde_stencil(N_M, H), [fam_minus],
-                                [dec_plus.vectors[:, -1]], [mom], [5.0])
+        rep = pde_residual_fd(fam_minus, dec_plus.vectors[:, -1], mom, 5.0, H, N_M)
         assert rep.max_residual_half > 1e-3
+        [exact] = _pde(pde_stencil(N_M), [fam_minus], [dec_plus.vectors[:, -1]],
+                       [mom], [5.0])
+        assert not exact.passed and exact.max_residual_over_gate > 1e6
 
     def test_vacuum_exact_cancellation(self):
-        # massless null mode of the free equation: the time and x stencils
-        # cancel identically, so the residual is rounding noise, independent
-        # of the step (the noise scales like eps/h^2, so coarser is cleaner)
+        # massless null mode of the free equation: the time and x
+        # derivatives cancel identically, so the residual is rounding noise
         fam = SolutionFamily(FamilyKind.DIRAC_PLUS, 1)
         c = np.array([0.0, 1.0])               # single harmonic exp(-i xi)
         mom = vacuum_null_momentum(1, N_M)
-        for h in (1e-2, 2e-2, 4e-2):
-            [rep] = _pde(pde_stencil(N_M, h), [fam], [c], [mom], [0.0])
-            assert rep.max_residual < 1e-10
+        [rep] = _pde(pde_stencil(N_M), [fam], [c], [mom], [0.0])
+        assert rep.max_residual < 1e-10 and rep.passed
 
     def test_off_shell_rejected(self):
         fam, dec = _solved(FamilyKind.KG_COS_EVEN, 2, 5.0)
@@ -511,8 +509,7 @@ class TestPdeResidual:
                                 eta=good.eta,
                                 kappa_star_sq=good.kappa_star_sq + 1.0)
         with pytest.raises(InputError):
-            _pde(pde_stencil(N_M, H), [fam], [dec.vectors[:, -1]], [bad],
-                            [5.0])
+            _pde(pde_stencil(N_M), [fam], [dec.vectors[:, -1]], [bad], [5.0])
 
     def test_pz_rejected(self):
         fam, dec = _solved(FamilyKind.KG_COS_EVEN, 2, 5.0)
@@ -521,8 +518,7 @@ class TestPdeResidual:
                                 eta=good.eta,
                                 kappa_star_sq=good.kappa_star_sq - 0.25)
         with pytest.raises(InputError):
-            _pde(pde_stencil(N_M, H), [fam], [dec.vectors[:, -1]], [bad],
-                            [5.0])
+            _pde(pde_stencil(N_M), [fam], [dec.vectors[:, -1]], [bad], [5.0])
 
     def test_px_quantization_enforced(self):
         fam, dec = _solved(FamilyKind.KG_COS_EVEN, 2, 5.0)
@@ -532,44 +528,103 @@ class TestPdeResidual:
         bad = DeBroglieMomentum(p0=p0, px=1.0, py=0.0, pz=0.0, eta=eta,
                                 kappa_star_sq=p0 * p0 - 1.0)
         with pytest.raises(InputError):
-            _pde(pde_stencil(N_M, H), [fam], [dec.vectors[:, -1]], [bad],
-                            [5.0])
+            _pde(pde_stencil(N_M), [fam], [dec.vectors[:, -1]], [bad], [5.0])
 
     @staticmethod
     def _top_mode_point(kind, n, a):
-        """(step, family, coefficients, momentum, a) of the check `verify` runs."""
+        """(family, coefficients, momentum, a) of the check `verify` runs."""
         fam, dec = _solved(kind, n, a)
         top = int(np.nonzero(dec.etas >= 0.0)[0][-1])
         mom = momentum_for_mode(fam, float(dec.etas[top]), N_M)
-        h = 5e-3 if a <= 25.0 else 1e-2
-        return h, fam, dec.vectors[:, top], mom, a
+        return fam, dec.vectors[:, top], mom, a
 
     def test_batch_matches_batches_of_one(self):
         # one dimension group: complex-basis dirac families, real-basis KG
-        # families, both steps, and a complex vector on a real basis; each
-        # point must get the report it gets alone (repr: exact, NaN-safe)
+        # families, two couplings, and a complex vector on a real basis;
+        # each point must get the report it gets alone (repr: exact, NaN-safe)
         points = [self._top_mode_point(kind, n, a)
                   for kind, n in ((FamilyKind.DIRAC_PLUS, 3), (FamilyKind.DIRAC_MINUS, 3),
                                   (FamilyKind.KG_COS_EVEN, 5), (FamilyKind.KG_SIN_ODD, 6))
                   for a in (14.0, 50.0)]
-        h, fam, c, mom, a = points[4]
+        fam, c, mom, a = points[4]
         assert fam.basis(np.zeros(1))[0].dtype == float and a == 14.0
-        points.append((h, fam, c * np.exp(0.7j), mom, a))
+        points.append((fam, c * np.exp(0.7j), mom, a))
         batches = {}
-        for h, fam, c, mom, a in points:
+        for fam, c, mom, a in points:
             basis = fam.basis(np.zeros(1))[0]
-            batches.setdefault((np.result_type(basis, c), h), []).append((fam, c, mom, a))
-        assert len(batches) == 4
-        for (_, h), batch in batches.items():
-            stencil = pde_stencil(N_M, h)
+            batches.setdefault(np.result_type(basis, c), []).append((fam, c, mom, a))
+        assert len(batches) == 2
+        stencil = pde_stencil(N_M)
+        for batch in batches.values():
             for point, rep in zip(batch, _pde(stencil, *zip(*batch)), strict=True):
                 assert repr(rep) == repr(_pde(stencil, *zip(point))[0])
 
     def test_mixed_dtype_rejected(self):
-        _, *kg = self._top_mode_point(FamilyKind.KG_COS_EVEN, 5, 14.0)
-        h, *dirac = self._top_mode_point(FamilyKind.DIRAC_PLUS, 3, 14.0)
+        kg = self._top_mode_point(FamilyKind.KG_COS_EVEN, 5, 14.0)
+        dirac = self._top_mode_point(FamilyKind.DIRAC_PLUS, 3, 14.0)
         with pytest.raises(InputError, match="one result dtype"):
-            _pde(pde_stencil(N_M, h), *zip(kg, dirac))
+            _pde(pde_stencil(N_M), *zip(kg, dirac))
+
+
+# the points of the negative controls: the thinnest margin of the shipped
+# grid (dirac-minus n = 22, a = 14), and three past it
+CONTROL_POINTS = [(FamilyKind.DIRAC_MINUS, 22, 14.0), (FamilyKind.DIRAC_PLUS, 20, 14.0),
+                  (FamilyKind.DIRAC_PLUS, 20, 50.0), (FamilyKind.KG_COS_ODD, 23, 50.0)]
+SPIN_PARTNER = {FamilyKind.DIRAC_PLUS: FamilyKind.DIRAC_MINUS,
+                FamilyKind.DIRAC_MINUS: FamilyKind.DIRAC_PLUS}
+
+
+class TestExactPdeResidual:
+    @pytest.mark.parametrize("kind,n,a", CONTROL_POINTS)
+    def test_good_mode_passes(self, kind, n, a):
+        [rep] = _pde(pde_stencil(N_M), *zip(TestPdeResidual._top_mode_point(kind, n, a)))
+        assert rep.passed and rep.max_residual_over_gate < 0.1
+
+    @pytest.mark.parametrize("kind,n,a,control", [
+        (*point, control) for point in CONTROL_POINTS
+        for control in ("coefficient sign", "potential sign", "other spin",
+                        "eta (1 + 1e-8)", "eta + 1%")
+        if control != "other spin" or point[0] in SPIN_PARTNER])
+    def test_negative_control_fails(self, kind, n, a, control):
+        # each must fail the exact check, so every one that fails the
+        # finite-difference reference fails it too
+        fam, c, mom, a = TestPdeResidual._top_mode_point(kind, n, a)
+        eta = mom.eta
+        if control == "coefficient sign":
+            c = c.copy()
+            c[np.argmax(np.abs(c))] *= -1.0
+        elif control == "potential sign":
+            a = -a
+        elif control == "other spin":
+            fam = SolutionFamily(SPIN_PARTNER[kind], n)
+            mom = momentum_for_mode(fam, eta, N_M)
+        elif control == "eta (1 + 1e-8)":
+            mom = momentum_for_mode(fam, eta * (1.0 + 1e-8), N_M)
+        else:
+            mom = momentum_for_mode(fam, eta + 0.01 * (1.0 + abs(eta)), N_M)
+        [rep] = _pde(pde_stencil(N_M), [fam], [c], [mom], [a])
+        assert not rep.passed and rep.max_residual_over_gate > 5.0
+
+    def test_overflow_fails(self):
+        # e^(a/4) leaves double range: the residual is not finite
+        fam, c, mom, _ = TestPdeResidual._top_mode_point(FamilyKind.KG_COS_EVEN, 2, 14.0)
+        [rep] = _pde(pde_stencil(N_M), [fam], [c], [mom], [1e4])
+        assert not rep.passed and not math.isfinite(rep.max_residual_over_gate)
+
+    def test_verdicts_agree_with_the_reference_on_the_grid(self):
+        # every default-grid point: the reference at the step `verify` used
+        # (5e-3 for a <= 25) passes the same points as the exact check
+        grid = run_grid()
+        assert grid.all_passed
+        for p in grid.points:
+            fam, dec = _solved(FamilyKind(p.kind), p.n, p.a)
+            propagating = np.nonzero(dec.etas >= 0.0)[0]
+            if len(propagating) == 0:
+                continue
+            top = int(propagating[-1])
+            mom = momentum_for_mode(fam, float(dec.etas[top]), N_M)
+            fd = pde_residual_fd(fam, dec.vectors[:, top], mom, p.a, 5e-3, N_M)
+            assert fd.passed == p.checks["pde"]["passed"], (p.kind, p.n, p.a)
 
 
 class TestRunPoint:
@@ -657,9 +712,8 @@ class TestOneBlasThread:
 
 def test_grid_matches_points():
     # groups of one dimension mix kinds and couplings, and a family's bases
-    # serve all its couplings (a = 14 and 50 take different PDE steps);
-    # each report must be the one its point gets alone, in grid order
-    # (repr: exact, NaN-safe)
+    # serve all its couplings; each report must be the one its point gets
+    # alone, in grid order (repr: exact, NaN-safe)
     ns, a_values = (1, 2, 7, 25), (0.0, 14.0, 50.0)
     grid = run_grid(n_max=max(ns), a_values=a_values)
     kinds = sorted(ALL_KINDS, key=lambda k: k.value)
@@ -673,26 +727,25 @@ def test_grid_matches_points():
 
 def test_grid_builds_each_basis_once(monkeypatch):
     # each of the five basis sets once at the ODE sample points and once
-    # on the stencil of each step used, one stencil per step, one spacetime
-    # batch per (dimension group, result dtype, step), and one solve and
-    # one Sturm pass per dimension group
+    # on the stencil, one stencil per round, one spacetime batch per
+    # (dimension group, result dtype), and one solve and one Sturm pass per
+    # dimension group
     evaluated, stencils, batches, solves, sturms = [], [], [], [], []
     stencil = verification.pde_stencil
-    residual = verification.pde_residual_fd
+    residual = verification.pde_residual
     solve, sturm = verification.solve_spectra, verification.sturm_crosscheck
 
     def count_evaluate(fn, nu, z, derivatives=0):
-        where = "ode" if z.ndim == 1 else next(st.h for st in stencils if z is st.z)
+        where = "stencil" if any(z is st.z for st in stencils) else "ode"
         evaluated.append(((fn, float(nu[0] / 2.0 % 1.0)), where, derivatives))
         return evaluate_basis(fn, nu, z, derivatives)
 
-    def count_stencils(n_m, h, seed):
-        stencils.append(stencil(n_m, h, seed))
+    def count_stencils(n_m, seed):
+        stencils.append(stencil(n_m, seed))
         return stencils[-1]
 
     def count_batches(stencil, bases, families, coefficients, momenta, couplings):
-        batches.append((families[0].dim, np.result_type(bases[families[0]], coefficients[0]),
-                        stencil.h))
+        batches.append((families[0].dim, np.result_type(bases[families[0]][0], coefficients[0])))
         return residual(stencil, bases, families, coefficients, momenta, couplings)
 
     def count_solves(ops):
@@ -705,7 +758,7 @@ def test_grid_builds_each_basis_once(monkeypatch):
 
     monkeypatch.setattr("incevolkov.families.evaluate_basis", count_evaluate)
     monkeypatch.setattr(verification, "pde_stencil", count_stencils)
-    monkeypatch.setattr(verification, "pde_residual_fd", count_batches)
+    monkeypatch.setattr(verification, "pde_residual", count_batches)
     monkeypatch.setattr(verification, "solve_spectra", count_solves)
     monkeypatch.setattr(verification, "sturm_crosscheck", count_sturms)
     # the counters see one process's calls: the round runs in this one
@@ -713,20 +766,18 @@ def test_grid_builds_each_basis_once(monkeypatch):
     run_grid(n_max=3, a_values=(0.5, 14.0, 20.0, 50.0))
     sets = [("exp", 0.0), ("cos", 0.0), ("cos", 0.5), ("sin", 0.0), ("sin", 0.5)]
     assert sorted(evaluated, key=repr) == sorted(
-        [(key, "ode", 2) for key in sets] + [(key, h, 0) for key in sets for h in (5e-3, 1e-2)],
-        key=repr)
-    assert sorted(st.h for st in stencils) == [5e-3, 1e-2]
+        [(key, where, 2) for key in sets for where in ("ode", "stencil")], key=repr)
+    assert len(stencils) == 1
     dims = {SolutionFamily(kind, n).dim for kind in ALL_KINDS for n in (1, 2, 3)}
     assert sorted(solves) == sorted(sturms) == sorted(dims)
     assert len(batches) == len(set(batches))
-    assert {dtype for _, dtype, _ in batches} == {np.dtype(float), np.dtype(complex)}
-    assert {h for _, _, h in batches} == {5e-3, 1e-2}
+    assert {dtype for _, dtype in batches} == {np.dtype(float), np.dtype(complex)}
     # run_point is a round of one: its own set, once per use
     evaluated.clear()
     stencils.clear()
     run_point(FamilyKind.DIRAC_MINUS, 3, 50.0)
-    assert evaluated == [(("exp", 0.0), "ode", 2), (("exp", 0.0), 1e-2, 0)]
-    assert [st.h for st in stencils] == [1e-2]
+    assert evaluated == [(("exp", 0.0), "ode", 2), (("exp", 0.0), "stencil", 2)]
+    assert len(stencils) == 1
 
 
 def _grid_points(a_values=verification.DEFAULT_GRID_A_VALUES, n_max=25):
@@ -751,7 +802,7 @@ class TestTwoProcessRound:
         (verification.DEFAULT_GRID_A_VALUES, 0.0), ((50.0,), 0.0),
         (verification.DEFAULT_GRID_A_VALUES, 1e-6)], ids=["grid", "a50", "eta-shift"])
     def test_reports_match_one_process(self, monkeypatch, a_values, eta_shift):
-        # repr: exact, NaN-safe; at a = 50 and with the shift, points fail
+        # repr: exact, NaN-safe; with the shift, points fail
         points = _grid_points(a_values)
         two = _round(monkeypatch, 2, points, eta_shift)
         assert repr(two) == repr(_round(monkeypatch, 1, points, eta_shift))
@@ -842,6 +893,21 @@ class TestTwoProcessRound:
             os.waitpid(-1, os.WNOHANG)
 
     @forks
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="the platform does not list a process's descriptors")
+    def test_a_failed_fork_leaks_no_descriptor(self, monkeypatch):
+        def no_process():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(verification.os, "fork", no_process)
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            with pytest.raises(OSError, match="temporarily unavailable"):
+                run_grid(n_max=2, a_values=(14.0,))
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    @forks
     def test_a_child_without_its_result_is_an_error(self, monkeypatch):
         parent = os.getpid()
 
@@ -903,12 +969,11 @@ def test_shared_bases_carry_each_familys_bits():
     fams = [SolutionFamily(kind, n) for kind in ALL_KINDS for n in range(1, 26)]
     z = _sample_points(SAMPLING_SEED)
     samples = _ode_samples(fams, SAMPLING_SEED)
-    stencils = [pde_stencil(N_M, h) for h in (5e-3, 1e-2)]
-    on_stencils = [shared_bases(fams, st.z) for st in stencils]
+    stencil = pde_stencil(N_M)
+    on_stencil = shared_bases(fams, stencil.z, derivatives=2)
     for fam in fams:
-        pairs = list(zip(samples[fam].basis, fam.basis(z, derivatives=2), strict=True))
-        for st, bases in zip(stencils, on_stencils):
-            pairs += zip(bases[fam], fam.basis(st.z), strict=True)
+        pairs = [*zip(samples[fam].basis, fam.basis(z, derivatives=2), strict=True),
+                 *zip(on_stencil[fam], fam.basis(stencil.z, derivatives=2), strict=True)]
         for got, want in pairs:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), fam

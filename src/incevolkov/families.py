@@ -107,6 +107,14 @@ class SolutionFamily:
     n: int
 
     def __post_init__(self):
+        # a plain string spells the same family: the operator entries pick
+        # their folds by identity with the members
+        if not isinstance(self.kind, FamilyKind):
+            try:
+                object.__setattr__(self, "kind", FamilyKind(self.kind))
+            except ValueError:
+                valid = ", ".join(k.value for k in FamilyKind)
+                raise InputError(f"unknown family kind {self.kind!r}; valid: {valid}") from None
         if self.n < 1:
             raise InputError(f"quantum number n must be >= 1, got {self.n}")
 

@@ -6,10 +6,19 @@ environment-dependent content).  JSON key order follows construction order.
 
 A float64 array is written a row at a time: one `%`-template per array,
 filled once per row.  A row that holds a non-finite value, or a value that
-may print in 24 characters, takes the per-value path instead, since those
-are the only values that can change the row's layout.  A dict, list or
-array is written in pieces (a value, an item, a row) appended to one
+may print in 24 characters, takes a per-value path instead, since those
+are the only values that can change the row's layout: `%.17g` value by
+value when every value is finite, `format_number` otherwise.  A dict, list
+or array is written in pieces (a value, an item, a row) appended to one
 string that grows in place, so the peak stays near one copy of the result.
+
+A 2-D float64 array of at least _SPLIT_VALUES (2^15) values is rendered by
+two processes where `forking.may_fork()` holds (the platform forks, two or
+more usable CPUs, numpy's bundled OpenBLAS): this process renders the even
+rows and one forked child the odd rows, which it streams back through a
+pipe, each row length-prefixed; the rows are yielded in order.  Every row
+is the text one process renders, so the bytes do not depend on the split.
+A smaller array never loads the `forking` module.
 """
 
 from __future__ import annotations
@@ -157,22 +166,76 @@ def _numpy_pieces(obj, indent: int):
         yield from _pieces(list(obj), indent)
 
 
+# A float64 array of at least this many values is rendered by two processes
+_SPLIT_VALUES = 1 << 15
+
+
 def _float_rows(m, indent: int):
-    """Each row of the 2-D float64 array m, rendered as `_list_json` renders it at indent."""
+    """Each row of the 2-D float64 array m, rendered as `_list_json` renders it at indent.
+
+    A row fills the array's template, unless it holds a value that may
+    print in 24 characters (formatted one value at a time with `%.17g`)
+    or a non-finite one (`format_number`).  An array of at least
+    _SPLIT_VALUES values, where `forking.may_fork()` holds, is rendered by
+    two processes (`_two_process_rows`).
+    """
     import numpy as np
 
     row_t = _list_json(["%.17g"] * m.shape[1], indent)
     # A finite double prints in 24 characters (one past the inline limit)
     # only if it is negative with a three-digit exponent.
-    flagged = ~np.isfinite(m)
-    flagged |= (m < 0) & (m > -1e-99)
-    flagged |= m <= -1e100
-    for row, exact in zip(m, flagged.any(axis=1).tolist()):
-        values = row.tolist()
-        if exact:
-            yield _list_json([format_number(x) for x in values], indent)
-        else:
-            yield row_t % tuple(values)
+    nonfinite = ~np.isfinite(m)
+    flagged = (nonfinite | ((m < 0) & (m > -1e-99)) | (m <= -1e100)).any(axis=1).tolist()
+    nonfinite = nonfinite.any(axis=1).tolist()
+
+    def rows(start: int, step: int):
+        """Rows start, start + step, ... of m, rendered."""
+        for i in range(start, len(flagged), step):
+            values = m[i].tolist()
+            if not flagged[i]:
+                yield row_t % tuple(values)
+            elif nonfinite[i]:
+                yield _list_json([format_number(x) for x in values], indent)
+            else:
+                yield _list_json(list(map("%.17g".__mod__, values)), indent)
+
+    if m.size >= _SPLIT_VALUES:
+        from . import forking           # loaded only for an array this large
+
+        if forking.may_fork():
+            yield from _two_process_rows(rows, len(flagged))
+            return
+    yield from rows(0, 1)
+
+
+def _two_process_rows(rows, count: int):
+    """rows(0, 1), with this process rendering the even rows and a forked child the odd.
+
+    The child writes each of its rows to a buffered pipe, its length in 8
+    bytes first; this process yields its own row, then reads and yields
+    the child's next one.  Interleaved rows keep the two shares even where
+    an array's cheap rows lie together, and neither process holds more
+    than a pipe's worth of rendered text.  The child is ended and reaped
+    on every way out (`forking.child`).
+    """
+    from .forking import child
+
+    def send(pipe):
+        for text in rows(1, 2):
+            data = text.encode("ascii")
+            pipe.write(len(data).to_bytes(8, "little"))
+            pipe.write(data)
+
+    with child(send) as pipe:
+        for i, text in enumerate(rows(0, 2)):
+            yield text
+            if 2 * i + 1 < count:
+                header = pipe.read(8)
+                size = int.from_bytes(header, "little")
+                data = pipe.read(size)
+                if len(header) != 8 or len(data) != size:
+                    raise RuntimeError("the forked child process ended without its rows")
+                yield data.decode("ascii")
 
 
 def render_csv(columns: Sequence[str], rows: Iterable[Sequence],

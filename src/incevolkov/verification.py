@@ -46,13 +46,14 @@ with a round of one.
 
 No group reads another's results, so a round of two or more groups on a
 host that gives it two or more CPUs, with numpy's bundled OpenBLAS pinned
-to one thread, splits them into two shares of about equal cost: this
-process runs one and a child made by `os.fork`, after the shared arrays
-are built, runs the other and sends its reports back pickled.  Both run
-the same `_check_group` on the same arrays, and pickle keeps every
-float's bits, so each report and the first error in group order are the
-ones a single process gives.  A round of one group (`run_point`), on one
-CPU, or under a BLAS whose threads cannot be pinned stays in one process.
+to one thread (`forking.may_fork`), splits them into two shares of about
+equal cost: this process runs one and a child forked by `forking.child`,
+after the shared arrays are built, runs the other and sends its reports
+back pickled.  Both run the same `_check_group` on the same arrays, and
+pickle keeps every float's bits, so each report and the first error in
+group order are the ones a single process gives.  A round of one group
+(`run_point`), on one CPU, or under a BLAS whose threads cannot be pinned
+stays in one process.
 
 Each point's report holds one object per check, keyed by the check's name
 in `CHECKS` order; the summary's maxima and the names a failing point
@@ -70,17 +71,13 @@ spatial reflection and give identical spectra and densities.
 from __future__ import annotations
 
 import contextlib
-import ctypes
-import functools
 import math
-import os
 import pickle
-import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import forking
 from .constants import SAMPLING_SEED
 from .errors import InputError, StructuralError
 from .families import ALL_KINDS, FamilyKind, SolutionFamily, shared_bases
@@ -659,23 +656,6 @@ def _pde_checks(families, points, etas, vectors, spacetime) -> list:
     return results
 
 
-@functools.cache
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS that numpy's wheels ship, or None.
-
-    numpy has no thread control of its own; any other BLAS runs as configured.
-    """
-    package = Path(np.__file__).parent
-    for path in [*package.parent.glob("numpy.libs/*scipy_openblas*"),
-                 *package.glob(".dylibs/*scipy_openblas*")]:
-        try:
-            lib = ctypes.CDLL(str(path))
-            return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            pass
-    return None
-
-
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the block with numpy's OpenBLAS on one thread, then restore its count.
@@ -688,7 +668,7 @@ def _one_blas_thread():
     It is process-wide, so BLAS work in other threads also runs on one,
     and the child that `_check_round` forks inherits it.
     """
-    get, set_ = _openblas_threads() or (lambda: None, lambda count: None)
+    get, set_ = forking.openblas_threads() or (lambda: None, lambda count: None)
     before = get()
     set_(1)
     try:
@@ -737,11 +717,6 @@ def _check_group(points, samples, spacetime, eta_shift: float) -> list:
     return reports
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where the platform does not say."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
 def _split_shares(costs):
     """Two ascending lists of group positions, split greedily by cost, the costliest first.
 
@@ -756,38 +731,6 @@ def _split_shares(costs):
     return sorted(shares[0]), sorted(shares[1])
 
 
-def _in_child(run, share):
-    """(pid, pipe): a forked child runs run(share) and pickles its list into the pipe.
-
-    The child never returns into the caller: it ends with os._exit, status
-    0 once its whole result is written.  A fork that raises closes both
-    ends of the pipe before the error propagates.  Standard streams are flushed
-    before the fork, so text buffered in them is printed once.  The
-    OpenBLAS that numpy ships stops its worker threads before a fork (a
-    pthread_atfork handler), so none holds a lock the child needs.
-    """
-    sys.stdout.flush()
-    sys.stderr.flush()
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            with os.fdopen(write_fd, "wb") as pipe:
-                pickle.dump(run(share), pipe, pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, os.fdopen(read_fd, "rb")
-
-
 @_one_blas_thread()
 def _check_round(points, seed: int, eta_shift: float) -> list:
     """PointReports of (kind, n, a) points, in their order.
@@ -798,21 +741,19 @@ def _check_round(points, seed: int, eta_shift: float) -> list:
     operator dimension (`_check_group`), so that the solve and the Sturm
     check run once per group; a group's arrays are dropped before the next.
 
-    No group reads another's results.  With two or more groups, two or
-    more usable CPUs and numpy's bundled OpenBLAS (`_openblas_threads`),
-    which `_one_blas_thread` pins to one thread in both processes, the
-    groups are split into two shares of about equal cost, len(group) *
-    (dim + 8)^2 (`_split_shares`): this process runs one, and a child
-    forked after the shared arrays are built runs the other on
-    copy-on-write views of them and sends its reports back pickled.  Each
-    process runs the same `_check_group` on the same arrays, and pickle
-    keeps every float's bits, so each report is the one a single process
-    gives.  A share stops at its first exception; the round raises the
-    first in group order, the one a single process raises.  A round of one
-    group (`run_point`), on one CPU, or under a BLAS whose thread count
-    cannot be set runs in this process alone: the BLAS workers of two
-    processes would spin against each other (a forked `run_grid` round
-    took over 20 times as long as one process on a 2-core host).
+    No group reads another's results.  With two or more groups, where
+    `forking.may_fork()` holds (two or more usable CPUs and numpy's bundled
+    OpenBLAS, which `_one_blas_thread` pins to one thread in both
+    processes), the groups are split into two shares of about equal cost,
+    len(group) * (dim + 8)^2 (`_split_shares`): this process runs one, and
+    a child forked by `forking.child` after the shared arrays are built
+    runs the other on copy-on-write views of them and sends its reports
+    back pickled.  Each process runs the same `_check_group` on the same
+    arrays, and pickle keeps every float's bits, so each report is the one
+    a single process gives.  A share stops at its first exception; the
+    round raises the first in group order, the one a single process
+    raises.  A round of one group (`run_point`), or where `may_fork` does
+    not hold, runs in this process alone.
     """
     families = [SolutionFamily(kind, n) for kind, n, _ in points]
     for fam in families:                # before a window is allocated
@@ -837,22 +778,13 @@ def _check_round(points, seed: int, eta_shift: float) -> list:
                 break
         return results
 
-    if len(groups) >= 2 and _usable_cpus() >= 2 and _openblas_threads() is not None:
+    if len(groups) >= 2 and forking.may_fork():
         mine, theirs = _split_shares(
             [len(g) * (families[g[0]].dim + 8) ** 2 for g in groups])
-        pid, pipe = _in_child(run, theirs)
-        try:
+        with forking.child(
+                lambda pipe: pickle.dump(run(theirs), pipe, pickle.HIGHEST_PROTOCOL)) as pipe:
             results = run(mine)
             payload = pipe.read()
-        except BaseException:
-            os.kill(pid, 9)                 # SIGKILL: its result is not wanted
-            raise
-        finally:
-            pipe.close()
-            _, status = os.waitpid(pid, 0)
-        if status != 0:
-            raise RuntimeError(
-                f"the verify child process ended without its result (wait status {status})")
         results += pickle.loads(payload)
     else:
         results = run(range(len(groups)))

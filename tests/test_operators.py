@@ -112,6 +112,24 @@ class TestFamilyStructure:
         with pytest.raises(InputError):
             SolutionFamily(FamilyKind.DIRAC_PLUS, 0)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_string_kind_builds_the_enum_operator(self, kind):
+        # the spin-0 folds are picked by identity with the members: a string
+        # kind must reach them, bit for bit
+        fam = SolutionFamily(kind.value, 3)
+        assert fam.kind is kind and fam == SolutionFamily(kind, 3)
+        got, want = build_operator(fam, 5.0), build_operator(SolutionFamily(kind, 3), 5.0)
+        for name in ("diag", "super_", "sub"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_string_kind_keeps_the_fold(self):
+        etas = np.linalg.eigvals(build_operator(SolutionFamily("kg-cos-even", 3), 5.0).to_dense())
+        assert min(etas.real) == pytest.approx(-25.71, abs=0.01)
+
+    def test_unknown_kind(self):
+        with pytest.raises(InputError, match="unknown family kind 'nope'; valid: dirac-plus, "):
+            SolutionFamily("nope", 3)
+
 
 class TestDiracOperator:
     def test_decoupled_at_zero_coupling(self):

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import incevolkov.forking as forking
+import incevolkov.serialize as serialize
 from incevolkov.serialize import _escape, _list_json, dumps_json, format_number, render_csv
 
 
@@ -279,6 +285,153 @@ class TestFloatArrays:
         finally:
             tracemalloc.stop()
         assert peak < 2 * len(text)
+
+
+def _split_array(rows, columns, seed=0):
+    """A (rows, columns) array of normal doubles at decimal scales."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(rows, columns)) * 10.0 ** rng.integers(-5, 5, size=(rows, columns))
+
+
+# an array at the threshold splits only where the predicate holds
+splits = pytest.mark.skipif(not forking.may_fork(),
+                            reason="this host does not split work with a forked child")
+
+
+class TestFlaggedRows:
+    """Rows with 24-character values format each value with %.17g."""
+
+    @pytest.mark.parametrize("values", [
+        [-1.5e-200, -3e-300, -2.2250738585072014e-308, -5e-324],
+        [-1e100, -1e100, -1e100],
+        [-1.5e-200, -1e100, 0.5, -7.25, 1e-300, -1e-100, float(np.nextafter(-1e100, 0.0))],
+    ], ids=["tiny-negatives", "minus-1e100", "mixed"])
+    @pytest.mark.parametrize("columns", [3, 401, 1000])
+    def test_matches_reference(self, values, columns):
+        row = np.resize(np.array(values), columns)
+        arr = np.stack([np.linspace(-1.0, 1.0, columns), row, row[::-1]])
+        for indent in (0, 2):
+            assert dumps_json(arr, indent) == reference_dumps_json(arr, indent)
+            assert dumps_json({"m": arr}, indent) == reference_dumps_json({"m": arr}, indent)
+
+
+class TestTwoProcessRows:
+    """Arrays of at least _SPLIT_VALUES values: even rows here, odd rows in a child."""
+
+    @staticmethod
+    def _paths(monkeypatch, obj):
+        """(split, one process, reference) bytes of obj; the split forks once."""
+        forks, fork = [], os.fork
+
+        def counted_fork():
+            forks.append(None)
+            return fork()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(forking.os, "fork", counted_fork)
+            split = dumps_json(obj)
+        assert len(forks) == 1
+        with monkeypatch.context() as patch:
+            patch.setattr(forking, "may_fork", lambda: False)
+            patch.setattr(forking.os, "fork", None)
+            one = dumps_json(obj)
+        return split, one, reference_dumps_json(obj)
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(17)
+        special = _split_array(201, 201, 1)
+        for i, value in enumerate([math.nan, math.inf, -math.inf]):
+            special[i, i] = value            # rows 0 and 2 here, row 1 in the child
+            special[150 + i, 7] = value
+        long_values = _split_array(200, 200, 2)
+        long_values[3, 0] = LONG             # the child's rows, then this process's
+        long_values[4, 5:9] = BOUNDARY[:4]
+        long_values[199, 199] = -1e100
+        vectors = np.asfortranarray(rng.normal(size=(190, 190)))
+        return {"odd-rows": _split_array(183, 183, 3), "even-rows": _split_array(182, 182, 4),
+                "one-row": _split_array(1, 1 << 15, 5), "wide": _split_array(81, 405, 6),
+                "special": special, "long-values": long_values, "vectors.T": vectors.T,
+                "payload": {"etas": np.arange(3.0), "vectors": vectors.T, "tail": [1, "x"]}}
+
+    @splits
+    @pytest.mark.parametrize("name", ["odd-rows", "even-rows", "one-row", "wide", "special",
+                                      "long-values", "vectors.T", "payload"])
+    def test_bytes_match_one_process_and_reference(self, monkeypatch, name):
+        split, one, reference = self._paths(monkeypatch, self._cases()[name])
+        assert split == one == reference
+
+    def test_below_the_threshold_never_forks(self, monkeypatch):
+        monkeypatch.setattr(forking.os, "fork", None)
+        for shape in [(1, serialize._SPLIT_VALUES - 1), (183, 179)]:
+            arr = _split_array(*shape)
+            assert dumps_json(arr) == reference_dumps_json(arr)
+
+    @staticmethod
+    def _failing_in(monkeypatch, where):
+        """Make format_number raise in this process ("parent") or in the child."""
+        parent = os.getpid()
+
+        def format_here(x):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise ValueError(f"raised in the {where}")
+            return format_number(x)
+
+        monkeypatch.setattr(serialize, "format_number", format_here)
+        arr = _split_array(200, 200)
+        arr[0, 3] = arr[1, 3] = math.nan    # each process's first row takes format_number
+        return arr
+
+    @splits
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="the platform does not list a process's descriptors")
+    @pytest.mark.parametrize("where, error, message", [
+        ("child", RuntimeError, "ended without its"),
+        ("parent", ValueError, "raised in the parent")])
+    def test_a_raise_leaves_no_child_and_no_descriptor(self, monkeypatch, where, error,
+                                                       message):
+        arr = self._failing_in(monkeypatch, where)
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            with pytest.raises(error, match=message):
+                dumps_json({"vectors": arr})
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    @splits
+    def test_an_abandoned_writer_leaves_no_child(self):
+        arr = _split_array(400, 400)
+        before = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        rows = serialize._float_rows(arr, 0)
+        next(rows)
+        next(rows)                          # the child's first row: it has run
+        rows.close()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        pieces = serialize._pieces({"vectors": arr}, 0)
+        for _ in range(3):
+            next(pieces)
+        del pieces                          # collected without a close
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        if before is not None:
+            assert len(os.listdir("/proc/self/fd")) == before
+
+    @pytest.mark.parametrize("n, loaded", [(20, False), (100, True)])
+    def test_small_spectrum_does_not_load_the_fork_module(self, n, loaded):
+        # dirac n = 20 writes 40 x 40 vectors, n = 100 200 x 200: past the
+        # threshold, where the predicate is asked
+        src = str(Path(serialize.__file__).resolve().parents[1])
+        script = ("import sys\n"
+                  "from incevolkov.cli import main\n"
+                  f"code = main(['spectrum', '--family', 'dirac', '--n', '{n}', '--a', '14'])\n"
+                  "print(code, 'incevolkov.forking' in sys.modules, file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stderr.split()[-1] == str(loaded)
+        assert json.loads(proc.stdout)["vectors"]
 
 
 class TestCsv:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import incevolkov.forking as forking
 import incevolkov.residual as residual
 import incevolkov.verification as verification
 from incevolkov.constants import SAMPLING_SEED
@@ -673,7 +674,7 @@ class TestRunPoint:
 class TestOneBlasThread:
     @pytest.fixture
     def threads(self):
-        threads = verification._openblas_threads()
+        threads = forking.openblas_threads()
         if threads is None:
             pytest.skip("numpy does not run its bundled OpenBLAS here")
         return threads
@@ -762,7 +763,7 @@ def test_grid_builds_each_basis_once(monkeypatch):
     monkeypatch.setattr(verification, "solve_spectra", count_solves)
     monkeypatch.setattr(verification, "sturm_crosscheck", count_sturms)
     # the counters see one process's calls: the round runs in this one
-    monkeypatch.setattr(verification, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(forking, "usable_cpus", lambda: 1)
     run_grid(n_max=3, a_values=(0.5, 14.0, 20.0, 50.0))
     sets = [("exp", 0.0), ("cos", 0.0), ("cos", 0.5), ("sin", 0.0), ("sin", 0.5)]
     assert sorted(evaluated, key=repr) == sorted(
@@ -788,12 +789,12 @@ def _grid_points(a_values=verification.DEFAULT_GRID_A_VALUES, n_max=25):
 
 def _round(monkeypatch, cpus, points, eta_shift=0.0):
     """`_check_round` of points as a host with `cpus` usable CPUs runs it."""
-    monkeypatch.setattr(verification, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(forking, "usable_cpus", lambda: cpus)
     return verification._check_round(points, SAMPLING_SEED, eta_shift)
 
 
 # a round forks only when it can hold numpy's bundled OpenBLAS at one thread
-forks = pytest.mark.skipif(verification._openblas_threads() is None,
+forks = pytest.mark.skipif(forking.openblas_threads() is None,
                            reason="numpy does not run its bundled OpenBLAS here")
 
 
@@ -850,7 +851,7 @@ class TestTwoProcessRound:
 
     @forks
     def test_both_processes_run_on_one_blas_thread(self, monkeypatch):
-        get, _ = verification._openblas_threads()
+        get, _ = forking.openblas_threads()
         monkeypatch.setattr(verification, "_check_group",
                             lambda group, *args: [(os.getpid(), get())] * len(group))
         reports = _round(monkeypatch, 2, _grid_points((14.0,)))
@@ -868,22 +869,22 @@ class TestTwoProcessRound:
         def no_fork():
             raise AssertionError("forked")
 
-        monkeypatch.setattr(verification, "_openblas_threads", lambda: None)
-        monkeypatch.setattr(verification.os, "fork", no_fork)
+        monkeypatch.setattr(forking, "openblas_threads", lambda: None)
+        monkeypatch.setattr(forking.os, "fork", no_fork)
         assert repr(_round(monkeypatch, 2, points)) == repr(pinned)
 
     def test_one_group_or_one_cpu_does_not_fork(self, monkeypatch):
         def no_fork():
             raise AssertionError("forked")
 
-        monkeypatch.setattr(verification.os, "fork", no_fork)
-        monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(forking.os, "fork", no_fork)
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
         assert run_point(FamilyKind.DIRAC_PLUS, 3, 14.0).passed
-        monkeypatch.setattr(verification, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 1)
         assert run_grid(n_max=2, a_values=(14.0,)).all_passed
 
     def test_no_child_is_left(self, monkeypatch):
-        monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
         assert run_grid(n_max=3, a_values=(14.0,)).all_passed
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -899,8 +900,8 @@ class TestTwoProcessRound:
         def no_process():
             raise OSError(11, "Resource temporarily unavailable")
 
-        monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(verification.os, "fork", no_process)
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(forking.os, "fork", no_process)
         before = len(os.listdir("/proc/self/fd"))
         for _ in range(3):
             with pytest.raises(OSError, match="temporarily unavailable"):
@@ -942,8 +943,8 @@ class TestTwoProcessRound:
         # both streams are pipes, so the text waits in their buffers at the fork
         src = str(Path(verification.__file__).resolve().parents[1])
         script = ("import sys\n"
-                  "from incevolkov import verification\n"
-                  "verification._usable_cpus = lambda: 2\n"
+                  "from incevolkov import forking, verification\n"
+                  "forking.usable_cpus = lambda: 2\n"
                   "sys.stdout.write('out')\n"
                   "sys.stderr.write('err')\n"
                   "assert verification.run_grid(n_max=3, a_values=(14.0,)).all_passed\n")

@@ -45,11 +45,11 @@ _COUPLING = (*_LASER_PLASMA, "a_override")
 _OUTPUT = ("output_format", "output_path")
 READS = {
     "params": (*_LASER_PLASMA, "particle", *_OUTPUT),
-    "spectrum": ("family", "n", *_COUPLING, "seed", *_OUTPUT),
-    "modes": ("family", "n", *_COUPLING, "k_select", "seed", *_OUTPUT),
+    "spectrum": ("family", "n", *_COUPLING, *_OUTPUT),
+    "modes": ("family", "n", *_COUPLING, "k_select", *_OUTPUT),
     "figure 1": ("output_path",),
-    "figure 2": ("n", *_COUPLING, "seed", "output_path"),
-    "figure 3": ("n", *_COUPLING, "seed", "output_path"),
+    "figure 2": ("n", *_COUPLING, "output_path"),
+    "figure 3": ("n", *_COUPLING, "output_path"),
     "verify": ("family", "n", *_COUPLING, "seed", "output_path"),
     "verify --all": (*_COUPLING, "seed", "output_path"),
 }
@@ -133,13 +133,13 @@ def cmd_params(cfg: RunConfig) -> int:
 # spectrum
 # ---------------------------------------------------------------------------
 
-def _solve_checked(family: SolutionFamily, a: float, seed: int):
+def _solve_checked(family: SolutionFamily, a: float):
     """(decomposition with residuals, per-eigenpair verdicts) of family at a."""
     from .operators import build_operator
     from .residual import attach_residuals
     from .spectra import solve_spectrum
 
-    return attach_residuals(solve_spectrum(build_operator(family, a)), seed=seed)
+    return attach_residuals(solve_spectrum(build_operator(family, a)))
 
 
 def _solved_decomposition(cfg: RunConfig):
@@ -148,7 +148,7 @@ def _solved_decomposition(cfg: RunConfig):
 
     family = SolutionFamily(cfg.family_kind(), cfg.require_n())
     a = cfg.resolve_a()
-    return (family, a, *_solve_checked(family, a, cfg.seed))
+    return (family, a, *_solve_checked(family, a))
 
 
 def _k_ranges(labels) -> str:
@@ -296,7 +296,7 @@ def _figure_spectra(cfg: RunConfig):
     a = cfg.resolve_a() if cfg.coupling_given else FIGURE_DEFAULT_A
     solved, failures = [], []
     for label, kind in (("dirac", FamilyKind.DIRAC_PLUS), ("kg", FamilyKind.KG_COS_EVEN)):
-        dec, passed = _solve_checked(SolutionFamily(kind, n), a, cfg.seed)
+        dec, passed = _solve_checked(SolutionFamily(kind, n), a)
         solved.append((label, dec))
         failures.append((dec, dec.k_labels.tolist(), passed.tolist()))
     return n, a, solved, failures

@@ -22,4 +22,4 @@ PARTICLE_MASSES = {
     "proton": PROTON_MASS,
 }
 
-SAMPLING_SEED = 0x1CE          # default seed for all pseudo-random sample points
+SAMPLING_SEED = 0x1CE          # default seed of the spacetime check's points

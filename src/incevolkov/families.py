@@ -18,8 +18,9 @@ momentum parameter, while q fixes the transverse momentum px = (q+1)/2 in
 units of the plasma wavenumber k_p.
 
 Family table (n >= 1).  `_ROWS` below holds these facts once; every
-property of `SolutionFamily`, the operator entries and the basis evaluator
-read them from there:
+property of `SolutionFamily`, the operator entries, the basis evaluator
+and the ODE residual's Fourier coefficients (the residual module) read
+them from there:
 
     kind          q       s    basis in xi           window          dim   px/k_p
     ------------  ------  ---  --------------------  --------------  ----  ------

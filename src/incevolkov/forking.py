@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import errno
 import functools
+import io
 import os
 import signal
 import sys
@@ -61,6 +63,11 @@ def may_fork() -> bool:
 def child(work):
     """Fork a child that runs work(pipe); yield the read end of that pipe.
 
+    Where the system has no process or memory to give (os.fork raises
+    EAGAIN or ENOMEM), this process runs work into an in-memory buffer
+    first and yields that buffer, read from its start: the caller reads
+    the same bytes from one process.
+
     The child writes to `pipe`, a buffered binary file, and never returns
     into the caller: it ends with os._exit, status 0 once work returned
     and the pipe is flushed and closed, 1 if anything raised.  The block
@@ -78,12 +85,22 @@ def child(work):
     sys.stdout.flush()
     sys.stderr.flush()
     read_fd, write_fd = os.pipe()
+    pid = None
     try:
         pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
+    except OSError as exc:
+        if exc.errno not in (errno.EAGAIN, errno.ENOMEM):
+            raise
+    finally:
+        if pid is None:
+            os.close(read_fd)
+            os.close(write_fd)
+    if pid is None:
+        buffer = io.BytesIO()
+        work(buffer)
+        buffer.seek(0)
+        yield buffer
+        return
     if pid == 0:
         status = 1
         try:

@@ -31,8 +31,8 @@ closure that truncates the infinite recurrence to a finite eigenproblem;
 the spin-0 windows end below through the fold itself.
 
 Every recurrence above is validated against the original ODE by the residual
-oracle in the verification module; the oracle, not the algebra, is the
-ground truth.
+module, whose Fourier coefficients read the ODE, not these entries; the
+ODE, not the algebra, is the ground truth.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ Three checks, none sharing numerical machinery with the eigensolver
 
   * ODE residual (`residual.attach_residuals`, `_batch_residual_maxima`):
     plugs every (eta, coefficient vector) pair of an operator back into
-    the original modulation ODE, analytically and in blocks of at most 64
+    the original modulation ODE and bounds the residual at every z by the
+    l1 norm of its exact Fourier coefficients, in blocks of at most 64
     modes.  The commands that print spectra run it alone, so it lives in
     the residual module; this module imports it from there.
     `benchmarks/oracle.py` restates the family table.
@@ -36,8 +37,8 @@ bond check (`spectra.symmetrize_stack`), and the spacetime check takes the
 stencil, the bases on it and points of one result dtype; each operator
 and point gets the bits it gets alone.  A round (`_check_round`) builds
 one stencil, evaluates each of the five basis sets of the family table
-once at the ODE sample points and once on the stencil, and gives every
-family its columns of them (`families.shared_bases`).  It then groups its points by dimension:
+once on it, and gives every family its columns of them
+(`families.shared_bases`).  It then groups its points by dimension:
 per group, one solve gives one (B, dim) etas array, which the ODE, Sturm
 and spacetime checks all judge; one Sturm pass returns each operator's
 radius with its gate, and one spacetime batch runs per result dtype.
@@ -73,6 +74,7 @@ from __future__ import annotations
 import contextlib
 import math
 import pickle
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,12 +85,12 @@ from .errors import InputError, StructuralError
 from .families import ALL_KINDS, FamilyKind, SolutionFamily, shared_bases
 from .operators import TridiagonalOperator, build_operator, refuse_past_solve_limit
 from .physparams import DeBroglieMomentum
-from .residual import ODE_RESIDUAL_TOL, _batch_residual_maxima, _ode_samples, seeded_angles
+from .residual import ODE_RESIDUAL_TOL, _batch_residual_maxima
 from .serialize import format_number
 from .spectra import solve_spectra, symmetrize_stack
 
 __all__ = [
-    "SAMPLING_SEED", "DENSE_IMAG_TOL", "ORACLE_AGREEMENT_TOL",
+    "SAMPLING_SEED", "DENSE_IMAG_TOL", "ORACLE_AGREEMENT_TOL", "seeded_angles",
     "minor_ratios", "sturm_counts", "gershgorin_bounds", "certified_radii",
     "dense_oracle_crosscheck", "sturm_crosscheck", "momentum_for_mode",
     "PdeStencil", "pde_stencil", "PdeResidualReport", "pde_residual",
@@ -114,10 +116,10 @@ DEFAULT_GRID_N_M = 0.7685453911282961   # refractive index of the spacetime chec
 
 def _residual_values_compensated(family: SolutionFamily, a: float, eta: float,
                                  c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Same residual for one mode, each sample's terms summed exactly by math.fsum.
+    """The ODE residual of one mode at the samples z, each sample's terms summed exactly by math.fsum.
 
-    Not part of the verdict: the exact-summation reference against which
-    the rounding error of `residual._residual_values_batch` is measured.
+    Not part of the verdict: the tests hold the residual policy's bound,
+    the l1 norm of the residual's Fourier coefficients, above it.
     """
     B, Bp, Bpp = family.basis(z, derivatives=2)
     q = family.q
@@ -397,6 +399,22 @@ def momentum_for_mode(family: SolutionFamily, eta: float,
 # exact residual of the full scalar wave equation
 # ---------------------------------------------------------------------------
 
+def seeded_angles(seed: int, count: int) -> np.ndarray:
+    """`count` angles in [0, 2 pi): 2 pi * random.Random(seed).random(), drawn in turn.
+
+    The standard library's Mersenne Twister (Matsumoto & Nishimura, ACM
+    TOMACS 8, 1998), seeded with the integer itself.  Python guarantees that
+    `random()` gives the same sequence for the same seed across versions
+    (the `random` module's "Notes on Reproducibility"), and an integer seed
+    does not pass through string hashing, so PYTHONHASHSEED does not move
+    the angles.
+    """
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
+    rng = random.Random(seed)
+    return np.array([2.0 * math.pi * rng.random() for _ in range(count)])
+
+
 @dataclass(frozen=True)
 class PdeResidualReport:
     max_residual: float              # max |res| over the stencil's points
@@ -524,17 +542,18 @@ def pde_residual(stencil, bases, families, coefficients, momenta, couplings) -> 
     # eps_c A0 = -a/4 is the electron sign convention
     quarter_a = column([a / 4.0 for a in couplings])
     two_i_eps_a0 = column([2j * (-a / 4.0) for a in couplings], complex)
-    a_sq_16 = quarter_a * quarter_a
-    kappa_sq = column([mom.kappa_star_sq for mom in momenta]) - a_sq_16
     spin_coef = 1j * column([fam.spin_sign for fam in families]) * quarter_a
     allowed = column([0.25 * ODE_RESIDUAL_TOL * (1.0 + abs(mom.eta) + abs(a) * fam.dim)
                       for fam, mom, a in zip(families, momenta, couplings)])
     n_u = column([2 * (fam.dim + 13) * np.finfo(float).eps / 2.0 for fam in families])
     sin, cos = stencil.sin, stencil.cos
 
-    # past a ~ 2800, e^(a/4) leaves double range: the residual or the gate
-    # comes out non-finite and fails, which is the report, not a warning
+    # past a ~ 2800, e^(a/4) leaves double range, and past a ~ 5e154 so
+    # does (a/4)^2: the residual or the gate comes out non-finite and
+    # fails, which is the report, not a warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a_sq_16 = quarter_a * quarter_a
+        kappa_sq = column([mom.kappa_star_sq for mom in momenta]) - a_sq_16
         E = np.exp(-quarter_a * cos)
         M, M1, M2 = modulation(quarter_a * sin * E,
                                (quarter_a * cos + (quarter_a * sin) ** 2) * E)
@@ -677,35 +696,35 @@ def _one_blas_thread():
         set_(before)
 
 
-def _check_group(points, samples, spacetime, eta_shift: float) -> list:
+def _check_group(points, spacetime, eta_shift: float) -> list:
     """PointReports of (kind, n, a) points whose operators share one dimension.
 
     The points' operators are solved in one stacked solve, whose (B, dim)
     etas (plus eta_shift) are the ones every check judges: each point's
-    ODE residual on its family's slice of the round's ODE samples, one
-    Sturm pass over the whole group, and the spacetime check once per
-    result dtype (`_pde_checks`) on the round's stencil.  A report's
-    `checks` holds their JSON fields, one object per `CHECKS` row.
+    ODE residual bound, one Sturm pass over the whole group, and the
+    spacetime check once per result dtype (`_pde_checks`) on the round's
+    stencil.  A report's `checks` holds their JSON fields, one object per
+    `CHECKS` row.
     """
     families = [SolutionFamily(kind, n) for kind, n, _ in points]
     ops = [build_operator(fam, a) for fam, (_, _, a) in zip(families, points)]
     decs = solve_spectra(ops)
     etas = np.stack([dec.etas for dec in decs]) + eta_shift
-    odes = [_batch_residual_maxima(samples[fam], a, point_etas, dec.vectors)
+    odes = [_batch_residual_maxima(fam, a, point_etas, dec.vectors)
             for fam, (_, _, a), point_etas, dec in zip(families, points, etas, decs)]
     sturm, gates = sturm_crosscheck(ops, etas)
     pdes = _pde_checks(families, points, etas, [dec.vectors for dec in decs], spacetime)
 
     reports = []
     with np.errstate(invalid="ignore"):     # inf / inf: a non-finite eta fails
-        for fam, (kind, n, a), dec, (maxima, scales, passed), sturm_disc, gate, \
+        for fam, (kind, n, a), dec, (bounds, scales, passed), sturm_disc, gate, \
                 (pde_over, pde_res, pde_ok, notes) \
                 in zip(families, points, decs, odes, sturm, gates, pdes):
             if a == 0.0:
                 notes.append("a=0: spectrum degenerates to the squared basis frequencies")
             objects = (     # one per CHECKS row, in its order
-                {"max_residual": float(np.max(maxima)),
-                 "max_residual_over_scale": float(np.max(maxima / scales)),
+                {"max_residual": float(np.max(bounds)),
+                 "max_residual_over_scale": float(np.max(bounds / scales)),
                  "passed": bool(np.all(passed))},
                 {"discrepancy": float(sturm_disc), "passed": bool(sturm_disc < gate)},
                 {"max_residual_over_gate": pde_over, "max_residual": pde_res,
@@ -736,8 +755,8 @@ def _check_round(points, seed: int, eta_shift: float) -> list:
     """PointReports of (kind, n, a) points, in their order.
 
     A family's window is a slice of its basis set's widest window, so the
-    round evaluates each basis set once at the ODE sample points and once
-    on the stencil it builds (`shared_bases`).  The points then run in groups of one
+    round evaluates each basis set once, on the stencil it builds
+    (`shared_bases`).  The points then run in groups of one
     operator dimension (`_check_group`), so that the solve and the Sturm
     check run once per group; a group's arrays are dropped before the next.
 
@@ -758,7 +777,6 @@ def _check_round(points, seed: int, eta_shift: float) -> list:
     families = [SolutionFamily(kind, n) for kind, n, _ in points]
     for fam in families:                # before a window is allocated
         refuse_past_solve_limit(fam.n, fam.dim)
-    samples = _ode_samples(families, seed)
     stencil = pde_stencil(DEFAULT_GRID_N_M, seed)
     spacetime = stencil, shared_bases(families, stencil.z, derivatives=2)
     groups = {}
@@ -772,7 +790,7 @@ def _check_round(points, seed: int, eta_shift: float) -> list:
         for g in share:
             try:
                 results.append((g, _check_group([points[i] for i in groups[g]],
-                                                samples, spacetime, eta_shift)))
+                                                spacetime, eta_shift)))
             except Exception as exc:
                 results.append((g, exc))
                 break

@@ -44,8 +44,7 @@ import numpy as np
 from incevolkov.constants import C_LIGHT, EV, HBAR, SAMPLING_SEED
 from incevolkov.errors import InputError, StructuralError
 from incevolkov.physparams import _E_STATC, _M_E_GRAM, PlasmaInput
-from incevolkov.residual import seeded_angles
-from incevolkov.verification import PDE_POINTS
+from incevolkov.verification import PDE_POINTS, seeded_angles
 
 # ---------------------------------------------------------------------------
 # spin-1/2 algebra: gamma matrices and the 4x4 spin-field eigenproblem

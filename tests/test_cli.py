@@ -1,5 +1,6 @@
 """Command-line interface: commands, exit codes, exports, determinism."""
 
+import errno
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import incevolkov
+import incevolkov.forking as forking
 import incevolkov.operators as operators
 import incevolkov.verification as verification
 from incevolkov.cli import _emit, _k_ranges, build_parser, main
@@ -282,8 +284,8 @@ class TestFigures:
         assert len(data) == 1 + rows
         assert err.splitlines() == [
             "verification failure: ODE residual failed for dirac-plus n=100 a=14: "
-            "k = 153-166, 185-189, 191 (20 of 200); kg-cos-even n=100 a=14: "
-            "k = 77-83, 93-95 (10 of 101)"]
+            "k = 153-167, 185-189, 191 (21 of 200); kg-cos-even n=100 a=14: "
+            "k = 77-84, 93-95 (11 of 101)"]
 
     def test_invalid_figure(self, capsys):
         code, _, _ = run(capsys, "figure", "4")
@@ -453,7 +455,7 @@ class TestResidualExitCode:
         assert code == 2
         assert err.splitlines() == [
             "verification failure: ODE residual failed for kg-cos-even "
-            "n=200 a=50: k = 102, 104-139, 142-201 (97 of 201)"]
+            "n=200 a=50: k = 102-139, 142-201 (98 of 201)"]
 
     @pytest.mark.parametrize("labels,text", [
         ([1, 2, 3, 7, 9, 10, 11, 12], "1-3, 7, 9-12"),
@@ -581,12 +583,18 @@ _ODE_RANGE = ("error: {} n = 1: a = 1e+308 is past the range limit of the ODE re
      [_ODE_RANGE.format("kg-cos-odd")]),
     (["spectrum", "--family", "kg-sin-odd", "--n", "1", "--a", "1e308"], 1,
      [_ODE_RANGE.format("kg-sin-odd")]),
+    (["spectrum", "--family", "kg-sin-even", "--n", "1", "--a", "1e308"], 0, []),
+    (["verify", "--family", "kg-sin-even", "--n", "1", "--a", "1e308"], 2,
+     ["FAIL kg-sin-even n=1 a=1e+308: pde", "verification failure: 1 of 1 grid points failed"]),
 ], ids=["spectrum", "verify-all", "verify-kg-sin-odd", "verify-kg-cos-odd",
-        "spectrum-kg-sin-odd"])
+        "spectrum-kg-sin-odd", "spectrum-kg-sin-even", "verify-kg-sin-even"])
 def test_overflow_near_the_largest_double_prints_no_warning(argv, exit_code, stderr):
     # the operator entries and the ODE residual overflow near a = 1e308: the
     # bond check or the ODE residual refuses the coupling (the dim-1
-    # eigenpairs are exact), and numpy's warnings stay silent
+    # eigenpairs are exact), and numpy's warnings stay silent.  kg-sin-even
+    # n = 1 keeps every residual term in range (w + h = 0 exactly), so its
+    # exact eigenpair passes, and only the spacetime check, past e^(a/4)'s
+    # range, fails
     # (a fresh process, as pytest records warnings apart from stderr)
     src = str(Path(incevolkov.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-m", "incevolkov.cli", *argv],
@@ -596,13 +604,36 @@ def test_overflow_near_the_largest_double_prints_no_warning(argv, exit_code, std
     assert proc.stderr.splitlines() == stderr
 
 
+@pytest.mark.skipif(forking.openblas_threads() is None,
+                    reason="numpy does not run its bundled OpenBLAS here, so nothing forks")
+@pytest.mark.parametrize("argv", [
+    ["verify", "--all"],
+    ["spectrum", "--family", "dirac-plus", "--n", "200", "--a", "14"]])
+def test_a_failed_fork_runs_in_one_process(capsys, monkeypatch, argv):
+    # a round's groups and a large array's rows: with no process to fork,
+    # the bytes and exit code of a run that never forks
+    monkeypatch.setattr(forking, "may_fork", lambda: False)
+    alone = run(capsys, *argv)
+    monkeypatch.undo()
+    forks = []
+
+    def no_process():
+        forks.append(1)
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(forking.os, "fork", no_process)
+    assert run(capsys, *argv) == alone
+    assert forks
+
+
 def test_same_seed_same_stdout_under_any_hash_seed():
-    # the sample points come from random.Random(seed), which string hashing
-    # does not touch
+    # the spacetime points come from random.Random(seed), which string
+    # hashing does not touch
     src = str(Path(incevolkov.__file__).resolve().parents[1])
     outs = []
     for hash_seed in ("0", "1"):
-        proc = subprocess.run([sys.executable, "-m", "incevolkov.cli", "spectrum",
+        proc = subprocess.run([sys.executable, "-m", "incevolkov.cli", "verify",
                                "--family", "dirac", "--n", "20", "--a", "14", "--seed", "7"],
                               env={**os.environ, "PYTHONPATH": src,
                                    "PYTHONHASHSEED": hash_seed},
@@ -614,7 +645,7 @@ def test_same_seed_same_stdout_under_any_hash_seed():
 
 class TestInputLimits:
     def test_negative_seed_flag(self, capsys):
-        code, out, err = run(capsys, "spectrum", "--family", "dirac", "--n", "3",
+        code, out, err = run(capsys, "verify", "--family", "dirac", "--n", "3",
                              "--a", "1", "--seed", "-1")
         assert code == 1
         assert out == ""
@@ -674,7 +705,7 @@ class TestInputLimits:
         (["--n", "twenty"], "error: --n: expected an integer, got 'twenty'"),
     ])
     def test_flag_parse_error_names_the_flag(self, capsys, argv, message):
-        code, out, err = run(capsys, "spectrum", "--family", "dirac", "--a", "1",
+        code, out, err = run(capsys, "verify", "--family", "dirac", "--a", "1",
                              "--n", "3", *argv)
         assert (code, out) == (1, "")
         assert err.splitlines() == [message]
@@ -688,7 +719,7 @@ class TestInputLimits:
             f"error: {cfg}:2: n: expected an integer, got 'twenty'"]
 
     def test_hex_flags_as_in_config(self, capsys):
-        outputs = [run(capsys, "spectrum", "--family", "kg-cos-odd", "--a", "1",
+        outputs = [run(capsys, "verify", "--family", "kg-cos-odd", "--a", "1",
                        "--n", n, "--seed", seed)
                    for n, seed in (("3", "462"), ("0x3", "0x1CE"))]
         assert outputs[0][0] == 0 and outputs[1] == outputs[0]
@@ -887,9 +918,9 @@ class TestUnreadFlags:
         (["figure", "1", "--a", "50", "--family", "weyl", "--n", "7"],
          "unrecognized arguments: --family weyl"),
         (["figure", "1", "--a", "50"], "figure 1 does not read --a"),
-        (["figure", "1", "--n", "3", "--seed", "1", *FIG2_ARGS],
+        (["figure", "1", "--n", "3", *FIG2_ARGS],
          "figure 1 does not read --photon-energy-ev, --intensity-w-cm2, "
-         "--plasma-energy-ev, --n, --seed"),
+         "--plasma-energy-ev, --n"),
         (["figure", "1", "--format", "json"], "unrecognized arguments: --format json"),
         (["params", "--family", "weyl", "--n", "-3"],
          "unrecognized arguments: --family weyl --n -3"),
@@ -899,6 +930,12 @@ class TestUnreadFlags:
           "--particle", "proton"], "unrecognized arguments: --k-select 9 --particle proton"),
         (["verify", "--all", "--family", "weyl", "--n", "-3"],
          "verify --all does not read --family, --n"),
+        # only verify reads the seed: the ODE residual has no sample points
+        (["spectrum", "--family", "dirac", "--n", "3", "--a", "14", "--seed", "7"],
+         "unrecognized arguments: --seed 7"),
+        (["modes", "--family", "dirac", "--n", "3", "--seed", "7"],
+         "unrecognized arguments: --seed 7"),
+        (["figure", "2", "--seed", "7"], "unrecognized arguments: --seed 7"),
     ])
     def test_refused_with_one_line(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -966,7 +1003,7 @@ seed = 7
     def test_byte_determinism(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
         for f in (f1, f2):
-            code, _, _ = run(capsys, "spectrum", "--family", "kg-sin-odd",
+            code, _, _ = run(capsys, "verify", "--family", "kg-sin-odd",
                              "--n", "7", "--a", "14", "--seed", "11",
                              "--out", str(f))
             assert code == 0

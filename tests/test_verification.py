@@ -1,5 +1,6 @@
 """The oracle layer: ODE residuals, dense/Sturm cross-checks, the spacetime check."""
 
+import errno
 import math
 import os
 import random
@@ -24,20 +25,21 @@ from incevolkov.families import (ALL_KINDS, FamilyKind, SolutionFamily, evaluate
 from incevolkov.operators import TridiagonalOperator, build_operator
 from incevolkov.physparams import DeBroglieMomentum
 from incevolkov.residual import (ODE_RESIDUAL_TOL, _batch_residual_maxima,
-                                 _ode_samples, _OdeSamples, _residual_values_batch,
-                                 _sample_points, attach_residuals,
-                                 seeded_angles)
+                                 _fourier_residual, attach_residuals)
 from incevolkov.spectra import solve_spectra, solve_spectrum
 from incevolkov.verification import (_charpoly_newton_polish,
                                      _residual_values_compensated,
                                      dense_oracle_crosscheck,
                                      momentum_for_mode, pde_residual,
                                      pde_stencil, run_grid, run_point,
-                                     sturm_crosscheck)
+                                     seeded_angles, sturm_crosscheck)
 from reference import pde_residual_fd
 
 N_M = 0.7685453911282961
 H = 1e-3                        # the step of the finite-difference reference
+EPS = np.finfo(float).eps
+# the grid of `verify --all`, and a = 50 beside it
+ODE_GRID_A = (*verification.DEFAULT_GRID_A_VALUES, 50.0)
 
 
 def _solved(kind, n, a):
@@ -66,11 +68,65 @@ def _pde(stencil, families, *points):
 
 
 def _one_mode(fam, a, eta, c):
-    """(max |residual|, scale, passed) of one eigenpair under the residual policy."""
-    maxima, scales, passed = _batch_residual_maxima(
-        _ode_samples([fam], SAMPLING_SEED)[fam], a, np.array([eta]),
-        np.asarray(c, dtype=float)[:, None])
-    return float(maxima[0]), float(scales[0]), bool(passed[0])
+    """(residual bound, scale, passed) of one eigenpair under the residual policy."""
+    bounds, scales, passed = _batch_residual_maxima(
+        fam, a, np.array([eta]), np.asarray(c, dtype=float)[:, None])
+    return float(bounds[0]), float(scales[0]), bool(passed[0])
+
+
+def _residual_at(fam, a, etas, vectors, z):
+    """R(z) of every mode, shape (len(z), modes): the ODE applied to the basis at z."""
+    B, Bp, Bpp = fam.basis(z, derivatives=2)
+    sin2z, cos2z = np.sin(2.0 * z)[:, None], np.cos(2.0 * z)[:, None]
+    f = B @ vectors
+    return (Bpp @ vectors + a * sin2z * (Bp @ vectors + 1j * fam.spin_sign * f)
+            + (etas - fam.q * a * cos2z) * f)
+
+
+def _rounding_slack(fam, a, eta, c, z_max):
+    """A bound on how far the exact-summation residual at points up to z_max, or
+    ||r^||_1 in floating point, can lie from the exact values.
+
+    Every term of either is |c_j| times at most nu_j^2 + |eta| + a (|nu_j| +
+    |s| + q) in modulus; a basis value at z carries the rounding of its
+    argument, z nu_j (1 + eps), and a few more roundings: 16 eps per term,
+    plus eps z_max |nu_j| from the argument.
+    """
+    nu = fam.nu
+    terms = np.abs(c) * (nu * nu + abs(eta) + a * (np.abs(nu) + abs(fam.spin_sign) + fam.q))
+    return float(np.sum(terms * (16.0 + z_max * np.abs(nu)))) * EPS
+
+
+def _fourier_residual_out_of_place(fam, a, eta, c):
+    """One mode's r^ from plain expressions, frequency by frequency.
+
+    The terms of `_fourier_residual`, in its order, padded to the dim + 2
+    frequencies nu_0 - 2 .. nu_last + 2; a cos or sin kind then adds each
+    negative frequency onto its mirror (+ for cos, - for sin) and keeps the
+    frequencies above 0 (sin) or from 0 on (cos).
+    """
+    nu, s, q = fam.nu, fam.spin_sign, fam.q
+    w = 0.5 * a * (s - nu)
+    h = 0.5 * a * q
+    zero = np.zeros(1, dtype=np.result_type(c, float))
+    rhat = (np.concatenate([zero, (eta - nu * nu) * c, zero])
+            + np.concatenate([(w - h) * c, zero, zero])
+            - np.concatenate([zero, zero, (w + h) * c]))
+    r0, r1 = fam.window
+    mu = fam.z_frequencies(np.arange(r0 - 1, r1 + 2))
+    basis = fam._row.basis
+    if basis == "exp":
+        return rhat
+    for j in np.flatnonzero(mu < 0):
+        rhat[mu == -mu[j]] += (1 if basis == "cos" else -1) * rhat[j]
+    return rhat[mu > 0] if basis == "sin" else rhat[mu >= 0]
+
+
+def _out_frequencies(fam):
+    """The frequencies of the columns of `_fourier_residual`."""
+    r0, r1 = fam.window
+    mu = fam.z_frequencies(np.arange(r0 - 1, r1 + 2))
+    return mu if fam._row.basis == "exp" else mu[1:]
 
 
 def vacuum_null_momentum(r, n_m):
@@ -115,72 +171,71 @@ def _scalar_newton_polish(T, w, steps=3):
     return out
 
 
-def _residual_values_out_of_place(samples, a, etas, vectors):
-    """The plain expression `_residual_values_batch` accumulates in place."""
-    B, Bp, Bpp = samples.basis
-    q = samples.family.q
-    s = samples.family.spin_sign
-    V = vectors.astype(B.dtype, copy=False)
-    f = B @ V
-    fp = Bp @ V
-    fpp = Bpp @ V
-    coupling = fp + 1j * s * f if s != 0 else fp
-    return (fpp + a * samples.sin2z * coupling
-            + (etas[None, :] - q * a * samples.cos2z) * f)
-
-
 class TestOdeResidual:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_in_place_matches_out_of_place_bit_for_bit(self, kind):
         # every operator of the grid's n range at couplings up to 1e150:
-        # equal bits, so equal maxima, scales and verdicts
+        # equal bits, so equal bounds, scales and verdicts (+ 0.0 maps -0.0,
+        # which the padding's zeros turn into +0.0, to +0.0 on both sides)
         for n in range(1, 26):
             fam = SolutionFamily(kind, n)
-            samples = _ode_samples([fam], SAMPLING_SEED)[fam]
             for a in (0.0, 0.5, 1.0, 5.0, 14.0, 20.0, 50.0, 1e3, 1e150):
                 dec = solve_spectrum(build_operator(fam, a))
-                got = _residual_values_batch(samples, a, dec.etas, dec.vectors)
-                want = _residual_values_out_of_place(samples, a, dec.etas,
-                                                     dec.vectors)
+                got = _fourier_residual(fam, a, dec.etas, dec.vectors)
+                want = np.stack([_fourier_residual_out_of_place(fam, a, eta, c)
+                                 for eta, c in zip(dec.etas, dec.vectors.T)])
                 assert got.dtype == want.dtype
-                assert got.tobytes() == want.tobytes(), (kind, n, a)
+                assert (got + 0.0).tobytes() == (want + 0.0).tobytes(), (kind, n, a)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_coefficients_are_the_residuals_fourier_series(self, kind, n):
+        # for any vector and eta, sum_mu r^_mu phi_mu(z) is R(z) at every z
+        fam = SolutionFamily(kind, n)
+        rng = np.random.default_rng(n)
+        vectors = rng.normal(size=(fam.dim, 3))
+        etas = rng.normal(size=3) * 10.0
+        z = np.linspace(0.0, 4.0 * np.pi, 97)
+        for a in (0.5, 14.0):
+            series = evaluate_basis(fam._row.basis, _out_frequencies(fam), z)[0]
+            got = series @ _fourier_residual(fam, a, etas, vectors).T
+            want = _residual_at(fam, a, etas, vectors, z)
+            scale = np.max(np.abs(want), axis=0)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale), (kind, n, a)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("a", [0.0, 0.5, 5.0, 20.0])
     def test_eigenpairs_pass(self, kind, a):
         fam, dec = _solved(kind, 6, a)
         for i in range(dec.dim):
-            maximum, scale, passed = _one_mode(fam, a, float(dec.etas[i]),
-                                               dec.vectors[:, i])
-            assert passed, (kind, a, i, maximum, scale)
+            bound, scale, passed = _one_mode(fam, a, float(dec.etas[i]),
+                                             dec.vectors[:, i])
+            assert passed, (kind, a, i, bound, scale)
 
     def test_report_fields(self):
         fam, dec = _solved(FamilyKind.DIRAC_PLUS, 2, 5.0)
         eta = float(dec.etas[0])
         _, scale, _ = _one_mode(fam, 5.0, eta, dec.vectors[:, 0])
-        assert len(_sample_points(SAMPLING_SEED)) == 288
         assert scale == 1.0 + abs(eta) + 5.0 * fam.dim
         assert SAMPLING_SEED == 0x1CE
 
     def test_past_double_range_refused(self):
-        # the dim-1 eigenpair is exact, but q a cos 2z f overflows: the
-        # checker's range, not a failed mode
+        # the dim-1 eigenpair is exact, but a dim and q a c leave double
+        # range: the checker's range, not a failed mode
         fam, dec = _solved(FamilyKind.KG_SIN_ODD, 1, 1e308)
-        samples = _ode_samples([fam], SAMPLING_SEED)[fam]
         assert np.isfinite(dec.etas).all() and np.isfinite(dec.vectors).all()
         with pytest.raises(InputError, match=r"^kg-sin-odd n = 1: a = 1e\+308 is past the "
                                              r"range limit of the ODE residual check"):
-            _batch_residual_maxima(samples, 1e308, dec.etas, dec.vectors)
+            _batch_residual_maxima(fam, 1e308, dec.etas, dec.vectors)
 
     def test_non_finite_modes_fail(self):
         # a NaN coefficient column, or a NaN eta, fails its mode and is not refused
         fam, dec = _solved(FamilyKind.KG_COS_EVEN, 3, 5.0)
-        samples = _ode_samples([fam], SAMPLING_SEED)[fam]
         vectors, etas = dec.vectors.copy(), dec.etas.copy()
         vectors[:, 1] = np.nan
         etas[2] = np.nan
-        maxima, _, passed = _batch_residual_maxima(samples, 5.0, etas, vectors)
-        assert np.isnan(maxima[1:3]).all()
+        bounds, _, passed = _batch_residual_maxima(fam, 5.0, etas, vectors)
+        assert np.isnan(bounds[1:3]).all()
         assert passed.tolist() == [True, False, False, True]
 
     def test_perturbed_eigenvalue_detected(self):
@@ -200,43 +255,60 @@ class TestOdeResidual:
             v /= np.linalg.norm(v)
             assert not _one_mode(fam, 5.0, eta, v)[2]
 
-    def test_compensated_agrees(self):
-        # the batch's rounding error sits far below the 1e-9 tolerance
-        z = _sample_points(SAMPLING_SEED)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_bound_holds_over_the_compensated_residual(self, kind):
+        # sup |R| <= ||r^||_1: of each operator's modes, the one whose
+        # sampled maximum comes nearest its bound, summed exactly at 4,096
+        # points, lies under the bound plus the rounding of both sides
+        z = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+        for n in range(1, 26):
+            for a in (0.5, 14.0, 50.0):
+                fam, dec = _solved(kind, n, a)
+                bounds, _, _ = _batch_residual_maxima(fam, a, dec.etas, dec.vectors)
+                sampled = np.max(np.abs(_residual_at(fam, a, dec.etas, dec.vectors, z)), axis=0)
+                slack = [_rounding_slack(fam, a, eta, c, z[-1])
+                         for eta, c in zip(dec.etas, dec.vectors.T)]
+                i = int(np.argmax(sampled / (bounds + slack)))
+                eta, c = float(dec.etas[i]), dec.vectors[:, i]
+                comp = np.max(np.abs(_residual_values_compensated(fam, a, eta, c, z)))
+                assert comp <= bounds[i] + slack[i], (kind, n, a, i)
+
+    def test_rounding_far_below_the_gate(self):
+        # a running-error bound of ||r^||_1 on the grid: each entry of r^
+        # rounds at most 6 times (gamma_6 times its terms in absolute
+        # value), and the l1 sum of dim + 1 values gamma_(dim+1) times it
+        u = EPS / 2.0
+        worst = 0.0
         for kind in ALL_KINDS:
-            for a in (14.0, 20.0):
-                fam, dec = _solved(kind, 25, a)
-                plain = _residual_values_batch(_ode_samples([fam], SAMPLING_SEED)[fam],
-                                               a, dec.etas, dec.vectors)
-                for i in range(dec.dim):
-                    eta = float(dec.etas[i])
-                    comp = _residual_values_compensated(fam, a, eta,
-                                                        dec.vectors[:, i], z)
-                    scale = 1.0 + abs(eta) + a * fam.dim
-                    assert np.max(np.abs(comp - plain[:, i])) < 1e-12 * scale, \
-                        (kind, a, i)
+            for n in range(1, 26):
+                fam = SolutionFamily(kind, n)
+                nu = fam.nu
+                w = np.abs(0.5 * (fam.spin_sign - nu))
+                for a in ODE_GRID_A:
+                    dec = solve_spectrum(build_operator(fam, a))
+                    bounds, scales, _ = _batch_residual_maxima(fam, a, dec.etas, dec.vectors)
+                    terms = np.abs(dec.vectors.T) * (np.abs(dec.etas)[:, None] + nu * nu
+                                                     + 2.0 * a * (w + 0.5 * fam.q))
+                    error = (6 * u / (1 - 6 * u) * terms.sum(axis=1)
+                             + (fam.dim + 1) * u / (1 - (fam.dim + 1) * u) * bounds)
+                    worst = max(worst, float(np.max(error / (ODE_RESIDUAL_TOL * scales))))
+        assert worst <= 1e-3, worst
 
     def test_verdict_from_one_batch(self, monkeypatch):
         # mode 78 of this operator lies within 10x of the tolerance; its
-        # residual is still the plain batch maximum, no exact re-summation
+        # bound is the policy's alone, no exact re-summation, with the bits
+        # it gets in the all-modes batch
         def refuse(*args, **kwargs):
             raise AssertionError("exact re-summation called")
 
         monkeypatch.setattr(verification, "_residual_values_compensated", refuse)
         fam, dec = _solved(FamilyKind.DIRAC_PLUS, 39, 14.0)
-        samples = _ode_samples([fam], SAMPLING_SEED)[fam]
         eta, c = float(dec.etas[77]), dec.vectors[:, 77]
-        plain = np.max(np.abs(_residual_values_batch(
-            samples, 14.0, np.array([eta]), c[:, None])))
-        maximum, scale, passed = _one_mode(fam, 14.0, eta, c)
-        assert maximum == plain
-        assert passed == (plain < ODE_RESIDUAL_TOL * scale)
-        # the all-modes batch sums in another order than the one-mode batch
-        batch = np.max(np.abs(_residual_values_batch(samples, 14.0, dec.etas,
-                                                     dec.vectors)), axis=0)
+        bound, scale, passed = _one_mode(fam, 14.0, eta, c)
+        assert passed == (bound < ODE_RESIDUAL_TOL * scale)
         dec2, passed = attach_residuals(dec)
-        assert np.array_equal(dec2.residuals, batch)
-        assert passed[77] == (batch[77] < ODE_RESIDUAL_TOL * scale)
+        assert dec2.residuals[77] == bound
+        assert passed[77] == (bound < ODE_RESIDUAL_TOL * scale)
 
     def test_attach_residuals(self):
         fam, dec = _solved(FamilyKind.KG_SIN_ODD, 5, 14.0)
@@ -255,51 +327,89 @@ class TestOdeResidual:
         assert passed[0] and not np.all(passed)
 
 
+class TestNegativeControls:
+    """Wrong eigenpairs that the residual policy must fail."""
+
+    @pytest.mark.parametrize("kind, null_dim", [(FamilyKind.KG_COS_EVEN, 13),
+                                                (FamilyKind.DIRAC_PLUS, 24)])
+    def test_blind_spot_of_sample_points_fails(self, kind, null_dim):
+        # at n = 300 a vector can vanish at any 288 sample points (the 256
+        # equidistant and 32 seeded ones of an earlier check) and still be
+        # far from an eigenvector: the sampled residual passes it, r^ not
+        a = 1.0
+        fam, dec = _solved(kind, 300, a)
+        eta, c = float(dec.etas[0]), dec.vectors[:, 0]
+        z = np.concatenate([np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False),
+                            seeded_angles(SAMPLING_SEED, 32)])
+        at_samples = _residual_at(fam, a, np.array([eta]), np.eye(fam.dim), z)
+        rows = np.concatenate([at_samples.real, at_samples.imag])
+        _, sv, vt = np.linalg.svd(rows)
+        rank = int(np.sum(sv > sv[0] * fam.dim * EPS))
+        null = vt[rank:]
+        assert len(null) >= null_dim
+        wrong = c + 0.73 * null[-1]
+        bound, scale, passed = _one_mode(fam, a, eta, wrong)
+        assert np.max(np.abs(_residual_at(fam, a, np.array([eta]), wrong[:, None], z))) \
+            < ODE_RESIDUAL_TOL * scale
+        assert not passed and bound > 1e3 * ODE_RESIDUAL_TOL * scale
+
+    @pytest.mark.parametrize("kind, entry, value", [
+        (FamilyKind.KG_COS_EVEN, ("sub", 0), lambda T: 0.5 * T.sub[0]),    # the fold's factor 2 lost
+        (FamilyKind.KG_COS_ODD, ("diag", 0), lambda T: 1.0),               # the r = 0 fold lost
+        (FamilyKind.DIRAC_PLUS, ("super_", 3), lambda T: T.super_[3] * (1 + 1e-6)),
+        (FamilyKind.DIRAC_MINUS, ("diag", 4), lambda T: T.diag[4] + 1e-4),
+    ])
+    def test_operator_with_one_wrong_entry_fails(self, kind, entry, value):
+        # r^ reads the ODE, not the operator entries: the eigenpairs of an
+        # operator with one entry changed fail it
+        T = build_operator(SolutionFamily(kind, 6), 14.0)
+        arrays = {name: getattr(T, name).copy() for name in ("diag", "super_", "sub")}
+        name, index = entry
+        arrays[name][index] = value(T)
+        wrong = TridiagonalOperator(family=T.family, a=T.a, **arrays)
+        assert attach_residuals(solve_spectrum(T))[1].all()
+        assert not attach_residuals(solve_spectrum(wrong))[1].all()
+
+
 class TestResidualBlocks:
     """The residual policy judges at most residual._BLOCK_MODES modes at a time."""
 
     @staticmethod
-    def _policy(samples, a, dec, block, monkeypatch):
+    def _policy(fam, a, dec, block, monkeypatch):
         monkeypatch.setattr(residual, "_BLOCK_MODES", block)
-        return _batch_residual_maxima(samples, a, dec.etas, dec.vectors)
+        return _batch_residual_maxima(fam, a, dec.etas, dec.vectors)
 
     @pytest.mark.parametrize("kind", [FamilyKind.DIRAC_PLUS, FamilyKind.DIRAC_MINUS])
     def test_dirac_blocks_bit_identical_to_one_block(self, kind, monkeypatch):
-        # dim 200 spans four blocks; a complex product split by columns
-        # rounds every column as the whole product does
+        # dim 200 spans four blocks; every entry of r^ is its own mode's
         fam, block = SolutionFamily(kind, 100), residual._BLOCK_MODES
         assert fam.dim > 3 * block
-        samples = _ode_samples([fam], SAMPLING_SEED)[fam]
         for a in (1.0, 14.0, 50.0):
             dec = solve_spectrum(build_operator(fam, a))
-            blocked = self._policy(samples, a, dec, block, monkeypatch)
-            whole = self._policy(samples, a, dec, fam.dim, monkeypatch)
+            blocked = self._policy(fam, a, dec, block, monkeypatch)
+            whole = self._policy(fam, a, dec, fam.dim, monkeypatch)
             for got, want in zip(blocked, whole):
                 assert got.tobytes() == want.tobytes(), (kind, a)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_verdicts_as_one_block(self, kind, monkeypatch):
-        # past one block the real product may round its last bits otherwise,
-        # far below the tolerance: the verdicts stay the same
+        # any split of the modes gives the bits, so the verdicts, of one block
         n = 40 if kind.value.startswith("dirac") else 70
-        fam, block = SolutionFamily(kind, n), residual._BLOCK_MODES
-        assert fam.dim > block
-        samples = _ode_samples([fam], SAMPLING_SEED)[fam]
+        fam = SolutionFamily(kind, n)
+        assert fam.dim > residual._BLOCK_MODES
         for a in (1.0, 14.0, 50.0):
             dec = solve_spectrum(build_operator(fam, a))
-            maxima, scales, passed = self._policy(samples, a, dec, block, monkeypatch)
-            one, _, one_passed = self._policy(samples, a, dec, fam.dim, monkeypatch)
-            assert np.array_equal(passed, one_passed), (kind, a)
-            assert np.all(np.abs(maxima - one) <= 1e-14 * scales), (kind, a)
+            one = self._policy(fam, a, dec, fam.dim, monkeypatch)
+            for block in (1, 7, residual._BLOCK_MODES):
+                got = self._policy(fam, a, dec, block, monkeypatch)
+                assert [x.tobytes() for x in got] == [x.tobytes() for x in one], \
+                    (kind, a, block)
 
-    def test_peak_memory_a_few_blocks_above_the_basis(self):
-        # dirac-plus n = 200: the basis holds 3 x 288 x 400 complex values
-        # (5.5 MB); all modes at once held 9 MB more.  A block holds a few
-        # (samples, block) arrays and one (dim, block) cast of the vectors.
+    def test_peak_memory_a_few_blocks(self):
+        # dirac-plus n = 200: all 400 modes at once held a few 400 x 402
+        # arrays; a block holds a few (block, dim + 2) arrays
         fam, dec = _solved(FamilyKind.DIRAC_PLUS, 200, 14.0)
-        samples = len(_sample_points(SAMPLING_SEED))
-        basis_bytes = 3 * samples * fam.dim * 16
-        block_bytes = (samples + fam.dim) * residual._BLOCK_MODES * 16
+        block_bytes = residual._BLOCK_MODES * (fam.dim + 2) * 8
         attach_residuals(dec)
         tracemalloc.start()
         try:
@@ -307,7 +417,7 @@ class TestResidualBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < basis_bytes + 4 * block_bytes
+        assert peak < 4 * block_bytes
 
 
 class TestDenseCrosscheck:
@@ -698,7 +808,7 @@ class TestOneBlasThread:
 
     def test_thread_count_changes_no_bit(self, threads):
         # the largest grid dimension (50), where OpenBLAS hands the stacked
-        # eigh and the complex residual products to its workers
+        # eigh and the spacetime check's products to its workers
         get, set_ = threads
         points = [(kind, 25, a) for kind in (FamilyKind.DIRAC_PLUS, FamilyKind.DIRAC_MINUS)
                   for a in verification.DEFAULT_GRID_A_VALUES]
@@ -727,17 +837,17 @@ def test_grid_matches_points():
 
 
 def test_grid_builds_each_basis_once(monkeypatch):
-    # each of the five basis sets once at the ODE sample points and once
-    # on the stencil, one stencil per round, one spacetime batch per
-    # (dimension group, result dtype), and one solve and one Sturm pass per
-    # dimension group
+    # each of the five basis sets once on the stencil and nowhere else (the
+    # ODE residual reads no basis), one stencil per round, one spacetime
+    # batch per (dimension group, result dtype), and one solve and one
+    # Sturm pass per dimension group
     evaluated, stencils, batches, solves, sturms = [], [], [], [], []
     stencil = verification.pde_stencil
     residual = verification.pde_residual
     solve, sturm = verification.solve_spectra, verification.sturm_crosscheck
 
     def count_evaluate(fn, nu, z, derivatives=0):
-        where = "stencil" if any(z is st.z for st in stencils) else "ode"
+        where = "stencil" if any(z is st.z for st in stencils) else "elsewhere"
         evaluated.append(((fn, float(nu[0] / 2.0 % 1.0)), where, derivatives))
         return evaluate_basis(fn, nu, z, derivatives)
 
@@ -766,8 +876,7 @@ def test_grid_builds_each_basis_once(monkeypatch):
     monkeypatch.setattr(forking, "usable_cpus", lambda: 1)
     run_grid(n_max=3, a_values=(0.5, 14.0, 20.0, 50.0))
     sets = [("exp", 0.0), ("cos", 0.0), ("cos", 0.5), ("sin", 0.0), ("sin", 0.5)]
-    assert sorted(evaluated, key=repr) == sorted(
-        [(key, where, 2) for key in sets for where in ("ode", "stencil")], key=repr)
+    assert sorted(evaluated, key=repr) == sorted([(key, "stencil", 2) for key in sets], key=repr)
     assert len(stencils) == 1
     dims = {SolutionFamily(kind, n).dim for kind in ALL_KINDS for n in (1, 2, 3)}
     assert sorted(solves) == sorted(sturms) == sorted(dims)
@@ -777,7 +886,7 @@ def test_grid_builds_each_basis_once(monkeypatch):
     evaluated.clear()
     stencils.clear()
     run_point(FamilyKind.DIRAC_MINUS, 3, 50.0)
-    assert evaluated == [(("exp", 0.0), "ode", 2), (("exp", 0.0), "stencil", 2)]
+    assert evaluated == [(("exp", 0.0), "stencil", 2)]
     assert len(stencils) == 1
 
 
@@ -897,15 +1006,28 @@ class TestTwoProcessRound:
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                         reason="the platform does not list a process's descriptors")
     def test_a_failed_fork_leaks_no_descriptor(self, monkeypatch):
+        # no process or no memory to fork: the child's share runs in this
+        # process, with the reports of one process; any other refusal
+        # propagates; neither leaves a descriptor open
+        points = _grid_points((14.0,), n_max=2)
+        monkeypatch.setattr(forking, "may_fork", lambda: False)
+        alone = repr(verification._check_round(points, SAMPLING_SEED, 0.0))
+        monkeypatch.undo()
+        refused = []
+
         def no_process():
-            raise OSError(11, "Resource temporarily unavailable")
+            refused.append(code)
+            raise OSError(code, os.strerror(code))
 
         monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
         monkeypatch.setattr(forking.os, "fork", no_process)
         before = len(os.listdir("/proc/self/fd"))
-        for _ in range(3):
-            with pytest.raises(OSError, match="temporarily unavailable"):
-                run_grid(n_max=2, a_values=(14.0,))
+        for code in (errno.EAGAIN, errno.ENOMEM):
+            assert repr(_round(monkeypatch, 2, points)) == alone
+        code = errno.EPERM
+        with pytest.raises(OSError, match=os.strerror(errno.EPERM)):
+            _round(monkeypatch, 2, points)
+        assert refused == [errno.EAGAIN, errno.ENOMEM, errno.EPERM]
         assert len(os.listdir("/proc/self/fd")) == before
 
     @forks
@@ -964,27 +1086,15 @@ def test_split_puts_every_group_in_one_share(costs):
 
 
 def test_shared_bases_carry_each_familys_bits():
-    # every family of the grid's n range: its columns of the shared sets are
-    # the bits of its own basis, signed zeros included, and so is the
-    # residual policy's report on them
+    # every family of the grid's n range: its columns of the shared sets on
+    # the stencil are the bits of its own basis, signed zeros included
     fams = [SolutionFamily(kind, n) for kind in ALL_KINDS for n in range(1, 26)]
-    z = _sample_points(SAMPLING_SEED)
-    samples = _ode_samples(fams, SAMPLING_SEED)
     stencil = pde_stencil(N_M)
     on_stencil = shared_bases(fams, stencil.z, derivatives=2)
     for fam in fams:
-        pairs = [*zip(samples[fam].basis, fam.basis(z, derivatives=2), strict=True),
-                 *zip(on_stencil[fam], fam.basis(stencil.z, derivatives=2), strict=True)]
-        for got, want in pairs:
+        for got, want in zip(on_stencil[fam], fam.basis(stencil.z, derivatives=2), strict=True):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), fam
-        alone = _OdeSamples(fam, fam.basis(z, derivatives=2), samples[fam].sin2z,
-                            samples[fam].cos2z)
-        for a in verification.DEFAULT_GRID_A_VALUES:
-            dec = solve_spectrum(build_operator(fam, a))
-            got, want = (_batch_residual_maxima(s, a, dec.etas, dec.vectors)
-                         for s in (samples[fam], alone))
-            assert [x.tobytes() for x in got] == [x.tobytes() for x in want], (fam, a)
 
 
 class TestSeededAngles:

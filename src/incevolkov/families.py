@@ -45,7 +45,7 @@ while their densities |w|^2 remain 2*pi-periodic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -106,6 +106,10 @@ class SolutionFamily:
 
     kind: FamilyKind
     n: int
+    # the first and last index r of the basis window, and its size: set
+    # once from the row, as a verify round reads them thousands of times
+    window: tuple = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # a plain string spells the same family: the operator entries pick
@@ -118,6 +122,10 @@ class SolutionFamily:
                 raise InputError(f"unknown family kind {self.kind!r}; valid: {valid}") from None
         if self.n < 1:
             raise InputError(f"quantum number n must be >= 1, got {self.n}")
+        row = self._row
+        r0, r1 = row.bottom[0] * self.n + row.bottom[1], self.n + row.top
+        object.__setattr__(self, "window", (r0, r1))
+        object.__setattr__(self, "dim", r1 - r0 + 1)
 
     @property
     def _row(self) -> _Row:
@@ -132,17 +140,6 @@ class SolutionFamily:
     def q(self) -> int:
         """Integer parameter of the modulation ODE (truncation condition)."""
         return 2 * self.n + self._row.q_minus_2n
-
-    @property
-    def window(self) -> tuple[int, int]:
-        """First and last index r of the basis window."""
-        row = self._row
-        return row.bottom[0] * self.n + row.bottom[1], self.n + row.top
-
-    @property
-    def dim(self) -> int:
-        r0, r1 = self.window
-        return r1 - r0 + 1
 
     @property
     def r_indices(self) -> np.ndarray:

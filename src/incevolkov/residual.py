@@ -38,11 +38,12 @@ _BLOCK_MODES = 64
 _FOLD = {"exp": 0, "cos": 1, "sin": -1}
 
 
-def _fourier_residual(family: SolutionFamily, a: float, etas: np.ndarray,
+def _fourier_residual(family: SolutionFamily, a, etas: np.ndarray,
                       vectors: np.ndarray) -> np.ndarray:
     """r^, one row per mode: the Fourier coefficients of the ODE residual.
 
-    vectors holds one coefficient column c per eta.  On c phi_nu, with
+    vectors holds one coefficient column c per eta, and a is the coupling
+    or a column of one per mode, shape (modes, 1).  On c phi_nu, with
     phi_nu = exp(-i nu z), cos(nu z) or sin(nu z) the family's basis, the
     terms of f'' + a sin(2z) (f' + i s f) + (eta - q a cos(2z)) f give
 
@@ -75,34 +76,42 @@ def _fourier_residual(family: SolutionFamily, a: float, etas: np.ndarray,
     return rhat
 
 
-def _batch_residual_maxima(family: SolutionFamily, a: float, etas: np.ndarray,
+def _batch_residual_maxima(family: SolutionFamily, a, etas: np.ndarray,
                            vectors: np.ndarray):
     """The residual policy: per-mode (bounds, scales, passed).
 
     bounds[i] = ||r^||_1 of mode i (`_fourier_residual`), which bounds
     |R(z)| at every z.  A mode passes when its bound is below
-    ODE_RESIDUAL_TOL * scale, scale = 1 + |eta| + a * dim.  The modes
-    (columns of vectors and etas) run in blocks of at most _BLOCK_MODES,
-    so the working set is a few (_BLOCK_MODES, dim + 2) arrays at any dim,
-    and a mode's bound has the same bits in any block.
+    ODE_RESIDUAL_TOL * scale, scale = 1 + |eta| + a * dim.  a is the
+    coupling of every mode, or one per mode (shape (modes,)), so the modes
+    of one family at several couplings run in one call: verify judges each
+    family of a dimension group this way.  The modes (columns of vectors
+    and etas) run in blocks of at most _BLOCK_MODES, so the working set is
+    a few (_BLOCK_MODES, dim + 2) arrays at any dim.  Every step is
+    elementwise or sums one mode's row, so a mode's bound has the same bits
+    in any block and beside any other coupling.
 
     A mode whose eta and coefficients are finite but whose bound or scale
     is not has terms past double range (a q c near a = 1e308): that is the
     checker's range, not a wrong eigenpair, and is refused as an
-    InputError once every block is done.  A mode with non-finite
-    coefficients fails.
+    InputError, naming the first such mode's coupling, once every block is
+    done.  A mode with non-finite coefficients fails.
     """
+    a = np.asarray(a, dtype=float)
     bounds = np.empty(len(etas))
     with np.errstate(over="ignore", invalid="ignore"):      # past range: refused below
         for start in range(0, len(etas), _BLOCK_MODES):
             cols = slice(start, start + _BLOCK_MODES)
-            rhat = _fourier_residual(family, a, etas[cols], vectors[:, cols])
+            rhat = _fourier_residual(family, a[cols, None] if a.ndim else a,
+                                     etas[cols], vectors[:, cols])
             np.sum(np.abs(rhat), axis=1, out=bounds[cols])
         scales = 1.0 + np.abs(etas) + a * family.dim
     past = ~(np.isfinite(bounds) & np.isfinite(scales))
-    if (past & np.isfinite(etas) & np.isfinite(vectors).all(axis=0)).any():
+    past &= np.isfinite(etas) & np.isfinite(vectors).all(axis=0)
+    if past.any():
+        first = float(np.broadcast_to(a, etas.shape)[np.argmax(past)])
         raise InputError(
-            f"{family.kind.value} n = {family.n}: a = {format_number(a)} is past the range "
+            f"{family.kind.value} n = {family.n}: a = {format_number(first)} is past the range "
             "limit of the ODE residual check: its terms leave double range")
     return bounds, scales, bounds < ODE_RESIDUAL_TOL * scales
 

@@ -29,12 +29,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, StructuralError
-from .operators import MAX_SOLVE_DIM, TridiagonalOperator, refuse_past_solve_limit
+from .errors import InputError
+from .operators import (MAX_SOLVE_DIM, OperatorStack, TridiagonalOperator,
+                        refuse_past_solve_limit)
 
 __all__ = [
     "MAX_SOLVE_DIM",
     "SpectralDecomposition",
+    "min_relative_gaps",
     "symmetrize",
     "symmetrize_stack",
     "solve_spectra",
@@ -73,10 +75,8 @@ class SpectralDecomposition:
 
     @property
     def min_relative_gap(self) -> float:
-        """Smallest adjacent gap over the spectral spread (inf for dim 1)."""
-        if self.dim < 2 or self.spread == 0.0:
-            return float("inf")
-        return float(np.min(np.diff(self.etas)) / self.spread)
+        """Smallest adjacent gap over the spectral spread: `min_relative_gaps` of one row."""
+        return float(min_relative_gaps(self.etas[None])[0])
 
     def vector(self, k_label: int) -> np.ndarray:
         if not 1 <= k_label <= self.dim:
@@ -87,65 +87,35 @@ class SpectralDecomposition:
         return replace(self, residuals=np.asarray(residuals, dtype=float))
 
 
+def min_relative_gaps(etas: np.ndarray) -> np.ndarray:
+    """Per row of sorted eigenvalues, shape (B, dim): the smallest adjacent
+    gap over the spread etas[-1] - etas[0], or inf for dim 1 or a zero spread.
+
+    Elementwise, and each minimum reduces one row, so a row gets the bits
+    it gets alone.
+    """
+    if etas.shape[1] < 2:
+        return np.full(len(etas), np.inf)
+    spread = etas[:, -1] - etas[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):    # a zero spread: inf below
+        gaps = np.min(np.diff(etas, axis=1), axis=1) / spread
+    return np.where(spread == 0.0, np.inf, gaps)
+
+
 def symmetrize_stack(operators):
     """Diagonal similarities S = D T D^-1, S symmetric, of equal-dimension operators.
 
-    Returns (diag, off, scale, bonds), one row per operator: S has the
-    diagonal of T and off-diagonals sqrt(super_ * sub); scale is the
-    diagonal of D, scale[0] = 1 and scale[i + 1] = scale[i] *
-    sqrt(super_[i] / sub[i]) (a ratio of 1 across a zero bond), a
-    sequential product; bonds are the products super_ * sub.  Eigenvectors
-    map back as v = y / scale.  diag, super_ and sub are stacked once, and
-    every step is elementwise or runs along one row, so an operator gets
-    the bits it gets alone.  The first operator with a bond that cannot be
-    symmetrized is refused, naming its first such bond.
+    (diag, off, scale, bonds), one row per operator: the bond check
+    `OperatorStack.symmetrized` of the operators' stack.  A stack keeps its
+    result, so the solve and the Sturm pass of one stack symmetrize it once.
     """
-    diag = np.stack([T.diag for T in operators])
-    sup = np.stack([T.super_ for T in operators])
-    sub = np.stack([T.sub for T in operators])
-    with np.errstate(over="ignore"):            # an overflow is refused below
-        bonds = sup * sub
-    positive = bonds > 0.0
-    bad = (bonds == np.inf) | ~(positive | ((sup == 0.0) & (sub == 0.0)))
-    if bad.any():
-        row, i = np.unravel_index(np.argmax(bad), bad.shape)
-        _refuse_bond(operators[row], int(i))
-    off = np.sqrt(np.where(positive, bonds, 0.0))
-    ratio = np.sqrt(np.divide(sup, sub, out=np.ones_like(bonds), where=positive))
-    scale = np.cumprod(np.concatenate((np.ones((len(operators), 1)), ratio), axis=1), axis=1)
-    return diag, off, scale, bonds
+    return OperatorStack.of(operators).symmetrized
 
 
 def symmetrize(T: TridiagonalOperator):
     """(diag, off, scale) of one operator: `symmetrize_stack` with a stack of one."""
     diag, off, scale, _ = symmetrize_stack([T])
     return diag[0], off[0], scale[0]
-
-
-_TINY = np.finfo(float).tiny        # the smallest normal double
-
-
-def _refuse_bond(T: TridiagonalOperator, i: int):
-    """Raise the error for bond i, whose super*sub is not a positive double.
-
-    A product of 0 underflowed when both sides have one sign (a signed
-    zero counts) and either neither side is 0 or the nonzero one is
-    subnormal: at a = 5e-324, 0.5 a rounds to 0 while q a does not.
-    """
-    sup, sub = float(T.super_[i]), float(T.sub[i])
-    p = sup * sub
-    if p == np.inf:
-        raise InputError(
-            f"bond {i}: super*sub overflows at a = {T.a!r}; "
-            "the coupling is too large for double precision")
-    if (p == 0.0 and np.signbit(sup) == np.signbit(sub)
-            and (sup != 0.0 and sub != 0.0 or max(abs(sup), abs(sub)) < _TINY)):
-        raise InputError(
-            f"bond {i}: super*sub underflows at a = {T.a!r}; "
-            "the coupling is too small for double precision")
-    raise StructuralError(
-        f"bond {i}: super*sub = {p!r} <= 0 at a = {T.a}; "
-        "operator is not symmetrizable (wrong recurrence?)")
 
 
 def solve_spectra(operators) -> list:
@@ -165,13 +135,11 @@ def solve_spectra(operators) -> list:
     cap keeps under 1 GiB.  `build_operator` refuses such a dimension
     already; the check here covers operators built by hand.
     """
-    dims = {T.dim for T in operators}
-    if len(dims) != 1:
-        raise InputError("a stacked solve needs operators of one dimension")
-    dim = dims.pop()
-    refuse_past_solve_limit(operators[0].family.n, dim)
-    diag, off, scale, _ = symmetrize_stack(operators)
-    matrices = np.zeros((len(operators), dim, dim))
+    stack = OperatorStack.of(operators)
+    dim = stack.dim
+    refuse_past_solve_limit(stack.families[0].n, dim)
+    diag, off, scale, _ = symmetrize_stack(stack)
+    matrices = np.zeros((len(stack), dim, dim))
     rows = np.arange(dim)
     matrices[:, rows, rows] += diag          # 0.0 + d: a -0.0 entry enters as +0.0
     matrices[:, rows[1:], rows[:-1]] = off
@@ -196,9 +164,9 @@ def solve_spectra(operators) -> list:
     largest = np.argmax(np.abs(columns), axis=2)[:, :, None]
     columns *= np.where(np.take_along_axis(columns, largest, axis=2) < 0, -1.0, 1.0)
     return [SpectralDecomposition(
-                family=T.family, a=T.a, etas=etas[b], vectors=columns[b].T,
+                family=family, a=a, etas=etas[b], vectors=columns[b].T,
                 k_labels=np.arange(1, dim + 1))
-            for b, T in enumerate(operators)]
+            for b, (family, a) in enumerate(zip(stack.families, stack.couplings))]
 
 
 def solve_spectrum(T: TridiagonalOperator) -> SpectralDecomposition:

@@ -31,19 +31,22 @@ unsymmetrized operator with a Newton polish on the same recurrence, is a
 reference that no command runs: the tests compare it with the solver, and
 it adds no detection that the Sturm certificate lacks.
 
-The solve and the Sturm check take a sequence of equal-dimension
-operators and run over the whole stack at once, each after one stacked
-bond check (`spectra.symmetrize_stack`), and the spacetime check takes the
-stencil, the bases on it and points of one result dtype; each operator
-and point gets the bits it gets alone.  A round (`_check_round`) builds
-one stencil, evaluates each of the five basis sets of the family table
-once on it, and gives every family its columns of them
-(`families.shared_bases`).  It then groups its points by dimension:
-per group, one solve gives one (B, dim) etas array, which the ODE, Sturm
-and spacetime checks all judge; one Sturm pass returns each operator's
-radius with its gate, and one spacetime batch runs per result dtype.
-`run_grid` is one round over the grid, and `run_point` the same path
-with a round of one.
+The solve and the Sturm check take a stack of equal-dimension operators
+and run over it at once, after one stacked bond check
+(`spectra.symmetrize_stack`), which an `operators.OperatorStack` keeps
+for both; the ODE residual takes one family's modes at several
+couplings, and the spacetime check the stencil, the bases on it and
+points of one result dtype.  Each operator and point gets the bits it
+gets alone.  A round (`_check_round`) builds one stencil, evaluates each
+of the five basis sets of the family table once on it, and gives every
+family its columns of them (`families.shared_bases`).  It then groups its
+points by dimension, and a group (`_check_group`) runs as one stack per
+family: one build (`operators.build_stack`), one solve that gives one
+(B, dim) etas array, which the ODE, Sturm and spacetime checks all judge,
+one ODE residual call per family, one Sturm pass that returns each
+operator's radius with its gate, and one spacetime batch per result
+dtype.  `run_grid` is one round over the grid, and `run_point` the same
+path with a round of one.
 
 No group reads another's results, so a round of two or more groups on a
 host that gives it two or more CPUs, with numpy's bundled OpenBLAS pinned
@@ -83,11 +86,11 @@ from . import forking
 from .constants import SAMPLING_SEED
 from .errors import InputError, StructuralError
 from .families import ALL_KINDS, FamilyKind, SolutionFamily, shared_bases
-from .operators import TridiagonalOperator, build_operator, refuse_past_solve_limit
+from .operators import TridiagonalOperator, build_stack, refuse_past_solve_limit
 from .physparams import DeBroglieMomentum
 from .residual import ODE_RESIDUAL_TOL, _batch_residual_maxima
 from .serialize import format_number
-from .spectra import solve_spectra, symmetrize_stack
+from .spectra import min_relative_gaps, solve_spectra, symmetrize_stack
 
 __all__ = [
     "SAMPLING_SEED", "DENSE_IMAG_TOL", "ORACLE_AGREEMENT_TOL", "seeded_angles",
@@ -202,15 +205,25 @@ def gershgorin_bounds(d: np.ndarray, e: np.ndarray):
     [lo, hi], and max(|lo|, |hi|) is the matrix's infinity norm.
     """
     eabs = np.abs(e)
-    radius = np.pad(eabs, ((0, 0), (1, 0))) + np.pad(eabs, ((0, 0), (0, 1)))
+    radius = np.zeros_like(d)           # |e_(i-1)| + |e_i|, a missing neighbour 0
+    radius[:, 1:] += eabs
+    radius[:, :-1] += eabs
     return np.min(d - radius, axis=1), np.max(d + radius, axis=1)
 
 
-def certified_radii(d, b, etas):
+def _largest_bound(d, e):
+    """(B,): max(|lo|, |hi|) of `gershgorin_bounds`, each matrix's infinity norm."""
+    lo, hi = gershgorin_bounds(d, e)
+    return np.maximum(np.abs(lo), np.abs(hi))
+
+
+def certified_radii(d, b, etas, bound=None):
     """Per matrix, the smallest radius within which Sturm counts enclose every eta.
 
     d and b are as in `minor_ratios`, and etas, shape (B, dim), are sorted
-    estimates of the eigenvalues.  A radius r encloses them when, for
+    estimates of the eigenvalues.  bound, shape (B,), is each matrix's
+    max|Gershgorin bound| (`gershgorin_bounds` of d and sqrt(b)), when the
+    caller has it.  A radius r encloses them when, for
     every k, count(eta_k - r) <= k - 1 and count(eta_k + r) >= k: the k-th
     eigenvalue then lies in [eta_k - r, eta_k + r], since the count is
     monotone in its shift (the shifts are rounded to doubles, which can
@@ -226,8 +239,8 @@ def certified_radii(d, b, etas):
     is at most twice the largest |eigenvalue - eta_k|.  Non-finite etas
     give inf.
     """
-    lo, hi = gershgorin_bounds(d, np.sqrt(b))
-    bound = np.maximum(np.abs(lo), np.abs(hi))
+    if bound is None:
+        bound = _largest_bound(d, np.sqrt(b))
     radii = _first_enclosing(
         d, b, etas, bound[:, None] * (np.array(_CERTIFY_ULPS) * np.finfo(float).eps))
     rows = np.flatnonzero(np.isinf(radii) & np.isfinite(etas).all(axis=1))
@@ -262,8 +275,10 @@ def sturm_crosscheck(operators, etas):
     The operators share one dimension, and etas, shape (B, dim), are the
     eigenvalues to judge.  One stacked bond check (`symmetrize_stack`)
     gives the diagonals, off-diagonals and bond products super * sub, or
-    refuses the first bond that cannot be symmetrized, and both the radius
-    and the gate come from that stack.
+    refuses the first bond that cannot be symmetrized; an `OperatorStack`
+    that the solve symmetrized already gives its kept result.  Both the
+    radius and the gate come from that stack, and from one Gershgorin
+    bound per operator.
 
     An operator of dim 1 reports |entry - eta|, exactly, since its
     eigenvalue is its entry.  Every other operator reports
@@ -286,12 +301,11 @@ def sturm_crosscheck(operators, etas):
     a = 1e150).
     """
     d, off, _, b = symmetrize_stack(operators)
-    lo, hi = gershgorin_bounds(d, off)
-    gates = np.maximum(ORACLE_AGREEMENT_TOL, _AGREEMENT_ULPS * np.finfo(float).eps
-                       * np.maximum(np.abs(lo), np.abs(hi)))
+    bound = _largest_bound(d, off)
+    gates = np.maximum(ORACLE_AGREEMENT_TOL, _AGREEMENT_ULPS * np.finfo(float).eps * bound)
     if d.shape[1] == 1:
         return np.abs(d[:, 0] - etas[:, 0]), gates
-    return certified_radii(d, b, etas), gates
+    return certified_radii(d, b, etas, bound), gates
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +544,12 @@ def pde_residual(stencil, bases, families, coefficients, momenta, couplings) -> 
 
     def modulation(E1, E2, absolute=False):
         """M, M' and M'' of each point; with absolute, |B||c| stands for each B c."""
-        part = np.abs if absolute else np.asarray
-        g, g1, g2 = (np.stack([np.matmul(part(bases[fam][k]), part(c))
-                               for fam, c in zip(families, cs)]) * scale
+        if absolute:        # one np.abs per basis array of each family
+            own = {fam: [np.abs(v) for v in bases[fam]] for fam in dict.fromkeys(families)}
+            pairs = [(own[fam], np.abs(c)) for fam, c in zip(families, cs)]
+        else:
+            pairs = [(bases[fam], c) for fam, c in zip(families, cs)]
+        g, g1, g2 = (np.stack([np.matmul(basis[k], c) for basis, c in pairs]) * scale
                      for k, scale in ((0, 1.0), (1, 0.5), (2, 0.25)))
         return g * E, g1 * E + g * E1, g2 * E + 2.0 * g1 * E1 + g * E2
 
@@ -696,43 +713,77 @@ def _one_blas_thread():
         set_(before)
 
 
+def _ode_checks(families, couplings, etas, decs) -> list:
+    """Per point of a group, its ODE check's fields: max bound, max bound over scale, passed.
+
+    One `_batch_residual_maxima` call per family judges all its points'
+    modes, each mode with its point's coupling; the per-point maxima reduce
+    one row each.  A point past the check's range refuses the group with
+    the error it raises alone, the first such point in group order: on a
+    refusal, the points run alone in that order.
+    """
+    dim = etas.shape[1]
+    rows = {}
+    for b, fam in enumerate(families):
+        rows.setdefault(fam, []).append(b)
+    bounds, scales = np.empty((2, len(families), dim))
+    passed = np.empty((len(families), dim), dtype=bool)
+    try:
+        for fam, index in rows.items():
+            fields = _batch_residual_maxima(
+                fam, np.repeat([couplings[b] for b in index], dim), etas[index].ravel(),
+                np.hstack([decs[b].vectors for b in index]))
+            for out, field in zip((bounds, scales, passed), fields):
+                out[index] = field.reshape(len(index), dim)
+    except InputError:
+        for fam, a, point_etas, dec in zip(families, couplings, etas, decs):
+            _batch_residual_maxima(fam, a, point_etas, dec.vectors)
+        raise
+    with np.errstate(invalid="ignore"):     # inf / inf: a non-finite eta fails
+        return list(zip(np.max(bounds, axis=1).tolist(),
+                        np.max(bounds / scales, axis=1).tolist(),
+                        passed.all(axis=1).tolist()))
+
+
 def _check_group(points, spacetime, eta_shift: float) -> list:
     """PointReports of (kind, n, a) points whose operators share one dimension.
 
-    The points' operators are solved in one stacked solve, whose (B, dim)
-    etas (plus eta_shift) are the ones every check judges: each point's
-    ODE residual bound, one Sturm pass over the whole group, and the
-    spacetime check once per result dtype (`_pde_checks`) on the round's
-    stencil.  A report's `checks` holds their JSON fields, one object per
-    `CHECKS` row.
+    The points' operators are built as one stack (`build_stack`: one
+    `_entries` evaluation per family, its couplings as a column), which is
+    symmetrized once for the solve and the Sturm pass.  One stacked solve
+    gives the (B, dim) etas (plus eta_shift) that every check judges: the
+    ODE residual bounds once per family (`_ode_checks`), one Sturm pass
+    over the whole group, and the spacetime check once per result dtype
+    (`_pde_checks`) on the round's stencil.  Every stacked step is
+    elementwise or reduces one point's row, so each report is the one its
+    point gets alone.  A report's `checks` holds the checks' JSON fields,
+    one object per `CHECKS` row.
     """
     families = [SolutionFamily(kind, n) for kind, n, _ in points]
-    ops = [build_operator(fam, a) for fam, (_, _, a) in zip(families, points)]
+    couplings = [a for _, _, a in points]
+    ops = build_stack(families, couplings)
     decs = solve_spectra(ops)
-    etas = np.stack([dec.etas for dec in decs]) + eta_shift
-    odes = [_batch_residual_maxima(fam, a, point_etas, dec.vectors)
-            for fam, (_, _, a), point_etas, dec in zip(families, points, etas, decs)]
+    solved = np.stack([dec.etas for dec in decs])
+    etas = solved + eta_shift
+    odes = _ode_checks(families, couplings, etas, decs)
     sturm, gates = sturm_crosscheck(ops, etas)
     pdes = _pde_checks(families, points, etas, [dec.vectors for dec in decs], spacetime)
 
     reports = []
-    with np.errstate(invalid="ignore"):     # inf / inf: a non-finite eta fails
-        for fam, (kind, n, a), dec, (bounds, scales, passed), sturm_disc, gate, \
-                (pde_over, pde_res, pde_ok, notes) \
-                in zip(families, points, decs, odes, sturm, gates, pdes):
-            if a == 0.0:
-                notes.append("a=0: spectrum degenerates to the squared basis frequencies")
-            objects = (     # one per CHECKS row, in its order
-                {"max_residual": float(np.max(bounds)),
-                 "max_residual_over_scale": float(np.max(bounds / scales)),
-                 "passed": bool(np.all(passed))},
-                {"discrepancy": float(sturm_disc), "passed": bool(sturm_disc < gate)},
-                {"max_residual_over_gate": pde_over, "max_residual": pde_res,
-                 "passed": pde_ok})
-            reports.append(PointReport(
-                kind=kind.value, n=n, a=a, dim=fam.dim,
-                checks={name: obj for (name, _, _), obj in zip(CHECKS, objects, strict=True)},
-                min_relative_gap=dec.min_relative_gap, note="; ".join(notes)))
+    for fam, (kind, n, a), (ode_max, ode_over, ode_ok), sturm_disc, sturm_ok, \
+            (pde_over, pde_res, pde_ok, notes), gap \
+            in zip(families, points, odes, sturm.tolist(), (sturm < gates).tolist(), pdes,
+                   min_relative_gaps(solved).tolist()):
+        if a == 0.0:
+            notes.append("a=0: spectrum degenerates to the squared basis frequencies")
+        objects = (     # one per CHECKS row, in its order
+            {"max_residual": ode_max, "max_residual_over_scale": ode_over, "passed": ode_ok},
+            {"discrepancy": sturm_disc, "passed": sturm_ok},
+            {"max_residual_over_gate": pde_over, "max_residual": pde_res, "passed": pde_ok})
+        reports.append(PointReport(
+            kind=kind.value, n=n, a=a, dim=fam.dim,
+            checks={name: obj for (name, _, _), obj in zip(CHECKS, objects, strict=True)},
+            min_relative_gap=gap, note="; ".join(notes)))
     return reports
 
 
@@ -758,7 +809,8 @@ def _check_round(points, seed: int, eta_shift: float) -> list:
     round evaluates each basis set once, on the stencil it builds
     (`shared_bases`).  The points then run in groups of one
     operator dimension (`_check_group`), so that the solve and the Sturm
-    check run once per group; a group's arrays are dropped before the next.
+    check run once per group, and the build and the ODE check once per
+    family of a group; a group's arrays are dropped before the next.
 
     No group reads another's results.  With two or more groups, where
     `forking.may_fork()` holds (two or more usable CPUs and numpy's bundled

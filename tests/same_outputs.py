@@ -19,10 +19,14 @@ The list:
     at two dirac-plus points of dim 402 and 520, past the 400 values that
     an array writes on one line, and at two spin-0 points of dim 301 and
     260, whose real residual products span several blocks of modes;
+  * `spectrum` and one-point `verify` of the three dim-1 kinds (kg-cos-odd,
+    kg-sin-odd, kg-sin-even) at n = 1 and a in {1e307, 1e308, 1.7e308},
+    where the ODE residual's terms leave double range and the exit code
+    tells a refused input from a failed check;
   * `modes` CSV of every mode of each kind at n = 3, a = 14;
   * `figure 1`, `2` and `3` from `configs/figureN.cfg`, and `params` from
     `configs/reference.cfg` (this tree's configs, for both trees).
-That is 1,113 commands; --smoke keeps a few of each sort.
+That is 1,131 commands; --smoke keeps a few of each sort.
 
 Each command starts with a clean warnings registry, so a numpy warning is
 printed as a fresh process would print it; the tree's own path in stderr
@@ -52,6 +56,8 @@ LARGE_SPECTRA = [(kind, n, a) for kind in ("dirac-plus", "kg-cos-even", "kg-sin-
                  for n in (40, 80, 120, 160, 200) for a in ("1.0", "14.0", "50.0")]
 WIDE_SPECTRA = [("dirac-plus", 201, "1"), ("dirac-plus", 260, "14"),
                 ("kg-cos-even", 300, "14"), ("kg-sin-odd", 260, "1")]
+NEAR_LARGEST_DOUBLE = [(kind, a) for kind in ("kg-cos-odd", "kg-sin-odd", "kg-sin-even")
+                       for a in ("1e307", "1e308", "1.7e308")]
 
 
 def commands(smoke: bool) -> list:
@@ -65,6 +71,9 @@ def commands(smoke: bool) -> list:
     cmds += [["spectrum", "--family", kind, "--n", str(n), "--a", a, "--format", "json"]
              for kind, n, a in (LARGE_SPECTRA[::15] + WIDE_SPECTRA[:1] if smoke
                                 else LARGE_SPECTRA + WIDE_SPECTRA)]
+    cmds += [[command, "--family", kind, "--n", "1", "--a", a]
+             for command in ("spectrum", "verify")
+             for kind, a in (NEAR_LARGEST_DOUBLE[4:5] if smoke else NEAR_LARGEST_DOUBLE)]
     cmds += [["modes", "--family", kind, "--n", "3", "--a", "14", "--format", "csv"]
              for kind in KINDS]
     cmds += [["figure", str(i), "--config", str(configs / f"figure{i}.cfg")]

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from incevolkov.errors import InputError
 from incevolkov.families import ALL_KINDS, FamilyKind, SolutionFamily
-from incevolkov.operators import _entries, build_operator
+from incevolkov.operators import OperatorStack, _entries, build_operator, build_stack
+from incevolkov.verification import DEFAULT_GRID_A_VALUES
 
 ALL_FAMILY_CASES = [(kind, n) for kind in ALL_KINDS for n in (1, 2, 3, 7, 25)]
 
@@ -275,6 +276,85 @@ class TestEntryFormula:
         assert np.array_equal(minus.diag, plus.diag[::-1])
         assert np.array_equal(minus.super_, plus.sub[::-1])
         assert np.array_equal(minus.sub, plus.super_[::-1])
+
+
+def _same_bits(got, want) -> bool:
+    """Equal shape, dtype and bytes: signed zeros and NaN payloads count."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# the grid's couplings, a = 0 (signed zeros), 1e150, and the smallest subnormal
+STACK_COUPLINGS = (*DEFAULT_GRID_A_VALUES, 50.0, 1e150, 5e-324)
+
+
+class TestOperatorStack:
+    """One `_entries` evaluation with a coupling column gives each row the
+    bits of its lone `build_operator`."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_coupling_column_matches_each_coupling(self, kind):
+        # n = 1 and 2 hold the r = 0 folds and the kg-cos-even r = 1 fold at
+        # the window's first rows; every entry of a = 0 is a signed zero
+        for n in (1, 2, 3, 7, 25):
+            fam = SolutionFamily(kind, n)
+            column = np.array(STACK_COUPLINGS)[:, None]
+            stacked = _entries(fam, column, fam.r_indices)
+            for i, a in enumerate(STACK_COUPLINGS):
+                for got, want in zip(stacked, _entries(fam, a, fam.r_indices)):
+                    assert _same_bits(got[i], want), (kind, n, a)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_stack_rows_are_the_lone_operators(self, kind):
+        for n in (1, 2, 3, 7, 25):
+            fam = SolutionFamily(kind, n)
+            stack = build_stack([fam] * len(STACK_COUPLINGS), STACK_COUPLINGS)
+            assert len(stack) == len(STACK_COUPLINGS) and stack.dim == fam.dim
+            for T, a in zip(stack, STACK_COUPLINGS, strict=True):
+                want = build_operator(fam, a)
+                assert (T.family, T.a) == (want.family, want.a)
+                for name in ("diag", "super_", "sub"):
+                    assert _same_bits(getattr(T, name), getattr(want, name)), (kind, n, a, name)
+
+    def test_grid_groups_mix_families(self):
+        # each dimension group of the grid, its families interleaved: the
+        # rows keep their order and their lone bits
+        groups = {}
+        for a in DEFAULT_GRID_A_VALUES:
+            for kind in ALL_KINDS:
+                for n in range(1, 26):
+                    fam = SolutionFamily(kind, n)
+                    groups.setdefault(fam.dim, []).append((fam, a))
+        assert sum(map(len, groups.values())) == 900
+        for points in groups.values():
+            families, couplings = zip(*points)
+            stack = build_stack(families, couplings)
+            for T, (fam, a) in zip(stack, points, strict=True):
+                want = build_operator(fam, a)
+                assert T.family == fam
+                for name in ("diag", "super_", "sub"):
+                    assert _same_bits(getattr(T, name), getattr(want, name)), (fam, a)
+
+    def test_refuses_as_build_operator_the_first_point_first(self):
+        fam = SolutionFamily(FamilyKind.DIRAC_PLUS, 2)
+        other = SolutionFamily(FamilyKind.KG_COS_EVEN, 3)
+        with pytest.raises(InputError) as lone:
+            build_operator(fam, -2.0)
+        with pytest.raises(InputError) as stacked:
+            build_stack([other, fam, other], [1.0, -2.0, -3.0])
+        assert str(stacked.value) == str(lone.value)
+        with pytest.raises(InputError, match="one dimension"):
+            build_stack([fam, SolutionFamily(FamilyKind.DIRAC_PLUS, 3)], [1.0, 1.0])
+
+    def test_symmetrized_once_per_stack(self):
+        # the solve and the Sturm pass read one kept result
+        fam = SolutionFamily(FamilyKind.KG_COS_ODD, 4)
+        stack = build_stack([fam, fam], [1.0, 14.0])
+        first = stack.symmetrized
+        assert stack.symmetrized is first
+        assert all(not part.flags.writeable for part in first)
+        assert OperatorStack.of(stack) is stack
+        assert OperatorStack.of(list(stack)).symmetrized is not first
 
 
 class TestFamilyBasis:

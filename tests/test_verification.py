@@ -1,6 +1,7 @@
 """The oracle layer: ODE residuals, dense/Sturm cross-checks, the spacetime check."""
 
 import errno
+import functools
 import math
 import os
 import random
@@ -22,11 +23,13 @@ from incevolkov.constants import SAMPLING_SEED
 from incevolkov.errors import InputError, StructuralError
 from incevolkov.families import (ALL_KINDS, FamilyKind, SolutionFamily, evaluate_basis,
                                  shared_bases)
-from incevolkov.operators import TridiagonalOperator, build_operator
+import incevolkov.operators as operators
+from incevolkov.operators import OperatorStack, TridiagonalOperator, build_operator
 from incevolkov.physparams import DeBroglieMomentum
 from incevolkov.residual import (ODE_RESIDUAL_TOL, _batch_residual_maxima,
                                  _fourier_residual, attach_residuals)
-from incevolkov.spectra import solve_spectra, solve_spectrum
+from incevolkov.spectra import (SpectralDecomposition, min_relative_gaps, solve_spectra,
+                                solve_spectrum)
 from incevolkov.verification import (_charpoly_newton_polish,
                                      _residual_values_compensated,
                                      dense_oracle_crosscheck,
@@ -538,6 +541,30 @@ class TestSturmCrosscheck:
                 radius, gate = sturm_crosscheck([T], etas[i:i + 1])
                 assert gate.tobytes() == gates[i:i + 1].tobytes(), (T.dim, i)
                 assert radius.tobytes() == radii[i:i + 1].tobytes(), (T.dim, i)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e-6], ids=["solved", "shifted"])
+    def test_one_bound_gives_the_certificate_and_gate_of_their_own(self, shift):
+        # the pass shares one Gershgorin bound between the radii and the
+        # gates: the bits of `certified_radii` finding its own bound, and of
+        # the gate's formula on the symmetrized stack (shifted etas take
+        # the ladder's second pass)
+        groups = {}
+        for kind in ALL_KINDS:
+            for n in range(1, verification.DEFAULT_GRID_N_MAX + 1):
+                for a in (*verification.DEFAULT_GRID_A_VALUES, 1e150):
+                    T = build_operator(SolutionFamily(kind, n), a)
+                    groups.setdefault(T.dim, []).append(T)
+        for ops in groups.values():
+            etas = _solver_etas(ops) + shift
+            radii, gates = sturm_crosscheck(ops, etas)
+            d, off, _, b = verification.symmetrize_stack(ops)
+            lo, hi = verification.gershgorin_bounds(d, off)
+            want_gates = np.maximum(verification.ORACLE_AGREEMENT_TOL,
+                                    16 * EPS * np.maximum(np.abs(lo), np.abs(hi)))
+            want_radii = (np.abs(d[:, 0] - etas[:, 0]) if d.shape[1] == 1
+                          else verification.certified_radii(d, b, etas))
+            assert gates.tobytes() == want_gates.tobytes(), d.shape
+            assert radii.tobytes() == want_radii.tobytes(), d.shape
 
     def test_bad_bond_names_its_operator(self):
         fam = SolutionFamily(FamilyKind.DIRAC_PLUS, 1)
@@ -1083,6 +1110,132 @@ def test_split_puts_every_group_in_one_share(costs):
     assert sorted(mine + theirs) == list(range(len(costs)))
     loads = [sum(costs[g] for g in share) for share in (mine, theirs)]
     assert abs(loads[0] - loads[1]) <= max(costs, default=0)
+
+
+def _bits(values) -> list:
+    """Each array's bytes: equal lists mean equal bits, signed zeros and NaNs included."""
+    return [np.asarray(v).tobytes() for v in values]
+
+
+class TestFamilyStacks:
+    """A dimension group's per-family stacks give each point its lone bits."""
+
+    @pytest.mark.parametrize("a_values", [verification.DEFAULT_GRID_A_VALUES, (50.0,), (1e150,)],
+                             ids=["grid", "a50", "a1e150"])
+    def test_ode_stack_matches_each_point(self, a_values):
+        # every (dimension group, family) of the round: one call with a
+        # coupling per mode against one call per point
+        for kind in ALL_KINDS:
+            for n in range(1, 26):
+                fam = SolutionFamily(kind, n)
+                decs = solve_spectra([build_operator(fam, a) for a in a_values])
+                stacked = _batch_residual_maxima(
+                    fam, np.repeat(a_values, fam.dim), np.concatenate([d.etas for d in decs]),
+                    np.hstack([d.vectors for d in decs]))
+                alone = [np.concatenate(parts) for parts in zip(
+                    *(_batch_residual_maxima(fam, a, d.etas, d.vectors)
+                      for a, d in zip(a_values, decs)))]
+                assert _bits(stacked) == _bits(alone), (kind, n)
+
+    def test_ode_stack_past_range_names_its_first_coupling(self):
+        fam = SolutionFamily(FamilyKind.KG_COS_ODD, 1)
+        a_values = (14.0, 1.7e308, 1e308)
+        decs = solve_spectra([build_operator(fam, a) for a in a_values])
+        with pytest.raises(InputError) as alone:
+            _batch_residual_maxima(fam, 1.7e308, decs[1].etas, decs[1].vectors)
+        with pytest.raises(InputError) as stacked:
+            _batch_residual_maxima(fam, np.array(a_values), np.concatenate([d.etas for d in decs]),
+                                   np.hstack([d.vectors for d in decs]))
+        assert str(stacked.value) == str(alone.value)
+        assert "a = 1.6999999999999999e+308 is past the range limit" in str(alone.value)
+
+    def test_first_point_past_range_in_group_order_wins(self, monkeypatch):
+        # one dim-1 group: kg-cos-odd's stack runs first and is refused at
+        # its second point, but the group's first point past range is
+        # kg-sin-odd's, which is the error of the points run one by one
+        points = [(FamilyKind.KG_COS_ODD, 1, 14.0), (FamilyKind.KG_SIN_ODD, 1, 1e308),
+                  (FamilyKind.KG_COS_ODD, 1, 1.7e308), (FamilyKind.KG_SIN_EVEN, 1, 1e308)]
+        errors = []
+        for kind, n, a in points:
+            try:
+                run_point(kind, n, a)
+            except InputError as exc:
+                errors.append(str(exc))
+        assert len(errors) == 2 and errors[0].startswith("kg-sin-odd n = 1: a = 1e+308 ")
+        refused = []
+
+        def record(fam, a, *args):
+            try:
+                return _batch_residual_maxima(fam, a, *args)
+            except InputError:
+                refused.append((fam.kind, np.shape(a)))
+                raise
+
+        monkeypatch.setattr(verification, "_batch_residual_maxima", record)
+        with pytest.raises(InputError) as info:
+            verification._check_round(points, SAMPLING_SEED, 0.0)
+        assert str(info.value) == errors[0]
+        assert refused[0] == (FamilyKind.KG_COS_ODD, (2,))     # the family stack first
+
+    def test_min_relative_gaps_match_each_decomposition(self):
+        rng = np.random.default_rng(5)
+        stacks = [np.sort(rng.normal(size=(6, 5)) * 10.0, axis=1),
+                  np.array([[2.0, 2.0, 2.0], [-1.0, 0.0, 0.0], [0.0, 1.0, np.nan],
+                            [-np.inf, 0.0, 1.0], [1.0, 1.0, 3.0]]),   # zero spread, a tie
+                  np.array([[3.0], [0.0], [np.nan]]),                   # dim 1
+                  np.stack([dec.etas for dec in solve_spectra(
+                      [build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 25), a)
+                       for a in verification.DEFAULT_GRID_A_VALUES])])]
+        for etas in stacks:
+            dim = etas.shape[1]
+            with np.errstate(invalid="ignore"):
+                got = min_relative_gaps(etas)
+            assert got.shape == (len(etas),)
+            for row, gap in zip(etas, got.tolist()):
+                dec = SpectralDecomposition(family=SolutionFamily(FamilyKind.KG_SIN_ODD, dim),
+                                            a=1.0, etas=row.copy(), vectors=np.eye(dim),
+                                            k_labels=np.arange(1, dim + 1))
+                spread = float(row[-1] - row[0])
+                with np.errstate(invalid="ignore"):
+                    want = (math.inf if dim < 2 or spread == 0.0
+                            else float(np.min(np.diff(row)) / spread))
+                assert repr(gap) == repr(dec.min_relative_gap) == repr(want), row
+
+    def test_round_builds_and_judges_once_per_group_family(self, monkeypatch):
+        # a default round: one `_entries` evaluation and one residual call
+        # per (dimension group, family), 150 and not 900, and one
+        # symmetrization per dimension group, shared by the solve and Sturm
+        entries, odes, symmetrized = [], [], []
+        build, judge = operators._entries, verification._batch_residual_maxima
+        symmetrize = OperatorStack.__dict__["symmetrized"].func
+
+        def count_entries(fam, a, r):
+            entries.append((fam, np.shape(a)))
+            return build(fam, a, r)
+
+        def count_odes(fam, a, *args):
+            odes.append((fam, np.shape(a)))
+            return judge(fam, a, *args)
+
+        def count_symmetrized(stack):
+            symmetrized.append(stack.dim)
+            return symmetrize(stack)
+
+        kept = functools.cached_property(count_symmetrized)
+        kept.__set_name__(OperatorStack, "symmetrized")
+        monkeypatch.setattr(operators, "_entries", count_entries)
+        monkeypatch.setattr(verification, "_batch_residual_maxima", count_odes)
+        monkeypatch.setattr(OperatorStack, "symmetrized", kept)
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 1)
+        assert run_grid().all_passed
+        families = [SolutionFamily(kind, n) for kind in ALL_KINDS for n in range(1, 26)]
+        couplings = len(verification.DEFAULT_GRID_A_VALUES)
+        assert len(entries) == len(odes) == len(families) == 150
+        assert sorted(entries, key=repr) == sorted(((fam, (couplings, 1)) for fam in families),
+                                                   key=repr)
+        assert sorted(odes, key=repr) == sorted(
+            ((fam, (couplings * fam.dim,)) for fam in families), key=repr)
+        assert sorted(symmetrized) == sorted({fam.dim for fam in families})
 
 
 def test_shared_bases_carry_each_familys_bits():

@@ -50,8 +50,8 @@ READS = {
     "figure 1": ("output_path",),
     "figure 2": ("n", *_COUPLING, "output_path"),
     "figure 3": ("n", *_COUPLING, "output_path"),
-    "verify": ("family", "n", *_COUPLING, "seed", "output_path"),
-    "verify --all": (*_COUPLING, "seed", "output_path"),
+    "verify": ("family", "n", *_COUPLING, "output_path"),
+    "verify --all": (*_COUPLING, "output_path"),
 }
 
 
@@ -380,17 +380,15 @@ def cmd_verify(cfg: RunConfig, run_all: bool) -> int:
     if run_all:
         a_values = ((cfg.resolve_a(),) if cfg.coupling_given
                     else verification.DEFAULT_GRID_A_VALUES)
-        report = verification.run_grid(a_values=a_values, seed=cfg.seed)
+        report = verification.run_grid(a_values=a_values)
     else:
         kind = cfg.family_kind()
         n = cfg.require_n()
         a = cfg.resolve_a()
-        point = verification.run_point(kind, n, a, seed=cfg.seed)
-        report = verification.VerificationReport(points=(point,), seed=cfg.seed)
+        report = verification.VerificationReport(points=(verification.run_point(kind, n, a),))
 
     payload = {
         "schema": SCHEMA,
-        "seed": report.seed,
         "summary": report.summary(),
         "points": [_point_payload(p) for p in report.points],
     }
@@ -423,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
         read = {row for key, rows in READS.items() if key.split()[0] == name
                 for row in rows}
         for row in RUN_INPUTS:          # a flag keeps its text: load_config parses it
-            if row.metadata["flag"] and row.name in read:
+            if row.name in read:
                 p.add_argument(row.metadata["flag"], dest=row.name,
                                help=row.metadata["help"])
     sub.choices["verify"].add_argument("--all", action="store_true",

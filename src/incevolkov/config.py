@@ -1,11 +1,11 @@
 """Run configuration: one table of run inputs, read from files and flags.
 
 Each `RunConfig` field is one row of the run-input table: its config key,
-its command-line flag (none for `plasma.electron_density_cm3`), the parser
-of its text and its help.  A `key = value` file line and a flag go through
-the same parser, and a parse error names its source (`path:line: key:` or
-`--flag:`).  Integers read as Python literals (`0x1CE` is 462, a leading
-zero is refused).  Example file:
+its command-line flag, the parser of its text and its help.  A
+`key = value` file line and a flag go through the same parser, and a
+parse error names its source (`path:line: key:` or `--flag:`).
+Integers read as Python literals (`0x14` is 20, a leading zero is
+refused).  Example file:
 
     # wave and medium
     laser.photon_energy_ev = 1.563
@@ -14,7 +14,6 @@ zero is refused).  Example file:
     family = dirac
     n = 20
     output.format = csv
-    seed = 462
 
 Command-line flags override file values.  Unknown keys are errors, never
 warnings.  A coupling is asked for when `a` or any of the three laser and
@@ -28,7 +27,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Optional
 
-from .constants import PARTICLE_MASSES, SAMPLING_SEED
+from .constants import PARTICLE_MASSES
 from .errors import InputError
 from .physparams import LaserInput, PlasmaInput, WaveConfig, coupling_parameter
 
@@ -37,7 +36,7 @@ if TYPE_CHECKING:
 
 
 def _int(v: str) -> int:
-    return int(v, 0)                    # a Python literal: 0x1CE, no leading 0
+    return int(v, 0)                    # a Python literal: 0x14, no leading 0
 
 
 def _k_select(v: str) -> tuple:
@@ -58,9 +57,9 @@ _EXPECTED = {float: "a number", _int: "an integer", _k_select: "comma-separated 
              _path: "a file path"}
 
 
-def _input(key: str, flag: Optional[str], parse, help: Optional[str] = None, default=None):
-    """A RunConfig field as a row of the run-input table: config key, flag
-    (None: file only), parser of the text, help of the flag, default."""
+def _input(key: str, flag: str, parse, help: str, default=None):
+    """A RunConfig field as a row of the run-input table: config key, flag,
+    parser of the text, help of the flag, default."""
     return field(default=default,
                  metadata={"key": key, "flag": flag, "parse": parse, "help": help})
 
@@ -75,7 +74,6 @@ class RunConfig:
         "laser.intensity_w_cm2", "--intensity-w-cm2", float, "laser intensity (W/cm^2)")
     plasma_energy_ev: Optional[float] = _input(
         "plasma.energy_ev", "--plasma-energy-ev", float, "plasma energy hbar omega_p (eV)")
-    electron_density_cm3: Optional[float] = _input("plasma.electron_density_cm3", None, float)
     particle: str = _input("particle", "--particle", str,
                            "electron or proton (default electron)", "electron")
     family: Optional[str] = _input("family", "--family", str, "dirac[-plus|-minus], "
@@ -88,16 +86,12 @@ class RunConfig:
     output_format: str = _input("output.format", "--format", str,
                                 "json or csv (default json)", "json")
     output_path: Optional[str] = _input("output.path", "--out", _path, "output file path")
-    seed: int = _input("seed", "--seed", _int,
-                       f"sampling seed (default {SAMPLING_SEED})", SAMPLING_SEED)
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise InputError(f"{f.metadata['key']} must be finite, got {value!r}")
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.output_format not in ("json", "csv"):
             raise InputError(
                 f"output.format must be json or csv, got {self.output_format!r}")
@@ -127,7 +121,7 @@ class RunConfig:
                 "laser.photon_energy_ev, laser.intensity_w_cm2 and "
                 "plasma.energy_ev are all required here")
         laser = LaserInput(self.photon_energy_ev, self.intensity_w_cm2)
-        plasma = PlasmaInput(self.plasma_energy_ev, self.electron_density_cm3)
+        plasma = PlasmaInput(self.plasma_energy_ev)
         return WaveConfig(laser=laser, plasma=plasma,
                           particle_mass_kg=self.particle_mass_kg)
 

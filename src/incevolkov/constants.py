@@ -1,4 +1,4 @@
-"""Physical constants, CODATA 2018, SI units, and the default sampling seed.
+"""Physical constants, CODATA 2018, SI units, and the spacetime check's sampling seed.
 
 All spectral computation elsewhere in the package is done in dimensionless
 units (hbar = c = 1, k_p = 1); these constants appear only at the
@@ -22,4 +22,4 @@ PARTICLE_MASSES = {
     "proton": PROTON_MASS,
 }
 
-SAMPLING_SEED = 0x1CE          # default seed of the spacetime check's points
+SAMPLING_SEED = 0x1CE          # seed of the spacetime check's points (462)

@@ -34,11 +34,11 @@ Every recurrence above is validated against the original ODE by the residual
 module, whose Fourier coefficients read the ODE, not these entries; the
 ODE, not the algebra, is the ground truth.
 
-`build_operator` builds one operator.  `build_stack` builds operators of
-one dimension, of several families and couplings, as an `OperatorStack` of
-(B, dim) arrays, one entry evaluation per family; the stack holds the bond
-check that symmetrizes it (`OperatorStack.symmetrized`), run once for the
-solve and the Sturm pass.
+`build_stack` builds operators of one dimension, of several families and
+couplings, as an `OperatorStack` of (B, dim) arrays, one entry evaluation
+per family; the stack holds the bond check that symmetrizes it
+(`OperatorStack.symmetrized`), run once for the solve and the Sturm pass.
+`build_operator` is its stack of one.
 """
 
 from __future__ import annotations
@@ -121,25 +121,6 @@ def _entries(family: SolutionFamily, a, r: np.ndarray):
     elif family.kind is FamilyKind.KG_SIN_ODD:
         diag[..., r == 0] -= half_a * (q + 1)
     return diag, sup, sub
-
-
-def _refuse_coupling(family: SolutionFamily, a: float) -> None:
-    """Refuse a < 0, then a dimension past the dense solver's range limit."""
-    if a < 0:
-        raise InputError(f"coupling parameter a must be >= 0, got {a}")
-    refuse_past_solve_limit(family.n, family.dim)
-
-
-def build_operator(family: SolutionFamily, a: float) -> TridiagonalOperator:
-    """Build the finite operator of `family` at coupling a >= 0.
-
-    A dimension past the dense solver's range limit is refused before any
-    array is allocated.
-    """
-    _refuse_coupling(family, a)
-    diag, sup, sub = _entries(family, a, family.r_indices)
-    return TridiagonalOperator(family=family, a=float(a), diag=diag,
-                               super_=sup[:-1], sub=sub[1:])
 
 
 _TINY = np.finfo(float).tiny        # the smallest normal double
@@ -228,30 +209,34 @@ def _refuse_bond(T: TridiagonalOperator, i: int):
     """
     sup, sub = float(T.super_[i]), float(T.sub[i])
     p = sup * sub
+    where = f"{T.family.kind.value} n={T.family.n}: bond {i}: super*sub"
     if p == np.inf:
         raise InputError(
-            f"bond {i}: super*sub overflows at a = {T.a!r}; "
+            f"{where} overflows at a = {T.a!r}; "
             "the coupling is too large for double precision")
     if (p == 0.0 and np.signbit(sup) == np.signbit(sub)
             and (sup != 0.0 and sub != 0.0 or max(abs(sup), abs(sub)) < _TINY)):
         raise InputError(
-            f"bond {i}: super*sub underflows at a = {T.a!r}; "
+            f"{where} underflows at a = {T.a!r}; "
             "the coupling is too small for double precision")
     raise StructuralError(
-        f"bond {i}: super*sub = {p!r} <= 0 at a = {T.a}; "
+        f"{where} = {p!r} <= 0 at a = {T.a}; "
         "operator is not symmetrizable (wrong recurrence?)")
 
 
 def build_stack(families, couplings) -> OperatorStack:
     """The operators of families[b] at couplings[b], all of one dimension, as one stack.
 
-    Each point is refused as `build_operator` refuses it, the first in
-    order first.  Each family's rows then come from one `_entries`
-    evaluation with its couplings as a column, so row b has the bits of
-    build_operator(families[b], couplings[b]).
+    The points are refused in order, before any array is allocated: a < 0,
+    then a dimension past the dense solver's range limit.  Each family's
+    rows then come from one `_entries` evaluation with its couplings as a
+    column; every entry is elementwise in its coupling, so row b has the
+    bits of its point alone.
     """
     for family, a in zip(families, couplings, strict=True):
-        _refuse_coupling(family, a)
+        if a < 0:
+            raise InputError(f"coupling parameter a must be >= 0, got {a}")
+        refuse_past_solve_limit(family.n, family.dim)
     if len({family.dim for family in families}) != 1:
         raise InputError("a stack needs operators of one dimension")
     rows = {}
@@ -266,3 +251,8 @@ def build_stack(families, couplings) -> OperatorStack:
         diag[index], sup[index], sub[index] = d, u[:, :-1], s[:, 1:]
     return OperatorStack(families=tuple(families), couplings=tuple(map(float, couplings)),
                          diag=diag, super_=sup, sub=sub)
+
+
+def build_operator(family: SolutionFamily, a: float) -> TridiagonalOperator:
+    """The finite operator of `family` at coupling a >= 0: `build_stack` with a stack of one."""
+    return build_stack((family,), (a,))[0]

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .constants import (C_LIGHT, E_CHARGE, ELECTRON_MASS, EPSILON_0, EV, HBAR)
+from .constants import C_LIGHT, E_CHARGE, ELECTRON_MASS, EPSILON_0, EV, HBAR
 from .errors import InputError, OverdenseError
 
 __all__ = [
@@ -32,9 +32,6 @@ __all__ = [
     "field_amplitude_from_intensity", "refractive_index",
     "coupling_parameter", "intensity_parameter", "eta_to_longitudinal",
 ]
-
-# tolerance for a user-supplied (plasma energy, electron density) pair
-_DENSITY_CONSISTENCY_RTOL = 1e-10
 
 
 def field_amplitude_from_intensity(intensity_w_cm2: float) -> float:
@@ -59,15 +56,6 @@ def refractive_index(plasma_energy_ev: float, photon_energy_ev: float) -> float:
     _require_underdense(plasma_energy_ev, photon_energy_ev)
     x = plasma_energy_ev / photon_energy_ev
     return math.sqrt(1.0 - x * x)
-
-
-# Gaussian-units plasma-frequency relation omega_p^2 = 4 pi n_e e^2 / m_e,
-# with e in statcoulomb (= 10 c e_SI) and m in grams.  The SI relation
-# n_e e^2 / (eps0 m_e) differs by ~3e-10 relative because eps0 is a measured
-# quantity in the 2019 SI; the Gaussian form is the defining one here and
-# the consistency tolerance (1e-10) is tighter than that gap.
-_E_STATC = 10.0 * C_LIGHT * E_CHARGE
-_M_E_GRAM = ELECTRON_MASS * 1e3
 
 
 @dataclass(frozen=True)
@@ -106,14 +94,9 @@ class LaserInput:
 
 @dataclass(frozen=True)
 class PlasmaInput:
-    """Plasma frequency as hbar*omega_p (eV); electron density optional.
-
-    When a density is supplied it must reproduce the plasma energy to
-    1e-10 relative.
-    """
+    """Plasma frequency as hbar*omega_p (eV)."""
 
     plasma_energy_ev: float
-    electron_density_cm3: Optional[float] = None
 
     def __post_init__(self):
         if self.plasma_energy_ev <= 0:
@@ -122,22 +105,6 @@ class PlasmaInput:
             raise InputError(
                 f"plasma energy {self.plasma_energy_ev!r} eV gives a plasma "
                 f"wavenumber k_p = {self.k_p!r} 1/m, outside double range")
-        if self.electron_density_cm3 is not None:
-            implied = self.omega_p_from_density(self.electron_density_cm3)
-            if not math.isclose(implied, self.omega_p,
-                                rel_tol=_DENSITY_CONSISTENCY_RTOL):
-                raise InputError(
-                    f"electron density {self.electron_density_cm3} cm^-3 implies "
-                    f"omega_p = {implied:.12e} rad/s, inconsistent with plasma "
-                    f"energy {self.plasma_energy_ev} eV "
-                    f"(omega_p = {self.omega_p:.12e} rad/s)")
-
-    @staticmethod
-    def omega_p_from_density(n_e_cm3: float) -> float:
-        """omega_p^2 = 4 pi n_e e^2 / m_e (Gaussian form), density in cm^-3."""
-        if n_e_cm3 <= 0:
-            raise InputError("electron density must be positive")
-        return math.sqrt(4.0 * math.pi * n_e_cm3 * _E_STATC * _E_STATC / _M_E_GRAM)
 
     @property
     def omega_p(self) -> float:

@@ -38,7 +38,6 @@ __all__ = [
     "SpectralDecomposition",
     "min_relative_gaps",
     "symmetrize",
-    "symmetrize_stack",
     "solve_spectra",
     "solve_spectrum",
 ]
@@ -102,19 +101,9 @@ def min_relative_gaps(etas: np.ndarray) -> np.ndarray:
     return np.where(spread == 0.0, np.inf, gaps)
 
 
-def symmetrize_stack(operators):
-    """Diagonal similarities S = D T D^-1, S symmetric, of equal-dimension operators.
-
-    (diag, off, scale, bonds), one row per operator: the bond check
-    `OperatorStack.symmetrized` of the operators' stack.  A stack keeps its
-    result, so the solve and the Sturm pass of one stack symmetrize it once.
-    """
-    return OperatorStack.of(operators).symmetrized
-
-
 def symmetrize(T: TridiagonalOperator):
-    """(diag, off, scale) of one operator: `symmetrize_stack` with a stack of one."""
-    diag, off, scale, _ = symmetrize_stack([T])
+    """(diag, off, scale) of one operator: `OperatorStack.symmetrized` with a stack of one."""
+    diag, off, scale, _ = OperatorStack.of([T]).symmetrized
     return diag[0], off[0], scale[0]
 
 
@@ -122,9 +111,10 @@ def solve_spectra(operators) -> list:
     """Full eigendecompositions of equal-dimension operators, in one stacked solve.
 
     Ascending eigenvalues and unit-norm vectors, one SpectralDecomposition
-    per operator.  The stack is symmetrized at once (`symmetrize_stack`:
-    the first operator with a bond that cannot be is refused, naming the
-    bond), and one `numpy.linalg.eigh` call solves the symmetric matrices.
+    per operator.  The stack is symmetrized at once
+    (`OperatorStack.symmetrized`: the first operator with a bond that
+    cannot be is refused, naming the bond), and one `numpy.linalg.eigh`
+    call solves the symmetric matrices.
     The back-transform, the column norms and the sign fix then run over
     the whole stack.  LAPACK solves each matrix of a stack on its
     own, and every later step is elementwise or reduces one column in
@@ -138,7 +128,7 @@ def solve_spectra(operators) -> list:
     stack = OperatorStack.of(operators)
     dim = stack.dim
     refuse_past_solve_limit(stack.families[0].n, dim)
-    diag, off, scale, _ = symmetrize_stack(stack)
+    diag, off, scale, _ = stack.symmetrized
     matrices = np.zeros((len(stack), dim, dim))
     rows = np.arange(dim)
     matrices[:, rows, rows] += diag          # 0.0 + d: a -0.0 entry enters as +0.0

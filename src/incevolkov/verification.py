@@ -20,7 +20,8 @@ Three checks, none sharing numerical machinery with the eigensolver
     is a proof, not a second estimate.
   * pde_residual: assembles the full spacetime wave
     Psi(t,x,y) = modulation(xi) * exp{+i [p - (k.p) k] . x}, xi = k.x,
-    and applies the gauge-covariant wave operator with exact derivatives,
+    and applies the gauge-covariant wave operator with exact derivatives
+    at 64 points that one constant seed places (`SAMPLING_SEED`, 462),
     gated by the ODE tolerance carried through the reduction plus a
     running-error bound.  This is the end-to-end test that the reduction
     chain from the wave equation to the tridiagonal eigenproblem is
@@ -33,8 +34,8 @@ it adds no detection that the Sturm certificate lacks.
 
 The solve and the Sturm check take a stack of equal-dimension operators
 and run over it at once, after one stacked bond check
-(`spectra.symmetrize_stack`), which an `operators.OperatorStack` keeps
-for both; the ODE residual takes one family's modes at several
+(`operators.OperatorStack.symmetrized`), which the stack keeps for
+both; the ODE residual takes one family's modes at several
 couplings, and the spacetime check the stencil, the bases on it and
 points of one result dtype.  Each operator and point gets the bits it
 gets alone.  A round (`_check_round`) builds one stencil, evaluates each
@@ -86,11 +87,11 @@ from . import forking
 from .constants import SAMPLING_SEED
 from .errors import InputError, StructuralError
 from .families import ALL_KINDS, FamilyKind, SolutionFamily, shared_bases
-from .operators import TridiagonalOperator, build_stack, refuse_past_solve_limit
+from .operators import OperatorStack, TridiagonalOperator, build_stack, refuse_past_solve_limit
 from .physparams import DeBroglieMomentum
 from .residual import ODE_RESIDUAL_TOL, _batch_residual_maxima
 from .serialize import format_number
-from .spectra import min_relative_gaps, solve_spectra, symmetrize_stack
+from .spectra import min_relative_gaps, solve_spectra
 
 __all__ = [
     "SAMPLING_SEED", "DENSE_IMAG_TOL", "ORACLE_AGREEMENT_TOL", "seeded_angles",
@@ -273,12 +274,12 @@ def sturm_crosscheck(operators, etas):
     """Per operator, (radius, gate): Sturm counts enclose each eigenvalue within radius of its eta.
 
     The operators share one dimension, and etas, shape (B, dim), are the
-    eigenvalues to judge.  One stacked bond check (`symmetrize_stack`)
-    gives the diagonals, off-diagonals and bond products super * sub, or
-    refuses the first bond that cannot be symmetrized; an `OperatorStack`
-    that the solve symmetrized already gives its kept result.  Both the
-    radius and the gate come from that stack, and from one Gershgorin
-    bound per operator.
+    eigenvalues to judge.  One stacked bond check
+    (`OperatorStack.symmetrized`) gives the diagonals, off-diagonals and
+    bond products super * sub, or refuses the first bond that cannot be
+    symmetrized; an `OperatorStack` that the solve symmetrized already
+    gives its kept result.  Both the radius and the gate come from that
+    stack, and from one Gershgorin bound per operator.
 
     An operator of dim 1 reports |entry - eta|, exactly, since its
     eigenvalue is its entry.  Every other operator reports
@@ -300,7 +301,7 @@ def sturm_crosscheck(operators, etas):
     the eigenvalues only far past the grid (2.1e136 at dirac-plus n = 3,
     a = 1e150).
     """
-    d, off, _, b = symmetrize_stack(operators)
+    d, off, _, b = OperatorStack.of(operators).symmetrized
     bound = _largest_bound(d, off)
     gates = np.maximum(ORACLE_AGREEMENT_TOL, _AGREEMENT_ULPS * np.finfo(float).eps * bound)
     if d.shape[1] == 1:
@@ -423,8 +424,6 @@ def seeded_angles(seed: int, count: int) -> np.ndarray:
     does not pass through string hashing, so PYTHONHASHSEED does not move
     the angles.
     """
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
     rng = random.Random(seed)
     return np.array([2.0 * math.pi * rng.random() for _ in range(count)])
 
@@ -446,7 +445,7 @@ class PdeStencil:
 
     PDE_POINTS seeded points (t, x, y) in one wave period; Psi = M(xi) P
     reads x only in its phase P.  None of it depends on the family, a or
-    the mode, so one stencil serves every point at this n_m and seed.
+    the mode, so one stencil serves every point at this n_m.
     """
 
     kvec: np.ndarray             # (t, x, y) components of k, k^2 = 1
@@ -455,14 +454,15 @@ class PdeStencil:
     cos: np.ndarray
 
 
-def pde_stencil(n_m: float, seed: int = SAMPLING_SEED) -> PdeStencil:
-    """The points of the spacetime check at refractive index n_m."""
+def pde_stencil(n_m: float) -> PdeStencil:
+    """The points of the spacetime check at refractive index n_m, drawn
+    from the constant SAMPLING_SEED."""
     if not 0.0 < n_m < 1.0:
         raise InputError(f"refractive index must lie in (0, 1), got {n_m}")
     lam = math.sqrt(1.0 - n_m * n_m)
     k0 = 1.0 / lam                       # k^2 = k0^2 (1 - n_m^2) = 1
     kvec = np.array([k0, 0.0, k0 * n_m])
-    t, _, y = seeded_angles(seed, 3 * PDE_POINTS).reshape(PDE_POINTS, 3).T
+    t, _, y = seeded_angles(SAMPLING_SEED, 3 * PDE_POINTS).reshape(PDE_POINTS, 3).T
     xi = kvec[0] * t - kvec[2] * y
     return PdeStencil(kvec=kvec, z=xi / 2.0, sin=np.sin(xi), cos=np.cos(xi))
 
@@ -643,7 +643,6 @@ class PointReport:
 @dataclass(frozen=True)
 class VerificationReport:
     points: tuple
-    seed: int
 
     @property
     def all_passed(self) -> bool:
@@ -802,7 +801,7 @@ def _split_shares(costs):
 
 
 @_one_blas_thread()
-def _check_round(points, seed: int, eta_shift: float) -> list:
+def _check_round(points, eta_shift: float) -> list:
     """PointReports of (kind, n, a) points, in their order.
 
     A family's window is a slice of its basis set's widest window, so the
@@ -829,7 +828,7 @@ def _check_round(points, seed: int, eta_shift: float) -> list:
     families = [SolutionFamily(kind, n) for kind, n, _ in points]
     for fam in families:                # before a window is allocated
         refuse_past_solve_limit(fam.n, fam.dim)
-    stencil = pde_stencil(DEFAULT_GRID_N_M, seed)
+    stencil = pde_stencil(DEFAULT_GRID_N_M)
     spacetime = stencil, shared_bases(families, stencil.z, derivatives=2)
     groups = {}
     for index, fam in enumerate(families):
@@ -867,20 +866,20 @@ def _check_round(points, seed: int, eta_shift: float) -> list:
     return reports
 
 
-def run_point(kind: FamilyKind, n: int, a: float, seed: int = SAMPLING_SEED,
-              eta_shift: float = 0.0) -> PointReport:
+def run_point(kind: FamilyKind, n: int, a: float, *, eta_shift: float = 0.0) -> PointReport:
     """Run all three checks for one grid point: the grid's path, with a round of one.
 
     eta_shift is a fault-injection knob: the negative control of
     `benchmarks/worker.py` and the test suite use it to confirm that
-    corrupted eigenvalues are caught.  It must stay 0.0 in normal use.
+    corrupted eigenvalues are caught.  It must stay 0.0 in normal use, and
+    is keyword-only, so that no positional argument shifts the etas.
     """
-    return _check_round([(kind, n, a)], seed, eta_shift)[0]
+    return _check_round([(kind, n, a)], eta_shift)[0]
 
 
-def run_grid(n_max: int = DEFAULT_GRID_N_MAX, a_values=DEFAULT_GRID_A_VALUES,
-             seed: int = SAMPLING_SEED) -> VerificationReport:
+def run_grid(n_max: int = DEFAULT_GRID_N_MAX,
+             a_values=DEFAULT_GRID_A_VALUES) -> VerificationReport:
     """Run every check over the shipped grid, deterministically ordered (`_check_round`)."""
     points = [(kind, n, float(a)) for kind in sorted(ALL_KINDS, key=lambda k: k.value)
               for n in range(1, n_max + 1) for a in a_values]
-    return VerificationReport(points=tuple(_check_round(points, seed, 0.0)), seed=seed)
+    return VerificationReport(points=tuple(_check_round(points, 0.0)))

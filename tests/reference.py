@@ -21,9 +21,9 @@ This algebra is why the spin-1/2 families carry s = +1 or -1 and why the
 spin eigenvalue of `params` is lambda = sqrt(1 - n_m^2); the package states
 those results and does not build the gamma matrices.
 
-Plasma relations.  The Drude dispersion omega(k_y) and its inverse, the
-electron density of a plasma energy, and the exact ratio a / mu0: each
-checks a relation behind a number `params` reports.
+Plasma relations.  The Drude dispersion omega(k_y) and its inverse, and
+the exact ratio a / mu0: each checks a relation behind a number `params`
+reports.
 
 Finite-difference spacetime residual.  `pde_residual_fd` differences the
 full wave Psi = M(xi) P(t, x, y) by second-order central differences at
@@ -41,9 +41,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from incevolkov.constants import C_LIGHT, EV, HBAR, SAMPLING_SEED
+from incevolkov.constants import C_LIGHT, HBAR, SAMPLING_SEED
 from incevolkov.errors import InputError, StructuralError
-from incevolkov.physparams import _E_STATC, _M_E_GRAM, PlasmaInput
+from incevolkov.physparams import PlasmaInput
 from incevolkov.verification import PDE_POINTS, seeded_angles
 
 # ---------------------------------------------------------------------------
@@ -162,14 +162,8 @@ def spin_interaction_matrix(n_m: float,
 
 
 # ---------------------------------------------------------------------------
-# plasma relations the commands do not use: dispersion, density, a / mu0
+# plasma relations the commands do not use: dispersion, a / mu0
 # ---------------------------------------------------------------------------
-
-def electron_density_from_plasma_energy(plasma_energy_ev: float) -> float:
-    """Free-electron density (cm^-3) whose plasma frequency is hbar*omega_p."""
-    omega_p = plasma_energy_ev * EV / HBAR
-    return omega_p * omega_p * _M_E_GRAM / (4.0 * math.pi * _E_STATC * _E_STATC)
-
 
 def coupling_to_mu0_ratio(particle_mass_kg: float, plasma: PlasmaInput) -> float:
     """Exact ratio a / mu0 = 4 m c^2 / (hbar omega_p)."""
@@ -226,8 +220,7 @@ class FdPdeReport(NamedTuple):
         return self.converged_second_order or self.max_residual_half < 1e-12
 
 
-def pde_residual_fd(family, c, momentum, a: float, h: float, n_m: float,
-                    seed: int = SAMPLING_SEED) -> FdPdeReport:
+def pde_residual_fd(family, c, momentum, a: float, h: float, n_m: float) -> FdPdeReport:
     """Central-difference residuals of the covariant wave equation for one mode.
 
     Psi = g(xi/2) exp(-(a/4) cos xi) exp(i (pt t - px x - py y)), with
@@ -240,7 +233,7 @@ def pde_residual_fd(family, c, momentum, a: float, h: float, n_m: float,
     lam = math.sqrt(1.0 - n_m * n_m)
     k0 = 1.0 / lam
     k2 = k0 * n_m
-    t, x, y = seeded_angles(seed, 3 * PDE_POINTS).reshape(PDE_POINTS, 3).T
+    t, x, y = seeded_angles(SAMPLING_SEED, 3 * PDE_POINTS).reshape(PDE_POINTS, 3).T
     k_dot_p = k0 * momentum.p0 - k2 * momentum.py
     pt, px, py = (momentum.p0 - k_dot_p * k0, momentum.px, momentum.py - k_dot_p * k2)
     xi = k0 * t - k2 * y

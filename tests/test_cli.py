@@ -301,6 +301,14 @@ class TestVerify:
         assert payload["summary"]["all_passed"] is True
         assert payload["points"][0]["pde"]["passed"] is True
 
+    @pytest.mark.parametrize("argv", [["--family", "dirac", "--n", "3", "--a", "14"],
+                                      ["--all", "--a", "1"]])
+    def test_payload_holds_no_seed(self, capsys, argv):
+        # the spacetime points come from one constant seed, which no run sets
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 0
+        assert list(json.loads(out)) == ["schema", "summary", "points"]
+
     def test_free_grid_with_notes(self, capsys):
         code, out, _ = run(capsys, "verify", "--all", "--a", "0")
         # --all runs the grid at the overridden coupling
@@ -496,7 +504,7 @@ class TestNonFiniteInput:
         assert code == 1
         assert out == ""
         assert len(err.splitlines()) == 1
-        assert err.startswith("error: bond 0: super*sub overflows at a = 1e+300")
+        assert err.startswith("error: dirac-plus n=3: bond 0: super*sub overflows at a = 1e+300")
 
     def test_underflowing_coupling(self, capsys):
         code, out, err = run(capsys, "spectrum", "--family", "kg-cos-even",
@@ -504,7 +512,8 @@ class TestNonFiniteInput:
         assert code == 1
         assert out == ""
         assert len(err.splitlines()) == 1
-        assert err.startswith("error: bond 0: super*sub underflows at a = 1e-200")
+        assert err.startswith(
+            "error: kg-cos-even n=2: bond 0: super*sub underflows at a = 1e-200")
 
     @pytest.mark.parametrize("command", ["spectrum", "verify"])
     def test_fold_entry_outlives_the_super_entry(self, capsys, command):
@@ -514,7 +523,15 @@ class TestNonFiniteInput:
                              "--n", "3", "--a", "5e-324")
         assert (code, out) == (1, "")
         assert err.splitlines() == [
-            "error: bond 0: super*sub underflows at a = 5e-324; "
+            "error: kg-cos-even n=3: bond 0: super*sub underflows at a = 5e-324; "
+            "the coupling is too small for double precision"]
+
+    def test_grid_refusal_names_its_point(self, capsys):
+        # the first refused group in group order, named by family and n
+        code, out, err = run(capsys, "verify", "--all", "--a", "5e-324")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "error: kg-cos-even n=1: bond 0: super*sub underflows at a = 5e-324; "
             "the coupling is too small for double precision"]
 
     @pytest.mark.parametrize("a", ["5e-324", "1e-323", "1e-320", "1e-300", "1e-170"])
@@ -538,7 +555,7 @@ class TestNonFiniteInput:
         assert code == 3
         assert out == ""
         assert len(err.splitlines()) == 1
-        assert err.startswith("structural error: bond 0: super*sub = -0.0 <= 0")
+        assert err.startswith("structural error: dirac-plus n=1: bond 0: super*sub = -0.0 <= 0")
 
     def test_sign_flip_at_subnormal_scale_still_structural(self, capsys, monkeypatch):
         # a zero side keeps the sign of what underflowed to it
@@ -551,7 +568,7 @@ class TestNonFiniteInput:
         code, out, err = run(capsys, "spectrum", "--family", "dirac",
                              "--n", "1", "--a", "1")
         assert (code, out) == (3, "")
-        assert err.startswith("structural error: bond 0: super*sub = -0.0 <= 0")
+        assert err.startswith("structural error: dirac-plus n=1: bond 0: super*sub = -0.0 <= 0")
 
     @pytest.mark.parametrize("intensity,plasma,message", [
         ("1e308", "1", "error: coupling a overflows double range at intensity 1e+308"),
@@ -568,15 +585,16 @@ class TestNonFiniteInput:
         assert err.startswith(message)
 
 
-_BOND_OVERFLOW = ("error: bond 0: super*sub overflows at a = 1e+308; "
+_BOND_OVERFLOW = ("error: {} n={}: bond 0: super*sub overflows at a = 1e+308; "
                   "the coupling is too large for double precision")
 _ODE_RANGE = ("error: {} n = 1: a = 1e+308 is past the range limit of the ODE residual "
               "check: its terms leave double range")
 
 
 @pytest.mark.parametrize("argv,exit_code,stderr", [
-    (["spectrum", "--family", "dirac", "--n", "2", "--a", "1e308"], 1, [_BOND_OVERFLOW]),
-    (["verify", "--all", "--a", "1e308"], 1, [_BOND_OVERFLOW]),
+    (["spectrum", "--family", "dirac", "--n", "2", "--a", "1e308"], 1,
+     [_BOND_OVERFLOW.format("dirac-plus", 2)]),
+    (["verify", "--all", "--a", "1e308"], 1, [_BOND_OVERFLOW.format("dirac-minus", 1)]),
     (["verify", "--family", "kg-sin-odd", "--n", "1", "--a", "1e308"], 1,
      [_ODE_RANGE.format("kg-sin-odd")]),
     (["verify", "--family", "kg-cos-odd", "--n", "1", "--a", "1e308"], 1,
@@ -628,13 +646,13 @@ def test_a_failed_fork_runs_in_one_process(capsys, monkeypatch, argv):
 
 
 def test_same_seed_same_stdout_under_any_hash_seed():
-    # the spacetime points come from random.Random(seed), which string
-    # hashing does not touch
+    # the spacetime points come from random.Random(SAMPLING_SEED), which
+    # string hashing does not touch
     src = str(Path(incevolkov.__file__).resolve().parents[1])
     outs = []
     for hash_seed in ("0", "1"):
         proc = subprocess.run([sys.executable, "-m", "incevolkov.cli", "verify",
-                               "--family", "dirac", "--n", "20", "--a", "14", "--seed", "7"],
+                               "--family", "dirac", "--n", "20", "--a", "14"],
                               env={**os.environ, "PYTHONPATH": src,
                                    "PYTHONHASHSEED": hash_seed},
                               capture_output=True, text=True, timeout=60)
@@ -644,23 +662,6 @@ def test_same_seed_same_stdout_under_any_hash_seed():
 
 
 class TestInputLimits:
-    def test_negative_seed_flag(self, capsys):
-        code, out, err = run(capsys, "verify", "--family", "dirac", "--n", "3",
-                             "--a", "1", "--seed", "-1")
-        assert code == 1
-        assert out == ""
-        assert len(err.splitlines()) == 1
-        assert err.startswith("error: seed must be >= 0")
-
-    def test_negative_seed_config(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("family = dirac\nn = 3\na = 1\nseed = -1\n")
-        code, out, err = run(capsys, "spectrum", "--config", str(cfg))
-        assert code == 1
-        assert out == ""
-        assert len(err.splitlines()) == 1
-        assert err.startswith("error: seed must be >= 0")
-
     def test_out_is_a_directory(self, capsys, tmp_path):
         code, out, err = run(capsys, "spectrum", "--family", "dirac", "--n", "3",
                              "--a", "1", "--out", str(tmp_path))
@@ -701,7 +702,7 @@ class TestInputLimits:
 
     @pytest.mark.parametrize("argv,message", [
         (["--n", "010"], "error: --n: expected an integer, got '010'"),
-        (["--seed", "010"], "error: --seed: expected an integer, got '010'"),
+        (["--a", "1e"], "error: --a: expected a number, got '1e'"),
         (["--n", "twenty"], "error: --n: expected an integer, got 'twenty'"),
     ])
     def test_flag_parse_error_names_the_flag(self, capsys, argv, message):
@@ -719,9 +720,8 @@ class TestInputLimits:
             f"error: {cfg}:2: n: expected an integer, got 'twenty'"]
 
     def test_hex_flags_as_in_config(self, capsys):
-        outputs = [run(capsys, "verify", "--family", "kg-cos-odd", "--a", "1",
-                       "--n", n, "--seed", seed)
-                   for n, seed in (("3", "462"), ("0x3", "0x1CE"))]
+        outputs = [run(capsys, "verify", "--family", "kg-cos-odd", "--a", "1", "--n", n)
+                   for n in ("3", "0x3")]
         assert outputs[0][0] == 0 and outputs[1] == outputs[0]
 
     def test_verify_past_the_old_dense_limit_passes(self, capsys):
@@ -930,12 +930,15 @@ class TestUnreadFlags:
           "--particle", "proton"], "unrecognized arguments: --k-select 9 --particle proton"),
         (["verify", "--all", "--family", "weyl", "--n", "-3"],
          "verify --all does not read --family, --n"),
-        # only verify reads the seed: the ODE residual has no sample points
+        # no command reads a seed: the spacetime check's points are fixed
         (["spectrum", "--family", "dirac", "--n", "3", "--a", "14", "--seed", "7"],
          "unrecognized arguments: --seed 7"),
         (["modes", "--family", "dirac", "--n", "3", "--seed", "7"],
          "unrecognized arguments: --seed 7"),
         (["figure", "2", "--seed", "7"], "unrecognized arguments: --seed 7"),
+        (["verify", "--family", "dirac", "--n", "3", "--a", "14", "--seed", "7"],
+         "unrecognized arguments: --seed 7"),
+        (["verify", "--all", "--seed", "7"], "unrecognized arguments: --seed 7"),
     ])
     def test_refused_with_one_line(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -946,7 +949,7 @@ class TestUnreadFlags:
         # one file serves several commands: figure 1 reads none of these keys
         cfg = tmp_path / "run.cfg"
         cfg.write_text("family = weyl\nn = 7\na = 50\nk_select = 9\n"
-                       "particle = proton\noutput.format = json\nseed = 1\n")
+                       "particle = proton\noutput.format = json\n")
         assert run(capsys, "figure", "1", "--config", str(cfg)) == \
             run(capsys, "figure", "1")
 
@@ -960,7 +963,6 @@ plasma.energy_ev = 1.0
 family = dirac
 n = 2
 output.format = json
-seed = 7
 """
 
     def test_config_file(self, capsys, tmp_path):
@@ -985,6 +987,15 @@ seed = 7
         assert code == 1
         assert "unknown key" in err
 
+    @pytest.mark.parametrize("line", ["seed = 462", "plasma.electron_density_cm3 = 1e20"])
+    @pytest.mark.parametrize("command", [["verify", "--all"], ["params"]])
+    def test_dropped_keys_are_unknown(self, capsys, tmp_path, line, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\n")
+        code, out, err = run(capsys, *command, "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: {cfg}:1: unknown key {line.split()[0]!r}"]
+
     def test_duplicate_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n = 2\nn = 3\n")
@@ -1004,8 +1015,7 @@ seed = 7
         f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
         for f in (f1, f2):
             code, _, _ = run(capsys, "verify", "--family", "kg-sin-odd",
-                             "--n", "7", "--a", "14", "--seed", "11",
-                             "--out", str(f))
+                             "--n", "7", "--a", "14", "--out", str(f))
             assert code == 0
         assert f1.read_bytes() == f2.read_bytes()
 

@@ -37,10 +37,10 @@ class TestParse:
             "\n"
             "laser.photon_energy_ev = 1.563\n"
             "k_select = 1, 3,5\n"
-            "seed = 0x1CE\n")
+            "n = 0x14\n")
         assert values["photon_energy_ev"] == 1.563
         assert values["k_select"] == (1, 3, 5)
-        assert values["seed"] == 462
+        assert values["n"] == 20
 
     def test_missing_equals(self):
         with pytest.raises(InputError):
@@ -82,14 +82,13 @@ class TestRunConfig:
 
     def test_flags_win(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"
-        cfg_file.write_text("n = 5\nseed = 1\n")
-        cfg = load_config(str(cfg_file), {"n": "9", "seed": None})
+        cfg_file.write_text("n = 5\nparticle = proton\n")
+        cfg = load_config(str(cfg_file), {"n": "9", "particle": None})
         assert cfg.n == 9
-        assert cfg.seed == 1
+        assert cfg.particle == "proton"
 
 
-FLAG_ROWS = [row for row in RUN_INPUTS if row.metadata["flag"]]
-ROW_IDS = [row.name for row in FLAG_ROWS]
+ROW_IDS = [row.name for row in RUN_INPUTS]
 
 
 def _outcome(read):
@@ -123,26 +122,30 @@ _TEXT = st.one_of(
 class TestFlagFileParity:
     """A flag and its config line go through one parser and one check."""
 
+    def test_every_row_has_a_key_and_a_flag(self):
+        assert len(RUN_INPUTS) == 10
+        for row in RUN_INPUTS:
+            assert row.metadata["key"] and row.metadata["flag"].startswith("--")
+            assert row.metadata["help"]
+
     def test_one_row_per_input(self):
         assert [row.metadata["key"] for row in RUN_INPUTS] == [
             "laser.photon_energy_ev", "laser.intensity_w_cm2", "plasma.energy_ev",
-            "plasma.electron_density_cm3", "particle", "family", "n", "a",
-            "k_select", "output.format", "output.path", "seed"]
-        assert [row.metadata["flag"] for row in FLAG_ROWS] == [
+            "particle", "family", "n", "a", "k_select", "output.format", "output.path"]
+        assert [row.metadata["flag"] for row in RUN_INPUTS] == [
             "--photon-energy-ev", "--intensity-w-cm2", "--plasma-energy-ev",
-            "--particle", "--family", "--n", "--a", "--k-select", "--format",
-            "--out", "--seed"]
+            "--particle", "--family", "--n", "--a", "--k-select", "--format", "--out"]
         # every flag reaches its row's attribute as raw text, on each
         # command that reads the row, and some command reads every flag
         for command, names in READS.items():
-            rows = [row for row in FLAG_ROWS if row.name in names]
+            rows = [row for row in RUN_INPUTS if row.name in names]
             argv = [*command.split(), *(f"{row.metadata['flag']}=x" for row in rows)]
             args = vars(build_parser().parse_args(argv))
             assert {name for name, value in args.items() if value == "x"} == \
                 {row.name for row in rows}
         assert {name for names in READS.values() for name in names} >= set(ROW_IDS)
 
-    @pytest.mark.parametrize("row", FLAG_ROWS, ids=ROW_IDS)
+    @pytest.mark.parametrize("row", RUN_INPUTS, ids=ROW_IDS)
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=_TEXT)
     def test_same_config_or_same_error(self, tmp_path, row, text):
@@ -162,25 +165,25 @@ class TestFlagFileParity:
             assert flag_err.startswith(f"{row.metadata['key']} ")
 
     @pytest.mark.parametrize("attr,text,value", [
-        ("seed", "0x1CE", 462),
+        ("n", "0x1C", 28),
         ("n", "0x2", 2),
         ("a_override", "-0", 0.0),
         ("k_select", "1,,2", (1, 2)),
     ])
     def test_valid_text(self, tmp_path, attr, text, value):
-        row = next(row for row in FLAG_ROWS if row.name == attr)
+        row = next(row for row in RUN_INPUTS if row.name == attr)
         (flag_cfg, _), (file_cfg, _) = _both(tmp_path / "run.cfg", row, text)
         assert flag_cfg == file_cfg
         assert getattr(flag_cfg, attr) == value
 
     def test_negative_zero_prints_as_zero(self, tmp_path):
-        row = next(row for row in FLAG_ROWS if row.name == "a_override")
+        row = next(row for row in RUN_INPUTS if row.name == "a_override")
         (flag_cfg, _), (file_cfg, _) = _both(tmp_path / "run.cfg", row, "-0")
         assert [str(cfg.resolve_a()) for cfg in (flag_cfg, file_cfg)] == ["0.0", "0.0"]
 
     @pytest.mark.parametrize("attr,text,flag_err,file_err", [
-        ("seed", "010", "--seed: expected an integer, got '010'",
-         "seed: expected an integer, got '010'"),
+        ("n", "010", "--n: expected an integer, got '010'",
+         "n: expected an integer, got '010'"),
         ("n", "twenty", "--n: expected an integer, got 'twenty'",
          "n: expected an integer, got 'twenty'"),
         ("k_select", "1,x", "--k-select: expected comma-separated integers, got '1,x'",
@@ -193,7 +196,7 @@ class TestFlagFileParity:
         ("output_format", "yaml", "output.format must be json or csv, got 'yaml'", None),
     ])
     def test_invalid_text(self, tmp_path, attr, text, flag_err, file_err):
-        row = next(row for row in FLAG_ROWS if row.name == attr)
+        row = next(row for row in RUN_INPUTS if row.name == attr)
         path = tmp_path / "run.cfg"
         (_, got_flag), (_, got_file) = _both(path, row, text)
         assert got_flag == flag_err

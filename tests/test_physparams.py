@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from incevolkov.constants import (C_LIGHT, E_CHARGE, ELECTRON_MASS, EPSILON_0,
-                                  EV, HBAR, PROTON_MASS)
+from incevolkov.constants import C_LIGHT, E_CHARGE, ELECTRON_MASS, HBAR, PROTON_MASS
 from incevolkov.errors import InputError, OverdenseError
 from incevolkov.families import FamilyKind, SolutionFamily
 from incevolkov.physparams import (DeBroglieMomentum, LaserInput, PlasmaInput,
@@ -14,8 +13,7 @@ from incevolkov.physparams import (DeBroglieMomentum, LaserInput, PlasmaInput,
                                    eta_to_longitudinal,
                                    field_amplitude_from_intensity,
                                    intensity_parameter, refractive_index)
-from reference import (coupling_to_mu0_ratio, dispersion,
-                       electron_density_from_plasma_energy, wavenumber_from)
+from reference import coupling_to_mu0_ratio, dispersion, wavenumber_from
 
 # reference inputs: Ti:Sa photon 1.563 eV, 100 MW/cm^2, plasma quantum 1 eV
 LASER = LaserInput(photon_energy_ev=1.563, intensity_w_cm2=1e8)
@@ -165,35 +163,6 @@ class TestLaserPlasmaTypes:
             LaserInput(-1.0, 1e8)
         with pytest.raises(InputError):
             LaserInput(1.0, -1e8)
-
-    def test_density_round_trip(self):
-        n_e = electron_density_from_plasma_energy(1.0)
-        p = PlasmaInput(plasma_energy_ev=1.0, electron_density_cm3=n_e)
-        assert p.k_p == PLASMA.k_p
-
-    def test_density_gaussian_form(self):
-        # omega_p^2 = 4 pi n_e e_esu^2 / m_g in cgs must agree to 1e-10
-        n_e = electron_density_from_plasma_energy(1.0)
-        e_esu = E_CHARGE * C_LIGHT * 10.0
-        m_g = ELECTRON_MASS * 1e3
-        omega_gauss = math.sqrt(4 * math.pi * n_e * e_esu ** 2 / m_g)
-        assert omega_gauss == pytest.approx(PLASMA.omega_p, rel=1e-10)
-
-    def test_density_si_form_within_si_uncertainty(self):
-        # the SI relation n e^2/(eps0 m) deviates only at the level of the
-        # measured eps0 (a few 1e-10), well inside 1e-9
-        n_e = electron_density_from_plasma_energy(1.0) * 1e6
-        omega_si = math.sqrt(n_e * E_CHARGE ** 2 / (EPSILON_0 * ELECTRON_MASS))
-        assert omega_si == pytest.approx(PLASMA.omega_p, rel=1e-9)
-
-    def test_inconsistent_density_rejected(self):
-        n_e = electron_density_from_plasma_energy(1.0)
-        with pytest.raises(InputError):
-            PlasmaInput(plasma_energy_ev=1.0, electron_density_cm3=1.01 * n_e)
-
-    def test_from_density(self):
-        plasma_energy_ev = PlasmaInput.omega_p_from_density(7.25e20) * HBAR / EV
-        assert 0.9 < plasma_energy_ev < 1.1
 
     def test_overdense_pair_rejected(self):
         with pytest.raises(OverdenseError):

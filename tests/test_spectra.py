@@ -10,10 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 from incevolkov.errors import InputError, StructuralError
 from incevolkov.families import ALL_KINDS, FamilyKind, SolutionFamily
-from incevolkov.operators import TridiagonalOperator, build_operator
-import incevolkov.spectra as spectra
-from incevolkov.spectra import (MAX_SOLVE_DIM, solve_spectra, solve_spectrum, symmetrize,
-                               symmetrize_stack)
+from incevolkov.operators import OperatorStack, TridiagonalOperator, build_operator
+from incevolkov.spectra import MAX_SOLVE_DIM, solve_spectra, solve_spectrum, symmetrize
 from incevolkov.verification import (DEFAULT_GRID_A_VALUES, certified_radii,
                                      gershgorin_bounds, minor_ratios, sturm_counts)
 
@@ -109,10 +107,11 @@ def loop_symmetrize(T):
     """Bond-by-bond symmetrization: the reference for `symmetrize`."""
     scale = np.ones(T.dim)
     off = np.zeros(max(T.dim - 1, 0))
+    name = f"{T.family.kind.value} n={T.family.n}"
     for i in range(T.dim - 1):
         p = float(T.super_[i]) * float(T.sub[i])
         if p == np.inf:
-            raise InputError(f"bond {i}: super*sub overflows at a = {T.a!r}; "
+            raise InputError(f"{name}: bond {i}: super*sub overflows at a = {T.a!r}; "
                              "the coupling is too large for double precision")
         if p > 0.0:
             off[i] = np.sqrt(p)
@@ -120,10 +119,10 @@ def loop_symmetrize(T):
         elif T.super_[i] == 0.0 and T.sub[i] == 0.0:
             scale[i + 1] = scale[i]
         elif p == 0.0 and np.sign(T.super_[i]) == np.sign(T.sub[i]):
-            raise InputError(f"bond {i}: super*sub underflows at a = {T.a!r}; "
+            raise InputError(f"{name}: bond {i}: super*sub underflows at a = {T.a!r}; "
                              "the coupling is too small for double precision")
         else:
-            raise StructuralError(f"bond {i}: super*sub = {p!r} <= 0 at a = {T.a}; "
+            raise StructuralError(f"{name}: bond {i}: super*sub = {p!r} <= 0 at a = {T.a}; "
                                   "operator is not symmetrizable (wrong recurrence?)")
     return T.diag.copy(), off, scale
 
@@ -216,8 +215,8 @@ class TestSymmetrize:
             T = TridiagonalOperator(family=fam, a=1e-200, diag=np.zeros(2),
                                     super_=np.array([sign * 1e-200]),
                                     sub=np.array([sign * 1e-200]))
-            with pytest.raises(InputError, match=r"^bond 0: super\*sub underflows "
-                                                 r"at a = 1e-200"):
+            with pytest.raises(InputError, match=r"^dirac-plus n=1: bond 0: super\*sub "
+                                                 r"underflows at a = 1e-200"):
                 symmetrize(T)
         T = TridiagonalOperator(family=fam, a=1e-200, diag=np.zeros(2),
                                 super_=np.array([1e-200]), sub=np.array([-1e-200]))
@@ -248,7 +247,7 @@ class TestSymmetrize:
         sup, sub = (np.array(part) for part in zip(*bonds))
         T = TridiagonalOperator(family=SolutionFamily(FamilyKind.DIRAC_PLUS, 1), a=1.0,
                                 diag=np.zeros(len(bonds) + 1), super_=sup, sub=sub)
-        with pytest.raises(error, match=rf"^bond {bond}: ") as info:
+        with pytest.raises(error, match=rf"^dirac-plus n=1: bond {bond}: ") as info:
             symmetrize(T)
         assert _symmetrize_outcome(loop_symmetrize, T) == (error, str(info.value))
 
@@ -269,7 +268,7 @@ class TestSymmetrize:
         expected = _symmetrize_outcome(symmetrize, bad[order[0]])
         assert isinstance(expected[0], type)
         with pytest.raises(expected[0]) as info:
-            symmetrize_stack(stack)
+            OperatorStack.of(stack).symmetrized
         assert (type(info.value), str(info.value)) == expected
 
     def test_stack_matches_each_operator_of_the_grid(self):
@@ -283,7 +282,7 @@ class TestSymmetrize:
                     groups.setdefault(T.dim, []).append(T)
         assert sum(map(len, groups.values())) == 900
         for ops in groups.values():
-            diag, off, scale, bonds = symmetrize_stack(ops)
+            diag, off, scale, bonds = OperatorStack.of(ops).symmetrized
             for T, *rows in zip(ops, diag, off, scale, bonds, strict=True):
                 for got, want in zip(rows, (*loop_symmetrize(T), T.super_ * T.sub)):
                     assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -377,13 +376,13 @@ class TestSolveSpectrum:
             dec.vector(7)
 
     def test_dimension_cap_checked_first(self, monkeypatch):
-        # the first dimension above the cap: refused before symmetrize_stack or
+        # the first dimension above the cap: refused before the bond check or
         # the dense matrix allocate anything of size dim.  build_operator
         # refuses it too, so the operator is built by hand.
         def refuse(*args, **kwargs):
             raise AssertionError("solve_spectrum went past its dimension cap")
 
-        monkeypatch.setattr(spectra, "symmetrize_stack", refuse)
+        monkeypatch.setattr(OperatorStack, "symmetrized", property(refuse))
         dim = MAX_SOLVE_DIM + 1
         T = TridiagonalOperator(
             family=SolutionFamily(FamilyKind.KG_COS_EVEN, MAX_SOLVE_DIM), a=1.0,
@@ -443,7 +442,7 @@ class TestSolveSpectra:
         sub[2] = -sub[2]
         bad = TridiagonalOperator(family=fam, a=2.5, diag=good.diag,
                                   super_=good.super_, sub=sub)
-        with pytest.raises(StructuralError, match=r"^bond 2: .* at a = 2\.5; "):
+        with pytest.raises(StructuralError, match=r"^dirac-plus n=2: bond 2: .* at a = 2\.5; "):
             solve_spectra([good, bad])
 
     def test_operators_must_share_dimension(self):

@@ -557,7 +557,7 @@ class TestSturmCrosscheck:
         for ops in groups.values():
             etas = _solver_etas(ops) + shift
             radii, gates = sturm_crosscheck(ops, etas)
-            d, off, _, b = verification.symmetrize_stack(ops)
+            d, off, _, b = OperatorStack.of(ops).symmetrized
             lo, hi = verification.gershgorin_bounds(d, off)
             want_gates = np.maximum(verification.ORACLE_AGREEMENT_TOL,
                                     16 * EPS * np.maximum(np.abs(lo), np.abs(hi)))
@@ -570,8 +570,8 @@ class TestSturmCrosscheck:
         fam = SolutionFamily(FamilyKind.DIRAC_PLUS, 1)
         bad = TridiagonalOperator(family=fam, a=2.5, diag=np.zeros(2),
                                   super_=np.array([1.0]), sub=np.array([-1.0]))
-        with pytest.raises(StructuralError, match=r"^bond 0: super\*sub = -1\.0 <= 0 "
-                           r"at a = 2\.5"):
+        with pytest.raises(StructuralError, match=r"^dirac-plus n=1: bond 0: super\*sub = "
+                           r"-1\.0 <= 0 at a = 2\.5"):
             sturm_crosscheck([build_operator(fam, 1.0), bad],
                              etas=[np.zeros(2), np.zeros(2)])
 
@@ -792,6 +792,11 @@ class TestRunPoint:
         sturm = p.checks["sturm"]
         assert not sturm["passed"] and 1e-6 <= sturm["discrepancy"] < 2e-6
 
+    def test_eta_shift_is_keyword_only(self):
+        # a fourth positional argument (a seed, say) shifts no eta
+        with pytest.raises(TypeError):
+            run_point(FamilyKind.DIRAC_PLUS, 3, 5.0, 462)
+
     def test_agreement_gate_scales_with_the_eigenvalues(self):
         # at a = 1e150 the oracles agree to a few ulps of eigenvalues near
         # 5e150 and pass; a shift of 1e138 (2e-13 of them) still fails
@@ -842,10 +847,10 @@ class TestOneBlasThread:
         before = get()
         try:
             set_(2)
-            threaded = verification._check_round.__wrapped__(points, SAMPLING_SEED, 0.0)
+            threaded = verification._check_round.__wrapped__(points, 0.0)
         finally:
             set_(before)
-        assert repr(threaded) == repr(verification._check_round(points, SAMPLING_SEED, 0.0))
+        assert repr(threaded) == repr(verification._check_round(points, 0.0))
 
 
 def test_grid_matches_points():
@@ -878,8 +883,8 @@ def test_grid_builds_each_basis_once(monkeypatch):
         evaluated.append(((fn, float(nu[0] / 2.0 % 1.0)), where, derivatives))
         return evaluate_basis(fn, nu, z, derivatives)
 
-    def count_stencils(n_m, seed):
-        stencils.append(stencil(n_m, seed))
+    def count_stencils(n_m):
+        stencils.append(stencil(n_m))
         return stencils[-1]
 
     def count_batches(stencil, bases, families, coefficients, momenta, couplings):
@@ -926,7 +931,7 @@ def _grid_points(a_values=verification.DEFAULT_GRID_A_VALUES, n_max=25):
 def _round(monkeypatch, cpus, points, eta_shift=0.0):
     """`_check_round` of points as a host with `cpus` usable CPUs runs it."""
     monkeypatch.setattr(forking, "usable_cpus", lambda: cpus)
-    return verification._check_round(points, SAMPLING_SEED, eta_shift)
+    return verification._check_round(points, eta_shift)
 
 
 # a round forks only when it can hold numpy's bundled OpenBLAS at one thread
@@ -1038,7 +1043,7 @@ class TestTwoProcessRound:
         # propagates; neither leaves a descriptor open
         points = _grid_points((14.0,), n_max=2)
         monkeypatch.setattr(forking, "may_fork", lambda: False)
-        alone = repr(verification._check_round(points, SAMPLING_SEED, 0.0))
+        alone = repr(verification._check_round(points, 0.0))
         monkeypatch.undo()
         refused = []
 
@@ -1173,7 +1178,7 @@ class TestFamilyStacks:
 
         monkeypatch.setattr(verification, "_batch_residual_maxima", record)
         with pytest.raises(InputError) as info:
-            verification._check_round(points, SAMPLING_SEED, 0.0)
+            verification._check_round(points, 0.0)
         assert str(info.value) == errors[0]
         assert refused[0] == (FamilyKind.KG_COS_ODD, (2,))     # the family stack first
 
@@ -1267,7 +1272,3 @@ class TestSeededAngles:
         assert seeded_angles(SAMPLING_SEED, 64).tobytes() == first.tobytes()
         # a shorter draw is the head of the longer one
         assert seeded_angles(SAMPLING_SEED, 32).tobytes() == first[:32].tobytes()
-
-    def test_negative_seed_rejected(self):
-        with pytest.raises(InputError, match="seed must be >= 0"):
-            seeded_angles(-1, 32)

@@ -21,13 +21,13 @@ _EXPORTS = {name: module for module, names in (
     ("families", "ALL_KINDS FamilyKind SolutionFamily parse_family_kind"),
     ("modulation", "ModulationFunction contrast envelope_density "
                    "eval_polynomial_part harmonic_strengths"),
-    ("operators", "TridiagonalOperator build_operator"),
+    ("operators", "build_operator"),
     ("physparams", "DeBroglieMomentum DerivedQuantities LaserInput "
                    "LongitudinalMomentum PlasmaInput WaveConfig coupling_parameter "
                    "eta_to_longitudinal field_amplitude_from_intensity "
                    "intensity_parameter refractive_index"),
     ("residual", "ODE_RESIDUAL_TOL attach_residuals"),
-    ("spectra", "SpectralDecomposition solve_spectrum symmetrize"),
+    ("spectra", "SpectralDecomposition solve_spectrum"),
     ("verification", "SAMPLING_SEED PdeResidualReport VerificationReport "
                      "dense_oracle_crosscheck momentum_for_mode pde_residual "
                      "pde_stencil PdeStencil run_grid run_point sturm_crosscheck"),

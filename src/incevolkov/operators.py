@@ -34,11 +34,12 @@ Every recurrence above is validated against the original ODE by the residual
 module, whose Fourier coefficients read the ODE, not these entries; the
 ODE, not the algebra, is the ground truth.
 
-`build_stack` builds operators of one dimension, of several families and
-couplings, as an `OperatorStack` of (B, dim) arrays, one entry evaluation
-per family; the stack holds the bond check that symmetrizes it
-(`OperatorStack.symmetrized`), run once for the solve and the Sturm pass.
-`build_operator` is its stack of one.
+`OperatorStack` is the one operator type: operators of one dimension, of
+several families and couplings, as (B, dim) arrays.  `build_stack` builds
+one, with one entry evaluation per family, and `build_operator` is its
+stack of one.  The stack holds the bond check that symmetrizes it
+(`OperatorStack.symmetrized`), run once for the solve and the Sturm pass;
+`tridiagonal_matrices` embeds rows of entries as dense matrices.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ import numpy as np
 from .errors import InputError, StructuralError
 from .families import FamilyKind, SolutionFamily
 
-__all__ = ["MAX_SOLVE_DIM", "TridiagonalOperator", "OperatorStack", "build_operator",
-           "build_stack"]
+__all__ = ["MAX_SOLVE_DIM", "OperatorStack", "build_operator", "build_stack",
+           "tridiagonal_matrices"]
 
 # the dense solve holds about 6 dim x dim float64 arrays at its peak (RSS
 # measured at 5.1-5.5 dim^2 doubles for dim 1000-3000); the cap keeps that
@@ -68,36 +69,6 @@ def refuse_past_solve_limit(n: int, dim: int) -> None:
         raise InputError(
             f"n = {n} gives dimension {dim}, past the range "
             f"limit of the dense solver (dim <= {MAX_SOLVE_DIM}, under 1 GiB)")
-
-
-@dataclass(frozen=True)
-class TridiagonalOperator:
-    """Real tridiagonal matrix T of one solution family at coupling a.
-
-    The eigenproblem is eta * v = T @ v.  `super_` holds T[i, i+1] and
-    `sub` holds T[i+1, i], both of length dim - 1, so super_[i] * sub[i]
-    is the product across one bond.
-    """
-
-    family: SolutionFamily
-    a: float
-    diag: np.ndarray
-    super_: np.ndarray
-    sub: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.diag, self.super_, self.sub):
-            arr.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return len(self.diag)
-
-    def to_dense(self) -> np.ndarray:
-        T = np.diag(self.diag.copy())
-        if self.dim > 1:
-            T += np.diag(self.super_, 1) + np.diag(self.sub, -1)
-        return T
 
 
 @np.errstate(over="ignore", invalid="ignore")     # near a = 1e308: refused or failed
@@ -128,12 +99,13 @@ _TINY = np.finfo(float).tiny        # the smallest normal double
 
 @dataclass(frozen=True, eq=False)
 class OperatorStack:
-    """Equal-dimension operators as stacked arrays: row b is the operator of
-    families[b] at couplings[b].
+    """Equal-dimension operators as stacked arrays: row b is the real
+    tridiagonal matrix T of families[b] at couplings[b], whose eigenproblem
+    is eta * v = T @ v.  One operator is a stack of one.
 
-    diag has shape (B, dim), super_ and sub (B, dim - 1).  The stack is a
-    sequence of its operators: stack[b] is the `TridiagonalOperator` of row
-    b, on views of the rows.
+    diag has shape (B, dim), super_ and sub (B, dim - 1): super_[b, i] is
+    T[i, i+1] and sub[b, i] is T[i+1, i], so super_ * sub is the product
+    across each bond.  A stack whose shapes disagree is refused.
     """
 
     families: tuple
@@ -143,27 +115,18 @@ class OperatorStack:
     sub: np.ndarray
 
     def __post_init__(self):
+        shape, rows = np.shape(self.diag), len(self.families)
+        if (len(shape) != 2 or shape[0] != rows or len(self.couplings) != rows
+                or not np.shape(self.super_) == np.shape(self.sub) == (rows, shape[1] - 1)):
+            raise InputError(
+                f"operator stack shapes disagree: {rows} families, {len(self.couplings)} "
+                f"couplings, diag {shape}, super_ {np.shape(self.super_)}, sub "
+                f"{np.shape(self.sub)}; B of each, diag (B, dim), super_ and sub (B, dim - 1)")
         for arr in (self.diag, self.super_, self.sub):
             arr.setflags(write=False)
 
-    @classmethod
-    def of(cls, operators) -> "OperatorStack":
-        """A stack of equal-dimension operators (a stack is returned as it is)."""
-        if isinstance(operators, cls):
-            return operators
-        if len({T.dim for T in operators}) != 1:
-            raise InputError("a stack needs operators of one dimension")
-        return cls(families=tuple(T.family for T in operators),
-                   couplings=tuple(T.a for T in operators),
-                   **{name: np.stack([getattr(T, name) for T in operators])
-                      for name in ("diag", "super_", "sub")})
-
     def __len__(self) -> int:
         return len(self.families)
-
-    def __getitem__(self, b: int) -> TridiagonalOperator:
-        return TridiagonalOperator(family=self.families[b], a=self.couplings[b],
-                                   diag=self.diag[b], super_=self.super_[b], sub=self.sub[b])
 
     @property
     def dim(self) -> int:
@@ -191,7 +154,7 @@ class OperatorStack:
         bad = (bonds == np.inf) | ~(positive | ((sup == 0.0) & (sub == 0.0)))
         if bad.any():
             row, i = np.unravel_index(np.argmax(bad), bad.shape)
-            _refuse_bond(self[row], int(i))
+            _refuse_bond(self, row, int(i))
         off = np.sqrt(np.where(positive, bonds, 0.0))
         ratio = np.sqrt(np.divide(sup, sub, out=np.ones_like(bonds), where=positive))
         scale = np.cumprod(np.concatenate((np.ones((len(self), 1)), ratio), axis=1), axis=1)
@@ -200,27 +163,28 @@ class OperatorStack:
         return diag, off, scale, bonds
 
 
-def _refuse_bond(T: TridiagonalOperator, i: int):
-    """Raise the error for bond i, whose super*sub is not a positive double.
+def _refuse_bond(stack: OperatorStack, row: int, i: int):
+    """Raise the error for bond i of the stack's row, whose super*sub is not a positive double.
 
     A product of 0 underflowed when both sides have one sign (a signed
     zero counts) and either neither side is 0 or the nonzero one is
     subnormal: at a = 5e-324, 0.5 a rounds to 0 while q a does not.
     """
-    sup, sub = float(T.super_[i]), float(T.sub[i])
+    family, a = stack.families[row], stack.couplings[row]
+    sup, sub = float(stack.super_[row, i]), float(stack.sub[row, i])
     p = sup * sub
-    where = f"{T.family.kind.value} n={T.family.n}: bond {i}: super*sub"
+    where = f"{family.kind.value} n={family.n}: bond {i}: super*sub"
     if p == np.inf:
         raise InputError(
-            f"{where} overflows at a = {T.a!r}; "
+            f"{where} overflows at a = {a!r}; "
             "the coupling is too large for double precision")
     if (p == 0.0 and np.signbit(sup) == np.signbit(sub)
             and (sup != 0.0 and sub != 0.0 or max(abs(sup), abs(sub)) < _TINY)):
         raise InputError(
-            f"{where} underflows at a = {T.a!r}; "
+            f"{where} underflows at a = {a!r}; "
             "the coupling is too small for double precision")
     raise StructuralError(
-        f"{where} = {p!r} <= 0 at a = {T.a}; "
+        f"{where} = {p!r} <= 0 at a = {a}; "
         "operator is not symmetrizable (wrong recurrence?)")
 
 
@@ -253,6 +217,21 @@ def build_stack(families, couplings) -> OperatorStack:
                          diag=diag, super_=sup, sub=sub)
 
 
-def build_operator(family: SolutionFamily, a: float) -> TridiagonalOperator:
+def build_operator(family: SolutionFamily, a: float) -> OperatorStack:
     """The finite operator of `family` at coupling a >= 0: `build_stack` with a stack of one."""
-    return build_stack((family,), (a,))[0]
+    return build_stack((family,), (a,))
+
+
+def tridiagonal_matrices(diag, upper, lower) -> np.ndarray:
+    """Dense (B, dim, dim) matrices with the rows of diag (B, dim) on their
+    diagonals and those of upper and lower (B, dim - 1) above and below.
+
+    Each diagonal entry is 0.0 + d, so a -0.0 entry enters as +0.0.
+    """
+    dim = diag.shape[1]
+    matrices = np.zeros((len(diag), dim, dim))
+    rows = np.arange(dim)
+    matrices[:, rows, rows] += diag
+    matrices[:, rows[:-1], rows[1:]] = upper
+    matrices[:, rows[1:], rows[:-1]] = lower
+    return matrices

@@ -3,9 +3,10 @@
 The operators are not symmetric, but every bond has super_ * sub > 0 for
 a > 0, so a diagonal similarity turns them into real symmetric tridiagonal
 matrices.  The solver is LAPACK's dense symmetric eigensolver
-(numpy.linalg.eigh, dsyevd) on the symmetrized matrices, run once over a
-stack of equal-dimension operators (`solve_spectra`); `solve_spectrum` is
-a stack of one.  The verify side checks it with tools that share no
+(numpy.linalg.eigh, dsyevd) on the symmetrized matrices, run once over an
+`OperatorStack` (`solve_spectra`); `solve_spectrum` solves the stack of one
+that `build_operator` returns.  The bond check and the similarity are the
+stack's (`OperatorStack.symmetrized`).  The verify side checks it with tools that share no
 numerical machinery with it: the ODE residual (residual module) and the
 Sturm certificate (verification module).
 
@@ -30,14 +31,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError
-from .operators import (MAX_SOLVE_DIM, OperatorStack, TridiagonalOperator,
-                        refuse_past_solve_limit)
+from .operators import (MAX_SOLVE_DIM, OperatorStack, refuse_past_solve_limit,
+                        tridiagonal_matrices)
 
 __all__ = [
     "MAX_SOLVE_DIM",
     "SpectralDecomposition",
     "min_relative_gaps",
-    "symmetrize",
     "solve_spectra",
     "solve_spectrum",
 ]
@@ -101,14 +101,8 @@ def min_relative_gaps(etas: np.ndarray) -> np.ndarray:
     return np.where(spread == 0.0, np.inf, gaps)
 
 
-def symmetrize(T: TridiagonalOperator):
-    """(diag, off, scale) of one operator: `OperatorStack.symmetrized` with a stack of one."""
-    diag, off, scale, _ = OperatorStack.of([T]).symmetrized
-    return diag[0], off[0], scale[0]
-
-
-def solve_spectra(operators) -> list:
-    """Full eigendecompositions of equal-dimension operators, in one stacked solve.
+def solve_spectra(stack: OperatorStack) -> list:
+    """Full eigendecompositions of a stack's operators, in one stacked solve.
 
     Ascending eigenvalues and unit-norm vectors, one SpectralDecomposition
     per operator.  The stack is symmetrized at once
@@ -123,17 +117,12 @@ def solve_spectra(operators) -> list:
     Refuses dim > MAX_SOLVE_DIM (4729) as a range limit, before allocating:
     the dense solve of one matrix peaks at about 6 dim^2 doubles, which the
     cap keeps under 1 GiB.  `build_operator` refuses such a dimension
-    already; the check here covers operators built by hand.
+    already; the check here covers stacks built by hand.
     """
-    stack = OperatorStack.of(operators)
     dim = stack.dim
     refuse_past_solve_limit(stack.families[0].n, dim)
     diag, off, scale, _ = stack.symmetrized
-    matrices = np.zeros((len(stack), dim, dim))
-    rows = np.arange(dim)
-    matrices[:, rows, rows] += diag          # 0.0 + d: a -0.0 entry enters as +0.0
-    matrices[:, rows[1:], rows[:-1]] = off
-    matrices[:, rows[:-1], rows[1:]] = off
+    matrices = tridiagonal_matrices(diag, off, off)     # a -0.0 entry enters as +0.0
     etas, y = np.linalg.eigh(matrices)
     # columns[b, k] is vector k of operator b, contiguous: each operator's
     # vectors are Fortran-ordered, the layout whose summation order fixes
@@ -159,6 +148,6 @@ def solve_spectra(operators) -> list:
             for b, (family, a) in enumerate(zip(stack.families, stack.couplings))]
 
 
-def solve_spectrum(T: TridiagonalOperator) -> SpectralDecomposition:
-    """The eigendecomposition of one operator: `solve_spectra` with a stack of one."""
-    return solve_spectra([T])[0]
+def solve_spectrum(stack: OperatorStack) -> SpectralDecomposition:
+    """The eigendecomposition of a stack of one (`build_operator`): `solve_spectra`'s first."""
+    return solve_spectra(stack)[0]

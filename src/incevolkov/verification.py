@@ -32,10 +32,11 @@ unsymmetrized operator with a Newton polish on the same recurrence, is a
 reference that no command runs: the tests compare it with the solver, and
 it adds no detection that the Sturm certificate lacks.
 
-The solve and the Sturm check take a stack of equal-dimension operators
-and run over it at once, after one stacked bond check
-(`operators.OperatorStack.symmetrized`), which the stack keeps for
-both; the ODE residual takes one family's modes at several
+The solve, the Sturm check and the dense reference take an
+`operators.OperatorStack`, the one operator type (a lone operator is a
+stack of one), and run over it at once; the solve and the Sturm check
+share its one stacked bond check (`OperatorStack.symmetrized`), which the
+stack keeps for both.  The ODE residual takes one family's modes at several
 couplings, and the spacetime check the stencil, the bases on it and
 points of one result dtype.  Each operator and point gets the bits it
 gets alone.  A round (`_check_round`) builds one stencil, evaluates each
@@ -87,7 +88,7 @@ from . import forking
 from .constants import SAMPLING_SEED
 from .errors import InputError, StructuralError
 from .families import ALL_KINDS, FamilyKind, SolutionFamily, shared_bases
-from .operators import OperatorStack, TridiagonalOperator, build_stack, refuse_past_solve_limit
+from .operators import build_stack, refuse_past_solve_limit, tridiagonal_matrices
 from .physparams import DeBroglieMomentum
 from .residual import ODE_RESIDUAL_TOL, _batch_residual_maxima
 from .serialize import format_number
@@ -270,16 +271,15 @@ def _first_enclosing(d, b, etas, radii):
     return np.where(enclosed.any(axis=1), radii[np.arange(batch), first], np.inf)
 
 
-def sturm_crosscheck(operators, etas):
+def sturm_crosscheck(stack, etas):
     """Per operator, (radius, gate): Sturm counts enclose each eigenvalue within radius of its eta.
 
-    The operators share one dimension, and etas, shape (B, dim), are the
-    eigenvalues to judge.  One stacked bond check
-    (`OperatorStack.symmetrized`) gives the diagonals, off-diagonals and
-    bond products super * sub, or refuses the first bond that cannot be
-    symmetrized; an `OperatorStack` that the solve symmetrized already
-    gives its kept result.  Both the radius and the gate come from that
-    stack, and from one Gershgorin bound per operator.
+    etas, shape (B, dim), are the eigenvalues to judge.  The stack's bond
+    check (`OperatorStack.symmetrized`) gives the diagonals,
+    off-diagonals and bond products super * sub, or refuses the first bond
+    that cannot be symmetrized; a stack that the solve symmetrized
+    already gives its kept result.  Both the radius and the gate come
+    from that stack, and from one Gershgorin bound per operator.
 
     An operator of dim 1 reports |entry - eta|, exactly, since its
     eigenvalue is its entry.  Every other operator reports
@@ -301,7 +301,7 @@ def sturm_crosscheck(operators, etas):
     the eigenvalues only far past the grid (2.1e136 at dirac-plus n = 3,
     a = 1e150).
     """
-    d, off, _, b = OperatorStack.of(operators).symmetrized
+    d, off, _, b = stack.symmetrized
     bound = _largest_bound(d, off)
     gates = np.maximum(ORACLE_AGREEMENT_TOL, _AGREEMENT_ULPS * np.finfo(float).eps * bound)
     if d.shape[1] == 1:
@@ -347,15 +347,10 @@ def _charpoly_newton_polish(d: np.ndarray, b: np.ndarray, w: np.ndarray,
     return lam
 
 
-def _describe(T: TridiagonalOperator) -> str:
-    return f"{T.family.kind.value} n={T.family.n} a={format_number(T.a)}"
-
-
-def dense_oracle_crosscheck(operators, etas) -> np.ndarray:
+def dense_oracle_crosscheck(stack, etas) -> np.ndarray:
     """Per operator, max |sorted dense eigenvalues - etas|; raises on a complex spectrum.
 
-    operators is a sequence of equal-dimension operators and etas the
-    matching sequence of eigenvalue arrays.
+    etas, shape (B, dim), are the eigenvalues to judge.
     The dense path (general nonsymmetric eigensolver on each embedded
     matrix, plus a characteristic-polynomial Newton polish run over the
     whole stack) shares nothing with the symmetrize-then-tridiagonal route.
@@ -363,23 +358,21 @@ def dense_oracle_crosscheck(operators, etas) -> np.ndarray:
     No command runs it: the tests use it as a second eigenvalue reference,
     and `benchmarks/tracing.py` names it as a traced layer.
     """
-    family, dim = operators[0].family, operators[0].dim
+    family, dim = stack.families[0], stack.dim
     if dim > DENSE_MAX_DIM:
         raise InputError(
             f"{family.kind.value} n = {family.n} gives dimension {dim}, past "
             f"the range limit of the dense cross-check (dim <= {DENSE_MAX_DIM})")
-    if len({T.dim for T in operators}) != 1:
-        raise InputError("the dense cross-check needs operators of one dimension")
-    w = np.linalg.eigvals(np.stack([T.to_dense() for T in operators]))
-    for T, max_imag in zip(operators, np.max(np.abs(w.imag), axis=1)):
+    w = np.linalg.eigvals(tridiagonal_matrices(stack.diag, stack.super_, stack.sub))
+    for fam, a, max_imag in zip(stack.families, stack.couplings,
+                                np.max(np.abs(w.imag), axis=1)):
         if max_imag > DENSE_IMAG_TOL:
             raise StructuralError(
-                f"{_describe(T)}: dense eigenvalues have imaginary parts up to "
-                f"{max_imag:.3e} (> {DENSE_IMAG_TOL}); recurrence or "
-                "symmetrization is wrong")
-    d = np.stack([T.diag for T in operators])
-    b = np.stack([T.super_ * T.sub for T in operators])
-    polished = _charpoly_newton_polish(d, b, np.sort(w.real, axis=1))
+                f"{fam.kind.value} n={fam.n} a={format_number(a)}: dense eigenvalues "
+                f"have imaginary parts up to {max_imag:.3e} (> {DENSE_IMAG_TOL}); "
+                "recurrence or symmetrization is wrong")
+    polished = _charpoly_newton_polish(stack.diag, stack.super_ * stack.sub,
+                                       np.sort(w.real, axis=1))
     return np.max(np.abs(np.sort(polished, axis=1) - etas), axis=1)
 
 

@@ -31,6 +31,11 @@ steps h and h/2 over the seeded points of `verification.pde_stencil`,
 and reports the observed convergence order.  It is the check `verify`
 ran before the exact one (`verification.pde_residual`), kept so that the
 tests can compare the two verdicts.
+
+Hand-built operators.  `hand_built` makes the stack of one of given
+entry rows, `joined` puts stacks of one dimension into one, and `dense`
+embeds a stack as its (B, dim, dim) matrices: the inputs of the tests
+that corrupt an entry, flip a bond's sign or mix good and bad operators.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ import numpy as np
 
 from incevolkov.constants import C_LIGHT, HBAR, SAMPLING_SEED
 from incevolkov.errors import InputError, StructuralError
+from incevolkov.operators import OperatorStack, tridiagonal_matrices
 from incevolkov.physparams import PlasmaInput
 from incevolkov.verification import PDE_POINTS, seeded_angles
 
@@ -259,3 +265,31 @@ def pde_residual_fd(family, c, momentum, a: float, h: float, n_m: float) -> FdPd
     with np.errstate(over="ignore", invalid="ignore"):
         r_h, r_half = max_residual(h), max_residual(h / 2.0)
     return FdPdeReport(r_h, r_half, math.log2(r_h / r_half) if r_half > 0 else math.inf)
+
+
+# ---------------------------------------------------------------------------
+# hand-built operators
+# ---------------------------------------------------------------------------
+
+_ENTRIES = ("diag", "super_", "sub")
+
+
+def hand_built(family, a, diag, super_, sub) -> OperatorStack:
+    """The operator of `family` at a with the entry rows diag (dim) and
+    super_ and sub (dim - 1): a stack of one, its arrays copied."""
+    rows = {"diag": diag, "super_": super_, "sub": sub}
+    return OperatorStack(families=(family,), couplings=(a,),
+                         **{name: np.array([rows[name]], dtype=float) for name in _ENTRIES})
+
+
+def joined(stacks) -> OperatorStack:
+    """Stacks of one dimension as one stack, their rows in order."""
+    return OperatorStack(families=sum((s.families for s in stacks), ()),
+                         couplings=sum((s.couplings for s in stacks), ()),
+                         **{name: np.concatenate([getattr(s, name) for s in stacks])
+                            for name in _ENTRIES})
+
+
+def dense(stack) -> np.ndarray:
+    """The (B, dim, dim) matrices T of a stack."""
+    return tridiagonal_matrices(stack.diag, stack.super_, stack.sub)

@@ -23,10 +23,15 @@ The list:
     kg-sin-odd, kg-sin-even) at n = 1 and a in {1e307, 1e308, 1.7e308},
     where the ODE residual's terms leave double range and the exit code
     tells a refused input from a failed check;
-  * `modes` CSV of every mode of each kind at n = 3, a = 14;
+  * `spectrum` and one-point `verify` at three couplings whose bond
+    products leave double range (dirac-plus n = 2 at a = 1e308,
+    kg-cos-even n = 3 at 5e-324, dirac-minus n = 4 at 1e-170), and
+    `verify --all --a 5e-324`: the bond check's refusals;
+  * `spectrum` CSV, `modes` CSV and `modes` JSON of every mode of each
+    kind at n = 3, a = 14;
   * `figure 1`, `2` and `3` from `configs/figureN.cfg`, and `params` from
     `configs/reference.cfg` (this tree's configs, for both trees).
-That is 1,131 commands; --smoke keeps a few of each sort.
+That is 1,150 commands; --smoke keeps a few of each sort.
 
 Each command starts with a clean warnings registry, so a numpy warning is
 printed as a fresh process would print it; the tree's own path in stderr
@@ -58,6 +63,8 @@ WIDE_SPECTRA = [("dirac-plus", 201, "1"), ("dirac-plus", 260, "14"),
                 ("kg-cos-even", 300, "14"), ("kg-sin-odd", 260, "1")]
 NEAR_LARGEST_DOUBLE = [(kind, a) for kind in ("kg-cos-odd", "kg-sin-odd", "kg-sin-even")
                        for a in ("1e307", "1e308", "1.7e308")]
+BOND_REFUSALS = [("dirac-plus", "2", "1e308"), ("kg-cos-even", "3", "5e-324"),
+                 ("dirac-minus", "4", "1e-170")]
 
 
 def commands(smoke: bool) -> list:
@@ -74,7 +81,12 @@ def commands(smoke: bool) -> list:
     cmds += [[command, "--family", kind, "--n", "1", "--a", a]
              for command in ("spectrum", "verify")
              for kind, a in (NEAR_LARGEST_DOUBLE[4:5] if smoke else NEAR_LARGEST_DOUBLE)]
-    cmds += [["modes", "--family", kind, "--n", "3", "--a", "14", "--format", "csv"]
+    cmds += [[command, "--family", kind, "--n", n, "--a", a]
+             for command in ("spectrum", "verify")
+             for kind, n, a in (BOND_REFUSALS[:1] if smoke else BOND_REFUSALS)]
+    cmds.append(["verify", "--all", "--a", "5e-324"])
+    cmds += [[command, "--family", kind, "--n", "3", "--a", "14", "--format", fmt]
+             for command, fmt in (("spectrum", "csv"), ("modes", "csv"), ("modes", "json"))
              for kind in KINDS]
     cmds += [["figure", str(i), "--config", str(configs / f"figure{i}.cfg")]
              for i in (1, 2, 3)]

@@ -19,7 +19,7 @@ from incevolkov.cli import main
 from incevolkov.constants import C_LIGHT, ELECTRON_MASS, PROTON_MASS
 from incevolkov.families import ALL_KINDS, FamilyKind, SolutionFamily
 from incevolkov.modulation import contrast, harmonic_strengths
-from incevolkov.operators import build_operator
+from incevolkov.operators import build_operator, build_stack
 from incevolkov.physparams import (LaserInput, PlasmaInput, WaveConfig,
                                    intensity_parameter)
 from incevolkov.residual import attach_residuals
@@ -76,8 +76,8 @@ def test_criterion_02_cardinality_and_realness():
     dec_d = solve_spectrum(T_d)
     dec_k = solve_spectrum(T_k)
     # realness asserted inside the dense cross-check (raises above 1e-10)
-    disc_d, = dense_oracle_crosscheck([T_d], [dec_d.etas])
-    disc_k, = dense_oracle_crosscheck([T_k], [dec_k.etas])
+    disc_d, = dense_oracle_crosscheck(T_d, [dec_d.etas])
+    disc_k, = dense_oracle_crosscheck(T_k, [dec_k.etas])
     kg_gap_ok = dec_k.min_relative_gap > 1e-8
     resolvable = int(np.sum(np.diff(dec_d.etas) / dec_d.spread > 1e-8))
     elapsed = time.perf_counter() - t0
@@ -128,11 +128,12 @@ def test_criterion_04_oracle_agreement(grid_report):
     for kind in ALL_KINDS:
         for n in range(1, GRID_N_MAX + 1):
             for a in GRID_A_VALUES:
-                T = build_operator(SolutionFamily(kind, n), a)
-                groups.setdefault(T.dim, []).append(T)
+                fam = SolutionFamily(kind, n)
+                groups.setdefault(fam.dim, []).append((fam, a))
+    stacks = [build_stack(*zip(*points)) for points in groups.values()]
     max_dense = max(float(np.max(dense_oracle_crosscheck(
                         ops, [dec.etas for dec in solve_spectra(ops)])))
-                    for ops in groups.values())
+                    for ops in stacks)
     max_sturm = max(p.checks["sturm"]["discrepancy"] for p in grid_report.points)
     ok = max_dense < 1e-9 and max_sturm < 1e-9
     report(4, ok, f"solver vs Sturm vs dense over the full grid: "

@@ -9,6 +9,7 @@ from incevolkov.errors import InputError
 from incevolkov.families import ALL_KINDS, FamilyKind, SolutionFamily
 from incevolkov.operators import OperatorStack, _entries, build_operator, build_stack
 from incevolkov.verification import DEFAULT_GRID_A_VALUES
+from reference import dense
 
 ALL_FAMILY_CASES = [(kind, n) for kind in ALL_KINDS for n in (1, 2, 3, 7, 25)]
 
@@ -134,7 +135,7 @@ class TestFamilyStructure:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     def test_string_kind_keeps_the_fold(self):
-        etas = np.linalg.eigvals(build_operator(SolutionFamily("kg-cos-even", 3), 5.0).to_dense())
+        etas = np.linalg.eigvals(dense(build_operator(SolutionFamily("kg-cos-even", 3), 5.0))[0])
         assert min(etas.real) == pytest.approx(-25.71, abs=0.01)
 
     def test_unknown_kind(self):
@@ -145,7 +146,7 @@ class TestFamilyStructure:
 class TestDiracOperator:
     def test_decoupled_at_zero_coupling(self):
         T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 1), 0.0)
-        assert np.array_equal(T.diag, [0.0, 4.0])
+        assert np.array_equal(T.diag[0], [0.0, 4.0])
         assert np.all(T.super_ == 0.0)
         assert np.all(T.sub == 0.0)
 
@@ -153,9 +154,9 @@ class TestDiracOperator:
         # window r = 0, 1 with q = 1: both couplings equal a
         a = 2.7
         T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 1), a)
-        assert T.diag[0] == 0.0 and T.diag[1] == 4.0
-        assert T.super_[0] == pytest.approx(a)
-        assert T.sub[0] == pytest.approx(a)
+        assert T.diag[0, 0] == 0.0 and T.diag[0, 1] == 4.0
+        assert T.super_[0, 0] == pytest.approx(a)
+        assert T.sub[0, 0] == pytest.approx(a)
 
     def test_minus_family_mirror(self):
         # conjugation plus reflection maps the two branches onto each other,
@@ -163,9 +164,9 @@ class TestDiracOperator:
         a = 3.3
         Tp = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 4), a)
         Tm = build_operator(SolutionFamily(FamilyKind.DIRAC_MINUS, 4), a)
-        assert np.allclose(Tm.diag, Tp.diag[::-1])
-        assert np.allclose(Tm.super_, Tp.sub[::-1])
-        assert np.allclose(Tm.sub, Tp.super_[::-1])
+        assert np.allclose(Tm.diag[0], Tp.diag[0, ::-1])
+        assert np.allclose(Tm.super_[0], Tp.sub[0, ::-1])
+        assert np.allclose(Tm.sub[0], Tp.super_[0, ::-1])
 
     def test_errors(self):
         with pytest.raises(InputError):
@@ -180,31 +181,31 @@ class TestKgOperator:
         a, n = 1.9, 4
         T = build_operator(SolutionFamily(FamilyKind.KG_COS_EVEN, n), a)
         q = 2 * n
-        assert T.sub[0] == pytest.approx(a * q)
-        assert T.super_[0] == pytest.approx(0.5 * a * (q + 2))
+        assert T.sub[0, 0] == pytest.approx(a * q)
+        assert T.super_[0, 0] == pytest.approx(0.5 * a * (q + 2))
 
     def test_cos_even_two_by_two(self):
         a = 3.0
         T = build_operator(SolutionFamily(FamilyKind.KG_COS_EVEN, 1), a)
-        assert np.array_equal(T.diag, [0.0, 4.0])
-        assert T.super_[0] == pytest.approx(2 * a)
-        assert T.sub[0] == pytest.approx(2 * a)
+        assert np.array_equal(T.diag[0], [0.0, 4.0])
+        assert T.super_[0, 0] == pytest.approx(2 * a)
+        assert T.sub[0, 0] == pytest.approx(2 * a)
 
     def test_odd_fold_on_diagonal(self):
         a, n = 2.2, 5
         q = 2 * n - 1
         Tc = build_operator(SolutionFamily(FamilyKind.KG_COS_ODD, n), a)
         Ts = build_operator(SolutionFamily(FamilyKind.KG_SIN_ODD, n), a)
-        assert Tc.diag[0] == pytest.approx(1.0 + 0.5 * a * (q + 1))
-        assert Ts.diag[0] == pytest.approx(1.0 - 0.5 * a * (q + 1))
+        assert Tc.diag[0, 0] == pytest.approx(1.0 + 0.5 * a * (q + 1))
+        assert Ts.diag[0, 0] == pytest.approx(1.0 - 0.5 * a * (q + 1))
         assert np.array_equal(Tc.super_, Ts.super_)
         assert np.array_equal(Tc.sub, Ts.sub)
 
     def test_zero_coupling_frequencies(self):
         T = build_operator(SolutionFamily(FamilyKind.KG_SIN_EVEN, 3), 0.0)
-        assert np.array_equal(T.diag, [4.0, 16.0, 36.0])
+        assert np.array_equal(T.diag[0], [4.0, 16.0, 36.0])
         T = build_operator(SolutionFamily(FamilyKind.KG_SIN_ODD, 3), 0.0)
-        assert np.array_equal(T.diag, [1.0, 9.0, 25.0])
+        assert np.array_equal(T.diag[0], [1.0, 9.0, 25.0])
 
 
 class TestGenericInvariants:
@@ -224,13 +225,13 @@ class TestGenericInvariants:
     def test_zero_coupling_diagonal(self, kind, n):
         fam = SolutionFamily(kind, n)
         T = build_operator(fam, 0.0)
-        assert np.array_equal(T.diag, (2.0 * fam.xi_harmonics) ** 2)
+        assert np.array_equal(T.diag[0], (2.0 * fam.xi_harmonics) ** 2)
         assert np.all(T.super_ == 0.0) and np.all(T.sub == 0.0)
 
     def test_immutability(self):
         T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 2), 1.0)
         with pytest.raises(ValueError):
-            T.diag[0] = 99.0
+            T.diag[0, 0] = 99.0
 
 
 class TestEntryFormula:
@@ -245,9 +246,9 @@ class TestEntryFormula:
             for a in (0.0, 0.5, 14.0, 50.0, 1e150):
                 diag_f, sup_f, sub_f = _reference_entries(fam, a)
                 T = build_operator(fam, a)
-                assert _bitwise_equal(T.diag, [diag_f(r) for r in rs]), (n, a)
-                assert _bitwise_equal(T.super_, [sup_f(r) for r in rs[:-1]]), (n, a)
-                assert _bitwise_equal(T.sub, [sub_f(r) for r in rs[1:]]), (n, a)
+                assert _bitwise_equal(T.diag[0], [diag_f(r) for r in rs]), (n, a)
+                assert _bitwise_equal(T.super_[0], [sup_f(r) for r in rs[:-1]]), (n, a)
+                assert _bitwise_equal(T.sub[0], [sub_f(r) for r in rs[1:]]), (n, a)
                 expected = {"above": sub_f(rs[-1] + 1)}
                 if fam.spin_sign != 0:
                     expected["below"] = sup_f(rs[0] - 1)
@@ -279,13 +280,13 @@ class TestEntryFormula:
         if a > 1e-150:
             assert np.all(T.super_ * T.sub > 0.0)
         T0 = build_operator(fam, 0.0)
-        assert np.array_equal(T0.diag, fam.nu ** 2)
+        assert np.array_equal(T0.diag[0], fam.nu ** 2)
         assert np.all(T0.super_ == 0.0) and np.all(T0.sub == 0.0)
         plus = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, n), a)
         minus = build_operator(SolutionFamily(FamilyKind.DIRAC_MINUS, n), a)
-        assert np.array_equal(minus.diag, plus.diag[::-1])
-        assert np.array_equal(minus.super_, plus.sub[::-1])
-        assert np.array_equal(minus.sub, plus.super_[::-1])
+        assert np.array_equal(minus.diag[0], plus.diag[0, ::-1])
+        assert np.array_equal(minus.super_[0], plus.sub[0, ::-1])
+        assert np.array_equal(minus.sub[0], plus.super_[0, ::-1])
 
 
 def _same_bits(got, want) -> bool:
@@ -320,10 +321,10 @@ class TestOperatorStack:
             fam = SolutionFamily(kind, n)
             stack = build_stack([fam] * len(STACK_COUPLINGS), STACK_COUPLINGS)
             assert len(stack) == len(STACK_COUPLINGS) and stack.dim == fam.dim
-            for T, a in zip(stack, STACK_COUPLINGS, strict=True):
-                assert (T.family, T.a) == (fam, a)
+            for b, a in enumerate(STACK_COUPLINGS):
+                assert (stack.families[b], stack.couplings[b]) == (fam, a)
                 for name, want in _reference_rows(fam, a).items():
-                    assert _same_bits(getattr(T, name), want), (kind, n, a, name)
+                    assert _same_bits(getattr(stack, name)[b], want), (kind, n, a, name)
 
     def test_grid_groups_mix_families(self):
         # each dimension group of the grid, its families interleaved: the
@@ -338,10 +339,11 @@ class TestOperatorStack:
         for points in groups.values():
             families, couplings = zip(*points)
             stack = build_stack(families, couplings)
-            for T, (fam, a) in zip(stack, points, strict=True):
-                assert T.family == fam
+            assert len(stack) == len(points)
+            for b, (fam, a) in enumerate(points):
+                assert stack.families[b] == fam
                 for name, want in _reference_rows(fam, a).items():
-                    assert _same_bits(getattr(T, name), want), (fam, a)
+                    assert _same_bits(getattr(stack, name)[b], want), (fam, a)
 
     def test_refuses_as_build_operator_the_first_point_first(self):
         fam = SolutionFamily(FamilyKind.DIRAC_PLUS, 2)
@@ -361,8 +363,30 @@ class TestOperatorStack:
         first = stack.symmetrized
         assert stack.symmetrized is first
         assert all(not part.flags.writeable for part in first)
-        assert OperatorStack.of(stack) is stack
-        assert OperatorStack.of(list(stack)).symmetrized is not first
+        assert build_stack([fam, fam], [1.0, 14.0]).symmetrized is not first
+
+    def test_refuses_shapes_that_disagree(self):
+        # entry rows of one operator passed 1-D, as a lone operator once
+        # took them; too few couplings; bond rows of the wrong length or
+        # of different shapes; a 3-D diagonal; more rows than families
+        fam = SolutionFamily(FamilyKind.DIRAC_PLUS, 1)
+        good = build_operator(fam, 1.0)
+        cases = [
+            dict(diag=np.zeros(2), super_=np.ones(1), sub=np.ones(1)),
+            dict(couplings=()),
+            dict(super_=np.ones((1, 2))),
+            dict(sub=np.ones((1, 0))),
+            dict(diag=np.zeros((1, 2, 1))),
+            dict(diag=np.zeros((2, 2)), super_=np.ones((2, 1)), sub=np.ones((2, 1))),
+        ]
+        for changed in cases:
+            fields = {"families": good.families, "couplings": good.couplings,
+                      "diag": good.diag, "super_": good.super_, "sub": good.sub, **changed}
+            with pytest.raises(InputError, match="^operator stack shapes disagree: 1 families, "):
+                OperatorStack(**fields)
+        assert len(OperatorStack(families=good.families, couplings=good.couplings,
+                                 diag=np.zeros((1, 2)), super_=np.ones((1, 1)),
+                                 sub=np.ones((1, 1)))) == 1
 
 
 class TestFamilyBasis:
@@ -417,7 +441,7 @@ class TestClosure:
         fam = SolutionFamily(FamilyKind.DIRAC_PLUS, 3)
         T = build_operator(fam, 5.0)
         T_ext, win = build_extended_operator(fam, 5.0, extra=3)
-        w_orig = np.sort(np.linalg.eigvals(T.to_dense()).real)
+        w_orig = np.sort(np.linalg.eigvals(dense(T)[0]).real)
         w_ext = np.sort(np.linalg.eigvals(T_ext).real)
         # block triangular split: the original eigenvalues survive intact
         for w in w_orig:

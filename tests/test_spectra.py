@@ -10,10 +10,11 @@ from hypothesis.extra import numpy as hnp
 
 from incevolkov.errors import InputError, StructuralError
 from incevolkov.families import ALL_KINDS, FamilyKind, SolutionFamily
-from incevolkov.operators import OperatorStack, TridiagonalOperator, build_operator
-from incevolkov.spectra import MAX_SOLVE_DIM, solve_spectra, solve_spectrum, symmetrize
+from incevolkov.operators import OperatorStack, build_operator, build_stack
+from incevolkov.spectra import MAX_SOLVE_DIM, solve_spectra, solve_spectrum
 from incevolkov.verification import (DEFAULT_GRID_A_VALUES, certified_radii,
                                      gershgorin_bounds, minor_ratios, sturm_counts)
+from reference import dense, hand_built, joined
 
 
 def lockstep_reference(diag, offdiag, tol=1e-11, max_iterations=250):
@@ -72,7 +73,7 @@ def grid_stacks():
         for n in range(1, 26):
             for a in DEFAULT_GRID_A_VALUES:
                 T = build_operator(SolutionFamily(kind, n), float(a))
-                d, e, _ = symmetrize(T)
+                (d,), (e,), _, _ = T.symmetrized
                 groups.setdefault(T.dim, []).append((d, e, solve_spectrum(T).etas))
     stacks = []
     for rows in groups.values():
@@ -104,27 +105,35 @@ def _assert_within_twice_the_gap(d, e, etas, reference, tol=1e-11):
 
 
 def loop_symmetrize(T):
-    """Bond-by-bond symmetrization: the reference for `symmetrize`."""
+    """Bond-by-bond symmetrization of a stack of one: the reference for
+    `OperatorStack.symmetrized`."""
+    family, a = T.families[0], T.couplings[0]
+    sup, sub = T.super_[0], T.sub[0]
     scale = np.ones(T.dim)
     off = np.zeros(max(T.dim - 1, 0))
-    name = f"{T.family.kind.value} n={T.family.n}"
+    name = f"{family.kind.value} n={family.n}"
     for i in range(T.dim - 1):
-        p = float(T.super_[i]) * float(T.sub[i])
+        p = float(sup[i]) * float(sub[i])
         if p == np.inf:
-            raise InputError(f"{name}: bond {i}: super*sub overflows at a = {T.a!r}; "
+            raise InputError(f"{name}: bond {i}: super*sub overflows at a = {a!r}; "
                              "the coupling is too large for double precision")
         if p > 0.0:
             off[i] = np.sqrt(p)
-            scale[i + 1] = scale[i] * np.sqrt(T.super_[i] / T.sub[i])
-        elif T.super_[i] == 0.0 and T.sub[i] == 0.0:
+            scale[i + 1] = scale[i] * np.sqrt(sup[i] / sub[i])
+        elif sup[i] == 0.0 and sub[i] == 0.0:
             scale[i + 1] = scale[i]
-        elif p == 0.0 and np.sign(T.super_[i]) == np.sign(T.sub[i]):
-            raise InputError(f"{name}: bond {i}: super*sub underflows at a = {T.a!r}; "
+        elif p == 0.0 and np.sign(sup[i]) == np.sign(sub[i]):
+            raise InputError(f"{name}: bond {i}: super*sub underflows at a = {a!r}; "
                              "the coupling is too small for double precision")
         else:
-            raise StructuralError(f"{name}: bond {i}: super*sub = {p!r} <= 0 at a = {T.a}; "
+            raise StructuralError(f"{name}: bond {i}: super*sub = {p!r} <= 0 at a = {a}; "
                                   "operator is not symmetrizable (wrong recurrence?)")
-    return T.diag.copy(), off, scale
+    return T.diag[0].copy(), off, scale
+
+
+def _rows(T):
+    """(diag, off, scale) of a stack of one, from `OperatorStack.symmetrized`."""
+    return tuple(part[0] for part in T.symmetrized[:3])
 
 
 def reference_solve(T):
@@ -132,7 +141,7 @@ def reference_solve(T):
 
     (etas, vectors), vectors Fortran-ordered.
     """
-    diag, off, scale = symmetrize(T)
+    (diag,), (off,), (scale,), _ = T.symmetrized
     etas, y = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     vectors = np.asfortranarray(y) / scale[:, None]
     with np.errstate(over="ignore"):
@@ -162,27 +171,27 @@ def _symmetrize_outcome(fn, T):
 
 
 def _dense_similarity(T, scale):
-    return np.diag(scale) @ T.to_dense() @ np.diag(1.0 / scale)
+    return np.diag(scale) @ dense(T)[0] @ np.diag(1.0 / scale)
 
 
 class TestSymmetrize:
     def test_diagonal_operator_unchanged(self):
         T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 2), 0.0)
-        d, e, scale = symmetrize(T)
-        assert np.array_equal(d, T.diag)
+        (d,), (e,), (scale,), _ = T.symmetrized
+        assert np.array_equal(d, T.diag[0])
         assert np.all(e == 0.0)
         assert np.all(scale == 1.0)
 
     def test_dirac_n1_already_symmetric(self):
         T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 1), 4.2)
-        d, e, scale = symmetrize(T)
+        (d,), (e,), (scale,), _ = T.symmetrized
         assert np.all(scale == 1.0)
-        assert e[0] == pytest.approx(T.super_[0])
+        assert e[0] == pytest.approx(T.super_[0, 0])
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_similarity_identity(self, kind):
         T = build_operator(SolutionFamily(kind, 6), 9.0)
-        d, e, scale = symmetrize(T)
+        (d,), (e,), (scale,), _ = T.symmetrized
         S = np.diag(d)
         if T.dim > 1:
             S += np.diag(e, 1) + np.diag(e, -1)
@@ -193,35 +202,35 @@ class TestSymmetrize:
         fam = SolutionFamily(FamilyKind.DIRAC_PLUS, 4)
         for _ in range(20):
             dim = 8
-            T = TridiagonalOperator(
+            T = hand_built(
                 family=fam, a=1.0,
                 diag=rng.normal(size=dim),
                 super_=rng.uniform(0.1, 2.0, size=dim - 1),
                 sub=rng.uniform(0.1, 2.0, size=dim - 1))
-            d, e, scale = symmetrize(T)
+            (d,), (e,), (scale,), _ = T.symmetrized
             S = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
             assert np.max(np.abs(S - _dense_similarity(T, scale))) < 1e-13
 
     def test_sign_flip_rejected(self):
         fam = SolutionFamily(FamilyKind.DIRAC_PLUS, 1)
-        T = TridiagonalOperator(family=fam, a=1.0, diag=np.zeros(2),
-                                super_=np.array([1.0]), sub=np.array([-1.0]))
+        T = hand_built(family=fam, a=1.0, diag=np.zeros(2),
+                       super_=np.array([1.0]), sub=np.array([-1.0]))
         with pytest.raises(StructuralError):
-            symmetrize(T)
+            T.symmetrized
 
     def test_underflowing_bond_is_input_error(self):
         fam = SolutionFamily(FamilyKind.DIRAC_PLUS, 1)
         for sign in (1.0, -1.0):
-            T = TridiagonalOperator(family=fam, a=1e-200, diag=np.zeros(2),
-                                    super_=np.array([sign * 1e-200]),
-                                    sub=np.array([sign * 1e-200]))
+            T = hand_built(family=fam, a=1e-200, diag=np.zeros(2),
+                           super_=np.array([sign * 1e-200]),
+                           sub=np.array([sign * 1e-200]))
             with pytest.raises(InputError, match=r"^dirac-plus n=1: bond 0: super\*sub "
                                                  r"underflows at a = 1e-200"):
-                symmetrize(T)
-        T = TridiagonalOperator(family=fam, a=1e-200, diag=np.zeros(2),
-                                super_=np.array([1e-200]), sub=np.array([-1e-200]))
+                T.symmetrized
+        T = hand_built(family=fam, a=1e-200, diag=np.zeros(2),
+                       super_=np.array([1e-200]), sub=np.array([-1e-200]))
         with pytest.raises(StructuralError):
-            symmetrize(T)
+            T.symmetrized
 
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -230,7 +239,7 @@ class TestSymmetrize:
             for a in (*DEFAULT_GRID_A_VALUES, 1e-160, 1e150, 1e160):
                 T = build_operator(SolutionFamily(kind, n), a)
                 got, expected = (_symmetrize_outcome(fn, T)
-                                 for fn in (symmetrize, loop_symmetrize))
+                                 for fn in (_rows, loop_symmetrize))
                 if isinstance(expected[0], type):
                     assert got == expected
                 else:
@@ -245,10 +254,10 @@ class TestSymmetrize:
     ])
     def test_first_offending_bond_named(self, bonds, error, bond):
         sup, sub = (np.array(part) for part in zip(*bonds))
-        T = TridiagonalOperator(family=SolutionFamily(FamilyKind.DIRAC_PLUS, 1), a=1.0,
-                                diag=np.zeros(len(bonds) + 1), super_=sup, sub=sub)
+        T = hand_built(family=SolutionFamily(FamilyKind.DIRAC_PLUS, 1), a=1.0,
+                       diag=np.zeros(len(bonds) + 1), super_=sup, sub=sub)
         with pytest.raises(error, match=rf"^dirac-plus n=1: bond {bond}: ") as info:
-            symmetrize(T)
+            T.symmetrized
         assert _symmetrize_outcome(loop_symmetrize, T) == (error, str(info.value))
 
     @pytest.mark.parametrize("order", [(0, 1, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])
@@ -257,18 +266,18 @@ class TestSymmetrize:
         # is alone: an overflow, an underflow, and a sign flip at bond 2
         bad = [build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 2), 1e308),
                build_operator(SolutionFamily(FamilyKind.KG_COS_EVEN, 3), 5e-324),
-               TridiagonalOperator(family=SolutionFamily(FamilyKind.DIRAC_PLUS, 2), a=1.0,
-                                   diag=np.zeros(4), super_=np.array([1.0, 2.0, 1.0]),
-                                   sub=np.array([1.0, 2.0, -1.0]))]
+               hand_built(family=SolutionFamily(FamilyKind.DIRAC_PLUS, 2), a=1.0,
+                          diag=np.zeros(4), super_=np.array([1.0, 2.0, 1.0]),
+                          sub=np.array([1.0, 2.0, -1.0]))]
         good = [build_operator(SolutionFamily(kind, n), a)
                 for kind, n in ((FamilyKind.DIRAC_MINUS, 2), (FamilyKind.KG_COS_EVEN, 3))
                 for a in (0.0, 14.0)]
         stack = [good[0], good[1], bad[order[0]], good[2], bad[order[1]], bad[order[2]],
                  good[3]]
-        expected = _symmetrize_outcome(symmetrize, bad[order[0]])
+        expected = _symmetrize_outcome(_rows, bad[order[0]])
         assert isinstance(expected[0], type)
         with pytest.raises(expected[0]) as info:
-            OperatorStack.of(stack).symmetrized
+            joined(stack).symmetrized
         assert (type(info.value), str(info.value)) == expected
 
     def test_stack_matches_each_operator_of_the_grid(self):
@@ -278,20 +287,21 @@ class TestSymmetrize:
         for kind in ALL_KINDS:
             for n in range(1, 26):
                 for a in DEFAULT_GRID_A_VALUES:
-                    T = build_operator(SolutionFamily(kind, n), a)
-                    groups.setdefault(T.dim, []).append(T)
+                    fam = SolutionFamily(kind, n)
+                    groups.setdefault(fam.dim, []).append((fam, a))
         assert sum(map(len, groups.values())) == 900
-        for ops in groups.values():
-            diag, off, scale, bonds = OperatorStack.of(ops).symmetrized
-            for T, *rows in zip(ops, diag, off, scale, bonds, strict=True):
-                for got, want in zip(rows, (*loop_symmetrize(T), T.super_ * T.sub)):
+        for points in groups.values():
+            diag, off, scale, bonds = build_stack(*zip(*points)).symmetrized
+            for (fam, a), *rows in zip(points, diag, off, scale, bonds, strict=True):
+                T = build_operator(fam, a)
+                for got, want in zip(rows, (*loop_symmetrize(T), (T.super_ * T.sub)[0])):
                     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_zero_bond_keeps_scale(self):
-        T = TridiagonalOperator(family=SolutionFamily(FamilyKind.DIRAC_PLUS, 1), a=1.0,
-                                diag=np.zeros(4), super_=np.array([4.0, 0.0, 9.0]),
-                                sub=np.array([1.0, -0.0, 1.0]))
-        d, e, scale = symmetrize(T)
+        T = hand_built(family=SolutionFamily(FamilyKind.DIRAC_PLUS, 1), a=1.0,
+                       diag=np.zeros(4), super_=np.array([4.0, 0.0, 9.0]),
+                       sub=np.array([1.0, -0.0, 1.0]))
+        (d,), (e,), (scale,), _ = T.symmetrized
         assert scale.tolist() == [1.0, 2.0, 2.0, 6.0]
         assert e.tolist() == [2.0, 0.0, 3.0] and not np.signbit(e[1])
 
@@ -347,7 +357,7 @@ class TestSolveSpectrum:
         # dirac n = 516 is the smallest n at which some back-transformed
         # columns' squares overflow; they once came out all zero
         T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 516), 1.0)
-        _, _, scale = symmetrize(T)
+        _, _, (scale,), _ = T.symmetrized
         assert 1.0 / scale.min() > 1e154
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -357,7 +367,7 @@ class TestSolveSpectrum:
     def test_weighted_orthogonality(self):
         T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 12), 14.0)
         dec = solve_spectrum(T)
-        Y = dec.vectors * symmetrize(T)[2][:, None]
+        Y = dec.vectors * T.symmetrized[2][0][:, None]
         Y = Y / np.linalg.norm(Y, axis=0)
         G = Y.T @ Y - np.eye(dec.dim)
         assert np.max(np.abs(G)) < 1e-10
@@ -384,7 +394,7 @@ class TestSolveSpectrum:
 
         monkeypatch.setattr(OperatorStack, "symmetrized", property(refuse))
         dim = MAX_SOLVE_DIM + 1
-        T = TridiagonalOperator(
+        T = hand_built(
             family=SolutionFamily(FamilyKind.KG_COS_EVEN, MAX_SOLVE_DIM), a=1.0,
             diag=np.zeros(dim), super_=np.ones(dim - 1), sub=np.ones(dim - 1))
         with pytest.raises(InputError, match="range limit"):
@@ -409,28 +419,29 @@ class TestSolveSpectra:
         for kind in ALL_KINDS:
             for n in range(1, 26):
                 for a in DEFAULT_GRID_A_VALUES:
-                    T = build_operator(SolutionFamily(kind, n), float(a))
-                    groups.setdefault(T.dim, []).append(T)
+                    fam = SolutionFamily(kind, n)
+                    groups.setdefault(fam.dim, []).append((fam, float(a)))
         assert len(groups) == 38
-        for ops in groups.values():
-            for dec, T in zip(solve_spectra(ops), ops, strict=True):
-                assert (dec.family, dec.a) == (T.family, T.a)
-                _assert_same_bits(dec, T)
+        for points in groups.values():
+            for dec, (fam, a) in zip(solve_spectra(build_stack(*zip(*points))), points,
+                                     strict=True):
+                assert (dec.family, dec.a) == (fam, a)
+                _assert_same_bits(dec, build_operator(fam, a))
 
     @pytest.mark.parametrize("n, a", [(200, 14.0), (520, 1.0)])
     def test_large_operator_bit_identical(self, n, a):
         # n = 520 takes the prescale of columns whose squares overflow
         T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, n), a)
         if n == 520:
-            assert 1.0 / symmetrize(T)[2].min() > 1e154
+            assert 1.0 / T.symmetrized[2].min() > 1e154
         _assert_same_bits(solve_spectrum(T), T)
 
     def test_negative_zero_diagonal_enters_as_zero(self):
         # eigh returns an eta of -0.0 for a -0.0 entry across a zero bond,
         # and the JSON writers would print it as -0
-        T = TridiagonalOperator(family=SolutionFamily(FamilyKind.DIRAC_PLUS, 1), a=1.0,
-                                diag=np.array([-0.0, 1.0]), super_=np.zeros(1),
-                                sub=np.zeros(1))
+        T = hand_built(family=SolutionFamily(FamilyKind.DIRAC_PLUS, 1), a=1.0,
+                       diag=np.array([-0.0, 1.0]), super_=np.zeros(1),
+                       sub=np.zeros(1))
         dec = solve_spectrum(T)
         assert dec.etas.tolist() == [0.0, 1.0] and not np.signbit(dec.etas).any()
         _assert_same_bits(dec, T)
@@ -438,17 +449,17 @@ class TestSolveSpectra:
     def test_bad_bond_names_its_operator(self):
         fam = SolutionFamily(FamilyKind.DIRAC_PLUS, 2)
         good = build_operator(fam, 1.0)
-        sub = good.sub.copy()
+        sub = good.sub[0].copy()
         sub[2] = -sub[2]
-        bad = TridiagonalOperator(family=fam, a=2.5, diag=good.diag,
-                                  super_=good.super_, sub=sub)
+        bad = hand_built(family=fam, a=2.5, diag=good.diag[0],
+                         super_=good.super_[0], sub=sub)
         with pytest.raises(StructuralError, match=r"^dirac-plus n=2: bond 2: .* at a = 2\.5; "):
-            solve_spectra([good, bad])
+            solve_spectra(joined([good, bad]))
 
     def test_operators_must_share_dimension(self):
         with pytest.raises(InputError, match="one dimension"):
-            solve_spectra([build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, n), 1.0)
-                           for n in (1, 2)])
+            solve_spectra(build_stack([SolutionFamily(FamilyKind.DIRAC_PLUS, n)
+                                       for n in (1, 2)], [1.0, 1.0]))
 
 
 class TestMinorRatios:
@@ -457,18 +468,17 @@ class TestMinorRatios:
         T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 1), a)
         root = np.sqrt(4.0 + a * a)
         shifts = np.array([2.0 - root - 1.0, 2.0, 2.0 + root + 1.0])
-        count = sum(q < 0 for q in minor_ratios(T.diag[None], (T.super_ * T.sub)[None],
-                                                shifts[None]))
+        count = sum(q < 0 for q in minor_ratios(T.diag, T.super_ * T.sub, shifts[None]))
         assert count.tolist() == [[0, 1, 2]]
 
     def test_zero_pivot_at_free_limit(self):
         T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 3), 0.0)
-        x = T.diag[2]
+        x = T.diag[0, 2]
         ratios = [q[0, 0] for q in
-                  minor_ratios(T.diag[None], (T.super_ * T.sub)[None], np.array([[x]]))]
+                  minor_ratios(T.diag, T.super_ * T.sub, np.array([[x]]))]
         assert ratios[2] == 0.0
         assert np.all(np.isfinite(ratios))
-        assert ratios[3:] == list(T.diag[3:] - x)
+        assert ratios[3:] == list(T.diag[0, 3:] - x)
 
 
     @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 9)),
@@ -517,7 +527,7 @@ class TestSturmOracle:
 
     def test_closed_form_2x2(self):
         T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 1), 3.0)
-        d, e, _ = symmetrize(T)
+        (d,), (e,), _, _ = T.symmetrized
         exact = np.array([2 - np.sqrt(13), 2 + np.sqrt(13)])
         assert certified_radii(d[None], (e * e)[None], exact[None])[0] < 1e-14
         r = certified_radii(d[None], (e * e)[None], exact[None] + 1e-9)[0]
@@ -526,7 +536,7 @@ class TestSturmOracle:
     def test_against_primary_solver_stress(self):
         T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 25), 20.0)
         dec = solve_spectrum(T)
-        d, e, _ = symmetrize(T)
+        (d,), (e,), _, _ = T.symmetrized
         assert certified_radii(d[None], (e * e)[None], dec.etas[None])[0] < 1e-10
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -535,7 +545,7 @@ class TestSturmOracle:
         # the n = 25 corner is the worst conditioned of the shipped grid
         T = build_operator(SolutionFamily(kind, 25), a)
         dec = solve_spectrum(T)
-        d, e, _ = symmetrize(T)
+        (d,), (e,), _, _ = T.symmetrized
         assert certified_radii(d[None], (e * e)[None], dec.etas[None])[0] < 1e-10
 
     def test_stack_matches_each_alone(self):
@@ -544,7 +554,7 @@ class TestSturmOracle:
         ops = [build_operator(SolutionFamily(kind, 3), a)
                for kind in (FamilyKind.DIRAC_PLUS, FamilyKind.DIRAC_MINUS)
                for a in (0.0, 20.0, 1e6)]
-        d, e = (np.stack(parts) for parts in zip(*(symmetrize(T)[:2] for T in ops)))
+        d, e = (np.concatenate(parts) for parts in zip(*(T.symmetrized[:2] for T in ops)))
         shifts = np.array([0.0, 1e-9, 1e-3, 0.0, 1.0, 1e3])[:, None]
         etas = np.stack([solve_spectrum(T).etas for T in ops]) + shifts
         stacked = certified_radii(d, e * e, etas)
@@ -557,7 +567,7 @@ class TestSturmOracle:
     def test_relative_tolerance_at_huge_coupling(self):
         # eigenvalues near 1e150: the radii are relative to them
         T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 3), 1e150)
-        d, e, _ = symmetrize(T)
+        (d,), (e,), _, _ = T.symmetrized
         dense = np.sort(np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)))
         r = certified_radii(d[None], (e * e)[None], dense[None])[0]
         assert r < 1e-14 * np.max(np.abs(dense))

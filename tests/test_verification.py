@@ -24,7 +24,7 @@ from incevolkov.errors import InputError, StructuralError
 from incevolkov.families import (ALL_KINDS, FamilyKind, SolutionFamily, evaluate_basis,
                                  shared_bases)
 import incevolkov.operators as operators
-from incevolkov.operators import OperatorStack, TridiagonalOperator, build_operator
+from incevolkov.operators import OperatorStack, build_operator, build_stack
 from incevolkov.physparams import DeBroglieMomentum
 from incevolkov.residual import (ODE_RESIDUAL_TOL, _batch_residual_maxima,
                                  _fourier_residual, attach_residuals)
@@ -36,7 +36,7 @@ from incevolkov.verification import (_charpoly_newton_polish,
                                      momentum_for_mode, pde_residual,
                                      pde_stencil, run_grid, run_point,
                                      seeded_angles, sturm_crosscheck)
-from reference import pde_residual_fd
+from reference import dense, hand_built, joined, pde_residual_fd
 
 N_M = 0.7685453911282961
 H = 1e-3                        # the step of the finite-difference reference
@@ -59,9 +59,9 @@ def _dense_verdict(kind, n, a, eta_shift=0.0):
     """(discrepancy, passed) of the dense reference on the etas `run_point`
     judges, under the Sturm check's gate."""
     T = build_operator(SolutionFamily(kind, n), a)
-    etas = _solver_etas([T]) + eta_shift
-    disc, = dense_oracle_crosscheck([T], etas)
-    return disc, bool(disc < sturm_crosscheck([T], etas)[1][0])
+    etas = _solver_etas(T) + eta_shift
+    disc, = dense_oracle_crosscheck(T, etas)
+    return disc, bool(disc < sturm_crosscheck(T, etas)[1][0])
 
 
 def _pde(stencil, families, *points):
@@ -153,7 +153,7 @@ def vacuum_null_momentum(r, n_m):
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _scalar_newton_polish(T, w, steps=3):
     """Per-eigenvalue loop form of the Newton polish on det(T - lam I)."""
-    d, b = T.diag, T.super_ * T.sub
+    d, b = T.diag[0], (T.super_ * T.sub)[0]
     pivmin = max(np.max(np.abs(b), initial=0.0), 1.0) * np.finfo(float).tiny * 1e4
     out = w.copy()
     for j, lam in enumerate(w):
@@ -357,19 +357,19 @@ class TestNegativeControls:
         assert not passed and bound > 1e3 * ODE_RESIDUAL_TOL * scale
 
     @pytest.mark.parametrize("kind, entry, value", [
-        (FamilyKind.KG_COS_EVEN, ("sub", 0), lambda T: 0.5 * T.sub[0]),    # the fold's factor 2 lost
-        (FamilyKind.KG_COS_ODD, ("diag", 0), lambda T: 1.0),               # the r = 0 fold lost
-        (FamilyKind.DIRAC_PLUS, ("super_", 3), lambda T: T.super_[3] * (1 + 1e-6)),
-        (FamilyKind.DIRAC_MINUS, ("diag", 4), lambda T: T.diag[4] + 1e-4),
+        (FamilyKind.KG_COS_EVEN, ("sub", 0), lambda T: 0.5 * T.sub[0, 0]),  # the fold's factor 2 lost
+        (FamilyKind.KG_COS_ODD, ("diag", 0), lambda T: 1.0),                # the r = 0 fold lost
+        (FamilyKind.DIRAC_PLUS, ("super_", 3), lambda T: T.super_[0, 3] * (1 + 1e-6)),
+        (FamilyKind.DIRAC_MINUS, ("diag", 4), lambda T: T.diag[0, 4] + 1e-4),
     ])
     def test_operator_with_one_wrong_entry_fails(self, kind, entry, value):
         # r^ reads the ODE, not the operator entries: the eigenpairs of an
         # operator with one entry changed fail it
         T = build_operator(SolutionFamily(kind, 6), 14.0)
-        arrays = {name: getattr(T, name).copy() for name in ("diag", "super_", "sub")}
+        arrays = {name: getattr(T, name)[0].copy() for name in ("diag", "super_", "sub")}
         name, index = entry
         arrays[name][index] = value(T)
-        wrong = TridiagonalOperator(family=T.family, a=T.a, **arrays)
+        wrong = hand_built(family=T.families[0], a=T.couplings[0], **arrays)
         assert attach_residuals(solve_spectrum(T))[1].all()
         assert not attach_residuals(solve_spectrum(wrong))[1].all()
 
@@ -426,32 +426,32 @@ class TestResidualBlocks:
 class TestDenseCrosscheck:
     def test_reference_case(self):
         T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 20), 14.0)
-        assert dense_oracle_crosscheck([T], _solver_etas([T]))[0] < 1e-9
+        assert dense_oracle_crosscheck(T, _solver_etas(T))[0] < 1e-9
 
     def test_free_limit_exact(self):
         T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 5), 0.0)
-        assert dense_oracle_crosscheck([T], _solver_etas([T]))[0] == 0.0
+        assert dense_oracle_crosscheck(T, _solver_etas(T))[0] == 0.0
 
     def test_exact_dense_eigenvalue_kept(self):
         # dim 1: the raw dense value is exact, a zero pivot freezes the polish
         T = build_operator(SolutionFamily(FamilyKind.KG_SIN_ODD, 1), 1.0)
-        assert dense_oracle_crosscheck([T], _solver_etas([T]))[0] == 0.0
+        assert dense_oracle_crosscheck(T, _solver_etas(T))[0] == 0.0
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("a", [0.0, 14.0, 1e10])
     def test_polish_matches_scalar_reference(self, kind, a):
         T = build_operator(SolutionFamily(kind, 12), a)
-        w = np.sort(np.linalg.eigvals(T.to_dense()).real)
-        polished = _charpoly_newton_polish(T.diag[None], (T.super_ * T.sub)[None], w[None])
+        w = np.sort(np.linalg.eigvals(dense(T)[0]).real)
+        polished = _charpoly_newton_polish(T.diag, T.super_ * T.sub, w[None])
         assert np.array_equal(polished[0], _scalar_newton_polish(T, w))
 
     def test_polish_stack_matches_each_alone(self):
-        ops = [build_operator(SolutionFamily(kind, 6), a)
-               for kind in (FamilyKind.DIRAC_PLUS, FamilyKind.DIRAC_MINUS)
-               for a in (0.0, 20.0)]
-        d = np.stack([T.diag for T in ops])
-        b = np.stack([T.super_ * T.sub for T in ops])
-        w = np.sort(np.linalg.eigvals(np.stack([T.to_dense() for T in ops])).real,
+        ops = build_stack(*zip(*((SolutionFamily(kind, 6), a)
+                                 for kind in (FamilyKind.DIRAC_PLUS, FamilyKind.DIRAC_MINUS)
+                                 for a in (0.0, 20.0))))
+        d = ops.diag
+        b = ops.super_ * ops.sub
+        w = np.sort(np.linalg.eigvals(dense(ops)).real,
                     axis=1)
         stacked = _charpoly_newton_polish(d, b, w)
         for i in range(len(ops)):
@@ -469,59 +469,58 @@ class TestDenseCrosscheck:
 
     def test_strong_coupling_stress(self):
         T = build_operator(SolutionFamily(FamilyKind.KG_COS_EVEN, 5), 50.0)
-        assert dense_oracle_crosscheck([T], _solver_etas([T]))[0] < 1e-8
+        assert dense_oracle_crosscheck(T, _solver_etas(T))[0] < 1e-8
 
     def test_dimension_cap(self):
         T = build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 101), 1.0)     # dim 202
         with pytest.raises(InputError, match="range limit"):
-            dense_oracle_crosscheck([T], _solver_etas([T]))
+            dense_oracle_crosscheck(T, _solver_etas(T))
 
     def test_complex_spectrum_flagged(self):
         fam = SolutionFamily(FamilyKind.DIRAC_PLUS, 1)
-        T = TridiagonalOperator(family=fam, a=1.0, diag=np.zeros(2),
-                                super_=np.array([1.0]), sub=np.array([-1.0]))
+        T = hand_built(family=fam, a=1.0, diag=np.zeros(2),
+                       super_=np.array([1.0]), sub=np.array([-1.0]))
         with pytest.raises(StructuralError):
-            dense_oracle_crosscheck([T], etas=[np.array([0.0, 0.0])])
+            dense_oracle_crosscheck(T, etas=[np.array([0.0, 0.0])])
 
     def test_complex_spectrum_names_its_operator(self):
         fam = SolutionFamily(FamilyKind.DIRAC_PLUS, 1)
-        bad = TridiagonalOperator(family=fam, a=2.5, diag=np.zeros(2),
-                                  super_=np.array([1.0]), sub=np.array([-1.0]))
+        bad = hand_built(family=fam, a=2.5, diag=np.zeros(2),
+                         super_=np.array([1.0]), sub=np.array([-1.0]))
         good = build_operator(fam, 1.0)
         with pytest.raises(StructuralError, match=r"^dirac-plus n=1 a=2\.5: dense "
                            r"eigenvalues have imaginary parts up to 1\.000e\+00"):
-            dense_oracle_crosscheck([good, bad], etas=[np.zeros(2), np.zeros(2)])
+            dense_oracle_crosscheck(joined([good, bad]), etas=[np.zeros(2), np.zeros(2)])
 
     def test_operators_must_share_dimension(self):
-        ops = [build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, n), 1.0)
-               for n in (1, 2)]
+        families = [SolutionFamily(FamilyKind.DIRAC_PLUS, n) for n in (1, 2)]
         with pytest.raises(InputError):
-            dense_oracle_crosscheck(ops, [solve_spectrum(T).etas for T in ops])
+            dense_oracle_crosscheck(build_stack(families, [1.0, 1.0]),
+                                    [np.zeros(fam.dim) for fam in families])
 
 
 class TestSturmCrosscheck:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_agreement(self, kind):
         T = build_operator(SolutionFamily(kind, 12), 14.0)
-        assert sturm_crosscheck([T], _solver_etas([T]))[0][0] < 1e-10
+        assert sturm_crosscheck(T, _solver_etas(T))[0][0] < 1e-10
 
     def test_certified_within_the_primary_share_of_the_gate(self):
-        ops = [build_operator(SolutionFamily(FamilyKind.KG_COS_EVEN, 12), a)
-               for a in (0.5, 14.0, 1e10)]
+        ops = build_stack([SolutionFamily(FamilyKind.KG_COS_EVEN, 12)] * 3, (0.5, 14.0, 1e10))
         lo, hi = verification.gershgorin_bounds(
-            np.stack([T.diag for T in ops]),
-            np.sqrt(np.stack([T.super_ * T.sub for T in ops])))
+            ops.diag,
+            np.sqrt(ops.super_ * ops.sub))
         bound = np.maximum(np.abs(lo), np.abs(hi))
         radii, _ = sturm_crosscheck(ops, _solver_etas(ops))
         assert np.all(radii <= 8 * np.finfo(float).eps * bound)
 
     def test_dim_one_is_exact(self):
         T = build_operator(SolutionFamily(FamilyKind.KG_SIN_ODD, 1), 14.0)
-        assert T.dim == 1 and sturm_crosscheck([T], _solver_etas([T]))[0][0] == 0.0
+        assert T.dim == 1 and sturm_crosscheck(T, _solver_etas(T))[0][0] == 0.0
         # its entry is 0 at a = 1, where the Gershgorin bound B is 0 too
         T = build_operator(SolutionFamily(FamilyKind.KG_SIN_ODD, 1), 1.0)
-        assert T.diag.tolist() == [0.0]
-        assert sturm_crosscheck([T], np.array([[1e-6]]))[0][0] == 1e-6
+        assert T.diag[0].tolist() == [0.0]
+        assert sturm_crosscheck(T, np.array([[1e-6]]))[0][0] == 1e-6
 
     def test_stack_gives_each_operator_its_lone_gate(self):
         # every dimension group of the shipped grid, stacked as `verify`
@@ -532,15 +531,16 @@ class TestSturmCrosscheck:
         for kind in ALL_KINDS:
             for n in range(1, verification.DEFAULT_GRID_N_MAX + 1):
                 for a in (*verification.DEFAULT_GRID_A_VALUES, 1e10, 1e150):
-                    T = build_operator(SolutionFamily(kind, n), a)
-                    groups.setdefault(T.dim, []).append(T)
-        for ops in groups.values():
+                    fam = SolutionFamily(kind, n)
+                    groups.setdefault(fam.dim, []).append((fam, a))
+        for points in groups.values():
+            ops = build_stack(*zip(*points))
             etas = _solver_etas(ops)
             radii, gates = sturm_crosscheck(ops, etas)
-            for i, T in enumerate(ops):
-                radius, gate = sturm_crosscheck([T], etas[i:i + 1])
-                assert gate.tobytes() == gates[i:i + 1].tobytes(), (T.dim, i)
-                assert radius.tobytes() == radii[i:i + 1].tobytes(), (T.dim, i)
+            for i, (fam, a) in enumerate(points):
+                radius, gate = sturm_crosscheck(build_operator(fam, a), etas[i:i + 1])
+                assert gate.tobytes() == gates[i:i + 1].tobytes(), (fam.dim, i)
+                assert radius.tobytes() == radii[i:i + 1].tobytes(), (fam.dim, i)
 
     @pytest.mark.parametrize("shift", [0.0, 1e-6], ids=["solved", "shifted"])
     def test_one_bound_gives_the_certificate_and_gate_of_their_own(self, shift):
@@ -552,12 +552,13 @@ class TestSturmCrosscheck:
         for kind in ALL_KINDS:
             for n in range(1, verification.DEFAULT_GRID_N_MAX + 1):
                 for a in (*verification.DEFAULT_GRID_A_VALUES, 1e150):
-                    T = build_operator(SolutionFamily(kind, n), a)
-                    groups.setdefault(T.dim, []).append(T)
-        for ops in groups.values():
+                    fam = SolutionFamily(kind, n)
+                    groups.setdefault(fam.dim, []).append((fam, a))
+        for points in groups.values():
+            ops = build_stack(*zip(*points))
             etas = _solver_etas(ops) + shift
             radii, gates = sturm_crosscheck(ops, etas)
-            d, off, _, b = OperatorStack.of(ops).symmetrized
+            d, off, _, b = ops.symmetrized
             lo, hi = verification.gershgorin_bounds(d, off)
             want_gates = np.maximum(verification.ORACLE_AGREEMENT_TOL,
                                     16 * EPS * np.maximum(np.abs(lo), np.abs(hi)))
@@ -568,11 +569,11 @@ class TestSturmCrosscheck:
 
     def test_bad_bond_names_its_operator(self):
         fam = SolutionFamily(FamilyKind.DIRAC_PLUS, 1)
-        bad = TridiagonalOperator(family=fam, a=2.5, diag=np.zeros(2),
-                                  super_=np.array([1.0]), sub=np.array([-1.0]))
+        bad = hand_built(family=fam, a=2.5, diag=np.zeros(2),
+                         super_=np.array([1.0]), sub=np.array([-1.0]))
         with pytest.raises(StructuralError, match=r"^dirac-plus n=1: bond 0: super\*sub = "
                            r"-1\.0 <= 0 at a = 2\.5"):
-            sturm_crosscheck([build_operator(fam, 1.0), bad],
+            sturm_crosscheck(joined([build_operator(fam, 1.0), bad]),
                              etas=[np.zeros(2), np.zeros(2)])
 
 
@@ -892,11 +893,11 @@ def test_grid_builds_each_basis_once(monkeypatch):
         return residual(stencil, bases, families, coefficients, momenta, couplings)
 
     def count_solves(ops):
-        solves.append(ops[0].dim)
+        solves.append(ops.dim)
         return solve(ops)
 
     def count_sturms(ops, etas):
-        sturms.append(ops[0].dim)
+        sturms.append(ops.dim)
         return sturm(ops, etas)
 
     monkeypatch.setattr("incevolkov.families.evaluate_basis", count_evaluate)
@@ -1133,7 +1134,7 @@ class TestFamilyStacks:
         for kind in ALL_KINDS:
             for n in range(1, 26):
                 fam = SolutionFamily(kind, n)
-                decs = solve_spectra([build_operator(fam, a) for a in a_values])
+                decs = solve_spectra(build_stack([fam] * len(a_values), a_values))
                 stacked = _batch_residual_maxima(
                     fam, np.repeat(a_values, fam.dim), np.concatenate([d.etas for d in decs]),
                     np.hstack([d.vectors for d in decs]))
@@ -1145,7 +1146,7 @@ class TestFamilyStacks:
     def test_ode_stack_past_range_names_its_first_coupling(self):
         fam = SolutionFamily(FamilyKind.KG_COS_ODD, 1)
         a_values = (14.0, 1.7e308, 1e308)
-        decs = solve_spectra([build_operator(fam, a) for a in a_values])
+        decs = solve_spectra(build_stack([fam] * len(a_values), a_values))
         with pytest.raises(InputError) as alone:
             _batch_residual_maxima(fam, 1.7e308, decs[1].etas, decs[1].vectors)
         with pytest.raises(InputError) as stacked:
@@ -1188,9 +1189,10 @@ class TestFamilyStacks:
                   np.array([[2.0, 2.0, 2.0], [-1.0, 0.0, 0.0], [0.0, 1.0, np.nan],
                             [-np.inf, 0.0, 1.0], [1.0, 1.0, 3.0]]),   # zero spread, a tie
                   np.array([[3.0], [0.0], [np.nan]]),                   # dim 1
-                  np.stack([dec.etas for dec in solve_spectra(
-                      [build_operator(SolutionFamily(FamilyKind.DIRAC_PLUS, 25), a)
-                       for a in verification.DEFAULT_GRID_A_VALUES])])]
+                  np.stack([dec.etas for dec in solve_spectra(build_stack(
+                      [SolutionFamily(FamilyKind.DIRAC_PLUS, 25)]
+                      * len(verification.DEFAULT_GRID_A_VALUES),
+                      verification.DEFAULT_GRID_A_VALUES))])]
         for etas in stacks:
             dim = etas.shape[1]
             with np.errstate(invalid="ignore"):
